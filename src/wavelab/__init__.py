@@ -4,7 +4,7 @@ in Riemann-invariant form at unit CFL."""
 
 from .core import (
     DampingProfile, Grid, HypothesisViolation, LocalizationTriple,
-    Nonlinearity, PExponent, Profile, RiemannState,
+    Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
     identity_damping, indicator_profile, make_localization, modified_fg,
     nodal_derivative, nu_ratio, physical_from_riemann, riemann_from_physical,

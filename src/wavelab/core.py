@@ -88,15 +88,6 @@ def signed_power(s, r: float):
     return out if out.ndim else float(out)
 
 
-def signed_power_prime(s, r: float):
-    """d/ds of signed_power(s, r) = r * |s|**(r-1), valid for r >= 1."""
-    if r < 1:
-        raise ValueError(f"derivative formula requires r >= 1, got {r}")
-    s = np.asarray(s, dtype=float)
-    out = r * np.abs(s) ** (r - 1.0)
-    return out if out.ndim else float(out)
-
-
 def modified_fg(y, p: float):
     """The surrogate pair (g, G) replacing (|.|^(p-1), |.|^p/p) when 1 < p < 2.
 
@@ -121,23 +112,6 @@ def modified_fg_prime(y, p: float):
     y = np.asarray(y, dtype=float)
     out = (p - 1.0) * (np.abs(y) + 1.0) ** (p - 2.0)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PExponent:
-    """An integrability exponent together with its conjugate."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        if self.p == 1.0:
-            return float("inf")
-        return self.p / (self.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +165,7 @@ def arctan_damping() -> Nonlinearity:
 
 
 def cubic_damping() -> Nonlinearity:
-    return Nonlinearity(lambda s: s + s ** 3, lambda s: 1.0 + 3.0 * np.square(s), "cubic")
+    return Nonlinearity(lambda s: s + s * s * s, lambda s: 1.0 + 3.0 * np.square(s), "cubic")
 
 
 def saturating_damping() -> Nonlinearity:
@@ -201,7 +175,7 @@ def saturating_damping() -> Nonlinearity:
 
 def nonmonotone_example() -> Nonlinearity:
     """Deliberately violates H2 for |s| > 1/sqrt(3); used by negative tests."""
-    return Nonlinearity(lambda s: s - s ** 3, lambda s: 1.0 - 3.0 * np.square(s),
+    return Nonlinearity(lambda s: s - s * s * s, lambda s: 1.0 - 3.0 * np.square(s),
                         "nonmonotone")
 
 

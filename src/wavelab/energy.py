@@ -37,6 +37,15 @@ def energy_p(state: RiemannState, p: float, grid: Grid) -> float:
     return energy_p_nodal(state.rho, state.xi, p, grid.dx)
 
 
+def dissipation_rate_nodal(rho: Array, xi: Array, ag: Array, p: float,
+                           dx: float) -> float:
+    """dE_p/dt from nodal data, with ag = -a(x) g(z_t) at the nodes."""
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    integrand = ag * (signed_power(rho, p - 1.0) - signed_power(xi, p - 1.0))
+    return trapezoid(integrand, dx)
+
+
 def dissipation_rate(state: RiemannState, p: float, a: DampingProfile,
                      g: Nonlinearity, grid: Grid) -> float:
     """dE_p/dt = -int a(x) g((rho-xi)/2) (|rho|^(p-1) sgn rho - |xi|^(p-1) sgn xi) dx.
@@ -44,12 +53,14 @@ def dissipation_rate(state: RiemannState, p: float, a: DampingProfile,
     Pointwise nonpositive for monotone g; for p = 1 the sgn selection of
     signed_power applies.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    a_nodes = np.asarray(a.value(grid.nodes))
-    integrand = -a_nodes * np.asarray(g.value(state.z_t)) * (
-        signed_power(state.rho, p - 1.0) - signed_power(state.xi, p - 1.0))
-    return trapezoid(integrand, grid.dx)
+    return dissipation_rate_nodal(state.rho, state.xi, _damping_term(state, a, g, grid),
+                                  p, grid.dx)
+
+
+def _damping_term(state: RiemannState, a: DampingProfile, g: Nonlinearity,
+                  grid: Grid) -> Array:
+    """-a(x) g(z_t) at the nodes."""
+    return -np.asarray(a.value(grid.nodes)) * np.asarray(g.value(state.z_t))
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +110,18 @@ def phi_functional(state: RiemannState, F: ConvexFunctional, grid: Grid) -> floa
     return trapezoid(np.asarray(F.F(state.rho)) + np.asarray(F.F(state.xi)), grid.dx)
 
 
+def phi_dissipation_nodal(rho: Array, xi: Array, ag: Array, F: ConvexFunctional,
+                          dx: float) -> float:
+    """dPhi/dt from nodal data, with ag = -a(x) g(z_t) at the nodes."""
+    integrand = ag * (np.asarray(F.F_prime(rho)) - np.asarray(F.F_prime(xi)))
+    return trapezoid(integrand, dx)
+
+
 def phi_dissipation(state: RiemannState, F: ConvexFunctional, a: DampingProfile,
                     g: Nonlinearity, grid: Grid) -> float:
     """dPhi/dt = -int a g((rho-xi)/2) (F'(rho) - F'(xi)) dx <= 0."""
-    a_nodes = np.asarray(a.value(grid.nodes))
-    integrand = -a_nodes * np.asarray(g.value(state.z_t)) * (
-        np.asarray(F.F_prime(state.rho)) - np.asarray(F.F_prime(state.xi)))
-    return trapezoid(integrand, grid.dx)
+    return phi_dissipation_nodal(state.rho, state.xi, _damping_term(state, a, g, grid),
+                                 F, grid.dx)
 
 
 # ---------------------------------------------------------------------------

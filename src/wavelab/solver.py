@@ -167,10 +167,6 @@ class Trajectory:
     def energy_series(self, p: float) -> Array:
         return self.diagnostics[f"E_p{p:g}"]
 
-    @property
-    def record_dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
 
 # ---------------------------------------------------------------------------
 # Substeps
@@ -237,42 +233,63 @@ def _bisect_damping(u_old: Array, c: Array, g: Nonlinearity, tol: Array) -> Arra
     return mid
 
 
+def damped_support(a_nodes: Array) -> slice:
+    """The contiguous slice spanning the nonzero entries of a(x) on the grid.
+
+    Off this slice the damping substep is the identity, so the implicit solve
+    runs on the slice alone. A basic slice is a view: no gather, no copy.
+    """
+    nz = np.flatnonzero(a_nodes)
+    if nz.size == 0:
+        return slice(0, 0)
+    return slice(int(nz[0]), int(nz[-1]) + 1)
+
+
 def damping_substep(state: RiemannState, dt_half: float, a: DampingProfile,
                     g: Nonlinearity, grid: Grid) -> RiemannState:
     """Backward-Euler source substep. z_x = (rho + xi)/2 is untouched; only
     u = z_t relaxes, so reassembly preserves the sum at every node."""
     a_nodes = np.asarray(a.value(grid.nodes))
-    return _damping_substep_nodal(state, dt_half * a_nodes, g)
+    support = damped_support(a_nodes)
+    return _damping_substep_nodal(state, dt_half * a_nodes[support], support, g)
 
 
-def _damping_substep_nodal(state: RiemannState, c: Array, g: Nonlinearity) -> RiemannState:
-    u = 0.5 * (state.rho - state.xi)
-    d = _implicit_damping_update(u, c, g) - u
-    # delta form keeps the substep a bitwise no-op where c = 0
-    return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
+def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
+                           g: Nonlinearity | None = None) -> RiemannState:
+    """Damping substep on the slice `support`, with c given on that slice.
 
-
-def _linear_damping_substep_nodal(state: RiemannState, c_theta: Array) -> RiemannState:
-    """Closed-form substep for the auxiliary problem: u <- u / (1 + c theta)."""
-    u = 0.5 * (state.rho - state.xi)
-    d = u / (1.0 + c_theta) - u
+    g relaxes u = z_t by the implicit solve of u + c g(u) = u_old; g = None is
+    the frozen linear coefficient of the auxiliary problem, u <- u / (1 + c).
+    Off the slice c = 0 and the update is the identity. The delta d is zero
+    there and the full-array delta form keeps every node bitwise equal to
+    running the update on the whole grid.
+    """
+    u = 0.5 * (state.rho[support] - state.xi[support])
+    u_new = u / (1.0 + c) if g is None else _implicit_damping_update(u, c, g)
+    d = np.zeros_like(state.rho)
+    np.subtract(u_new, u, out=d[support])
     return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
 
 
 def step(state: RiemannState, scenario: Scenario,
-         a_nodes: Array | None = None) -> RiemannState:
+         a_nodes: Array | None = None, *,
+         support: slice | None = None) -> RiemannState:
     """One full step: strang = damp(dt/2) o transport o damp(dt/2);
-    lie = transport o damp(dt)."""
+    lie = transport o damp(dt). `support` is damped_support(a_nodes), which
+    run drivers compute once per run."""
     grid = scenario.grid
     if a_nodes is None:
         a_nodes = np.asarray(scenario.a.value(grid.nodes))
+    if support is None:
+        support = damped_support(a_nodes)
     dt = scenario.dt
     if scenario.splitting == "strang":
-        state = _damping_substep_nodal(state, 0.5 * dt * a_nodes, scenario.g)
+        c = 0.5 * dt * a_nodes[support]
+        state = _damping_substep_nodal(state, c, support, scenario.g)
         state = transport_shift(state, grid)
-        state = _damping_substep_nodal(state, 0.5 * dt * a_nodes, scenario.g)
+        state = _damping_substep_nodal(state, c, support, scenario.g)
     else:
-        state = _damping_substep_nodal(state, dt * a_nodes, scenario.g)
+        state = _damping_substep_nodal(state, dt * a_nodes[support], support, scenario.g)
         state = transport_shift(state, grid)
     return state
 
@@ -284,42 +301,61 @@ def step(state: RiemannState, scenario: Scenario,
 def _base_diagnostics(state: RiemannState, scenario: Scenario,
                       a_nodes: Array) -> dict[str, float]:
     grid = scenario.grid
+    z_t = state.z_t
+    ag = -a_nodes * np.asarray(scenario.g.value(z_t))
     diag: dict[str, float] = {}
     for p in scenario.p_list:
         diag[f"E_p{p:g}"] = _energy.energy_p(state, p, grid)
-        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate(
-            state, p, scenario.a, scenario.g, grid)
-    diag["max_zt"] = float(np.max(np.abs(state.z_t)))
+        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate_nodal(
+            state.rho, state.xi, ag, p, grid.dx)
+    diag["max_zt"] = float(np.max(np.abs(z_t)))
     return diag
+
+
+def _check_monotone(records: list[dict[str, float]], diag: dict[str, float],
+                    t: float) -> None:
+    """Raise if an energy of `diag` rose above the last record by more than
+    MONOTONICITY_SLACK, relative to its initial value when that exceeds 1."""
+    first, last = records[0], records[-1]
+    for key in first:
+        if not key.startswith("E_p"):
+            continue
+        slack = MONOTONICITY_SLACK * max(1.0, first[key])
+        if diag[key] > last[key] + slack:
+            raise EnergyMonotonicityError(
+                f"{key} increased at t = {t}: {last[key]} -> {diag[key]} "
+                f"(slack {slack}, E(0) = {first[key]})")
+
+
+def _is_record(scenario: Scenario, n: int) -> bool:
+    """Whether the state after step n (0-based) is recorded."""
+    return (n + 1) % scenario.record_every == 0 or n + 1 == scenario.n_steps
 
 
 def _record_loop(scenario: Scenario, state: RiemannState,
                  advance: Callable[[RiemannState, int], RiemannState],
                  diagnose: Callable[[RiemannState], dict[str, float]],
-                 keep_states: bool, kind: str,
-                 check_monotone: bool = True) -> Trajectory:
+                 keep_states: bool, kind: str) -> Trajectory:
     times = [state.t]
     records = [diagnose(state)]
     states = [state]
-    energy_keys = [k for k in records[0] if k.startswith("E_p")]
     for n in range(scenario.n_steps):
         state = advance(state, n)
-        if (n + 1) % scenario.record_every == 0 or n + 1 == scenario.n_steps:
+        if _is_record(scenario, n):
             diag = diagnose(state)
-            if check_monotone:
-                for key in energy_keys:
-                    slack = MONOTONICITY_SLACK * max(1.0, records[0][key])
-                    if diag[key] > records[-1][key] + slack:
-                        raise EnergyMonotonicityError(
-                            f"{key} increased at t = {state.t}: "
-                            f"{records[-1][key]} -> {diag[key]} (slack {slack}, "
-                            f"E(0) = {records[0][key]})")
+            _check_monotone(records, diag, state.t)
             times.append(state.t)
             records.append(diag)
             if keep_states:
                 states.append(state)
     if not keep_states:
         states.append(state)
+    return _trajectory(times, states, records, scenario, kind)
+
+
+def _trajectory(times: list[float], states: list[RiemannState],
+                records: list[dict[str, float]], scenario: Scenario,
+                kind: str) -> Trajectory:
     diagnostics = {k: np.array([r[k] for r in records]) for k in records[0]}
     return Trajectory(times=np.array(times), states=states,
                       diagnostics=diagnostics, scenario=scenario, kind=kind)
@@ -330,10 +366,11 @@ def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     asserting E_p monotonicity (for every p simultaneously) at each record."""
     grid = scenario.grid
     a_nodes = np.asarray(scenario.a.value(grid.nodes))
+    support = damped_support(a_nodes)
     state = scenario.initial.riemann(grid)
 
     def advance(s: RiemannState, n: int) -> RiemannState:
-        return step(s, scenario, a_nodes)
+        return step(s, scenario, a_nodes, support=support)
 
     return _record_loop(scenario, state, advance,
                         lambda s: _base_diagnostics(s, scenario, a_nodes),
@@ -349,6 +386,8 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     grid = scenario.grid
     xs = grid.nodes
     a_nodes = np.asarray(scenario.a.value(xs))
+    support = damped_support(a_nodes)
+    a_damped = a_nodes[support]
     dt = scenario.dt
     state = scenario.initial.riemann(grid)
 
@@ -366,17 +405,18 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
         diag["max_zt"] = float(np.max(np.abs(s.z_t)))
         return diag
 
+    def damp(s: RiemannState, dt_sub: float, t_mid: float) -> RiemannState:
+        c = dt_sub * a_damped * theta(t_mid, xs)[support]
+        return _damping_substep_nodal(s, c, support)
+
     def advance(s: RiemannState, n: int) -> RiemannState:
         t0 = s.t
         if scenario.splitting == "strang":
-            s = _linear_damping_substep_nodal(
-                s, 0.5 * dt * a_nodes * theta(t0 + 0.25 * dt, xs))
+            s = damp(s, 0.5 * dt, t0 + 0.25 * dt)
             s = transport_shift(s, grid)
-            s = _linear_damping_substep_nodal(
-                s, 0.5 * dt * a_nodes * theta(t0 + 0.75 * dt, xs))
+            s = damp(s, 0.5 * dt, t0 + 0.75 * dt)
         else:
-            s = _linear_damping_substep_nodal(
-                s, dt * a_nodes * theta(t0 + 0.5 * dt, xs))
+            s = damp(s, dt, t0 + 0.5 * dt)
             s = transport_shift(s, grid)
         return s
 
@@ -390,22 +430,25 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     Differentiating the PDE in time gives w_tt - w_xx + a(x) g'(w) w_t = 0,
     i.e. the auxiliary structure with coefficient g'(z_t) read from the base
     run (the first half-substep uses z_t at t_n, the second at t_{n+1};
-    symmetric over the step). Records E_p(w) and the W^{1,p} norm of z_t.
+    symmetric over the step). Records E_p(w) and the W^{1,p} norm of z_t,
+    and asserts monotonicity of the base E_p and of E_p(w) at each record.
     Returns (base trajectory, w trajectory).
     """
     grid = scenario.grid
     xs = grid.nodes
     dx = grid.dx
     dt = scenario.dt
+    g = scenario.g
     a_nodes = np.asarray(scenario.a.value(xs))
+    support = damped_support(a_nodes)
+    a_damped = a_nodes[support]
     base = scenario.initial.riemann(grid)
-    w_state = scenario.initial.derivative_system_data(grid, a_nodes, scenario.g)
+    w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
 
-    base_records: list[dict[str, float]] = []
-    w_records: list[dict[str, float]] = []
-    times = [0.0]
-    base_states = [base]
-    w_states = [w_state]
+    def theta(bs: RiemannState) -> Array:
+        # a g'(z_t) on the damped slice; zero elsewhere
+        zt = 0.5 * (bs.rho[support] - bs.xi[support])
+        return a_damped * np.asarray(g.derivative(zt))
 
     def w_diag(bs: RiemannState, ws: RiemannState) -> dict[str, float]:
         diag: dict[str, float] = {}
@@ -419,25 +462,32 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
         diag["max_zt"] = float(np.max(np.abs(zt)))
         return diag
 
-    base_records.append(_base_diagnostics(base, scenario, a_nodes))
-    w_records.append(w_diag(base, w_state))
+    base_records = [_base_diagnostics(base, scenario, a_nodes)]
+    w_records = [w_diag(base, w_state)]
+    times = [0.0]
+    base_states = [base]
+    w_states = [w_state]
 
+    theta_n = theta(base)
     for n in range(scenario.n_steps):
-        theta_n = a_nodes * np.asarray(scenario.g.derivative(base.z_t))
-        base_next = step(base, scenario, a_nodes)
-        theta_np1 = a_nodes * np.asarray(scenario.g.derivative(base_next.z_t))
+        base = step(base, scenario, a_nodes, support=support)
+        theta_np1 = theta(base)
         if scenario.splitting == "strang":
-            w_state = _linear_damping_substep_nodal(w_state, 0.5 * dt * theta_n)
+            w_state = _damping_substep_nodal(w_state, 0.5 * dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
-            w_state = _linear_damping_substep_nodal(w_state, 0.5 * dt * theta_np1)
+            w_state = _damping_substep_nodal(w_state, 0.5 * dt * theta_np1, support)
         else:
-            w_state = _linear_damping_substep_nodal(w_state, dt * theta_n)
+            w_state = _damping_substep_nodal(w_state, dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
-        base = base_next
-        if (n + 1) % scenario.record_every == 0 or n + 1 == scenario.n_steps:
+        theta_n = theta_np1
+        if _is_record(scenario, n):
+            base_diag = _base_diagnostics(base, scenario, a_nodes)
+            _check_monotone(base_records, base_diag, base.t)
+            w_d = w_diag(base, w_state)
+            _check_monotone(w_records, w_d, base.t)
             times.append(base.t)
-            base_records.append(_base_diagnostics(base, scenario, a_nodes))
-            w_records.append(w_diag(base, w_state))
+            base_records.append(base_diag)
+            w_records.append(w_d)
             if keep_states:
                 base_states.append(base)
                 w_states.append(w_state)
@@ -445,16 +495,8 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
         base_states.append(base)
         w_states.append(w_state)
 
-    t_arr = np.array(times)
-    base_traj = Trajectory(
-        times=t_arr, states=base_states,
-        diagnostics={k: np.array([r[k] for r in base_records]) for k in base_records[0]},
-        scenario=scenario, kind="simulate")
-    w_traj = Trajectory(
-        times=t_arr, states=w_states,
-        diagnostics={k: np.array([r[k] for r in w_records]) for k in w_records[0]},
-        scenario=scenario, kind="derivative")
-    return base_traj, w_traj
+    return (_trajectory(times, base_states, base_records, scenario, "simulate"),
+            _trajectory(times, w_states, w_records, scenario, "derivative"))
 
 
 def theta_from_run(traj: Trajectory) -> ThetaField:

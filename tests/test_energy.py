@@ -6,8 +6,9 @@ from wavelab.core import (
     sine_profile, zero_function,
 )
 from wavelab.energy import (
-    ConvexFunctional, decay_fit, dissipation_rate, energy_p, energy_p_nodal,
-    lp_norm, modified_energy_functional, observability_ratio, phi_dissipation,
+    ConvexFunctional, decay_fit, dissipation_rate, dissipation_rate_nodal,
+    energy_p, energy_p_nodal, lp_norm, modified_energy_functional,
+    observability_ratio, phi_dissipation, phi_dissipation_nodal,
     phi_functional, power_functional, sobolev_bound_check, w1p_norm,
 )
 from wavelab.solver import InitialData, Scenario, run_derivative_system
@@ -65,6 +66,20 @@ class TestDissipation:
         r2 = phi_dissipation(state, power_functional(2.0), constant_profile(1.0),
                              arctan_damping(), g)
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+    def test_nodal_forms_match_wrappers_bitwise(self):
+        g = Grid(64)
+        rng = np.random.default_rng(4)
+        state = RiemannState(rho=rng.normal(size=65), xi=rng.normal(size=65), t=0.0)
+        a, nl = constant_profile(1.5), arctan_damping()
+        ag = -a.value(g.nodes) * nl.value(state.z_t)
+        for p in (1.0, 1.5, 2.0, 4.0):
+            assert dissipation_rate_nodal(state.rho, state.xi, ag, p, g.dx) == \
+                dissipation_rate(state, p, a, nl, g)
+        F = power_functional(3.0)
+        assert phi_dissipation_nodal(state.rho, state.xi, ag, F, g.dx) == \
+            phi_dissipation(state, F, a, nl, g)
 
 
 class TestConvexFunctionals:

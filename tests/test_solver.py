@@ -5,15 +5,16 @@ from hypothesis.extra.numpy import arrays
 
 from wavelab.core import (
     Grid, RiemannState, arctan_damping, constant_profile, cubic_damping,
-    identity_damping, saturating_damping, sine_profile,
-    smooth_indicator_profile, zero_function, zero_profile, Nonlinearity,
+    identity_damping, indicator_profile, nonmonotone_example,
+    saturating_damping, sine_profile, smooth_indicator_profile, zero_function,
+    zero_profile, Nonlinearity,
 )
 from wavelab.energy import energy_p
 from wavelab.solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaBoundError,
-    ThetaField, _implicit_damping_update, damping_substep, run_auxiliary,
-    run_derivative_system, run_simulation, step, theta_from_run,
-    transport_shift,
+    ThetaField, _damping_substep_nodal, _implicit_damping_update,
+    damped_support, damping_substep, run_auxiliary, run_derivative_system,
+    run_simulation, step, theta_from_run, transport_shift,
 )
 
 
@@ -92,6 +93,97 @@ class TestImplicitDamping:
         u = _implicit_damping_update(u_old, c, cubic_damping())
         resid = u + c * (u + u ** 3) - u_old
         assert abs(resid[0]) <= 1e-12 * 50.0
+
+
+def _reference_substep(state, c, g):
+    """The damping substep on every node, with c given on the whole grid;
+    g = None is the closed-form linear update u / (1 + c)."""
+    u = 0.5 * (state.rho - state.xi)
+    u_new = u / (1.0 + c) if g is None else _implicit_damping_update(u, c, g)
+    d = u_new - u
+    return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
+
+
+def _reference_step(state, sc):
+    a_nodes = sc.a.value(sc.grid.nodes)
+    dt = sc.dt
+    if sc.splitting == "strang":
+        state = _reference_substep(state, 0.5 * dt * a_nodes, sc.g)
+        state = transport_shift(state, sc.grid)
+        return _reference_substep(state, 0.5 * dt * a_nodes, sc.g)
+    state = _reference_substep(state, dt * a_nodes, sc.g)
+    return transport_shift(state, sc.grid)
+
+
+PROFILES = {
+    "smooth_indicator": smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
+    "interior_indicator": indicator_profile(0.3, 0.6, 1.0),
+    "constant": constant_profile(1.0),
+    "zero": zero_profile(),
+}
+GS = {"arctan": arctan_damping, "cubic": cubic_damping,
+      "identity": identity_damping}
+
+
+def _random_state(n, seed=11):
+    rng = np.random.default_rng(seed)
+    return RiemannState(rho=1.5 * rng.normal(size=n + 1),
+                        xi=1.5 * rng.normal(size=n + 1), t=0.0)
+
+
+class TestRestrictedKernel:
+    """The damping substep runs on damped_support(a) only; every node must
+    come out bitwise equal to the update run on the whole grid."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_support_spans_the_nonzero_nodes(self, profile):
+        a_nodes = PROFILES[profile].value(Grid(64).nodes)
+        support = damped_support(a_nodes)
+        nz = np.flatnonzero(a_nodes)
+        if nz.size:
+            assert (support.start, support.stop) == (nz[0], nz[-1] + 1)
+        else:
+            assert support.start == support.stop
+        outside = np.ones(a_nodes.size, dtype=bool)
+        outside[support] = False
+        assert np.all(a_nodes[outside] == 0.0)
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("g", sorted(GS))
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_step_matches_full_grid_reference(self, profile, g, splitting):
+        sc = _scenario(g=GS[g](), a=PROFILES[profile], splitting=splitting)
+        state = _random_state(sc.grid.n_cells)
+        out = step(state, sc)
+        ref = _reference_step(state, sc)
+        np.testing.assert_array_equal(out.rho, ref.rho)
+        np.testing.assert_array_equal(out.xi, ref.xi)
+
+    @pytest.mark.parametrize("g", sorted(GS) + ["linear"])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_substep_matches_full_grid_reference(self, profile, g):
+        grid = Grid(64)
+        a_nodes = PROFILES[profile].value(grid.nodes)
+        theta = np.random.default_rng(5).uniform(0.5, 2.0, size=grid.n_nodes)
+        c = 0.5 * grid.dx * a_nodes * theta
+        nl = None if g == "linear" else GS[g]()
+        state = _random_state(grid.n_cells)
+        support = damped_support(a_nodes)
+        out = _damping_substep_nodal(state, c[support], support, nl)
+        ref = _reference_substep(state, c, nl)
+        np.testing.assert_array_equal(out.rho, ref.rho)
+        np.testing.assert_array_equal(out.xi, ref.xi)
+
+    @pytest.mark.parametrize("g", sorted(GS) + ["linear"])
+    def test_zero_profile_substep_is_identity(self, g):
+        grid = Grid(64)
+        a_nodes = zero_profile().value(grid.nodes)
+        support = damped_support(a_nodes)
+        state = _random_state(grid.n_cells)
+        nl = None if g == "linear" else GS[g]()
+        out = _damping_substep_nodal(state, a_nodes[support], support, nl)
+        np.testing.assert_array_equal(out.rho, state.rho)
+        np.testing.assert_array_equal(out.xi, state.xi)
 
 
 class TestSubstepDissipativity:
@@ -210,3 +302,42 @@ class TestDerivativeSystem:
         for p in (1.5, 2.0):
             ew = w.diagnostics[f"E_pw{p:g}"]
             assert np.all(ew <= ew[0] + 1e-10)
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_w_states_match_full_grid_reference(self, splitting):
+        sc = _scenario(t_final=0.25, g=cubic_damping(), splitting=splitting)
+        base, w = run_derivative_system(sc)
+        grid, dt = sc.grid, sc.dt
+        a_nodes = sc.a.value(grid.nodes)
+        ws = w.states[0]
+        for k in range(sc.n_steps):
+            theta_n = a_nodes * sc.g.derivative(base.states[k].z_t)
+            theta_np1 = a_nodes * sc.g.derivative(base.states[k + 1].z_t)
+            if splitting == "strang":
+                ws = _reference_substep(ws, 0.5 * dt * theta_n, None)
+                ws = transport_shift(ws, grid)
+                ws = _reference_substep(ws, 0.5 * dt * theta_np1, None)
+            else:
+                ws = _reference_substep(ws, dt * theta_n, None)
+                ws = transport_shift(ws, grid)
+            np.testing.assert_array_equal(ws.rho, w.states[k + 1].rho)
+            np.testing.assert_array_equal(ws.xi, w.states[k + 1].xi)
+
+    def test_monotonicity_guard_trips_on_antidamping(self):
+        bad = Nonlinearity(lambda s: -0.5 * s,
+                           lambda s: -0.5 * np.ones_like(np.asarray(s, dtype=float)),
+                           "antidamping", linear_slope=-0.5)
+        sc = _scenario(g=bad, a=constant_profile(1.0), t_final=4.0)
+        with pytest.raises(EnergyMonotonicityError):
+            run_derivative_system(sc)
+
+    def test_monotonicity_guard_covers_w_energy(self):
+        # s - s^3 keeps g(s) s >= 0 for |s| < 1, so the base energy decays,
+        # but g' < 0 for |s| > 1/sqrt(3) pumps energy into w = z_t
+        sc = Scenario(
+            name="t", grid=Grid(64), t_final=1.0, p_list=(2.0,),
+            g=nonmonotone_example(), a=constant_profile(2.0),
+            initial=InitialData.from_profiles(zero_function(),
+                                              sine_profile(1, amplitude=0.8)))
+        with pytest.raises(EnergyMonotonicityError, match="E_pw2"):
+            run_derivative_system(sc)
