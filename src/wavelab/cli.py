@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +49,24 @@ DEFAULTS = {
 
 
 class ConfigError(ValueError):
-    pass
+    """A suite file that cannot be run as written; `wavelab run` exits 2."""
+
+
+class HypothesisConfigError(ConfigError, HypothesisViolation):
+    """A suite value that fails a standing hypothesis (H1 or H2)."""
+
+
+@contextmanager
+def _scenario_key(name: str, key: str | None = None):
+    """Turn a bad value met inside the block into a ConfigError that names
+    the scenario and, when one key alone is at fault, the key."""
+    where = f"scenario '{name}'" + (f": key '{key}'" if key else "")
+    try:
+        yield
+    except HypothesisViolation as exc:
+        raise HypothesisConfigError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +88,15 @@ def _parse_call(spec: str, key: str) -> tuple[str, list[float], dict[str, float]
             tok = tok.strip()
             if not tok:
                 continue
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                kwargs[k.strip()] = float(v)
-            else:
-                args.append(float(tok))
+            try:
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    kwargs[k.strip()] = float(v)
+                else:
+                    args.append(float(tok))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key '{key}': cannot parse number '{tok}' in '{spec}'") from exc
     return name, args, kwargs
 
 
@@ -194,13 +216,17 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         if key not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario '{name}': unknown key '{key}'")
 
-    n_cells = int(raw.get("n_cells", DEFAULTS["n_cells"]))
-    t_final = float(raw.get("t_final", DEFAULTS["t_final"]))
+    def scalar(key: str, convert):
+        with _scenario_key(name, key):
+            return convert(raw.get(key, DEFAULTS[key]))
+
+    grid = scalar("n_cells", lambda text: Grid(int(text)))
+    t_final = scalar("t_final", float)
     p_list = (_parse_floats(raw["p_list"], "p_list")
               if "p_list" in raw else DEFAULTS["p_list"])
     splitting = raw.get("splitting", DEFAULTS["splitting"])
-    record_every = int(raw.get("record_every", DEFAULTS["record_every"]))
-    amplitude = float(raw.get("amplitude", DEFAULTS["amplitude"]))
+    record_every = scalar("record_every", int)
+    amplitude = scalar("amplitude", float)
 
     for p in p_list:
         if p < 1.0:
@@ -211,9 +237,11 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                 f"theory covers 1 < p < inf only (experiment kind '{kind}')")
 
     g = parse_nonlinearity(raw.get("g", "identity"))
-    g.validate()  # H2 lattice check at parse time
+    with _scenario_key(name, "g"):
+        g.validate()  # H2 lattice check at parse time
     a = parse_damping(raw.get("a", "indicator(0.7, 1, 1)"))
-    a.validate(require_active=kind in STABILITY_KINDS)
+    with _scenario_key(name, "a"):
+        a.validate(require_active=kind in STABILITY_KINDS)
 
     z0 = parse_profile(raw.get("z0", DEFAULTS["z0"]), "z0").scaled(amplitude)
     z1 = parse_profile(raw.get("z1", DEFAULTS["z1"]), "z1").scaled(amplitude)
@@ -241,14 +269,16 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
             raise ConfigError(f"scenario '{name}': window must be 'S, T' with S < T")
         window = (vals[0], vals[1])
 
-    scenario = Scenario(name=name, grid=Grid(n_cells), t_final=t_final,
-                        p_list=tuple(p_list), g=g, a=a,
-                        initial=InitialData.from_profiles(z0, z1),
-                        splitting=splitting, record_every=record_every)
+    with _scenario_key(name):  # Scenario's message names the field
+        scenario = Scenario(name=name, grid=grid, t_final=t_final,
+                            p_list=tuple(p_list), g=g, a=a,
+                            initial=InitialData.from_profiles(z0, z1),
+                            splitting=splitting, record_every=record_every)
 
     if kind == "multiplier_report":
         # fail early on a bad localization geometry
-        make_localization((a.omega[0], 1.0), epsilons, scenario.grid)
+        with _scenario_key(name, "epsilons"):
+            make_localization((a.omega[0], 1.0), epsilons, scenario.grid)
 
     return ScenarioSpec(scenario=scenario, fit_window=fit_window, alphas=alphas,
                         epsilons=epsilons, window=window,
@@ -284,11 +314,10 @@ def run_aux_equivalence(scenario: Scenario) -> dict:
     traj_nl = run_simulation(dense)
     theta = theta_from_run(traj_nl)
     traj_aux = run_auxiliary(dense, theta)
-    disc = 0.0
-    for s_nl, s_aux in zip(traj_nl.states, traj_aux.states):
-        disc = max(disc,
-                   float(np.max(np.abs(s_nl.rho - s_aux.rho))),
-                   float(np.max(np.abs(s_nl.xi - s_aux.xi))))
+    disc = max(float(np.max(np.abs(
+        np.stack([getattr(s, key) for s in traj_nl.states])
+        - np.stack([getattr(s, key) for s in traj_aux.states]))))
+        for key in ("rho", "xi"))
     m = float(np.max(traj_nl.diagnostics["max_zt"]))
     lattice = np.linspace(-m, m, 2001) if m > 0 else np.array([0.0])
     nu_vals = nu_ratio(lattice, scenario.g)
@@ -377,10 +406,6 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _csv_cell(x: float) -> str:
-    return repr(float(x))  # shortest round-trip decimal
-
-
 def write_energy_csv(path: Path, traj: Trajectory,
                      w_traj: Trajectory | None = None) -> None:
     p_list = traj.scenario.p_list
@@ -388,19 +413,18 @@ def write_energy_csv(path: Path, traj: Trajectory,
     header += [f"E_p{p:g}" for p in p_list]
     header += [f"dEdt_p{p:g}" for p in p_list]
     header.append("max_zt")
+    columns = [traj.times]
+    columns += [traj.diagnostics[f"E_p{p:g}"] for p in p_list]
+    columns += [traj.diagnostics[f"dEdt_p{p:g}"] for p in p_list]
+    columns.append(traj.diagnostics["max_zt"])
     if w_traj is not None:
         header.append("W1p_zt")
+        columns.append(w_traj.diagnostics[f"W1p_zt_p{p_list[0]:g}"])
+    # tolist() gives Python floats, whose repr is the shortest round-trip decimal
+    rows = np.column_stack(columns).tolist()
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [_csv_cell(t)]
-            row += [_csv_cell(traj.diagnostics[f"E_p{p:g}"][i]) for p in p_list]
-            row += [_csv_cell(traj.diagnostics[f"dEdt_p{p:g}"][i]) for p in p_list]
-            row.append(_csv_cell(traj.diagnostics["max_zt"][i]))
-            if w_traj is not None:
-                p0 = p_list[0]
-                row.append(_csv_cell(w_traj.diagnostics[f"W1p_zt_p{p0:g}"][i]))
-            fh.write(",".join(row) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def emit_reports(results: list[dict], output_dir: str) -> list[Path]:

@@ -314,12 +314,20 @@ class PhysicalFields:
     boundary_defect: float
 
 
+def cumulative_trapezoid(h: Array, dx: float) -> Array:
+    """int_0^x h along the last axis by the trapezoid rule, 0 at the first
+    node. Rows of a stacked h are summed independently in node order, so
+    each equals the 1-d result bit for bit."""
+    out = np.empty_like(h)
+    out[..., 0] = 0.0
+    np.cumsum(0.5 * (h[..., 1:] + h[..., :-1]) * dx, axis=-1, out=out[..., 1:])
+    return out
+
+
 def physical_from_riemann(state: RiemannState, grid: Grid) -> PhysicalFields:
     z_t = state.z_t
     z_x = state.z_x
-    z = np.empty_like(z_x)
-    z[0] = 0.0
-    np.cumsum(0.5 * (z_x[1:] + z_x[:-1]) * grid.dx, out=z[1:])
+    z = cumulative_trapezoid(z_x, grid.dx)
     return PhysicalFields(z=z, z_t=z_t, z_x=z_x, boundary_defect=abs(float(z[-1])))
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Array, Grid, LocalizationTriple, modified_fg, modified_fg_prime,
-    nu_ratio, signed_power,
+    Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_fg,
+    modified_fg_prime, nu_ratio, signed_power,
 )
 from .energy import trapezoid
 from .solver import Trajectory
-from .core import physical_from_riemann
 
 DEFAULT_ETAS = (0.25, 0.5, 1.0, 2.0)
 
@@ -45,15 +44,16 @@ def _regime_functions(p: float):
 
 def elliptic_solve(h: Array, grid: Grid) -> Array:
     """Solve v'' = h on (0,1), v(0) = v(1) = 0, by the Green representation
-    v(x) = int_0^x (x - s) h(s) ds - x int_0^1 (1 - s) h(s) ds (trapezoid)."""
+    v(x) = int_0^x (x - s) h(s) ds - x int_0^1 (1 - s) h(s) ds (trapezoid).
+
+    h has shape (..., n_nodes): each row is an independent right-hand side,
+    and its solution equals the 1-d solve of that row bit for bit."""
     h = np.asarray(h, dtype=float)
     xs = grid.nodes
-    dx = grid.dx
-    cum_h = np.concatenate(([0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * dx)))
-    sh = xs * h
-    cum_sh = np.concatenate(([0.0], np.cumsum(0.5 * (sh[1:] + sh[:-1]) * dx)))
-    a = xs * cum_h - cum_sh          # int_0^x (x - s) h(s) ds
-    total = cum_h[-1] - cum_sh[-1]   # int_0^1 (1 - s) h(s) ds
+    cum_h = cumulative_trapezoid(h, grid.dx)
+    cum_sh = cumulative_trapezoid(xs * h, grid.dx)
+    a = xs * cum_h - cum_sh                        # int_0^x (x - s) h(s) ds
+    total = cum_h[..., -1:] - cum_sh[..., -1:]     # int_0^1 (1 - s) h(s) ds
     return a - xs * total
 
 
@@ -117,8 +117,11 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     times = traj.times[idx]
     states = [traj.states[i] for i in idx]
     a_nodes = np.asarray(traj.scenario.a.value(xs))
+    rho = np.stack([s.rho for s in states])
+    xi = np.stack([s.xi for s in states])
+    diff = rho - xi
     if theta is None:
-        theta_w = np.stack([nu_ratio(s.z_t, traj.scenario.g) for s in states])
+        theta_w = nu_ratio(0.5 * diff, traj.scenario.g)
     else:
         theta_w = np.asarray(theta)[idx]
 
@@ -127,13 +130,9 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     xpsi = xs * triple.psi_nodes
     one_minus = np.abs(1.0 - triple.xpsi_x(xs))
 
-    n_rec = len(states)
-    rho = np.stack([s.rho for s in states])
-    xi = np.stack([s.xi for s in states])
-    y = np.stack([physical_from_riemann(s, grid).z for s in states])
+    y = cumulative_trapezoid(0.5 * (rho + xi), dx)  # z from z_x, z(0) = 0
     f_rho, f_xi = f(rho), f(xi)
     big_rho, big_xi = big_f(rho), big_f(xi)
-    diff = rho - xi
     atheta = a_nodes[None, :] * theta_w
 
     def space_int(integrand: Array, mask: Array | None = None) -> Array:
@@ -167,8 +166,7 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     t5 = time_int(space_int(np.abs(y) ** p, q2_mask))
 
     # third multiplier (elliptic v)
-    v = np.stack([elliptic_solve(triple.beta_nodes * f_yk, grid)
-                  for f_yk in f(y)])
+    v = elliptic_solve(triple.beta_nodes[None, :] * f(y), grid)
     v_t = np.gradient(v, times, axis=0)
     bracket_v = space_int(v * diff)
     v1 = abs(float(bracket_v[-1] - bracket_v[0]))

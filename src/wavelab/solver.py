@@ -138,10 +138,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ThetaField:
-    """Time-varying damping intensity theta(t, x) with H3 bounds."""
+    """Time-varying damping intensity theta(t, x) with H3 bounds.
+
+    grid: the grid a recorded field is bound to (its sampler ignores x);
+    None for a field that evaluates any x."""
 
     sampler: Callable[[float, Array], Array]
     bounds: tuple[float, float]
+    grid: Grid | None = None
 
     def __call__(self, t: float, x: Array) -> Array:
         th = np.asarray(self.sampler(t, x), dtype=float)
@@ -384,6 +388,8 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     damping substep is linear-implicit in closed form. theta is sampled at
     the midpoint of each substep interval."""
     grid = scenario.grid
+    if theta.grid is not None and theta.grid != grid:
+        raise ValueError("recorded theta field is bound to the run's grid")
     xs = grid.nodes
     a_nodes = np.asarray(scenario.a.value(xs))
     support = damped_support(a_nodes)
@@ -519,11 +525,10 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
         raise ValueError(
             "theta_from_run needs a dense run: record_every = 1 with states kept")
     g = sc.g
-    xs_ref = sc.grid.nodes
     dt = sc.dt
     t0 = float(traj.times[0])
     n_steps = sc.n_steps
-    a_nodes = np.asarray(sc.a.value(xs_ref))
+    a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
     zt = np.stack([s.z_t for s in traj.states])
     nu_records = nu_ratio(zt, g)
     zt_half = zt[:-1] - 0.5 * dt * a_nodes[None, :] * np.asarray(g.value(zt[:-1]))
@@ -532,8 +537,6 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     th2 = float(max(nu_records.max(), nu_half.max()))
 
     def sampler(t: float, x: Array) -> Array:
-        if np.shape(x) != xs_ref.shape or not np.allclose(x, xs_ref):
-            raise ValueError("recorded theta field is bound to the run's grid")
         pos = (t - t0) / dt
         n = min(max(int(np.floor(pos + 1e-9)), 0), n_steps - 1)
         frac = pos - n
@@ -543,4 +546,4 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
             return nu_half[n]
         return nu_records[n + 1]
 
-    return ThetaField(sampler=sampler, bounds=(th1, th2))
+    return ThetaField(sampler=sampler, bounds=(th1, th2), grid=sc.grid)

@@ -308,8 +308,10 @@ def check_hypothesis_screening() -> CheckResult:
     try:
         _cli.parse_suite(text)
     except HypothesisViolation as exc:
+        # report the violated hypothesis itself, not the scenario and key
+        # that parse_suite names around it
         return CheckResult(13, "non-monotone g rejected at parse time", True,
-                           f"raised HypothesisViolation: {exc}")
+                           f"raised HypothesisViolation: {exc.__cause__ or exc}")
     return CheckResult(13, "non-monotone g rejected at parse time", False,
                        "parse_suite accepted a non-monotone nonlinearity")
 

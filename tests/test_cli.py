@@ -6,8 +6,9 @@ import pytest
 from wavelab.core import HypothesisViolation
 from wavelab.cli import (
     ConfigError, main, parse_damping, parse_nonlinearity, parse_profile,
-    parse_suite, serialize_suite,
+    parse_suite, serialize_suite, write_energy_csv,
 )
+from wavelab.solver import run_derivative_system
 
 GOOD_SUITE = """
 [suite]
@@ -131,6 +132,31 @@ class TestMainEndToEnd:
         suite_file.write_text(GOOD_SUITE.replace("g = arctan", "g = mystery"))
         assert main(["run", str(suite_file)]) == 2
 
+    @pytest.mark.parametrize("line, key", [
+        ("n_cells = abc", "n_cells"),
+        ("n_cells = 2", "n_cells"),
+        ("splitting = foo", "splitting"),
+        ("record_every = 0", "record_every"),
+        ("g = nonmonotone", "g"),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
+        lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]
+        text = "\n".join(lines + [line, ""])
+        suite_file = tmp_path / "bad.ini"
+        suite_file.write_text(text)
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (err.startswith(f"config error: scenario 'demo': key '{key}': ")
+                or err.startswith(f"config error: scenario 'demo': {key} must be"))
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):
+        suite_file = tmp_path / "bad.ini"
+        suite_file.write_text(GOOD_SUITE.replace("smooth_indicator(0.7, 1, 2, 0.05)",
+                                                 "constant(abc)"))
+        assert main(["run", str(suite_file)]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'a'")
+
     def test_runtime_violation_exit_code(self, tmp_path, monkeypatch):
         # sabotage the damping update so energy grows mid-run: the
         # monotonicity guard must surface as a nonzero exit code
@@ -155,3 +181,37 @@ class TestMainEndToEnd:
         payload = json.loads(capsys.readouterr().out)
         # standing wave cos(pi t) sin(pi x) at the center point
         assert payload["z"] == pytest.approx(np.cos(np.pi * 0.5), abs=1e-10)
+
+
+def _write_energy_csv_per_row(path, traj, w_traj=None):
+    """Reference: the row-at-a-time writer, one repr(float(x)) per cell."""
+    p_list = traj.scenario.p_list
+    header = ["t"]
+    header += [f"E_p{p:g}" for p in p_list]
+    header += [f"dEdt_p{p:g}" for p in p_list]
+    header.append("max_zt")
+    if w_traj is not None:
+        header.append("W1p_zt")
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, t in enumerate(traj.times):
+            row = [repr(float(t))]
+            row += [repr(float(traj.diagnostics[f"E_p{p:g}"][i])) for p in p_list]
+            row += [repr(float(traj.diagnostics[f"dEdt_p{p:g}"][i])) for p in p_list]
+            row.append(repr(float(traj.diagnostics["max_zt"][i])))
+            if w_traj is not None:
+                p0 = p_list[0]
+                row.append(repr(float(w_traj.diagnostics[f"W1p_zt_p{p0:g}"][i])))
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_energy_csv_matches_per_row_writer_bytewise(tmp_path, with_w):
+    spec = parse_suite(GOOD_SUITE.replace("n_cells = 64", "n_cells = 32")).scenarios[0]
+    traj, w_traj = run_derivative_system(spec.scenario, keep_states=False)
+    w_traj = w_traj if with_w else None
+    write_energy_csv(tmp_path / "new.csv", traj, w_traj)
+    _write_energy_csv_per_row(tmp_path / "ref.csv", traj, w_traj)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert len(new.splitlines()) == 1 + len(traj.times)

@@ -2,13 +2,96 @@ import numpy as np
 import pytest
 
 from wavelab.core import (
-    Grid, arctan_damping, make_localization, sine_profile,
-    smooth_indicator_profile, zero_function,
+    Grid, arctan_damping, make_localization, nu_ratio, physical_from_riemann,
+    sine_profile, smooth_indicator_profile, zero_function,
 )
+from wavelab.energy import trapezoid
 from wavelab.multipliers import (
-    elliptic_multiplier, elliptic_solve, multiplier_terms,
+    _regime_functions, _window_indices, elliptic_multiplier, elliptic_solve,
+    multiplier_terms,
 )
 from wavelab.solver import InitialData, Scenario, run_simulation
+
+
+def _elliptic_solve_1d(h, grid):
+    """Reference: the one-right-hand-side solve, written out."""
+    xs = grid.nodes
+    dx = grid.dx
+    cum_h = np.concatenate(([0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * dx)))
+    sh = xs * h
+    cum_sh = np.concatenate(([0.0], np.cumsum(0.5 * (sh[1:] + sh[:-1]) * dx)))
+    return xs * cum_h - cum_sh - xs * (cum_h[-1] - cum_sh[-1])
+
+
+def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
+    """Reference: multiplier_terms with theta, z and the elliptic multiplier
+    built one record at a time. Returns (terms, int_energy, energy_at_s,
+    chain constants without the eta row)."""
+    grid = traj.scenario.grid
+    xs = grid.nodes
+    dx = grid.dx
+    f, fprime, big_f = _regime_functions(p)
+    idx = _window_indices(traj, window)
+    times = traj.times[idx]
+    states = [traj.states[i] for i in idx]
+    a_nodes = np.asarray(traj.scenario.a.value(xs))
+    if theta is None:
+        theta_w = np.stack([nu_ratio(s.z_t, traj.scenario.g) for s in states])
+    else:
+        theta_w = np.asarray(theta)[idx]
+    q1_mask = xs > triple.q1[0]
+    q2_mask = xs > triple.q2[0]
+    xpsi = xs * triple.psi_nodes
+    one_minus = np.abs(1.0 - triple.xpsi_x(xs))
+    rho = np.stack([s.rho for s in states])
+    xi = np.stack([s.xi for s in states])
+    y = np.stack([physical_from_riemann(s, grid).z for s in states])
+    f_rho, f_xi = f(rho), f(xi)
+    big_rho, big_xi = big_f(rho), big_f(xi)
+    diff = rho - xi
+    atheta = a_nodes[None, :] * theta_w
+
+    def space_int(integrand, mask=None):
+        if mask is not None:
+            integrand = integrand * mask[None, :]
+        return np.trapezoid(integrand, dx=dx, axis=1)
+
+    def time_int(series):
+        return float(np.trapezoid(series, times))
+
+    energies = space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p)
+    int_energy = time_int(energies)
+    energy_at_s = float(energies[0])
+    s4 = time_int(space_int(big_rho + big_xi, q1_mask))
+    t5 = time_int(space_int(np.abs(y) ** p, q2_mask))
+    bracket = space_int((f_rho - f_xi) * y)
+    v = np.stack([_elliptic_solve_1d(triple.beta_nodes * f_yk, grid)
+                  for f_yk in f(y)])
+    v_t = np.gradient(v, times, axis=0)
+    bracket_v = space_int(v * diff)
+    terms = {
+        "S1": time_int(space_int(one_minus[None, :] * (big_rho + big_xi), q1_mask)),
+        "S2": trapezoid(np.abs(xpsi) * np.abs(
+            (big_rho[-1] - big_xi[-1]) - (big_rho[0] - big_xi[0])), dx),
+        "S3": 0.5 * time_int(space_int(
+            np.abs(atheta * xpsi[None, :]) * np.abs(f_rho + f_xi) * np.abs(diff))),
+        "S4": s4,
+        "T1": time_int(space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), q2_mask)),
+        "T2": abs(float(bracket[-1] - bracket[0])),
+        "T3": time_int(space_int(
+            np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff), q2_mask)),
+        "T4": time_int(space_int(
+            np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi)))),
+        "T5": t5,
+        "V1": abs(float(bracket_v[-1] - bracket_v[0])),
+        "V2": time_int(space_int(np.abs(v_t) * np.abs(diff))),
+        "V3": time_int(space_int(np.abs(v * atheta * diff))),
+    }
+    chain = {
+        "first_set": int_energy / max(energy_at_s + s4, 1e-300),
+        "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
+    }
+    return terms, int_energy, energy_at_s, chain
 
 
 class TestEllipticSolve:
@@ -55,6 +138,22 @@ class TestEllipticSolve:
         y = np.sin(np.pi * g.nodes)
         v = elliptic_multiplier(y, np.ones(g.n_nodes), 2.0, g)
         assert np.all(v <= 1e-15)
+
+    def test_one_row_matches_reference(self):
+        g = Grid(64)
+        h = np.exp(g.nodes) * np.cos(3 * g.nodes)
+        np.testing.assert_array_equal(elliptic_solve(h, g), _elliptic_solve_1d(h, g))
+
+    def test_batched_rows_equal_one_row_solves(self):
+        g = Grid(96)
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal((2, 5, g.n_nodes))
+        v = elliptic_solve(h, g)
+        assert v.shape == h.shape
+        for i in range(2):
+            for k in range(5):
+                np.testing.assert_array_equal(v[i, k], elliptic_solve(h[i, k], g))
+                np.testing.assert_array_equal(v[i, k], _elliptic_solve_1d(h[i, k], g))
 
     def test_regime_validation(self):
         g = Grid(16)
@@ -122,3 +221,21 @@ class TestMultiplierTerms:
         traj = run_simulation(sc, keep_states=False)
         with pytest.raises(ValueError):
             multiplier_terms(traj, triple, 2.0, (0.0, 2.0))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("explicit_theta", [False, True])
+    def test_equals_per_record_reference(self, localized_run, p, explicit_theta):
+        traj, triple = localized_run
+        theta = None
+        if explicit_theta:
+            rng = np.random.default_rng(3)
+            theta = rng.uniform(0.5, 1.5, (len(traj.times), traj.scenario.grid.n_nodes))
+        window = (0.5, 5.0)
+        rep = multiplier_terms(traj, triple, p, window, theta=theta)
+        terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
+            traj, triple, p, window, theta=theta)
+        assert rep.terms == terms
+        assert rep.int_energy == int_energy
+        assert rep.energy_at_s == energy_at_s
+        for key, value in chain.items():
+            assert rep.chain_constants[key] == value

@@ -277,6 +277,12 @@ class TestAuxiliary:
         order = np.log2(discs[0] / discs[1])
         assert order >= 1.8
 
+    def test_recorded_theta_is_bound_to_its_grid(self):
+        theta = theta_from_run(run_simulation(_scenario(n=64, t_final=0.5)))
+        assert theta.grid == Grid(64)
+        with pytest.raises(ValueError, match="bound to the run's grid"):
+            run_auxiliary(_scenario(n=128, t_final=0.5), theta)
+
     def test_theta_from_run_needs_dense_records(self):
         traj = run_simulation(_scenario(record_every=4))
         with pytest.raises(ValueError):
