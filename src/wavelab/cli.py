@@ -168,7 +168,6 @@ class ExperimentSuite:
     kind: str
     scenarios: tuple[ScenarioSpec, ...]
     output_dir: str = "out"
-    seed: int = 0
 
 
 _SCENARIO_KEYS = {"n_cells", "t_final", "p_list", "splitting", "record_every",
@@ -191,7 +190,6 @@ def parse_suite(config_text: str) -> ExperimentSuite:
     if kind not in KINDS:
         raise ConfigError(f"key 'kind': unknown experiment kind '{kind}'")
     output_dir = suite_sec.get("output_dir", "out")
-    seed = suite_sec.getint("seed", 0)
 
     specs: list[ScenarioSpec] = []
     names: set[str] = set()
@@ -208,7 +206,7 @@ def parse_suite(config_text: str) -> ExperimentSuite:
     if not specs and kind != "verify":
         raise ConfigError("no [scenario NAME] sections found")
     return ExperimentSuite(kind=kind, scenarios=tuple(specs),
-                           output_dir=output_dir, seed=seed)
+                           output_dir=output_dir)
 
 
 def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
@@ -290,7 +288,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 def serialize_suite(suite: ExperimentSuite) -> str:
     """Inverse of parse_suite on the raw key=value pairs."""
     lines = ["[suite]", f"kind = {suite.kind}",
-             f"output_dir = {suite.output_dir}", f"seed = {suite.seed}", ""]
+             f"output_dir = {suite.output_dir}", ""]
     for spec in suite.scenarios:
         lines.append(f"[scenario {spec.scenario.name}]")
         for key, value in spec.raw.items():
@@ -388,9 +386,10 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     traj = run_simulation(sc, keep_states=True)
     triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
     window = spec.window or (0.0, sc.t_final_actual)
+    records = _mult.record_window(traj, window)  # shared by every p
     tables = {}
     for p in sc.p_list:
-        rep = _mult.multiplier_terms(traj, triple, p, window)
+        rep = _mult.multiplier_terms(traj, triple, p, window, records=records)
         tables[f"{p:g}"] = {
             "regime": rep.regime, "terms": rep.terms,
             "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,

@@ -94,22 +94,32 @@ def modified_fg(y, p: float):
     g(y) = sgn(y)[(|y|+1)^(p-1) - 1],  G(y) = [(|y|+1)^p - 1]/p - |y|.
     G is convex, G(0) = 0, G' = g.
     """
+    return modified_g(y, p), modified_big_g(y, p)
+
+
+def _modified_arg(y, p: float) -> Array:
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    y = np.asarray(y, dtype=float)
-    ay = np.abs(y)
-    g = np.sign(y) * ((ay + 1.0) ** (p - 1.0) - 1.0)
-    big_g = ((ay + 1.0) ** p - 1.0) / p - ay
-    if g.ndim:
-        return g, big_g
-    return float(g), float(big_g)
+    return np.asarray(y, dtype=float)
+
+
+def modified_g(y, p: float):
+    """The modified g of modified_fg alone."""
+    y = _modified_arg(y, p)
+    out = np.sign(y) * ((np.abs(y) + 1.0) ** (p - 1.0) - 1.0)
+    return out if out.ndim else float(out)
+
+
+def modified_big_g(y, p: float):
+    """The modified G of modified_fg alone."""
+    ay = np.abs(_modified_arg(y, p))
+    out = ((ay + 1.0) ** p - 1.0) / p - ay
+    return out if out.ndim else float(out)
 
 
 def modified_fg_prime(y, p: float):
     """Derivative of the modified g: (p-1)(|y|+1)^(p-2). Bounded on all of R."""
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    y = np.asarray(y, dtype=float)
+    y = _modified_arg(y, p)
     out = (p - 1.0) * (np.abs(y) + 1.0) ** (p - 2.0)
     return out if out.ndim else float(out)
 

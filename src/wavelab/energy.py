@@ -3,7 +3,9 @@ convex Phi functionals, Sobolev-type bounds, decay-rate fitting and the
 empirical observability ratio.
 
 All integrals are composite trapezoid sums on the solver grid, consistent
-with the nodal state representation.
+with the nodal state representation. The nodal diagnostics take arrays of
+shape (..., n_nodes) and reduce along the last axis, one value per row, each
+bitwise equal to the 1-d call on that row; a 1-d input returns a float.
 """
 from __future__ import annotations
 
@@ -14,19 +16,29 @@ import numpy as np
 
 from .core import (
     Array, DampingProfile, Grid, Nonlinearity, RiemannState,
-    modified_fg, modified_fg_prime, signed_power,
+    modified_big_g, modified_g, signed_power,
 )
 
 
-def trapezoid(values: Array, dx: float) -> float:
-    return float(np.trapezoid(values, dx=dx))
+def trapezoid(values: Array, dx: float):
+    """Composite trapezoid along the last axis; a float for 1-d values."""
+    out = np.trapezoid(values, dx=dx, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _root(integral, p: float):
+    """integral ** (1/p) with the scalar pow of the 1-d form on every entry:
+    numpy's vectorized power can differ from it in the last bit."""
+    if np.ndim(integral) == 0:
+        return integral ** (1.0 / p)
+    return np.array([v ** (1.0 / p) for v in integral.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # Energies and dissipation
 # ---------------------------------------------------------------------------
 
-def energy_p_nodal(rho: Array, xi: Array, p: float, dx: float) -> float:
+def energy_p_nodal(rho: Array, xi: Array, p: float, dx: float):
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     return trapezoid((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx)
@@ -38,7 +50,7 @@ def energy_p(state: RiemannState, p: float, grid: Grid) -> float:
 
 
 def dissipation_rate_nodal(rho: Array, xi: Array, ag: Array, p: float,
-                           dx: float) -> float:
+                           dx: float):
     """dE_p/dt from nodal data, with ag = -a(x) g(z_t) at the nodes."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -100,8 +112,8 @@ def power_functional(p: float) -> ConvexFunctional:
 def modified_energy_functional(p: float) -> ConvexFunctional:
     """F = G from the (1,2) regime; Phi with this F is the modified energy."""
     return ConvexFunctional(
-        F=lambda s: modified_fg(s, p)[1],
-        F_prime=lambda s: modified_fg(s, p)[0],
+        F=lambda s: modified_big_g(s, p),
+        F_prime=lambda s: modified_g(s, p),
         label=f"G_mod(p={p:g})")
 
 
@@ -128,12 +140,12 @@ def phi_dissipation(state: RiemannState, F: ConvexFunctional, a: DampingProfile,
 # Sobolev norms and the regularity bound
 # ---------------------------------------------------------------------------
 
-def lp_norm(values: Array, p: float, dx: float) -> float:
-    return trapezoid(np.abs(values) ** p, dx) ** (1.0 / p)
+def lp_norm(values: Array, p: float, dx: float):
+    return _root(trapezoid(np.abs(values) ** p, dx), p)
 
 
-def w1p_norm(values: Array, derivative: Array, p: float, dx: float) -> float:
-    return (trapezoid(np.abs(values) ** p + np.abs(derivative) ** p, dx)) ** (1.0 / p)
+def w1p_norm(values: Array, derivative: Array, p: float, dx: float):
+    return _root(trapezoid(np.abs(values) ** p + np.abs(derivative) ** p, dx), p)
 
 
 @dataclass(frozen=True)

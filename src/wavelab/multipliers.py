@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_fg,
-    modified_fg_prime, nu_ratio, signed_power,
+    Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_big_g,
+    modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
 from .energy import trapezoid
 from .solver import Trajectory
@@ -32,9 +32,9 @@ def _regime_functions(p: float):
                 lambda s: (p - 1.0) * np.abs(s) ** (p - 2.0),
                 lambda s: np.abs(s) ** p / p)
     if p > 1.0:
-        return (lambda s: modified_fg(s, p)[0],
+        return (lambda s: modified_g(s, p),
                 lambda s: modified_fg_prime(s, p),
-                lambda s: modified_fg(s, p)[1])
+                lambda s: modified_big_g(s, p))
     raise ValueError(f"multiplier regime needs p > 1, got {p}")
 
 
@@ -94,43 +94,75 @@ def _window_indices(traj: Trajectory, window: tuple[float, float]) -> np.ndarray
     return idx
 
 
+@dataclass(frozen=True)
+class RecordWindow:
+    """The p-independent stacks of a trajectory's records inside a window,
+    one row per record, shared by the multiplier terms of every p."""
+
+    window: tuple[float, float]
+    times: Array
+    rho: Array
+    xi: Array
+    z: Array      # z from z_x, z(0) = 0
+    theta: Array  # damping intensity
+
+
+def record_window(traj: Trajectory, window: tuple[float, float],
+                  theta: Array | None = None) -> RecordWindow:
+    """Stack the records of `traj` inside `window`; theta as in
+    multiplier_terms."""
+    if len(traj.states) != len(traj.times):
+        raise ValueError("multiplier_terms needs a trajectory with kept states")
+    idx = _window_indices(traj, window)
+    states = [traj.states[i] for i in idx]
+    rho = np.stack([s.rho for s in states])
+    xi = np.stack([s.xi for s in states])
+    if theta is None:
+        theta_w = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
+    else:
+        theta_w = np.asarray(theta)[idx]
+    z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
+    return RecordWindow(window=window, times=traj.times[idx], rho=rho, xi=xi,
+                        z=z, theta=theta_w)
+
+
 def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
                      window: tuple[float, float],
                      theta: Array | None = None,
-                     etas: tuple[float, ...] = DEFAULT_ETAS) -> MultiplierReport:
+                     etas: tuple[float, ...] = DEFAULT_ETAS, *,
+                     records: RecordWindow | None = None) -> MultiplierReport:
     """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window.
 
     theta: per-record (n_records, n_nodes) damping intensity. Defaults to
     nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
     source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
     (record_every = 1) is recommended for meaningful time integrals.
+    records: record_window(traj, window, theta), for a caller that evaluates
+    several p on one window; built here when not given.
     """
-    if len(traj.states) != len(traj.times):
-        raise ValueError("multiplier_terms needs a trajectory with kept states")
+    f, fprime, big_f = _regime_functions(p)
+    regime = "p_geq_2" if p >= 2.0 else "p_in_1_2"
+    if records is None:
+        records = record_window(traj, window, theta)
+    elif records.window != window:
+        raise ValueError(f"records cover {records.window}, not {window}")
     grid = traj.scenario.grid
     xs = grid.nodes
     dx = grid.dx
-    f, fprime, big_f = _regime_functions(p)
-    regime = "p_geq_2" if p >= 2.0 else "p_in_1_2"
 
-    idx = _window_indices(traj, window)
-    times = traj.times[idx]
-    states = [traj.states[i] for i in idx]
+    times = records.times
     a_nodes = np.asarray(traj.scenario.a.value(xs))
-    rho = np.stack([s.rho for s in states])
-    xi = np.stack([s.xi for s in states])
+    rho = records.rho
+    xi = records.xi
     diff = rho - xi
-    if theta is None:
-        theta_w = nu_ratio(0.5 * diff, traj.scenario.g)
-    else:
-        theta_w = np.asarray(theta)[idx]
+    theta_w = records.theta
 
     q1_mask = xs > triple.q1[0]
     q2_mask = xs > triple.q2[0]
     xpsi = xs * triple.psi_nodes
     one_minus = np.abs(1.0 - triple.xpsi_x(xs))
 
-    y = cumulative_trapezoid(0.5 * (rho + xi), dx)  # z from z_x, z(0) = 0
+    y = records.z
     f_rho, f_xi = f(rho), f(xi)
     big_rho, big_xi = big_f(rho), big_f(xi)
     atheta = a_nodes[None, :] * theta_w

@@ -302,33 +302,55 @@ def step(state: RiemannState, scenario: Scenario,
 # Run drivers
 # ---------------------------------------------------------------------------
 
-def _base_diagnostics(state: RiemannState, scenario: Scenario,
-                      a_nodes: Array) -> dict[str, float]:
-    grid = scenario.grid
-    z_t = state.z_t
+#: node values per block of recorded states whose diagnostics are evaluated
+#: together: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES // n_nodes)
+#: records per block
+RECORD_BLOCK_VALUES = 2 ** 14
+
+
+def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
+                      a_nodes: Array) -> dict[str, Array]:
+    """E_p, dE_p/dt and max |z_t| of stacked states, one row per record."""
+    dx = scenario.grid.dx
+    z_t = 0.5 * (rho - xi)
     ag = -a_nodes * np.asarray(scenario.g.value(z_t))
-    diag: dict[str, float] = {}
+    diag: dict[str, Array] = {}
     for p in scenario.p_list:
-        diag[f"E_p{p:g}"] = _energy.energy_p(state, p, grid)
-        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate_nodal(
-            state.rho, state.xi, ag, p, grid.dx)
-    diag["max_zt"] = float(np.max(np.abs(z_t)))
+        diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
+        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate_nodal(rho, xi, ag, p, dx)
+    diag["max_zt"] = np.max(np.abs(z_t), axis=-1)
     return diag
 
 
-def _check_monotone(records: list[dict[str, float]], diag: dict[str, float],
-                    t: float) -> None:
-    """Raise if an energy of `diag` rose above the last record by more than
-    MONOTONICITY_SLACK, relative to its initial value when that exceeds 1."""
-    first, last = records[0], records[-1]
-    for key in first:
-        if not key.startswith("E_p"):
-            continue
-        slack = MONOTONICITY_SLACK * max(1.0, first[key])
-        if diag[key] > last[key] + slack:
-            raise EnergyMonotonicityError(
-                f"{key} increased at t = {t}: {last[key]} -> {diag[key]} "
-                f"(slack {slack}, E(0) = {first[key]})")
+def _check_monotone(block: tuple[dict[str, Array], ...],
+                    first: list[dict[str, float]], last: list[dict[str, float]],
+                    times: list[float]) -> None:
+    """Raise at the first record of `block` whose energy rose above the
+    record before it by more than MONOTONICITY_SLACK, relative to the initial
+    energy when that exceeds 1.
+
+    block holds one dict of per-record diagnostics per guarded trajectory;
+    first and last hold their initial record and the record before the block.
+    Records are screened in time order and, within one record, trajectory by
+    trajectory and key by key, so the error is the one a record-by-record
+    screen raises first.
+    """
+    hits = []
+    for j, diag in enumerate(block):
+        for key, energies in diag.items():
+            if not key.startswith("E_p"):
+                continue
+            slack = MONOTONICITY_SLACK * max(1.0, first[j][key])
+            before = np.concatenate(([last[j][key]], energies[:-1]))
+            rises = np.flatnonzero(energies > before + slack)
+            if rises.size:
+                i = int(rises[0])
+                hits.append((i, j, key, float(before[i]), float(energies[i]), slack))
+    if hits:
+        i, j, key, prev, now, slack = min(hits, key=lambda hit: hit[:2])
+        raise EnergyMonotonicityError(
+            f"{key} increased at t = {times[i]}: {prev} -> {now} "
+            f"(slack {slack}, E(0) = {first[j][key]})")
 
 
 def _is_record(scenario: Scenario, n: int) -> bool:
@@ -336,33 +358,62 @@ def _is_record(scenario: Scenario, n: int) -> bool:
     return (n + 1) % scenario.record_every == 0 or n + 1 == scenario.n_steps
 
 
-def _record_loop(scenario: Scenario, state: RiemannState,
-                 advance: Callable[[RiemannState, int], RiemannState],
-                 diagnose: Callable[[RiemannState], dict[str, float]],
-                 keep_states: bool, kind: str) -> Trajectory:
+def _record_loop(scenario: Scenario, state, advance: Callable,
+                 capture: Callable[..., tuple[Array, ...]],
+                 diagnose: Callable[..., tuple[dict[str, Array], ...]],
+                 keep_states: bool) -> tuple[Array, list, tuple[dict[str, Array], ...]]:
+    """Step `state` (anything with a time `t`) to t_final and guard every
+    energy of every record.
+
+    capture(state) gives the 1-d arrays a record's diagnostics need. The
+    records are buffered and evaluated in blocks of
+    max(1, RECORD_BLOCK_VALUES // n_nodes): diagnose receives each captured
+    array stacked over the block, one row per record, and returns one dict of
+    per-record diagnostics per guarded trajectory. Returns (times, states,
+    diagnostics), with diagnostics one dict per trajectory.
+    """
+    block_len = max(1, RECORD_BLOCK_VALUES // scenario.grid.n_nodes)
     times = [state.t]
-    records = [diagnose(state)]
     states = [state]
+    pending = [capture(state)]
+    blocks: list[tuple[dict[str, Array], ...]] = []
+
+    def flush() -> None:
+        block = diagnose(*(np.stack(rows) for rows in zip(*pending)))
+        first = [_row(d, 0) for d in (blocks[0] if blocks else block)]
+        last = [_row(d, -1) for d in blocks[-1]] if blocks else first
+        _check_monotone(block, first, last, times[len(times) - len(pending):])
+        blocks.append(block)
+        pending.clear()
+
     for n in range(scenario.n_steps):
-        state = advance(state, n)
-        if _is_record(scenario, n):
-            diag = diagnose(state)
-            _check_monotone(records, diag, state.t)
+        try:
+            state = advance(state, n)
+            rows = capture(state) if _is_record(scenario, n) else None
+        except Exception:
+            # the records taken before the failure are guarded first, so an
+            # earlier energy rise stays the run's first error
+            if pending:
+                flush()
+            raise
+        if rows is not None:
+            pending.append(rows)
             times.append(state.t)
-            records.append(diag)
             if keep_states:
                 states.append(state)
+            if len(pending) == block_len:
+                flush()
+    if pending:
+        flush()
     if not keep_states:
         states.append(state)
-    return _trajectory(times, states, records, scenario, kind)
+    diagnostics = tuple({k: np.concatenate([b[j][k] for b in blocks]) for k in d}
+                        for j, d in enumerate(blocks[0]))
+    return np.array(times), states, diagnostics
 
 
-def _trajectory(times: list[float], states: list[RiemannState],
-                records: list[dict[str, float]], scenario: Scenario,
-                kind: str) -> Trajectory:
-    diagnostics = {k: np.array([r[k] for r in records]) for k in records[0]}
-    return Trajectory(times=np.array(times), states=states,
-                      diagnostics=diagnostics, scenario=scenario, kind=kind)
+def _row(diag: dict[str, Array], i: int) -> dict[str, float]:
+    return {k: float(v[i]) for k, v in diag.items()}
 
 
 def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
@@ -376,9 +427,13 @@ def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     def advance(s: RiemannState, n: int) -> RiemannState:
         return step(s, scenario, a_nodes, support=support)
 
-    return _record_loop(scenario, state, advance,
-                        lambda s: _base_diagnostics(s, scenario, a_nodes),
-                        keep_states, "simulate")
+    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
+        return (_base_diagnostics(rho, xi, scenario, a_nodes),)
+
+    times, states, (diag,) = _record_loop(
+        scenario, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
+    return Trajectory(times=times, states=states, diagnostics=diag,
+                      scenario=scenario, kind="simulate")
 
 
 def run_auxiliary(scenario: Scenario, theta: ThetaField,
@@ -386,30 +441,28 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     """Integrate the auxiliary linear time-varying problem
     y_tt - y_xx + a(x) theta(t, x) y_t = 0 with the same splitting; the
     damping substep is linear-implicit in closed form. theta is sampled at
-    the midpoint of each substep interval."""
+    the midpoint of each substep interval, and once at each record time for
+    the recorded dissipation rate."""
     grid = scenario.grid
     if theta.grid is not None and theta.grid != grid:
         raise ValueError("recorded theta field is bound to the run's grid")
     xs = grid.nodes
+    dx = grid.dx
     a_nodes = np.asarray(scenario.a.value(xs))
     support = damped_support(a_nodes)
     a_damped = a_nodes[support]
     dt = scenario.dt
     state = scenario.initial.riemann(grid)
 
-    def aux_dissipation(s: RiemannState, p: float) -> float:
-        th = theta(s.t, xs)
-        integrand = -0.5 * a_nodes * th * (s.rho - s.xi) * (
-            signed_power(s.rho, p - 1.0) - signed_power(s.xi, p - 1.0))
-        return _energy.trapezoid(integrand, grid.dx)
-
-    def diagnose(s: RiemannState) -> dict[str, float]:
-        diag: dict[str, float] = {}
+    def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
+        diag: dict[str, Array] = {}
         for p in scenario.p_list:
-            diag[f"E_p{p:g}"] = _energy.energy_p(s, p, grid)
-            diag[f"dEdt_p{p:g}"] = aux_dissipation(s, p)
-        diag["max_zt"] = float(np.max(np.abs(s.z_t)))
-        return diag
+            diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
+            integrand = -0.5 * a_nodes * th * (rho - xi) * (
+                signed_power(rho, p - 1.0) - signed_power(xi, p - 1.0))
+            diag[f"dEdt_p{p:g}"] = _energy.trapezoid(integrand, dx)
+        diag["max_zt"] = np.max(np.abs(0.5 * (rho - xi)), axis=-1)
+        return (diag,)
 
     def damp(s: RiemannState, dt_sub: float, t_mid: float) -> RiemannState:
         c = dt_sub * a_damped * theta(t_mid, xs)[support]
@@ -426,7 +479,25 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
             s = transport_shift(s, grid)
         return s
 
-    return _record_loop(scenario, state, advance, diagnose, keep_states, "auxiliary")
+    times, states, (diag,) = _record_loop(
+        scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
+        diagnose, keep_states)
+    return Trajectory(times=times, states=states, diagnostics=diag,
+                      scenario=scenario, kind="auxiliary")
+
+
+@dataclass(frozen=True)
+class _PairedState:
+    """The base state and the w = z_t state of a co-integrated run, with
+    a g'(z_t) of the base on the damped slice (the next step's theta_n)."""
+
+    base: RiemannState
+    w: RiemannState
+    theta: Array
+
+    @property
+    def t(self) -> float:
+        return self.base.t
 
 
 def run_derivative_system(scenario: Scenario, keep_states: bool = True
@@ -441,68 +512,55 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     Returns (base trajectory, w trajectory).
     """
     grid = scenario.grid
-    xs = grid.nodes
     dx = grid.dx
     dt = scenario.dt
     g = scenario.g
-    a_nodes = np.asarray(scenario.a.value(xs))
+    a_nodes = np.asarray(scenario.a.value(grid.nodes))
     support = damped_support(a_nodes)
     a_damped = a_nodes[support]
-    base = scenario.initial.riemann(grid)
-    w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
 
     def theta(bs: RiemannState) -> Array:
         # a g'(z_t) on the damped slice; zero elsewhere
         zt = 0.5 * (bs.rho[support] - bs.xi[support])
         return a_damped * np.asarray(g.derivative(zt))
 
-    def w_diag(bs: RiemannState, ws: RiemannState) -> dict[str, float]:
-        diag: dict[str, float] = {}
-        zt = bs.z_t
-        zt_x = 0.5 * (ws.rho + ws.xi)  # w_x with w = z_t
-        for p in scenario.p_list:
-            diag[f"E_pw{p:g}"] = _energy.energy_p_nodal(ws.rho, ws.xi, p, dx)
-            diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
-            diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
-            diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
-        diag["max_zt"] = float(np.max(np.abs(zt)))
-        return diag
-
-    base_records = [_base_diagnostics(base, scenario, a_nodes)]
-    w_records = [w_diag(base, w_state)]
-    times = [0.0]
-    base_states = [base]
-    w_states = [w_state]
-
-    theta_n = theta(base)
-    for n in range(scenario.n_steps):
-        base = step(base, scenario, a_nodes, support=support)
+    def advance(s: _PairedState, n: int) -> _PairedState:
+        base = step(s.base, scenario, a_nodes, support=support)
         theta_np1 = theta(base)
         if scenario.splitting == "strang":
-            w_state = _damping_substep_nodal(w_state, 0.5 * dt * theta_n, support)
-            w_state = transport_shift(w_state, grid)
-            w_state = _damping_substep_nodal(w_state, 0.5 * dt * theta_np1, support)
+            w = _damping_substep_nodal(s.w, 0.5 * dt * s.theta, support)
+            w = transport_shift(w, grid)
+            w = _damping_substep_nodal(w, 0.5 * dt * theta_np1, support)
         else:
-            w_state = _damping_substep_nodal(w_state, dt * theta_n, support)
-            w_state = transport_shift(w_state, grid)
-        theta_n = theta_np1
-        if _is_record(scenario, n):
-            base_diag = _base_diagnostics(base, scenario, a_nodes)
-            _check_monotone(base_records, base_diag, base.t)
-            w_d = w_diag(base, w_state)
-            _check_monotone(w_records, w_d, base.t)
-            times.append(base.t)
-            base_records.append(base_diag)
-            w_records.append(w_d)
-            if keep_states:
-                base_states.append(base)
-                w_states.append(w_state)
-    if not keep_states:
-        base_states.append(base)
-        w_states.append(w_state)
+            w = _damping_substep_nodal(s.w, dt * s.theta, support)
+            w = transport_shift(w, grid)
+        return _PairedState(base, w, theta_np1)
 
-    return (_trajectory(times, base_states, base_records, scenario, "simulate"),
-            _trajectory(times, w_states, w_records, scenario, "derivative"))
+    def capture(s: _PairedState) -> tuple[Array, ...]:
+        return s.base.rho, s.base.xi, s.w.rho, s.w.xi
+
+    def diagnose(rho: Array, xi: Array, w_rho: Array, w_xi: Array
+                 ) -> tuple[dict[str, Array], dict[str, Array]]:
+        zt = 0.5 * (rho - xi)
+        zt_x = 0.5 * (w_rho + w_xi)  # w_x with w = z_t
+        w_diag: dict[str, Array] = {}
+        for p in scenario.p_list:
+            w_diag[f"E_pw{p:g}"] = _energy.energy_p_nodal(w_rho, w_xi, p, dx)
+            w_diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
+            w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
+            w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
+        w_diag["max_zt"] = np.max(np.abs(zt), axis=-1)
+        return _base_diagnostics(rho, xi, scenario, a_nodes), w_diag
+
+    base = scenario.initial.riemann(grid)
+    w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
+    times, states, (base_diag, w_diag) = _record_loop(
+        scenario, _PairedState(base, w_state, theta(base)), advance, capture,
+        diagnose, keep_states)
+    return (Trajectory(times=times, states=[s.base for s in states],
+                       diagnostics=base_diag, scenario=scenario, kind="simulate"),
+            Trajectory(times=times, states=[s.w for s in states],
+                       diagnostics=w_diag, scenario=scenario, kind="derivative"))
 
 
 def theta_from_run(traj: Trajectory) -> ThetaField:

@@ -157,6 +157,16 @@ class TestMainEndToEnd:
         assert main(["run", str(suite_file)]) == 2
         assert capsys.readouterr().err.startswith("config error: key 'a'")
 
+    def test_bad_seed_value_is_not_a_traceback(self, tmp_path, monkeypatch):
+        # `seed` was parsed with getint but never used; the key is gone, so a
+        # value that is not an integer no longer ends the run in a ValueError
+        monkeypatch.delenv("WAVELAB_OUT", raising=False)
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text(GOOD_SUITE.replace("output_dir = out",
+                                                 "output_dir = out\nseed = abc"))
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "summary_demo.json").exists()
+
     def test_runtime_violation_exit_code(self, tmp_path, monkeypatch):
         # sabotage the damping update so energy grows mid-run: the
         # monotonicity guard must surface as a nonzero exit code

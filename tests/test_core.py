@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from wavelab.core import (
     Grid, HypothesisViolation, NONLINEARITIES, arctan_damping, bump_profile,
     constant_profile, cubic_damping, identity_damping, indicator_profile,
-    make_localization, modified_fg, modified_fg_prime, nodal_derivative,
-    nonmonotone_example, nu_ratio, physical_from_riemann,
-    riemann_from_physical, saturating_damping, signed_power, sine_profile,
-    smooth_indicator_profile, zero_function,
+    make_localization, modified_big_g, modified_fg, modified_fg_prime,
+    modified_g, nodal_derivative, nonmonotone_example, nu_ratio,
+    physical_from_riemann, riemann_from_physical, saturating_damping,
+    signed_power, sine_profile, smooth_indicator_profile, zero_function,
 )
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
@@ -70,6 +70,23 @@ class TestModifiedPair:
     def test_prime_positive(self):
         y = np.linspace(-10, 10, 101)
         assert np.all(modified_fg_prime(y, 1.5) > 0)
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+    def test_halves_equal_the_pair(self, p):
+        y = np.random.default_rng(2).normal(scale=3.0, size=257)
+        ay = np.abs(y)
+        g_ref = np.sign(y) * ((ay + 1.0) ** (p - 1.0) - 1.0)
+        big_g_ref = ((ay + 1.0) ** p - 1.0) / p - ay
+        g, big_g = modified_fg(y, p)
+        assert modified_g(y, p).tobytes() == g.tobytes() == g_ref.tobytes()
+        assert (modified_big_g(y, p).tobytes() == big_g.tobytes()
+                == big_g_ref.tobytes())
+        assert type(modified_g(0.5, p)) is float
+        assert type(modified_big_g(0.5, p)) is float
+        with pytest.raises(ValueError):
+            modified_g(y, 2.0)
+        with pytest.raises(ValueError):
+            modified_big_g(y, 1.0)
 
 
 class TestNonlinearities:

@@ -176,3 +176,28 @@ class TestSobolevCheck:
         assert check.worst_margin >= -1e-10
         assert check.c_p > 0.0
         assert check.sup_zt <= check.c_p  # the embedding at desk scale
+
+
+class TestStackedDiagnostics:
+    """The nodal diagnostics reduce (..., n_nodes) along the last axis; each
+    row equals the 1-d call on that row bit for bit, and 1-d calls return
+    floats."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_rows_equal_one_dimensional_calls(self, n, p):
+        rng = np.random.default_rng(n)
+        rho, xi, ag = (rng.normal(size=(7, n + 1)) for _ in range(3))
+        dx = 1.0 / n
+        cases = {
+            "energy": (energy_p_nodal, lambda r, x, a: (r, x, p, dx)),
+            "dissipation": (dissipation_rate_nodal, lambda r, x, a: (r, x, a, p, dx)),
+            "lp": (lp_norm, lambda r, x, a: (r, p, dx)),
+            "w1p": (w1p_norm, lambda r, x, a: (r, x, p, dx)),
+        }
+        for fn, args in cases.values():
+            stacked = fn(*args(rho, xi, ag))
+            rows = [fn(*args(rho[i], xi[i], ag[i])) for i in range(7)]
+            assert all(type(v) is float for v in rows)
+            assert stacked.shape == (7,)
+            assert stacked.tobytes() == np.array(rows).tobytes()

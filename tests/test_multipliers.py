@@ -8,7 +8,7 @@ from wavelab.core import (
 from wavelab.energy import trapezoid
 from wavelab.multipliers import (
     _regime_functions, _window_indices, elliptic_multiplier, elliptic_solve,
-    multiplier_terms,
+    multiplier_terms, record_window,
 )
 from wavelab.solver import InitialData, Scenario, run_simulation
 
@@ -239,3 +239,13 @@ class TestMultiplierTerms:
         assert rep.energy_at_s == energy_at_s
         for key, value in chain.items():
             assert rep.chain_constants[key] == value
+
+    def test_shared_record_window_gives_the_same_reports(self, localized_run):
+        traj, triple = localized_run
+        window = (0.5, 5.0)
+        records = record_window(traj, window)
+        for p in (1.5, 2.0, 4.0):
+            assert (multiplier_terms(traj, triple, p, window, records=records)
+                    == multiplier_terms(traj, triple, p, window))
+        with pytest.raises(ValueError, match="records cover"):
+            multiplier_terms(traj, triple, 2.0, (0.5, 4.0), records=records)

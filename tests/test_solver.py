@@ -6,15 +6,17 @@ from hypothesis.extra.numpy import arrays
 from wavelab.core import (
     Grid, RiemannState, arctan_damping, constant_profile, cubic_damping,
     identity_damping, indicator_profile, nonmonotone_example,
-    saturating_damping, sine_profile, smooth_indicator_profile, zero_function,
-    zero_profile, Nonlinearity,
+    saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
+    zero_function, zero_profile, Nonlinearity,
 )
+from wavelab import solver
 from wavelab.energy import energy_p
 from wavelab.solver import (
-    EnergyMonotonicityError, InitialData, Scenario, ThetaBoundError,
-    ThetaField, _damping_substep_nodal, _implicit_damping_update,
-    damped_support, damping_substep, run_auxiliary, run_derivative_system,
-    run_simulation, step, theta_from_run, transport_shift,
+    MONOTONICITY_SLACK, RECORD_BLOCK_VALUES, EnergyMonotonicityError,
+    InitialData, NewtonError, Scenario, ThetaBoundError, ThetaField,
+    _damping_substep_nodal, _implicit_damping_update, damped_support,
+    damping_substep, run_auxiliary, run_derivative_system, run_simulation,
+    step, theta_from_run, transport_shift,
 )
 
 
@@ -347,3 +349,319 @@ class TestDerivativeSystem:
                                               sine_profile(1, amplitude=0.8)))
         with pytest.raises(EnergyMonotonicityError, match="E_pw2"):
             run_derivative_system(sc)
+
+
+# ---------------------------------------------------------------------------
+# Record blocks. The references below are the record-by-record diagnostics,
+# guard and derivative-system loop that the block evaluation replaced, with
+# the 1-d energy functionals written out.
+# ---------------------------------------------------------------------------
+
+def _trap_ref(values, dx):
+    return float(np.trapezoid(values, dx=dx))
+
+
+def _energy_ref(rho, xi, p, dx):
+    return _trap_ref((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx)
+
+
+def _base_diag_ref(state, sc, a_nodes):
+    dx = sc.grid.dx
+    z_t = state.z_t
+    ag = -a_nodes * np.asarray(sc.g.value(z_t))
+    diag = {}
+    for p in sc.p_list:
+        diag[f"E_p{p:g}"] = _energy_ref(state.rho, state.xi, p, dx)
+        diag[f"dEdt_p{p:g}"] = _trap_ref(ag * (signed_power(state.rho, p - 1.0)
+                                               - signed_power(state.xi, p - 1.0)), dx)
+    diag["max_zt"] = float(np.max(np.abs(z_t)))
+    return diag
+
+
+def _aux_diag_ref(s, sc, theta):
+    grid = sc.grid
+    a_nodes = np.asarray(sc.a.value(grid.nodes))
+    diag = {}
+    for p in sc.p_list:
+        th = theta(s.t, grid.nodes)
+        integrand = -0.5 * a_nodes * th * (s.rho - s.xi) * (
+            signed_power(s.rho, p - 1.0) - signed_power(s.xi, p - 1.0))
+        diag[f"E_p{p:g}"] = _energy_ref(s.rho, s.xi, p, grid.dx)
+        diag[f"dEdt_p{p:g}"] = _trap_ref(integrand, grid.dx)
+    diag["max_zt"] = float(np.max(np.abs(s.z_t)))
+    return diag
+
+
+def _w_diag_ref(bs, ws, sc):
+    dx = sc.grid.dx
+    zt = bs.z_t
+    zt_x = 0.5 * (ws.rho + ws.xi)
+    diag = {}
+    for p in sc.p_list:
+        diag[f"E_pw{p:g}"] = _energy_ref(ws.rho, ws.xi, p, dx)
+        diag[f"W1p_zt_p{p:g}"] = _trap_ref(
+            np.abs(zt) ** p + np.abs(zt_x) ** p, dx) ** (1.0 / p)
+        diag[f"Lp_zt_p{p:g}"] = _trap_ref(np.abs(zt) ** p, dx) ** (1.0 / p)
+        diag[f"Lp_ztx_p{p:g}"] = _trap_ref(np.abs(zt_x) ** p, dx) ** (1.0 / p)
+    diag["max_zt"] = float(np.max(np.abs(zt)))
+    return diag
+
+
+def _check_monotone_ref(records, diag, t):
+    first, last = records[0], records[-1]
+    for key in first:
+        if not key.startswith("E_p"):
+            continue
+        slack = MONOTONICITY_SLACK * max(1.0, first[key])
+        if diag[key] > last[key] + slack:
+            raise EnergyMonotonicityError(
+                f"{key} increased at t = {t}: {last[key]} -> {diag[key]} "
+                f"(slack {slack}, E(0) = {first[key]})")
+
+
+def _recorded(sc, n):
+    return (n + 1) % sc.record_every == 0 or n + 1 == sc.n_steps
+
+
+def _simulate_ref(sc):
+    """Record-by-record run_simulation: step, diagnose, guard."""
+    a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
+    state = sc.initial.riemann(sc.grid)
+    records = [_base_diag_ref(state, sc, a_nodes)]
+    for n in range(sc.n_steps):
+        state = step(state, sc, a_nodes)
+        if _recorded(sc, n):
+            diag = _base_diag_ref(state, sc, a_nodes)
+            _check_monotone_ref(records, diag, state.t)
+            records.append(diag)
+    return records
+
+
+def _derivative_system_ref(sc, keep_states=True):
+    """The hand-rolled co-integration loop of run_derivative_system."""
+    grid, dt, g = sc.grid, sc.dt, sc.g
+    a_nodes = np.asarray(sc.a.value(grid.nodes))
+    support = damped_support(a_nodes)
+    a_damped = a_nodes[support]
+    base = sc.initial.riemann(grid)
+    w_state = sc.initial.derivative_system_data(grid, a_nodes, g)
+
+    def theta(bs):
+        zt = 0.5 * (bs.rho[support] - bs.xi[support])
+        return a_damped * np.asarray(g.derivative(zt))
+
+    base_records = [_base_diag_ref(base, sc, a_nodes)]
+    w_records = [_w_diag_ref(base, w_state, sc)]
+    times, base_states, w_states = [0.0], [base], [w_state]
+    theta_n = theta(base)
+    for n in range(sc.n_steps):
+        base = step(base, sc, a_nodes, support=support)
+        theta_np1 = theta(base)
+        # looked up on the module, as step does, so that tests can patch it
+        substep = solver._damping_substep_nodal
+        if sc.splitting == "strang":
+            w_state = substep(w_state, 0.5 * dt * theta_n, support)
+            w_state = transport_shift(w_state, grid)
+            w_state = substep(w_state, 0.5 * dt * theta_np1, support)
+        else:
+            w_state = substep(w_state, dt * theta_n, support)
+            w_state = transport_shift(w_state, grid)
+        theta_n = theta_np1
+        if _recorded(sc, n):
+            base_diag = _base_diag_ref(base, sc, a_nodes)
+            _check_monotone_ref(base_records, base_diag, base.t)
+            w_d = _w_diag_ref(base, w_state, sc)
+            _check_monotone_ref(w_records, w_d, base.t)
+            times.append(base.t)
+            base_records.append(base_diag)
+            w_records.append(w_d)
+            if keep_states:
+                base_states.append(base)
+                w_states.append(w_state)
+    if not keep_states:
+        base_states.append(base)
+        w_states.append(w_state)
+    return times, (base_states, base_records), (w_states, w_records)
+
+
+def _assert_bitwise(got, ref):
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _assert_records(diagnostics, records):
+    assert list(diagnostics) == list(records[0])
+    for key, series in diagnostics.items():
+        _assert_bitwise(series, [r[key] for r in records])
+
+
+def _assert_states(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        _assert_bitwise(a.rho, b.rho)
+        _assert_bitwise(a.xi, b.xi)
+        assert a.t == b.t
+
+
+# N = 64 takes 252 records per block; 544 steps give 545 dense records, two
+# full blocks and a partial one
+BLOCK_N, BLOCK_T = 64, 8.5
+ALL_P = (1.0, 1.5, 2.0, 4.0)
+
+
+def _block_scenario(g=None, splitting="strang", record_every=1, a=None):
+    return _scenario(n=BLOCK_N, t_final=BLOCK_T, g=g, a=a, p_list=ALL_P,
+                     splitting=splitting, record_every=record_every)
+
+
+def _block_len(sc):
+    return max(1, RECORD_BLOCK_VALUES // sc.grid.n_nodes)
+
+
+def _pumping_substep(t_bad, t_fail=None):
+    """The damping substep with its update reversed and amplified from t_bad
+    on, so the energy rises; from t_fail on it raises NewtonError instead."""
+    real = solver._damping_substep_nodal
+
+    def substep(state, c, support, g=None):
+        if t_fail is not None and state.t >= t_fail:
+            raise NewtonError(f"injected failure at t = {state.t}")
+        out = real(state, c, support, g)
+        if state.t < t_bad:
+            return out
+        return RiemannState(rho=state.rho + 2.0 * (state.rho - out.rho),
+                            xi=state.xi + 2.0 * (state.xi - out.xi), t=state.t)
+
+    return substep
+
+
+def _violation_index(message, sc):
+    t = float(message.split("at t = ")[1].split(":")[0])
+    return round(t / sc.dt)
+
+
+class TestRecordBlocks:
+    def test_block_layout_of_the_fixtures(self):
+        sc = _block_scenario()
+        n_records = sc.n_steps + 1
+        assert n_records > 2 * _block_len(sc)
+        assert n_records % _block_len(sc) != 0
+
+    @pytest.mark.parametrize("g, splitting, record_every", [
+        ("arctan", "strang", 1), ("cubic", "lie", 1),
+        ("arctan", "lie", 2), ("cubic", "strang", 5)])
+    def test_simulation_matches_per_record_diagnostics(self, g, splitting,
+                                                        record_every):
+        sc = _block_scenario(GS[g](), splitting, record_every)
+        traj = run_simulation(sc, keep_states=True)
+        a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
+        _assert_records(traj.diagnostics,
+                        [_base_diag_ref(s, sc, a_nodes) for s in traj.states])
+        _assert_records(traj.diagnostics, _simulate_ref(sc))
+        thin = run_simulation(sc, keep_states=False)
+        _assert_bitwise(thin.times, traj.times)
+        _assert_states(thin.states, [traj.states[0], traj.states[-1]])
+        for key in traj.diagnostics:
+            _assert_bitwise(thin.diagnostics[key], traj.diagnostics[key])
+
+    @pytest.mark.parametrize("keep_states", [True, False])
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_auxiliary_matches_per_record_diagnostics(self, splitting, keep_states):
+        sc = _block_scenario(splitting=splitting)
+        nl = run_simulation(sc)
+        theta = theta_from_run(nl)
+        aux = run_auxiliary(sc, theta, keep_states=True)
+        _assert_records(aux.diagnostics,
+                        [_aux_diag_ref(s, sc, theta) for s in aux.states])
+        if not keep_states:
+            thin = run_auxiliary(sc, theta, keep_states=False)
+            _assert_states(thin.states, [aux.states[0], aux.states[-1]])
+            for key in aux.diagnostics:
+                _assert_bitwise(thin.diagnostics[key], aux.diagnostics[key])
+
+    @pytest.mark.parametrize("splitting, keep_states, record_every", [
+        ("strang", True, 1), ("lie", False, 1),
+        ("strang", False, 5), ("lie", True, 5)])
+    def test_derivative_system_matches_hand_rolled_loop(self, splitting,
+                                                        keep_states, record_every):
+        sc = _block_scenario(cubic_damping(), splitting, record_every)
+        base, w = run_derivative_system(sc, keep_states=keep_states)
+        times, (base_states, base_records), (w_states, w_records) = \
+            _derivative_system_ref(sc, keep_states)
+        _assert_bitwise(base.times, times)
+        _assert_bitwise(w.times, times)
+        _assert_states(base.states, base_states)
+        _assert_states(w.states, w_states)
+        _assert_records(base.diagnostics, base_records)
+        _assert_records(w.diagnostics, w_records)
+        assert (base.kind, w.kind) == ("simulate", "derivative")
+
+    @pytest.mark.parametrize("where", ["mid_block", "first_of_block",
+                                       "final_partial_block"])
+    def test_injected_rise_raises_the_record_by_record_error(self, monkeypatch,
+                                                             where):
+        sc = _block_scenario()
+        block = _block_len(sc)
+        # dense records: record k is at t = k dt, and the blocks hold records
+        # [0, block), [block, 2 block) and the partial [2 block, n_steps]
+        k_bad = {"mid_block": block + block // 2, "first_of_block": block,
+                 "final_partial_block": 2 * block + 20}[where]
+        monkeypatch.setattr(solver, "_damping_substep_nodal",
+                            _pumping_substep((k_bad - 0.5) * sc.dt))
+        with pytest.raises(EnergyMonotonicityError) as ref:
+            _simulate_ref(sc)
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_simulation(sc)
+        assert str(got.value) == str(ref.value)
+        assert _violation_index(str(ref.value), sc) == k_bad
+
+    @pytest.mark.parametrize("where", ["mid_block", "final_partial_block"])
+    def test_injected_rise_in_derivative_system(self, monkeypatch, where):
+        sc = _block_scenario()
+        block = _block_len(sc)
+        k_bad = block // 2 if where == "mid_block" else 2 * block + 20
+        monkeypatch.setattr(solver, "_damping_substep_nodal",
+                            _pumping_substep((k_bad - 0.5) * sc.dt))
+        with pytest.raises(EnergyMonotonicityError) as ref:
+            _derivative_system_ref(sc)
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_derivative_system(sc)
+        assert str(got.value) == str(ref.value)
+
+    def test_rise_before_a_failing_step_is_raised_first(self, monkeypatch):
+        # the energy rises at record 100; a later step of the same block fails
+        sc = _block_scenario()
+        monkeypatch.setattr(solver, "_damping_substep_nodal",
+                            _pumping_substep(99 * sc.dt, t_fail=150 * sc.dt))
+        with pytest.raises(EnergyMonotonicityError) as ref:
+            _simulate_ref(sc)
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_simulation(sc)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_derivative_system(sc)
+        assert str(got.value) == str(ref.value)
+
+    def test_failing_step_without_rise_raises_its_own_error(self, monkeypatch):
+        sc = _block_scenario()
+        monkeypatch.setattr(solver, "_damping_substep_nodal",
+                            _pumping_substep(np.inf, t_fail=150 * sc.dt))
+        with pytest.raises(NewtonError, match="injected failure"):
+            run_simulation(sc)
+
+    def test_theta_bound_error_after_a_rise_in_the_same_block(self):
+        sc = _block_scenario(g=identity_damping())
+        t_bad, t_out = 50 * sc.dt, 120 * sc.dt
+
+        def sampler(t, x):
+            if t >= t_out:
+                return np.full_like(x, 5.0)
+            return np.full_like(x, 1.0 if t < t_bad else -1.0)
+
+        with pytest.raises(EnergyMonotonicityError):
+            run_auxiliary(sc, ThetaField(sampler, bounds=(-1.0, 1.0)))
+        with pytest.raises(ThetaBoundError):
+            run_auxiliary(sc, ThetaField(lambda t, x: sampler(t, x) ** 2,
+                                         bounds=(0.0, 1.0)))
