@@ -20,8 +20,8 @@ from .multipliers import MultiplierReport, elliptic_multiplier, elliptic_solve, 
 from .oracle import dalembert, dalembert_riemann, dalembert_zt, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,
-    damping_substep, run_auxiliary, run_derivative_system, run_simulation,
-    step, theta_from_run, transport_shift,
+    run_auxiliary, run_derivative_system, run_simulation, step,
+    theta_from_run, transport_shift,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .core import (
     PROFILES, Profile, constant_profile, indicator_profile, make_localization,
     nu_ratio, smooth_indicator_profile, zero_profile,
 )
-from .energy import build_energy_report, observability_ratio
+from .energy import build_energy_report, energy_p_nodal, observability_ratio
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, Trajectory,
     run_auxiliary, run_derivative_system, run_simulation, theta_from_run,
@@ -170,6 +170,7 @@ class ExperimentSuite:
     output_dir: str = "out"
 
 
+_SUITE_KEYS = {"kind", "output_dir"}
 _SCENARIO_KEYS = {"n_cells", "t_final", "p_list", "splitting", "record_every",
                   "g", "a", "z0", "z1", "amplitude", "fit_window", "alphas",
                   "epsilons", "window", "co_integrate_w"}
@@ -186,6 +187,11 @@ def parse_suite(config_text: str) -> ExperimentSuite:
     if "suite" not in cp:
         raise ConfigError("missing [suite] section")
     suite_sec = cp["suite"]
+    for key in suite_sec:
+        # keys of a [DEFAULT] section reach every section; scenarios check them
+        if key not in _SUITE_KEYS and key not in cp.defaults():
+            raise ConfigError(f"[suite] section: unknown key '{key}' "
+                              f"(allowed: {', '.join(sorted(_SUITE_KEYS))})")
     kind = suite_sec.get("kind", "simulate")
     if kind not in KINDS:
         raise ConfigError(f"key 'kind': unknown experiment kind '{kind}'")
@@ -305,10 +311,7 @@ def run_aux_equivalence(scenario: Scenario) -> dict:
     """Nonlinear run vs the auxiliary linear run with theta = nu(z_t)
     recorded densely along the nonlinear trajectory (the linearizing
     principle behind the stability proof)."""
-    dense = Scenario(name=scenario.name, grid=scenario.grid,
-                     t_final=scenario.t_final, p_list=scenario.p_list,
-                     g=scenario.g, a=scenario.a, initial=scenario.initial,
-                     splitting=scenario.splitting, record_every=1)
+    dense = replace(scenario, record_every=1)
     traj_nl = run_simulation(dense)
     theta = theta_from_run(traj_nl)
     traj_aux = run_auxiliary(dense, theta)
@@ -342,14 +345,11 @@ def run_semi_global_sweep(base: Scenario, alphas: tuple[float, ...],
         if alpha == 0.0:
             entries.append({"alpha": 0.0, "degenerate": True})
             continue
-        sc = Scenario(name=f"{base.name}_a{alpha:g}", grid=base.grid,
-                      t_final=base.t_final, p_list=base.p_list, g=base.g,
-                      a=base.a, initial=base.initial.scaled(alpha),
-                      splitting=base.splitting, record_every=base.record_every)
+        sc = replace(base, name=f"{base.name}_a{alpha:g}",
+                     initial=base.initial.scaled(alpha))
         traj = run_simulation(sc, keep_states=False)
         w0 = sc.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
         entry: dict = {"alpha": alpha, "degenerate": False, "rates": {}}
-        from .energy import energy_p_nodal
         for p in sc.p_list:
             rep = build_energy_report(traj, p, fit_window)
             c_p = (p * energy_p_nodal(w0.rho, w0.xi, p, sc.grid.dx)) ** (1.0 / p)

@@ -8,8 +8,9 @@ The damping substep is backward Euler, which is unconditionally dissipative:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -249,18 +250,10 @@ def damped_support(a_nodes: Array) -> slice:
     return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
-def damping_substep(state: RiemannState, dt_half: float, a: DampingProfile,
-                    g: Nonlinearity, grid: Grid) -> RiemannState:
-    """Backward-Euler source substep. z_x = (rho + xi)/2 is untouched; only
-    u = z_t relaxes, so reassembly preserves the sum at every node."""
-    a_nodes = np.asarray(a.value(grid.nodes))
-    support = damped_support(a_nodes)
-    return _damping_substep_nodal(state, dt_half * a_nodes[support], support, g)
-
-
 def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
                            g: Nonlinearity | None = None) -> RiemannState:
-    """Damping substep on the slice `support`, with c given on that slice.
+    """Backward-Euler damping substep on the slice `support`, with c given
+    on that slice. z_x = (rho + xi)/2 is untouched; only u = z_t relaxes.
 
     g relaxes u = z_t by the implicit solve of u + c g(u) = u_old; g = None is
     the frozen linear coefficient of the auxiliary problem, u <- u / (1 + c).
@@ -275,27 +268,39 @@ def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
     return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
 
 
+def _split_step(state: RiemannState, scenario: Scenario, support: slice,
+                coefs: Callable[[float], Iterator[Array]],
+                g: Nonlinearity | None = None) -> RiemannState:
+    """One step of the splitting: strang = damp(dt/2) o transport o damp(dt/2);
+    lie = transport o damp(dt).
+
+    coefs(h) yields the damping coefficient on the slice `support` of each
+    damping substep of length h, in order: lie draws one, strang two, the
+    second after the transport. g as in _damping_substep_nodal, None for a
+    linear coefficient.
+    """
+    strang = scenario.splitting == "strang"
+    h = 0.5 * scenario.dt if strang else scenario.dt
+    cs = coefs(h)
+    state = _damping_substep_nodal(state, next(cs), support, g)
+    state = transport_shift(state, scenario.grid)
+    if strang:
+        state = _damping_substep_nodal(state, next(cs), support, g)
+    return state
+
+
 def step(state: RiemannState, scenario: Scenario,
          a_nodes: Array | None = None, *,
          support: slice | None = None) -> RiemannState:
-    """One full step: strang = damp(dt/2) o transport o damp(dt/2);
-    lie = transport o damp(dt). `support` is damped_support(a_nodes), which
-    run drivers compute once per run."""
-    grid = scenario.grid
+    """One full step of the nonlinear problem. `support` is
+    damped_support(a_nodes), which run drivers compute once per run."""
     if a_nodes is None:
-        a_nodes = np.asarray(scenario.a.value(grid.nodes))
+        a_nodes = np.asarray(scenario.a.value(scenario.grid.nodes))
     if support is None:
         support = damped_support(a_nodes)
-    dt = scenario.dt
-    if scenario.splitting == "strang":
-        c = 0.5 * dt * a_nodes[support]
-        state = _damping_substep_nodal(state, c, support, scenario.g)
-        state = transport_shift(state, grid)
-        state = _damping_substep_nodal(state, c, support, scenario.g)
-    else:
-        state = _damping_substep_nodal(state, dt * a_nodes[support], support, scenario.g)
-        state = transport_shift(state, grid)
-    return state
+    a_damped = a_nodes[support]
+    return _split_step(state, scenario, support,
+                       lambda h: itertools.repeat(h * a_damped), scenario.g)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +456,6 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     a_nodes = np.asarray(scenario.a.value(xs))
     support = damped_support(a_nodes)
     a_damped = a_nodes[support]
-    dt = scenario.dt
     state = scenario.initial.riemann(grid)
 
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
@@ -464,20 +468,11 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
         diag["max_zt"] = np.max(np.abs(0.5 * (rho - xi)), axis=-1)
         return (diag,)
 
-    def damp(s: RiemannState, dt_sub: float, t_mid: float) -> RiemannState:
-        c = dt_sub * a_damped * theta(t_mid, xs)[support]
-        return _damping_substep_nodal(s, c, support)
-
     def advance(s: RiemannState, n: int) -> RiemannState:
-        t0 = s.t
-        if scenario.splitting == "strang":
-            s = damp(s, 0.5 * dt, t0 + 0.25 * dt)
-            s = transport_shift(s, grid)
-            s = damp(s, 0.5 * dt, t0 + 0.75 * dt)
-        else:
-            s = damp(s, dt, t0 + 0.5 * dt)
-            s = transport_shift(s, grid)
-        return s
+        # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
+        return _split_step(s, scenario, support, lambda h: (
+            h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
+            for k in (0, 1)))
 
     times, states, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
@@ -513,7 +508,6 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     """
     grid = scenario.grid
     dx = grid.dx
-    dt = scenario.dt
     g = scenario.g
     a_nodes = np.asarray(scenario.a.value(grid.nodes))
     support = damped_support(a_nodes)
@@ -527,13 +521,8 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     def advance(s: _PairedState, n: int) -> _PairedState:
         base = step(s.base, scenario, a_nodes, support=support)
         theta_np1 = theta(base)
-        if scenario.splitting == "strang":
-            w = _damping_substep_nodal(s.w, 0.5 * dt * s.theta, support)
-            w = transport_shift(w, grid)
-            w = _damping_substep_nodal(w, 0.5 * dt * theta_np1, support)
-        else:
-            w = _damping_substep_nodal(s.w, dt * s.theta, support)
-            w = transport_shift(w, grid)
+        w = _split_step(s.w, scenario, support,
+                        lambda h: (h * th for th in (s.theta, theta_np1)))
         return _PairedState(base, w, theta_np1)
 
     def capture(s: _PairedState) -> tuple[Array, ...]:

@@ -24,7 +24,7 @@ from .core import (
 )
 from .energy import (
     build_energy_report, energy_p, modified_energy_functional,
-    observability_ratio, phi_functional,
+    observability_ratio, phi_functional, sobolev_bound_check,
 )
 from .multipliers import elliptic_solve
 from .oracle import dalembert_riemann, modal_rate
@@ -224,13 +224,11 @@ def check_regularity_bound() -> CheckResult:
         sup = w_traj.diagnostics["max_zt"]
         for p in sc.p_list:
             ew = w_traj.diagnostics[f"E_pw{p:g}"]
-            c_p = (p * ew[0]) ** (1.0 / p)
-            norms = w_traj.diagnostics[f"W1p_zt_p{p:g}"]
             embed = w_traj.diagnostics[f"Lp_zt_p{p:g}"] + \
                 w_traj.diagnostics[f"Lp_ztx_p{p:g}"]
             for label, viol in (
                     ("E_p(w) rise", float(np.max(ew - ew[0])) - 1e-10),
-                    ("W1p bound", float(np.max(norms - c_p))),
+                    ("W1p bound", -sobolev_bound_check(w_traj, p).worst_margin),
                     ("sup embedding", float(np.max(sup - embed)))):
                 if viol > worst:
                     worst, worst_tag = viol, f"{label}, g={g_name}, p={p:g}"

@@ -69,6 +69,16 @@ class TestSuiteParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_suite(GOOD_SUITE + "\ncfl = 0.5\n")
 
+    def test_unknown_suite_key_rejected(self):
+        # a misspelled output_dir must not silently write to the default
+        text = GOOD_SUITE.replace("output_dir = out", "outptu_dir = elsewhere")
+        with pytest.raises(ConfigError, match="unknown key 'outptu_dir'"):
+            parse_suite(text)
+
+    def test_default_section_keys_reach_scenarios_only(self):
+        text = "[DEFAULT]\nn_cells = 32\n" + GOOD_SUITE.replace("n_cells = 64\n", "")
+        assert parse_suite(text).scenarios[0].scenario.grid.n_cells == 32
+
     def test_duplicate_names_rejected(self):
         text = GOOD_SUITE + "\n[scenario demo ]\ng = arctan\n"
         with pytest.raises(ConfigError, match="duplicate"):
@@ -157,15 +167,19 @@ class TestMainEndToEnd:
         assert main(["run", str(suite_file)]) == 2
         assert capsys.readouterr().err.startswith("config error: key 'a'")
 
-    def test_bad_seed_value_is_not_a_traceback(self, tmp_path, monkeypatch):
-        # `seed` was parsed with getint but never used; the key is gone, so a
-        # value that is not an integer no longer ends the run in a ValueError
+    def test_bad_seed_value_is_not_a_traceback(self, tmp_path, monkeypatch,
+                                                capsys):
+        # `seed` is not a suite key: like any unknown [suite] key it is a
+        # config error, not a ValueError traceback
         monkeypatch.delenv("WAVELAB_OUT", raising=False)
         suite_file = tmp_path / "suite.ini"
         suite_file.write_text(GOOD_SUITE.replace("output_dir = out",
                                                  "output_dir = out\nseed = abc"))
-        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "summary_demo.json").exists()
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'seed'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_violation_exit_code(self, tmp_path, monkeypatch):
         # sabotage the damping update so energy grows mid-run: the

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,8 @@ from wavelab.solver import (
     MONOTONICITY_SLACK, RECORD_BLOCK_VALUES, EnergyMonotonicityError,
     InitialData, NewtonError, Scenario, ThetaBoundError, ThetaField,
     _damping_substep_nodal, _implicit_damping_update, damped_support,
-    damping_substep, run_auxiliary, run_derivative_system, run_simulation,
-    step, theta_from_run, transport_shift,
+    run_auxiliary, run_derivative_system, run_simulation, step,
+    theta_from_run, transport_shift,
 )
 
 
@@ -188,6 +190,14 @@ class TestRestrictedKernel:
         np.testing.assert_array_equal(out.xi, state.xi)
 
 
+def _half_substep(state, grid, a, nl):
+    """The damping half-substep of a strang step under the profile a."""
+    a_nodes = a.value(grid.nodes)
+    support = damped_support(a_nodes)
+    return _damping_substep_nodal(state, 0.5 * grid.dx * a_nodes[support],
+                                  support, nl)
+
+
 class TestSubstepDissipativity:
     @given(rho=arrays(np.float64, 9, elements=st.floats(-3, 3)),
            xi=arrays(np.float64, 9, elements=st.floats(-3, 3)),
@@ -198,15 +208,14 @@ class TestSubstepDissipativity:
         state = RiemannState(rho=rho, xi=xi, t=0.0)
         e0 = energy_p(state, p, g)
         for nl in (arctan_damping(), cubic_damping(), saturating_damping()):
-            out = damping_substep(state, 0.5 * g.dx, constant_profile(2.0), nl, g)
+            out = _half_substep(state, g, constant_profile(2.0), nl)
             assert energy_p(out, p, g) <= e0 + 1e-12 * max(1.0, e0)
 
     def test_zx_untouched(self):
         g = Grid(8)
         state = RiemannState(rho=np.linspace(-1, 1, 9),
                              xi=np.linspace(1, -1, 9), t=0.0)
-        out = damping_substep(state, 0.5 * g.dx, constant_profile(1.0),
-                              arctan_damping(), g)
+        out = _half_substep(state, g, constant_profile(1.0), arctan_damping())
         np.testing.assert_array_equal(out.z_x, state.z_x)
 
 
@@ -242,7 +251,60 @@ class TestRunSimulation:
         assert sc.n_steps == 64
 
 
+def _logged_theta(log):
+    """A time-dependent theta field that appends each sample time to log."""
+    def sampler(t, x):
+        log.append(t)
+        return 1.0 + 0.5 * np.sin(3.0 * t + 2.0 * np.pi * x)
+    return ThetaField(sampler=sampler, bounds=(0.5, 1.5))
+
+
+def _auxiliary_ref(sc, theta):
+    """The hand-written auxiliary loop: theta sampled at each substep's
+    midpoint and, as the record loop does, once at every record time.
+    Returns the recorded states."""
+    grid, dt, xs = sc.grid, sc.dt, sc.grid.nodes
+    a_nodes = np.asarray(sc.a.value(xs))
+    support = damped_support(a_nodes)
+    a_damped = a_nodes[support]
+
+    def damp(s, dt_sub, t_mid):
+        c = dt_sub * a_damped * theta(t_mid, xs)[support]
+        return _damping_substep_nodal(s, c, support)
+
+    s = sc.initial.riemann(grid)
+    theta(s.t, xs)
+    states = [s]
+    for n in range(sc.n_steps):
+        t0 = s.t
+        if sc.splitting == "strang":
+            s = damp(s, 0.5 * dt, t0 + 0.25 * dt)
+            s = transport_shift(s, grid)
+            s = damp(s, 0.5 * dt, t0 + 0.75 * dt)
+        else:
+            s = damp(s, dt, t0 + 0.5 * dt)
+            s = transport_shift(s, grid)
+        if _recorded(sc, n):
+            theta(s.t, xs)
+            states.append(s)
+    return states
+
+
 class TestAuxiliary:
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_states_and_theta_times_match_hand_written_loop(self, splitting,
+                                                            record_every):
+        sc = _scenario(t_final=1.0, splitting=splitting,
+                       record_every=record_every)
+        got_log, ref_log = [], []
+        aux = run_auxiliary(sc, _logged_theta(got_log))
+        ref = _auxiliary_ref(sc, _logged_theta(ref_log))
+        _assert_states(aux.states, ref)
+        assert got_log == ref_log
+        substeps = 2 if splitting == "strang" else 1
+        assert len(got_log) == substeps * sc.n_steps + len(aux.times)
+
     def test_theta_one_matches_identity_g_bitwise(self):
         sc = _scenario(g=identity_damping(), a=constant_profile(1.5), t_final=2.0)
         nl = run_simulation(sc)
@@ -349,6 +411,39 @@ class TestDerivativeSystem:
                                               sine_profile(1, amplitude=0.8)))
         with pytest.raises(EnergyMonotonicityError, match="E_pw2"):
             run_derivative_system(sc)
+
+
+class TestSplitKernel:
+    """The traced benchmark run counts calls of solver.transport_shift and
+    solver.step, so every run must reach them through the module bindings."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = Counter()
+        for name in ("transport_shift", "step", "_damping_substep_nodal"):
+            def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_runs_call_the_module_bindings(self, monkeypatch, splitting):
+        sc = _scenario(n=32, t_final=0.5, splitting=splitting, record_every=4)
+        n = sc.n_steps
+        substeps = 2 * n if splitting == "strang" else n
+        calls = self._count(monkeypatch)
+        run_simulation(sc, keep_states=False)
+        assert calls == {"transport_shift": n, "step": n,
+                         "_damping_substep_nodal": substeps}
+        calls.clear()
+        run_auxiliary(sc, ThetaField(lambda t, x: np.ones_like(x), (1.0, 1.0)),
+                      keep_states=False)
+        assert calls == {"transport_shift": n, "_damping_substep_nodal": substeps}
+        calls.clear()
+        run_derivative_system(sc, keep_states=False)
+        assert calls == {"transport_shift": 2 * n, "step": n,
+                         "_damping_substep_nodal": 2 * substeps}
 
 
 # ---------------------------------------------------------------------------
