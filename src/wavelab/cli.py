@@ -1,8 +1,10 @@
-"""Scenario ingestion, experiment orchestration and report emission.
+"""The command line: suite parsing and serialization, report emission,
+orchestration of a suite's scenarios and the `wavelab` entry point.
 
 Config files are flat sectioned key=value text (configparser syntax): one
 [suite] section plus one [scenario NAME] section per run. See README for
-the full schema and the named analytic profiles.
+the full schema and the named analytic profiles. The runner of each
+experiment kind lives in `wavelab.experiments`.
 """
 from __future__ import annotations
 
@@ -14,27 +16,24 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import multipliers as _mult
 from .core import (
     DampingProfile, Grid, HypothesisViolation, Nonlinearity, NONLINEARITIES,
     PROFILES, Profile, constant_profile, indicator_profile, make_localization,
-    nu_ratio, smooth_indicator_profile, zero_profile,
+    smooth_indicator_profile, zero_profile,
 )
-from .energy import build_energy_report, energy_p_nodal, observability_ratio
-from .solver import (
-    EnergyMonotonicityError, InitialData, Scenario, Trajectory,
-    run_auxiliary, run_derivative_system, run_simulation, theta_from_run,
-)
+from .experiments import EXPERIMENTS, ScenarioSpec
+from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
-KINDS = ("simulate", "aux_equivalence", "semi_global_sweep",
-         "multiplier_report", "verify")
-#: experiment kinds that invoke the stability theory, which needs 1 < p < inf
-STABILITY_KINDS = ("aux_equivalence", "semi_global_sweep", "multiplier_report")
+KINDS = (*EXPERIMENTS, "verify")
+#: experiment kinds that invoke the stability theory, which needs 1 < p < inf:
+#: every experiment but plain simulation
+STABILITY_KINDS = tuple(kind for kind in EXPERIMENTS if kind != "simulate")
 
 DEFAULTS = {
     "n_cells": 256,
@@ -148,20 +147,6 @@ def _parse_floats(text: str, key: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Suite
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A validated scenario plus experiment-level extras and the raw
-    key=value pairs it was parsed from (for round-trip serialization)."""
-
-    scenario: Scenario
-    fit_window: tuple[float, float] | None = None
-    alphas: tuple[float, ...] = ()
-    epsilons: tuple[float, float, float] | None = None
-    window: tuple[float, float] | None = None
-    co_integrate_w: bool = False
-    raw: dict[str, str] = field(default_factory=dict)
-
 
 @dataclass(frozen=True)
 class ExperimentSuite:
@@ -304,104 +289,6 @@ def serialize_suite(suite: ExperimentSuite) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners
-# ---------------------------------------------------------------------------
-
-def run_aux_equivalence(scenario: Scenario) -> dict:
-    """Nonlinear run vs the auxiliary linear run with theta = nu(z_t)
-    recorded densely along the nonlinear trajectory (the linearizing
-    principle behind the stability proof)."""
-    dense = replace(scenario, record_every=1)
-    traj_nl = run_simulation(dense)
-    theta = theta_from_run(traj_nl)
-    traj_aux = run_auxiliary(dense, theta)
-    disc = max(float(np.max(np.abs(
-        np.stack([getattr(s, key) for s in traj_nl.states])
-        - np.stack([getattr(s, key) for s in traj_aux.states]))))
-        for key in ("rho", "xi"))
-    m = float(np.max(traj_nl.diagnostics["max_zt"]))
-    lattice = np.linspace(-m, m, 2001) if m > 0 else np.array([0.0])
-    nu_vals = nu_ratio(lattice, scenario.g)
-    nu1, nu2 = float(np.min(nu_vals)), float(np.max(nu_vals))
-    th1, th2 = theta.bounds
-    return {
-        "name": scenario.name,
-        "max_discrepancy": disc,
-        "max_zt": m,
-        "theta_bounds": [th1, th2],
-        "nu_bounds": [nu1, nu2],
-        "theta_inside_nu_bounds": bool(nu1 - 1e-12 <= th1 and th2 <= nu2 + 1e-12),
-        "trajectories": (traj_nl, traj_aux),
-    }
-
-
-def run_semi_global_sweep(base: Scenario, alphas: tuple[float, ...],
-                          fit_window: tuple[float, float]) -> dict:
-    """Scale the initial data by each alpha, fit the decay rate on a fixed
-    window, and report (alpha, strong-norm proxy c_p, rate) per exponent."""
-    entries = []
-    a_nodes = np.asarray(base.a.value(base.grid.nodes))
-    for alpha in alphas:
-        if alpha == 0.0:
-            entries.append({"alpha": 0.0, "degenerate": True})
-            continue
-        sc = replace(base, name=f"{base.name}_a{alpha:g}",
-                     initial=base.initial.scaled(alpha))
-        traj = run_simulation(sc, keep_states=False)
-        w0 = sc.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
-        entry: dict = {"alpha": alpha, "degenerate": False, "rates": {}}
-        for p in sc.p_list:
-            rep = build_energy_report(traj, p, fit_window)
-            c_p = (p * energy_p_nodal(w0.rho, w0.xi, p, sc.grid.dx)) ** (1.0 / p)
-            entry["rates"][f"{p:g}"] = {"rate": rep.fit.rate, "r2": rep.fit.r2,
-                                        "c_p": c_p}
-        entries.append(entry)
-    return {"name": base.name, "alphas": list(alphas), "entries": entries}
-
-
-def run_one_simulation(spec: ScenarioSpec) -> dict:
-    sc = spec.scenario
-    if spec.co_integrate_w:
-        traj, w_traj = run_derivative_system(sc, keep_states=False)
-    else:
-        traj = run_simulation(sc, keep_states=False)
-        w_traj = None
-    summary: dict = {"name": sc.name, "t_final": sc.t_final_actual,
-                     "n_cells": sc.grid.n_cells, "fits": {}}
-    for p in sc.p_list:
-        rep = build_energy_report(traj, p, spec.fit_window)
-        if rep.fit is not None:
-            summary["fits"][f"{p:g}"] = {"fitted_rate": rep.fit.rate,
-                                         "r2": rep.fit.r2,
-                                         "window": list(rep.fit.window)}
-    if spec.window is not None:
-        s, t = spec.window
-        summary["observability_ratio"] = {
-            f"{p:g}": observability_ratio(traj, p, s, t) for p in sc.p_list}
-    return {"summary": summary, "traj": traj, "w_traj": w_traj}
-
-
-def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
-    sc = spec.scenario
-    traj = run_simulation(sc, keep_states=True)
-    triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
-    window = spec.window or (0.0, sc.t_final_actual)
-    records = _mult.record_window(traj, window)  # shared by every p
-    tables = {}
-    for p in sc.p_list:
-        rep = _mult.multiplier_terms(traj, triple, p, window, records=records)
-        tables[f"{p:g}"] = {
-            "regime": rep.regime, "terms": rep.terms,
-            "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,
-            "chain_constants": rep.chain_constants,
-            "eta_table": {f"{k:g}": v for k, v in rep.eta_table.items()},
-        }
-    return {"summary": {"name": sc.name, "window": list(window),
-                        "multiplier_tables": tables},
-            "traj": traj, "w_traj": None}
-
-
-# ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
@@ -451,41 +338,40 @@ def emit_reports(results: list[dict], output_dir: str) -> list[Path]:
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _run_spec(kind: str, spec: ScenarioSpec) -> dict:
-    sc = spec.scenario
-    if kind == "simulate":
-        return run_one_simulation(spec)
-    if kind == "aux_equivalence":
-        res = run_aux_equivalence(sc)
-        traj_nl, _ = res.pop("trajectories")
-        return {"summary": res, "traj": traj_nl, "w_traj": None}
-    if kind == "semi_global_sweep":
-        window = spec.fit_window or (2.0, sc.t_final * 0.9)
-        return {"summary": run_semi_global_sweep(sc, spec.alphas or (1.0, 4.0, 16.0),
-                                                 window),
-                "traj": None, "w_traj": None}
-    if kind == "multiplier_report":
-        return run_one_multiplier_report(spec)
-    raise ConfigError(f"kind '{kind}' is not runnable here")
+def _run_one(kind: str, spec: ScenarioSpec, output_dir: str) -> None:
+    emit_reports([EXPERIMENTS[kind](spec)], output_dir)
 
 
-def _run_raw(kind: str, name: str, raw: dict[str, str], output_dir: str) -> str:
+def _run_raw(kind: str, name: str, raw: dict[str, str], output_dir: str) -> None:
     """Worker-side entry: rebuild the spec from its raw form, run it and
     write its reports (trajectories are not picklable across processes)."""
-    spec = _parse_scenario(name, raw, kind)
-    emit_reports([_run_spec(kind, spec)], output_dir)
-    return name
+    _run_one(kind, _parse_scenario(name, raw, kind), output_dir)
+
+
+def _outcome(name: str, run: Callable[..., int | None], *args) -> int:
+    """Call run(*args) for scenario `name` and return its exit code: the code
+    run returned (0 for None), 1 when a guard or hypothesis failed (FAIL on
+    stderr), 3 when it raised anything else (ERROR on stderr, without a
+    traceback)."""
+    try:
+        code = run(*args)
+    except (EnergyMonotonicityError, HypothesisViolation) as exc:
+        print(f"FAIL {name}: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # one broken scenario must not end the suite
+        print(f"ERROR {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    return code or 0
 
 
 def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
               jobs: int = 1) -> int:
-    """Run every scenario, write reports, return a process exit code
-    (0 iff all enabled assertions passed)."""
+    """Run every scenario, write reports, return a process exit code: 0 iff
+    all enabled assertions passed, else 1, or 3 if a scenario raised an error."""
     if suite.kind == "verify":
         from .verify import run_all
-        return 0 if all(r.passed for r in run_all()) else 1
+        return _outcome("verify", lambda: 0 if all(r.passed for r in run_all()) else 1)
     out = output_dir or suite.output_dir
-    failures = []
     # scenarios hold closures, so workers get the raw key=value form and
     # re-parse it; each worker writes its own reports
     parallel = (jobs > 1 and len(suite.scenarios) > 1
@@ -495,20 +381,12 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
             futures = [pool.submit(_run_raw, suite.kind, spec.scenario.name,
                                    spec.raw, out)
                        for spec in suite.scenarios]
-            for spec, fut in zip(suite.scenarios, futures):
-                try:
-                    fut.result()
-                except (EnergyMonotonicityError, HypothesisViolation) as exc:
-                    failures.append((spec.scenario.name, exc))
+            codes = [_outcome(spec.scenario.name, fut.result)
+                     for spec, fut in zip(suite.scenarios, futures)]
     else:
-        for spec in suite.scenarios:
-            try:
-                emit_reports([_run_spec(suite.kind, spec)], out)
-            except (EnergyMonotonicityError, HypothesisViolation) as exc:
-                failures.append((spec.scenario.name, exc))
-    for name, exc in failures:
-        print(f"FAIL {name}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+        codes = [_outcome(spec.scenario.name, _run_one, suite.kind, spec, out)
+                 for spec in suite.scenarios]
+    return max(codes, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +425,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         out = os.environ.get("WAVELAB_OUT") or args.out
-        code = run_suite(suite, output_dir=out, jobs=args.jobs)
-        return code
+        return run_suite(suite, output_dir=out, jobs=args.jobs)
     if args.command == "verify":
-        from .verify import run_all
-        return 0 if all(r.passed for r in run_all()) else 1
+        return run_suite(ExperimentSuite(kind="verify", scenarios=()))
     if args.command == "oracle":
         from . import oracle
         if args.case == "modal":

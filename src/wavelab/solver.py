@@ -17,7 +17,7 @@ import numpy as np
 from . import energy as _energy
 from .core import (
     Array, DampingProfile, Grid, Nonlinearity, Profile, RiemannState,
-    nodal_derivative, nu_ratio, riemann_from_physical, signed_power,
+    nodal_derivative, nu_ratio, riemann_from_physical,
 )
 
 NEWTON_MAX_ITER = 50
@@ -313,12 +313,14 @@ def step(state: RiemannState, scenario: Scenario,
 RECORD_BLOCK_VALUES = 2 ** 14
 
 
-def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
-                      a_nodes: Array) -> dict[str, Array]:
-    """E_p, dE_p/dt and max |z_t| of stacked states, one row per record."""
+def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario, a_nodes: Array,
+                      th: Array | None = None) -> dict[str, Array]:
+    """E_p, dE_p/dt and max |z_t| of stacked states, one row per record.
+    The damping term is -a g(z_t), or -a th z_t with the auxiliary problem's th."""
     dx = scenario.grid.dx
     z_t = 0.5 * (rho - xi)
-    ag = -a_nodes * np.asarray(scenario.g.value(z_t))
+    ag = (-a_nodes * np.asarray(scenario.g.value(z_t)) if th is None
+          else -a_nodes * th * z_t)
     diag: dict[str, Array] = {}
     for p in scenario.p_list:
         diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
@@ -452,21 +454,13 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     if theta.grid is not None and theta.grid != grid:
         raise ValueError("recorded theta field is bound to the run's grid")
     xs = grid.nodes
-    dx = grid.dx
     a_nodes = np.asarray(scenario.a.value(xs))
     support = damped_support(a_nodes)
     a_damped = a_nodes[support]
     state = scenario.initial.riemann(grid)
 
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
-        diag: dict[str, Array] = {}
-        for p in scenario.p_list:
-            diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
-            integrand = -0.5 * a_nodes * th * (rho - xi) * (
-                signed_power(rho, p - 1.0) - signed_power(xi, p - 1.0))
-            diag[f"dEdt_p{p:g}"] = _energy.trapezoid(integrand, dx)
-        diag["max_zt"] = np.max(np.abs(0.5 * (rho - xi)), axis=-1)
-        return (diag,)
+        return (_base_diagnostics(rho, xi, scenario, a_nodes, th),)
 
     def advance(s: RiemannState, n: int) -> RiemannState:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)

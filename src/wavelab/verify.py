@@ -26,6 +26,7 @@ from .energy import (
     build_energy_report, energy_p, modified_energy_functional,
     observability_ratio, phi_functional, sobolev_bound_check,
 )
+from .experiments import ScenarioSpec, run_aux_equivalence, run_semi_global_sweep
 from .multipliers import elliptic_solve
 from .oracle import dalembert_riemann, modal_rate
 from .solver import InitialData, Scenario, run_derivative_system, run_simulation
@@ -180,7 +181,8 @@ def check_semi_global_dependence() -> CheckResult:
         base = Scenario(name=f"sweep_{g_name}", grid=Grid(128), t_final=30.0,
                         p_list=(2.0,), g=NONLINEARITIES[g_name](),
                         a=_localized_damping(), initial=_moderate_data())
-        rep = _cli.run_semi_global_sweep(base, (1.0, 4.0, 16.0), (5.0, 30.0))
+        # the sweep's default alphas, 1, 4 and 16
+        rep = run_semi_global_sweep(ScenarioSpec(base, fit_window=(5.0, 30.0)))["summary"]
         return [entry["rates"]["2"]["rate"] for entry in rep["entries"]]
 
     sat = sweep("saturating")
@@ -201,7 +203,7 @@ def check_aux_equivalence() -> CheckResult:
         sc = Scenario(name=f"aux_{n}", grid=Grid(n), t_final=8.0,
                       p_list=(2.0,), g=NONLINEARITIES["arctan"](),
                       a=_localized_damping(), initial=_moderate_data())
-        rep = _cli.run_aux_equivalence(sc)
+        rep = run_aux_equivalence(ScenarioSpec(sc))["summary"]
         discs.append(rep["max_discrepancy"])
         inside = inside and rep["theta_inside_nu_bounds"]
     orders = [float(np.log2(discs[i] / discs[i + 1])) for i in range(2)]
