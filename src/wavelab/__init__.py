@@ -7,9 +7,8 @@ from .core import (
     Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
     identity_damping, indicator_profile, make_localization, modified_fg,
-    nodal_derivative, nu_ratio, physical_from_riemann, riemann_from_physical,
-    saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
-    zero_function, zero_profile,
+    nu_ratio, physical_from_riemann, saturating_damping, signed_power,
+    sine_profile, smooth_indicator_profile, zero_function, zero_profile,
 )
 from .energy import (
     ConvexFunctional, DecayFit, EnergyReport, decay_fit, dissipation_rate,

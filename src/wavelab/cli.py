@@ -23,9 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DampingProfile, Grid, HypothesisViolation, Nonlinearity, NONLINEARITIES,
-    PROFILES, Profile, constant_profile, indicator_profile, make_localization,
-    smooth_indicator_profile, zero_profile,
+    DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
+    HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
 from .experiments import EXPERIMENTS, ScenarioSpec
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
@@ -36,14 +35,17 @@ KINDS = (*EXPERIMENTS, "verify")
 STABILITY_KINDS = tuple(kind for kind in EXPERIMENTS if kind != "simulate")
 
 DEFAULTS = {
-    "n_cells": 256,
-    "t_final": 20.0,
-    "p_list": (1.5, 2.0, 4.0),
+    "n_cells": "256",
+    "t_final": "20",
+    "p_list": "1.5, 2, 4",
     "splitting": "strang",
-    "record_every": 1,
+    "record_every": "1",
+    "g": "identity",
+    "a": "indicator(0.7, 1, 1)",
     "z0": "sine(1)",
     "z1": "zero",
-    "amplitude": 1.0,
+    "amplitude": "1",
+    "co_integrate_w": "false",
 }
 
 
@@ -75,73 +77,66 @@ def _scenario_key(name: str, key: str | None = None):
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][\w]*)\s*(?:\((.*)\))?\s*$")
 
 
-def _parse_call(spec: str, key: str) -> tuple[str, list[float], dict[str, float]]:
+def _finite(text: str) -> float:
+    """float(text), rejecting nan and inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"'{text.strip()}' is not a finite number")
+    return value
+
+
+def _parse_named(spec: str, table: dict[str, Callable], what: str):
+    """table[name](*args, **kwargs) for a spec `name` or `name(arg, key=arg)`."""
     m = _CALL_RE.match(spec)
     if not m:
-        raise ConfigError(f"key '{key}': cannot parse profile spec '{spec}'")
-    name, argstr = m.group(1), m.group(2)
-    args: list[float] = []
-    kwargs: dict[str, float] = {}
-    if argstr:
-        for tok in argstr.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    kwargs[k.strip()] = float(v)
-                else:
-                    args.append(float(tok))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"key '{key}': cannot parse number '{tok}' in '{spec}'") from exc
-    return name, args, kwargs
+        raise ConfigError(f"cannot parse {what} spec '{spec}'")
+    name, args, kwargs = m.group(1), [], {}
+    if name not in table:
+        raise ConfigError(f"unknown {what} '{spec}' "
+                          f"(available: {', '.join(sorted(table))})")
+    try:
+        for tok in filter(str.strip, (m.group(2) or "").split(",")):
+            key, _, num = tok.rpartition("=")
+            if key:
+                kwargs[key.strip()] = _finite(num)
+            else:
+                args.append(_finite(num))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in '{spec}'") from exc
+    try:
+        return table[name](*args, **kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"bad arguments in '{spec}': {exc}") from exc
 
 
 def parse_nonlinearity(spec: str) -> Nonlinearity:
-    name, args, kwargs = _parse_call(spec, "g")
-    if name not in NONLINEARITIES or args or kwargs:
-        raise ConfigError(
-            f"key 'g': unknown nonlinearity '{spec}' "
-            f"(available: {', '.join(sorted(NONLINEARITIES))})")
-    return NONLINEARITIES[name]()
+    return _parse_named(spec, NONLINEARITIES, "nonlinearity")
 
 
 def parse_damping(spec: str) -> DampingProfile:
-    name, args, kwargs = _parse_call(spec, "a")
+    return _parse_named(spec, DAMPING_PROFILES, "damping profile")
+
+
+def parse_profile(spec: str) -> Profile:
+    return _parse_named(spec, PROFILES, "profile")
+
+
+def _parse_floats(text: str, count: int | None = None) -> tuple[float, ...]:
+    """A comma-separated list of finite numbers, of `count` values if given."""
     try:
-        if name == "zero":
-            return zero_profile()
-        if name == "constant":
-            return constant_profile(*args, **kwargs)
-        if name == "indicator":
-            return indicator_profile(*args, **kwargs)
-        if name == "smooth_indicator":
-            return smooth_indicator_profile(*args, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"key 'a': bad arguments in '{spec}': {exc}") from exc
-    raise ConfigError(f"key 'a': unknown damping profile '{spec}'")
-
-
-def parse_profile(spec: str, key: str) -> Profile:
-    name, args, kwargs = _parse_call(spec, key)
-    if name not in PROFILES:
-        raise ConfigError(f"key '{key}': unknown profile '{spec}' "
-                          f"(available: {', '.join(sorted(PROFILES))})")
-    try:
-        if name == "sine":
-            return PROFILES[name](int(args[0]) if args else 1, **kwargs)
-        return PROFILES[name](*args, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"key '{key}': bad arguments in '{spec}': {exc}") from exc
-
-
-def _parse_floats(text: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        vals = tuple(_finite(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"key '{key}': cannot parse number list '{text}'") from exc
+        raise ConfigError(f"{exc} in '{text}'") from exc
+    if count is not None and len(vals) != count:
+        raise ConfigError(f"needs {count} values, got '{text}'")
+    return vals
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"'{text}' is not a boolean (true or false)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -204,75 +199,79 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     for key in raw:
         if key not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario '{name}': unknown key '{key}'")
+    stability = kind in STABILITY_KINDS
 
-    def scalar(key: str, convert):
+    def value(key: str, parse: Callable[[str], object]):
+        """parse(text) of the key's text, or of its default; None if neither
+        is given. A bad value is a ConfigError naming the scenario and key."""
+        text = raw.get(key, DEFAULTS.get(key))
+        if text is None:
+            return None
         with _scenario_key(name, key):
-            return convert(raw.get(key, DEFAULTS[key]))
+            return parse(text)
 
-    grid = scalar("n_cells", lambda text: Grid(int(text)))
-    t_final = scalar("t_final", float)
-    p_list = (_parse_floats(raw["p_list"], "p_list")
-              if "p_list" in raw else DEFAULTS["p_list"])
-    splitting = raw.get("splitting", DEFAULTS["splitting"])
-    record_every = scalar("record_every", int)
-    amplitude = scalar("amplitude", float)
+    def exponents(text: str) -> tuple[float, ...]:
+        p_list = _parse_floats(text)
+        if not p_list:
+            raise ConfigError("needs at least one exponent p")
+        for p in p_list:
+            if p < 1.0:
+                raise ConfigError(f"p = {p:g} < 1 is not allowed")
+            if stability and p <= 1.0:
+                raise ConfigError(
+                    f"p = {p:g} rejected — the stability theory covers "
+                    f"1 < p < inf only (experiment kind '{kind}')")
+        return p_list
 
-    for p in p_list:
-        if p < 1.0:
-            raise ConfigError(f"scenario '{name}': p = {p} < 1 is not allowed")
-        if kind in STABILITY_KINDS and p <= 1.0:
-            raise ConfigError(
-                f"scenario '{name}': p = {p:g} rejected — the stability "
-                f"theory covers 1 < p < inf only (experiment kind '{kind}')")
-
-    g = parse_nonlinearity(raw.get("g", "identity"))
-    with _scenario_key(name, "g"):
+    def nonlinearity(text: str) -> Nonlinearity:
+        g = parse_nonlinearity(text)
         g.validate()  # H2 lattice check at parse time
-    a = parse_damping(raw.get("a", "indicator(0.7, 1, 1)"))
-    with _scenario_key(name, "a"):
-        a.validate(require_active=kind in STABILITY_KINDS)
+        return g
 
-    z0 = parse_profile(raw.get("z0", DEFAULTS["z0"]), "z0").scaled(amplitude)
-    z1 = parse_profile(raw.get("z1", DEFAULTS["z1"]), "z1").scaled(amplitude)
+    def damping(text: str) -> DampingProfile:
+        a = parse_damping(text)
+        a.validate(require_active=stability)
+        return a
 
-    fit_window = None
-    if "fit_window" in raw:
-        vals = _parse_floats(raw["fit_window"], "fit_window")
-        if len(vals) != 2 or vals[0] >= vals[1]:
-            raise ConfigError(f"scenario '{name}': fit_window must be 't_lo, t_hi'")
-        fit_window = (vals[0], vals[1])
+    def fit_window(text: str) -> tuple[float, float]:
+        lo, hi = _parse_floats(text, 2)
+        if not lo < hi:
+            raise ConfigError("must be 't_lo, t_hi' with t_lo < t_hi")
+        return lo, hi
 
-    alphas = _parse_floats(raw["alphas"], "alphas") if "alphas" in raw else ()
+    def window(text: str) -> tuple[float, float]:
+        s, t = _parse_floats(text, 2)
+        if not 0 <= s < t:
+            raise ConfigError("must be 'S, T' with 0 <= S < T")
+        return s, t
 
-    epsilons = None
-    if "epsilons" in raw:
-        vals = _parse_floats(raw["epsilons"], "epsilons")
-        if len(vals) != 3:
-            raise ConfigError(f"scenario '{name}': epsilons needs three values")
-        epsilons = (vals[0], vals[1], vals[2])
+    def profile(text: str) -> Profile:
+        return parse_profile(text).scaled(amplitude)
 
-    window = None
-    if "window" in raw:
-        vals = _parse_floats(raw["window"], "window")
-        if len(vals) != 2 or not 0 <= vals[0] < vals[1]:
-            raise ConfigError(f"scenario '{name}': window must be 'S, T' with S < T")
-        window = (vals[0], vals[1])
-
+    grid = value("n_cells", lambda text: Grid(int(text)))
+    t_final = value("t_final", _finite)
+    p_list = value("p_list", exponents)
+    record_every = value("record_every", int)
+    amplitude = value("amplitude", _finite)
+    g = value("g", nonlinearity)
+    a = value("a", damping)
+    initial = InitialData(value("z0", profile), value("z1", profile))
+    epsilons = value("epsilons", lambda text: _parse_floats(text, 3))
     with _scenario_key(name):  # Scenario's message names the field
-        scenario = Scenario(name=name, grid=grid, t_final=t_final,
-                            p_list=tuple(p_list), g=g, a=a,
-                            initial=InitialData.from_profiles(z0, z1),
-                            splitting=splitting, record_every=record_every)
+        scenario = Scenario(name=name, grid=grid, t_final=t_final, p_list=p_list,
+                            g=g, a=a, initial=initial,
+                            splitting=raw.get("splitting", DEFAULTS["splitting"]),
+                            record_every=record_every)
 
     if kind == "multiplier_report":
         # fail early on a bad localization geometry
         with _scenario_key(name, "epsilons"):
-            make_localization((a.omega[0], 1.0), epsilons, scenario.grid)
+            make_localization((a.omega[0], 1.0), epsilons, grid)
 
-    return ScenarioSpec(scenario=scenario, fit_window=fit_window, alphas=alphas,
-                        epsilons=epsilons, window=window,
-                        co_integrate_w=raw.get("co_integrate_w", "false").lower()
-                        in ("1", "true", "yes"),
+    return ScenarioSpec(scenario=scenario, fit_window=value("fit_window", fit_window),
+                        alphas=value("alphas", _parse_floats) or (),
+                        epsilons=epsilons, window=value("window", window),
+                        co_integrate_w=value("co_integrate_w", _parse_bool),
                         raw=dict(raw))
 
 

@@ -228,7 +228,7 @@ class DampingProfile:
     def validate(self, n_samples: int = 1001, require_active: bool = True) -> None:
         b, c = self.omega
         if require_active:
-            if self.a0 <= 0.0:
+            if not self.a0 > 0.0:
                 raise HypothesisViolation(f"a({self.label}): a0 = {self.a0} must be > 0")
             if c != 1.0:
                 raise HypothesisViolation(
@@ -280,38 +280,17 @@ def smooth_indicator_profile(b: float, c: float, a0: float,
                           label=f"smooth_indicator({b:g},{c:g},{a0:g},{ramp:g})")
 
 
+DAMPING_PROFILES: dict[str, Callable[..., DampingProfile]] = {
+    "zero": zero_profile,
+    "constant": constant_profile,
+    "indicator": indicator_profile,
+    "smooth_indicator": smooth_indicator_profile,
+}
+
+
 # ---------------------------------------------------------------------------
-# Nodal derivative and Riemann transforms
+# Physical fields of a Riemann state
 # ---------------------------------------------------------------------------
-
-def nodal_derivative(values: Array, grid: Grid) -> Array:
-    """Fourth-order derivative on the grid; one-sided stencils at the walls."""
-    f = np.asarray(values, dtype=float)
-    if f.shape != (grid.n_nodes,):
-        raise ValueError(f"expected {grid.n_nodes} nodal values, got {f.shape}")
-    dx = grid.dx
-    d = np.empty_like(f)
-    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dx)
-    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * dx)
-    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * dx)
-    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * dx)
-    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * dx)
-    return d
-
-
-def riemann_from_physical(z0: Array, z1: Array, grid: Grid) -> RiemannState:
-    """Build (rho, xi) = (z0' + z1, z0' - z1) from nodal physical data."""
-    z0 = np.asarray(z0, dtype=float)
-    z1 = np.asarray(z1, dtype=float)
-    if z0.shape != (grid.n_nodes,) or z1.shape != (grid.n_nodes,):
-        raise ValueError("z0, z1 must have one value per grid node")
-    for name, arr in (("z0", z0), ("z1", z1)):
-        if max(abs(arr[0]), abs(arr[-1])) > 1e-12:
-            raise ValueError(f"{name} must vanish at the walls "
-                             f"(got {arr[0]}, {arr[-1]})")
-    dz = nodal_derivative(z0, grid)
-    return RiemannState(rho=dz + z1, xi=dz - z1, t=0.0)
-
 
 @dataclass(frozen=True)
 class PhysicalFields:
@@ -448,12 +427,14 @@ def zero_function() -> Profile:
 
 
 def sine_profile(k: int = 1, amplitude: float = 1.0) -> Profile:
+    if k != int(k):
+        raise ValueError(f"sine mode k must be an integer, got {k:g}")
     w = np.pi * k
     return Profile(
         value=lambda x: amplitude * np.sin(w * x),
         deriv=lambda x: amplitude * w * np.cos(w * x),
         second=lambda x: -amplitude * w * w * np.sin(w * x),
-        label=f"sine({k})" if amplitude == 1.0 else f"{amplitude:g}*sine({k})",
+        label=f"sine({k:g})" if amplitude == 1.0 else f"{amplitude:g}*sine({k:g})",
     )
 
 

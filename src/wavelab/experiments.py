@@ -88,7 +88,6 @@ def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
     alphas = spec.alphas or (1.0, 4.0, 16.0)
     fit_window = spec.fit_window or (2.0, base.t_final * 0.9)
     entries = []
-    a_nodes = np.asarray(base.a.value(base.grid.nodes))
     for alpha in alphas:
         if alpha == 0.0:
             entries.append({"alpha": 0.0, "degenerate": True})
@@ -96,7 +95,7 @@ def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
         sc = replace(base, name=f"{base.name}_a{alpha:g}",
                      initial=base.initial.scaled(alpha))
         traj = run_simulation(sc, keep_states=False)
-        w0 = sc.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
+        w0 = sc.initial.derivative_system_data(sc.grid, sc.a_nodes, sc.g)
         entry: dict = {"alpha": alpha, "degenerate": False, "rates": {}}
         for p in sc.p_list:
             rep = build_energy_report(traj, p, fit_window)

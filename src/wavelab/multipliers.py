@@ -151,7 +151,6 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     dx = grid.dx
 
     times = records.times
-    a_nodes = np.asarray(traj.scenario.a.value(xs))
     rho = records.rho
     xi = records.xi
     diff = rho - xi
@@ -165,7 +164,7 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     y = records.z
     f_rho, f_xi = f(rho), f(xi)
     big_rho, big_xi = big_f(rho), big_f(xi)
-    atheta = a_nodes[None, :] * theta_w
+    atheta = traj.scenario.a_nodes[None, :] * theta_w
 
     def space_int(integrand: Array, mask: Array | None = None) -> Array:
         if mask is not None:

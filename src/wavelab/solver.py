@@ -8,6 +8,7 @@ The damping substep is backward Euler, which is unconditionally dissipative:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -16,8 +17,7 @@ import numpy as np
 
 from . import energy as _energy
 from .core import (
-    Array, DampingProfile, Grid, Nonlinearity, Profile, RiemannState,
-    nodal_derivative, nu_ratio, riemann_from_physical,
+    Array, DampingProfile, Grid, Nonlinearity, Profile, RiemannState, nu_ratio,
 )
 
 NEWTON_MAX_ITER = 50
@@ -44,60 +44,29 @@ class ThetaBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial (z0, z1), either analytic profiles or nodal arrays.
+    """Initial (z0, z1) as analytic profiles. Their exact derivatives make
+    the initial Riemann invariants exact samples."""
 
-    Analytic profiles carry exact derivatives, making the initial Riemann
-    invariants exact samples; array data goes through the fourth-order
-    nodal derivative.
-    """
-
-    z0: Profile | None = None
-    z1: Profile | None = None
-    z0_values: Array | None = None
-    z1_values: Array | None = None
-
-    @classmethod
-    def from_profiles(cls, z0: Profile, z1: Profile) -> "InitialData":
-        return cls(z0=z0, z1=z1)
-
-    @classmethod
-    def from_arrays(cls, z0_values: Array, z1_values: Array) -> "InitialData":
-        return cls(z0_values=np.asarray(z0_values, dtype=float),
-                   z1_values=np.asarray(z1_values, dtype=float))
-
-    @property
-    def analytic(self) -> bool:
-        return self.z0 is not None
+    z0: Profile
+    z1: Profile
 
     def scaled(self, amplitude: float) -> "InitialData":
-        if self.analytic:
-            return InitialData.from_profiles(self.z0.scaled(amplitude),
-                                             self.z1.scaled(amplitude))
-        return InitialData.from_arrays(amplitude * self.z0_values,
-                                       amplitude * self.z1_values)
+        return InitialData(self.z0.scaled(amplitude), self.z1.scaled(amplitude))
 
     def riemann(self, grid: Grid) -> RiemannState:
-        if self.analytic:
-            xs = grid.nodes
-            dz = np.asarray(self.z0.deriv(xs))
-            z1 = np.asarray(self.z1.value(xs))
-            return RiemannState(rho=dz + z1, xi=dz - z1, t=0.0)
-        return riemann_from_physical(self.z0_values, self.z1_values, grid)
+        xs = grid.nodes
+        dz = np.asarray(self.z0.deriv(xs))
+        z1 = np.asarray(self.z1.value(xs))
+        return RiemannState(rho=dz + z1, xi=dz - z1, t=0.0)
 
     def derivative_system_data(self, grid: Grid, a_nodes: Array,
                                g: Nonlinearity) -> RiemannState:
         """Initial invariants (u0, v0) of the w = z_t system:
         w(0) = z1, w_t(0) = z0'' - a g(z1) (the PDE evaluated at t = 0)."""
         xs = grid.nodes
-        if self.analytic:
-            w0_x = np.asarray(self.z1.deriv(xs))
-            z0_xx = np.asarray(self.z0.second(xs))
-            z1_vals = np.asarray(self.z1.value(xs))
-        else:
-            w0_x = nodal_derivative(self.z1_values, grid)
-            z0_xx = nodal_derivative(nodal_derivative(self.z0_values, grid), grid)
-            z1_vals = self.z1_values
-        w0_t = z0_xx - a_nodes * np.asarray(g.value(z1_vals))
+        w0_x = np.asarray(self.z1.deriv(xs))
+        z1_vals = np.asarray(self.z1.value(xs))
+        w0_t = np.asarray(self.z0.second(xs)) - a_nodes * np.asarray(g.value(z1_vals))
         return RiemannState(rho=w0_x + w0_t, xi=w0_x - w0_t, t=0.0)
 
 
@@ -120,8 +89,8 @@ class Scenario:
             raise ValueError(f"splitting must be 'strang' or 'lie', got {self.splitting}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < np.inf:
+            raise ValueError("t_final must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -135,6 +104,18 @@ class Scenario:
     def t_final_actual(self) -> float:
         # t_final rounded to a whole number of steps; reported with the run
         return self.n_steps * self.dt
+
+    @functools.cached_property
+    def a_nodes(self) -> Array:
+        """a(x) at the grid nodes, sampled once per scenario; read-only."""
+        a_nodes = np.asarray(self.a.value(self.grid.nodes))
+        a_nodes.setflags(write=False)
+        return a_nodes
+
+    @functools.cached_property
+    def support(self) -> slice:
+        """damped_support(a_nodes), the slice the damping substep solves on."""
+        return damped_support(self.a_nodes)
 
 
 @dataclass(frozen=True)
@@ -292,10 +273,11 @@ def _split_step(state: RiemannState, scenario: Scenario, support: slice,
 def step(state: RiemannState, scenario: Scenario,
          a_nodes: Array | None = None, *,
          support: slice | None = None) -> RiemannState:
-    """One full step of the nonlinear problem. `support` is
-    damped_support(a_nodes), which run drivers compute once per run."""
+    """One full step of the nonlinear problem. a_nodes defaults to
+    scenario.a_nodes and support to damped_support(a_nodes); run drivers pass
+    scenario.a_nodes and scenario.support."""
     if a_nodes is None:
-        a_nodes = np.asarray(scenario.a.value(scenario.grid.nodes))
+        a_nodes = scenario.a_nodes
     if support is None:
         support = damped_support(a_nodes)
     a_damped = a_nodes[support]
@@ -313,11 +295,12 @@ def step(state: RiemannState, scenario: Scenario,
 RECORD_BLOCK_VALUES = 2 ** 14
 
 
-def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario, a_nodes: Array,
+def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
                       th: Array | None = None) -> dict[str, Array]:
     """E_p, dE_p/dt and max |z_t| of stacked states, one row per record.
     The damping term is -a g(z_t), or -a th z_t with the auxiliary problem's th."""
     dx = scenario.grid.dx
+    a_nodes = scenario.a_nodes
     z_t = 0.5 * (rho - xi)
     ag = (-a_nodes * np.asarray(scenario.g.value(z_t)) if th is None
           else -a_nodes * th * z_t)
@@ -332,9 +315,9 @@ def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario, a_nodes: Array,
 def _check_monotone(block: tuple[dict[str, Array], ...],
                     first: list[dict[str, float]], last: list[dict[str, float]],
                     times: list[float]) -> None:
-    """Raise at the first record of `block` whose energy rose above the
-    record before it by more than MONOTONICITY_SLACK, relative to the initial
-    energy when that exceeds 1.
+    """Raise at the first record of `block` whose energy is not finite or
+    rose above the record before it by more than MONOTONICITY_SLACK, relative
+    to the initial energy when that exceeds 1.
 
     block holds one dict of per-record diagnostics per guarded trajectory;
     first and last hold their initial record and the record before the block.
@@ -349,14 +332,15 @@ def _check_monotone(block: tuple[dict[str, Array], ...],
                 continue
             slack = MONOTONICITY_SLACK * max(1.0, first[j][key])
             before = np.concatenate(([last[j][key]], energies[:-1]))
-            rises = np.flatnonzero(energies > before + slack)
+            rises = np.flatnonzero(~np.isfinite(energies) | (energies > before + slack))
             if rises.size:
                 i = int(rises[0])
                 hits.append((i, j, key, float(before[i]), float(energies[i]), slack))
     if hits:
         i, j, key, prev, now, slack = min(hits, key=lambda hit: hit[:2])
+        change = "increased" if np.isfinite(now) else "is not finite"
         raise EnergyMonotonicityError(
-            f"{key} increased at t = {times[i]}: {prev} -> {now} "
+            f"{key} {change} at t = {times[i]}: {prev} -> {now} "
             f"(slack {slack}, E(0) = {first[j][key]})")
 
 
@@ -426,16 +410,13 @@ def _row(diag: dict[str, Array], i: int) -> dict[str, float]:
 def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
     asserting E_p monotonicity (for every p simultaneously) at each record."""
-    grid = scenario.grid
-    a_nodes = np.asarray(scenario.a.value(grid.nodes))
-    support = damped_support(a_nodes)
-    state = scenario.initial.riemann(grid)
+    state = scenario.initial.riemann(scenario.grid)
 
     def advance(s: RiemannState, n: int) -> RiemannState:
-        return step(s, scenario, a_nodes, support=support)
+        return step(s, scenario, scenario.a_nodes, support=scenario.support)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, scenario, a_nodes),)
+        return (_base_diagnostics(rho, xi, scenario),)
 
     times, states, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
@@ -454,13 +435,12 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     if theta.grid is not None and theta.grid != grid:
         raise ValueError("recorded theta field is bound to the run's grid")
     xs = grid.nodes
-    a_nodes = np.asarray(scenario.a.value(xs))
-    support = damped_support(a_nodes)
-    a_damped = a_nodes[support]
+    support = scenario.support
+    a_damped = scenario.a_nodes[support]
     state = scenario.initial.riemann(grid)
 
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, scenario, a_nodes, th),)
+        return (_base_diagnostics(rho, xi, scenario, th),)
 
     def advance(s: RiemannState, n: int) -> RiemannState:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
@@ -503,8 +483,7 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     grid = scenario.grid
     dx = grid.dx
     g = scenario.g
-    a_nodes = np.asarray(scenario.a.value(grid.nodes))
-    support = damped_support(a_nodes)
+    a_nodes, support = scenario.a_nodes, scenario.support
     a_damped = a_nodes[support]
 
     def theta(bs: RiemannState) -> Array:
@@ -533,7 +512,7 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
             w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
             w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
         w_diag["max_zt"] = np.max(np.abs(zt), axis=-1)
-        return _base_diagnostics(rho, xi, scenario, a_nodes), w_diag
+        return _base_diagnostics(rho, xi, scenario), w_diag
 
     base = scenario.initial.riemann(grid)
     w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
@@ -569,10 +548,9 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     dt = sc.dt
     t0 = float(traj.times[0])
     n_steps = sc.n_steps
-    a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
     zt = np.stack([s.z_t for s in traj.states])
     nu_records = nu_ratio(zt, g)
-    zt_half = zt[:-1] - 0.5 * dt * a_nodes[None, :] * np.asarray(g.value(zt[:-1]))
+    zt_half = zt[:-1] - 0.5 * dt * sc.a_nodes[None, :] * np.asarray(g.value(zt[:-1]))
     nu_half = nu_ratio(zt_half, g)
     th1 = float(min(nu_records.min(), nu_half.min()))
     th2 = float(max(nu_records.max(), nu_half.max()))

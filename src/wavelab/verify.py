@@ -40,8 +40,7 @@ def _localized_damping():
 
 
 def _moderate_data():
-    return InitialData.from_profiles(
-        sine_profile(1, amplitude=MODERATE_AMPLITUDE), zero_function())
+    return InitialData(sine_profile(1, amplitude=MODERATE_AMPLITUDE), zero_function())
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def check_conservation() -> CheckResult:
     sc = Scenario(name="undamped", grid=Grid(256), t_final=4.0,
                   p_list=(1.0, 1.5, 2.0, 3.0), g=NONLINEARITIES["identity"](),
                   a=zero_profile(),
-                  initial=InitialData.from_profiles(sine_profile(1), zero_function()))
+                  initial=InitialData(sine_profile(1), zero_function()))
     traj = run_simulation(sc)
     worst = 0.0
     for p in sc.p_list:
@@ -90,7 +89,7 @@ def check_oracle_agreement() -> CheckResult:
     z1 = sine_profile(2, amplitude=0.5)
     sc = Scenario(name="oracle", grid=Grid(256), t_final=3.0, p_list=(2.0,),
                   g=NONLINEARITIES["identity"](), a=zero_profile(),
-                  initial=InitialData.from_profiles(z0, z1))
+                  initial=InitialData(z0, z1))
     traj = run_simulation(sc)
     xs = sc.grid.nodes
     err = 0.0
@@ -146,7 +145,7 @@ def _fitted_rate(a0: float, t_final: float, window: tuple[float, float]) -> floa
     sc = Scenario(name=f"modal_{a0:g}", grid=Grid(512), t_final=t_final,
                   p_list=(2.0,), g=NONLINEARITIES["identity"](),
                   a=constant_profile(a0),
-                  initial=InitialData.from_profiles(sine_profile(1), zero_function()))
+                  initial=InitialData(sine_profile(1), zero_function()))
     traj = run_simulation(sc, keep_states=False)
     return build_energy_report(traj, 2.0, window).fit.rate
 
@@ -245,8 +244,7 @@ def check_modified_energy() -> CheckResult:
     functional.validate()
     sc = Scenario(name="modified", grid=Grid(128), t_final=10.0, p_list=(p,),
                   g=NONLINEARITIES["arctan"](), a=_localized_damping(),
-                  initial=InitialData.from_profiles(
-                      sine_profile(1, amplitude=0.25), zero_function()))
+                  initial=InitialData(sine_profile(1, amplitude=0.25), zero_function()))
     e0 = energy_p(sc.initial.riemann(sc.grid), p, sc.grid)
     traj = run_simulation(sc)
     phi = np.array([phi_functional(s, functional, sc.grid) for s in traj.states])

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wavelab.core import HypothesisViolation
 from wavelab.cli import (
-    ConfigError, main, parse_damping, parse_nonlinearity, parse_profile,
-    parse_suite, serialize_suite, write_energy_csv,
+    KINDS, ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
+    parse_nonlinearity, parse_profile, parse_suite, serialize_suite,
+    write_energy_csv,
 )
 from wavelab.solver import run_derivative_system
 
@@ -42,7 +44,7 @@ class TestSpecParsing:
             parse_damping("mystery(1)")
 
     def test_profile_with_kwargs(self):
-        p = parse_profile("sine(2, amplitude=0.5)", "z0")
+        p = parse_profile("sine(2, amplitude=0.5)")
         x = np.array([0.25])
         assert np.asarray(p.value(x))[0] == pytest.approx(0.5)  # 0.5 sin(2 pi / 4)
 
@@ -148,6 +150,16 @@ class TestMainEndToEnd:
         ("splitting = foo", "splitting"),
         ("record_every = 0", "record_every"),
         ("g = nonmonotone", "g"),
+        ("p_list = nan", "p_list"),
+        ("p_list = inf", "p_list"),
+        ("p_list =", "p_list"),
+        ("amplitude = nan", "amplitude"),
+        ("alphas = nan", "alphas"),
+        ("fit_window = nan, 1", "fit_window"),
+        ("a = constant(nan)", "a"),
+        ("t_final = nan", "t_final"),
+        ("co_integrate_w = maybe", "co_integrate_w"),
+        ("a = smooth_indicator(0.7, 1, 2, 0)", "a"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
         lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]
@@ -165,7 +177,9 @@ class TestMainEndToEnd:
         suite_file.write_text(GOOD_SUITE.replace("smooth_indicator(0.7, 1, 2, 0.05)",
                                                  "constant(abc)"))
         assert main(["run", str(suite_file)]) == 2
-        assert capsys.readouterr().err.startswith("config error: key 'a'")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario 'demo': key 'a': ")
+        assert err.rstrip().endswith("'abc' in 'constant(abc)'")
 
     def test_bad_seed_value_is_not_a_traceback(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -205,6 +219,30 @@ class TestMainEndToEnd:
         payload = json.loads(capsys.readouterr().out)
         # standing wave cos(pi t) sin(pi x) at the center point
         assert payload["z"] == pytest.approx(np.cos(np.pi * 0.5), abs=1e-10)
+
+
+#: values that are not a number, not finite, empty, negative, garbage or a
+#: malformed or out-of-range profile call
+FUZZ_TOKENS = ["nan", "inf", "-inf", "", "-1", "0", "0.5", "1", "2", "16", "abc",
+               "constant(nan)", "constant(-1)", "constant(", "indicator(0.7, 1)",
+               "smooth_indicator(0.7, 1, 2, 0)", "sine(nan)", "sine(2, k=1)",
+               "bump(width=0)", "mystery(1)", "arctan", "true", "maybe"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       keys=st.dictionaries(st.sampled_from(sorted(_SCENARIO_KEYS)),
+                            st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1,
+                                     max_size=3).map(", ".join)))
+@example(kind="simulate", keys={"a": "smooth_indicator(0.7, 1, 2, 0)"})
+def test_parse_suite_raises_only_config_errors(kind, keys):
+    text = f"[suite]\nkind = {kind}\n\n[scenario fuzz]\n" + "".join(
+        f"{key} = {value}\n" for key, value in keys.items())
+    try:
+        suite = parse_suite(text)
+    except ConfigError:
+        return
+    assert isinstance(suite, ExperimentSuite)
 
 
 def _write_energy_csv_per_row(path, traj, w_traj=None):

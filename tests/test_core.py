@@ -6,10 +6,11 @@ from wavelab.core import (
     Grid, HypothesisViolation, NONLINEARITIES, arctan_damping, bump_profile,
     constant_profile, cubic_damping, identity_damping, indicator_profile,
     make_localization, modified_big_g, modified_fg, modified_fg_prime,
-    modified_g, nodal_derivative, nonmonotone_example, nu_ratio,
-    physical_from_riemann, riemann_from_physical, saturating_damping,
-    signed_power, sine_profile, smooth_indicator_profile, zero_function,
+    modified_g, nonmonotone_example, nu_ratio, physical_from_riemann,
+    saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
+    zero_function,
 )
+from wavelab.solver import InitialData
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -142,6 +143,10 @@ class TestDampingProfiles:
     def test_constant_is_active_everywhere(self):
         constant_profile(1.0).validate(require_active=True)
 
+    def test_nan_a0_fails_active_requirement(self):
+        with pytest.raises(HypothesisViolation, match="a0 = nan"):
+            indicator_profile(0.7, 1.0, float("nan")).validate(require_active=True)
+
 
 class TestProfiles:
     @pytest.mark.parametrize("profile", [sine_profile(2, amplitude=0.7),
@@ -169,30 +174,15 @@ class TestStateConversions:
     def test_round_trip(self):
         g = Grid(64)
         z0, z1 = sine_profile(2, amplitude=0.3), sine_profile(1, amplitude=0.1)
-        state = riemann_from_physical(np.asarray(z0.value(g.nodes)),
-                                      np.asarray(z1.value(g.nodes)), g)
+        state = InitialData(z0, z1).riemann(g)
         assert state.boundary_defect() <= 1e-10
         fields = physical_from_riemann(state, g)
-        # z_x comes from the fourth-order stencil, z from trapezoid quadrature
-        np.testing.assert_allclose(fields.z_x, np.asarray(z0.deriv(g.nodes)), atol=1e-4)
-        np.testing.assert_allclose(fields.z_t, np.asarray(z1.value(g.nodes)), atol=1e-14)
+        # z_x and z_t are exact samples of the profiles, z comes from
+        # trapezoid quadrature
+        np.testing.assert_allclose(fields.z_x, np.asarray(z0.deriv(g.nodes)), atol=1e-15)
+        np.testing.assert_allclose(fields.z_t, np.asarray(z1.value(g.nodes)), atol=1e-15)
         np.testing.assert_allclose(fields.z, np.asarray(z0.value(g.nodes)), atol=1e-3)
         assert fields.boundary_defect <= 1e-3
-
-    def test_incompatible_boundary_rejected(self):
-        g = Grid(16)
-        with pytest.raises(ValueError):
-            riemann_from_physical(np.ones(17), np.zeros(17), g)
-
-
-class TestNodalDerivative:
-    def test_fourth_order_interior(self):
-        errs = []
-        for n in (32, 64):
-            g = Grid(n)
-            d = nodal_derivative(np.sin(2 * np.pi * g.nodes), g)
-            errs.append(np.max(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * g.nodes))))
-        assert errs[0] / errs[1] > 8.0  # at least third order observed
 
 
 class TestLocalization:

@@ -168,7 +168,7 @@ class TestSobolevCheck:
     def test_on_derivative_run(self):
         sc = Scenario(name="s", grid=Grid(128), t_final=4.0, p_list=(2.0,),
                       g=arctan_damping(), a=constant_profile(1.0),
-                      initial=InitialData.from_profiles(
+                      initial=InitialData(
                           sine_profile(1, amplitude=0.5), zero_function()))
         _, w = run_derivative_system(sc, keep_states=False)
         check = sobolev_bound_check(w, 2.0)

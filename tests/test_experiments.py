@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import wavelab
 from wavelab import solver, verify
-from wavelab.cli import main
+from wavelab.cli import main, parse_suite
+from wavelab.experiments import EXPERIMENTS
 
 SCENARIO = {"n_cells": "32", "t_final": "4", "p_list": "1.5, 2", "g": "arctan",
             "a": "smooth_indicator(0.7, 1, 2, 0.05)", "amplitude": "0.5"}
@@ -95,6 +97,26 @@ def test_every_kind_runs_end_to_end(tmp_path, kind, files, check):
     csv = out / "energies_one.csv"
     header = csv.read_text().splitlines()[0] if csv.exists() else None
     check(summary, header)
+
+
+@pytest.mark.parametrize("kind, samplings", [
+    ("simulate", 1), ("aux_equivalence", 1), ("semi_global_sweep", 3),
+    ("multiplier_report", 1),
+])
+def test_each_scenario_samples_a_once(kind, samplings):
+    # Scenario.a_nodes samples a(x) once per scenario; the sweep runs one
+    # scaled scenario per alpha (1, 4, 16)
+    spec = parse_suite(_suite(kind, ("one", EXTRA[kind]))).scenarios[0]
+    a = spec.scenario.a
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return a.value(x)
+
+    counted = replace(spec.scenario, a=replace(a, value=value))
+    EXPERIMENTS[kind](replace(spec, scenario=counted))
+    assert len(calls) == samplings
 
 
 @pytest.mark.parametrize("kind", sorted(EXTRA))

@@ -166,8 +166,7 @@ def localized_run():
     sc = Scenario(name="mult", grid=Grid(128), t_final=6.0, p_list=(1.5, 2.0),
                   g=arctan_damping(),
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
-                  initial=InitialData.from_profiles(
-                      sine_profile(1, amplitude=0.5), zero_function()))
+                  initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()))
     traj = run_simulation(sc)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     return traj, triple
@@ -216,7 +215,7 @@ class TestMultiplierTerms:
         sc = Scenario(name="thin", grid=Grid(64), t_final=2.0, p_list=(2.0,),
                       g=arctan_damping(),
                       a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
-                      initial=InitialData.from_profiles(
+                      initial=InitialData(
                           sine_profile(1, amplitude=0.5), zero_function()))
         traj = run_simulation(sc, keep_states=False)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +29,7 @@ def _scenario(n=64, t_final=2.0, g=None, a=None, p_list=(2.0,), amp=0.5,
         name="t", grid=Grid(n), t_final=t_final, p_list=p_list,
         g=g or arctan_damping(),
         a=a or smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
-        initial=InitialData.from_profiles(sine_profile(1, amplitude=amp),
-                                          zero_function()),
+        initial=InitialData(sine_profile(1, amplitude=amp), zero_function()),
         splitting=splitting, record_every=record_every)
 
 
@@ -244,11 +244,38 @@ class TestRunSimulation:
         with pytest.raises(EnergyMonotonicityError):
             run_simulation(sc)
 
+    def test_non_finite_energy_trips_the_guard(self):
+        # a(x) = nan makes every E_p nan from the first step on; nan compares
+        # False with everything, so the guard must test finiteness itself
+        sc = _scenario(a=constant_profile(float("nan")), g=identity_damping())
+        with pytest.raises(EnergyMonotonicityError,
+                           match=rf"^E_p2 is not finite at t = {sc.dt}: "):
+            run_simulation(sc)
+
     def test_final_time_rounding(self):
         sc = _scenario(n=64, t_final=1.0)
         traj = run_simulation(sc, keep_states=False)
         assert traj.times[-1] == pytest.approx(sc.t_final_actual, abs=1e-12)
         assert sc.n_steps == 64
+
+
+class TestScenarioGridValues:
+    def test_a_nodes_and_support_are_sampled_once_read_only(self):
+        sc = _scenario()
+        assert sc.a_nodes is sc.a_nodes
+        np.testing.assert_array_equal(sc.a_nodes, sc.a.value(sc.grid.nodes))
+        assert sc.support is sc.support
+        assert sc.support == damped_support(sc.a_nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            sc.a_nodes[0] = 1.0
+
+    def test_replaced_scenario_samples_its_own_a(self):
+        sc = _scenario(n=32)
+        assert sc.support != slice(0, 33)  # cached for the localized a
+        other = constant_profile(3.0)
+        moved = replace(sc, a=other)
+        np.testing.assert_array_equal(moved.a_nodes, other.value(sc.grid.nodes))
+        assert moved.support == slice(0, 33)
 
 
 def _logged_theta(log):
@@ -407,8 +434,7 @@ class TestDerivativeSystem:
         sc = Scenario(
             name="t", grid=Grid(64), t_final=1.0, p_list=(2.0,),
             g=nonmonotone_example(), a=constant_profile(2.0),
-            initial=InitialData.from_profiles(zero_function(),
-                                              sine_profile(1, amplitude=0.8)))
+            initial=InitialData(zero_function(), sine_profile(1, amplitude=0.8)))
         with pytest.raises(EnergyMonotonicityError, match="E_pw2"):
             run_derivative_system(sc)
 
