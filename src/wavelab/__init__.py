@@ -6,8 +6,8 @@ from .core import (
     DampingProfile, Grid, HypothesisViolation, LocalizationTriple,
     Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
-    identity_damping, indicator_profile, make_localization, modified_fg,
-    nu_ratio, physical_from_riemann, saturating_damping, signed_power,
+    identity_damping, indicator_profile, make_localization, nu_ratio,
+    physical_from_riemann, saturating_damping, signed_power,
     sine_profile, smooth_indicator_profile, zero_function, zero_profile,
 )
 from .energy import (
@@ -15,8 +15,8 @@ from .energy import (
     energy_p, modified_energy_functional, observability_ratio, phi_dissipation,
     phi_functional, power_functional, sobolev_bound_check,
 )
-from .multipliers import MultiplierReport, elliptic_multiplier, elliptic_solve, multiplier_terms
-from .oracle import dalembert, dalembert_riemann, dalembert_zt, modal_rate
+from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms, record_window
+from .oracle import dalembert, dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,
     run_auxiliary, run_derivative_system, run_simulation, step,

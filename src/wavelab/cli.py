@@ -1,4 +1,4 @@
-"""The command line: suite parsing and serialization, report emission,
+"""The command line: suite parsing, report emission,
 orchestration of a suite's scenarios and the `wavelab` entry point.
 
 Config files are flat sectioned key=value text (configparser syntax): one
@@ -273,18 +273,6 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                         epsilons=epsilons, window=value("window", window),
                         co_integrate_w=value("co_integrate_w", _parse_bool),
                         raw=dict(raw))
-
-
-def serialize_suite(suite: ExperimentSuite) -> str:
-    """Inverse of parse_suite on the raw key=value pairs."""
-    lines = ["[suite]", f"kind = {suite.kind}",
-             f"output_dir = {suite.output_dir}", ""]
-    for spec in suite.scenarios:
-        lines.append(f"[scenario {spec.scenario.name}]")
-        for key, value in spec.raw.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,6 @@ def signed_power(s, r: float):
     return out if out.ndim else float(out)
 
 
-def modified_fg(y, p: float):
-    """The surrogate pair (g, G) replacing (|.|^(p-1), |.|^p/p) when 1 < p < 2.
-
-    g(y) = sgn(y)[(|y|+1)^(p-1) - 1],  G(y) = [(|y|+1)^p - 1]/p - |y|.
-    G is convex, G(0) = 0, G' = g.
-    """
-    return modified_g(y, p), modified_big_g(y, p)
-
-
 def _modified_arg(y, p: float) -> Array:
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
@@ -104,14 +95,16 @@ def _modified_arg(y, p: float) -> Array:
 
 
 def modified_g(y, p: float):
-    """The modified g of modified_fg alone."""
+    """The surrogate g(y) = sgn(y)[(|y|+1)^(p-1) - 1] replacing |.|^(p-1)
+    sgn when 1 < p < 2; g = G' for modified_big_g's G."""
     y = _modified_arg(y, p)
     out = np.sign(y) * ((np.abs(y) + 1.0) ** (p - 1.0) - 1.0)
     return out if out.ndim else float(out)
 
 
 def modified_big_g(y, p: float):
-    """The modified G of modified_fg alone."""
+    """The surrogate G(y) = [(|y|+1)^p - 1]/p - |y| replacing |.|^p/p when
+    1 < p < 2; G is convex, G(0) = 0, G' = modified_g."""
     ay = np.abs(_modified_arg(y, p))
     out = ((ay + 1.0) ** p - 1.0) / p - ay
     return out if out.ndim else float(out)
@@ -146,21 +139,21 @@ class Nonlinearity:
     label: str
     linear_slope: float | None = None
 
-    def validate(self, lattice: Array = H2_LATTICE) -> None:
+    def validate(self) -> None:
         g0 = float(np.asarray(self.value(np.array(0.0))))
         if abs(g0) > 1e-14:
             raise HypothesisViolation(f"g({self.label}): g(0) = {g0} != 0")
         gp0 = float(np.asarray(self.derivative(np.array(0.0))))
         if gp0 <= 0.0:
             raise HypothesisViolation(f"g({self.label}): g'(0) = {gp0} <= 0")
-        gp = np.asarray(self.derivative(lattice))
+        gp = np.asarray(self.derivative(H2_LATTICE))
         if np.any(gp < 0.0):
-            bad = lattice[np.argmin(gp)]
+            bad = H2_LATTICE[np.argmin(gp)]
             raise HypothesisViolation(
                 f"g({self.label}) is not non-decreasing: g'({bad}) = {gp.min()}")
-        gv = np.asarray(self.value(lattice))
-        if np.any(gv * lattice < 0.0):
-            bad = lattice[np.argmin(gv * lattice)]
+        gv = np.asarray(self.value(H2_LATTICE))
+        if np.any(gv * H2_LATTICE < 0.0):
+            bad = H2_LATTICE[np.argmin(gv * H2_LATTICE)]
             raise HypothesisViolation(
                 f"g({self.label}): g(x)x < 0 at x = {bad}")
 
@@ -225,7 +218,7 @@ class DampingProfile:
     a0: float
     label: str = "a"
 
-    def validate(self, n_samples: int = 1001, require_active: bool = True) -> None:
+    def validate(self, require_active: bool = True) -> None:
         b, c = self.omega
         if require_active:
             if not self.a0 > 0.0:
@@ -233,7 +226,7 @@ class DampingProfile:
             if c != 1.0:
                 raise HypothesisViolation(
                     f"a({self.label}): omega must touch x = 1 (got c = {c})")
-        xs = np.linspace(0.0, 1.0, n_samples)
+        xs = np.linspace(0.0, 1.0, 1001)
         av = np.asarray(self.value(xs))
         if np.any(av < 0.0):
             raise HypothesisViolation(
@@ -332,16 +325,14 @@ def _ramp(x: Array, x0: float, x1: float, y0: float, y1: float) -> Array:
 
 @dataclass(frozen=True)
 class LocalizationTriple:
-    """The nested cutoffs (psi, phi, beta) of the multiplier machinery.
+    """The nested cutoffs (psi, phi, beta) of the multiplier machinery,
+    sampled at the grid nodes.
 
     Q0 = (q0, 1] subset Q1 = (q1, 1] subset Q2 = (q2, 1] subset omega = (b, 1).
     psi falls 1 -> 0 across [q1, q0]; phi rises 0 -> 1 across [q2, q1];
     beta rises 0 -> 1 across [b, q2]. xpsi_x is d/dx (x * psi), analytic.
     """
 
-    psi: Callable[[Array], Array]
-    phi: Callable[[Array], Array]
-    beta: Callable[[Array], Array]
     xpsi_x: Callable[[Array], Array]
     q0: tuple[float, float]
     q1: tuple[float, float]
@@ -390,7 +381,7 @@ def make_localization(omega: tuple[float, float],
 
     xs = grid.nodes
     return LocalizationTriple(
-        psi=psi, phi=phi, beta=beta, xpsi_x=xpsi_x,
+        xpsi_x=xpsi_x,
         q0=(q0, 1.0), q1=(q1, 1.0), q2=(q2, 1.0),
         epsilons=(e0, e1, e2), omega=omega,
         psi_nodes=psi(xs), phi_nodes=phi(xs), beta_nodes=beta(xs),
@@ -441,6 +432,8 @@ def sine_profile(k: int = 1, amplitude: float = 1.0) -> Profile:
 def bump_profile(center: float = 0.5, width: float = 0.1,
                  amplitude: float = 1.0) -> Profile:
     """sin(pi x) * Gaussian envelope; vanishes exactly at both walls."""
+    if not width > 0.0:
+        raise ValueError(f"bump width must be > 0, got {width:g}")
     def parts(x):
         x = np.asarray(x, dtype=float)
         s = np.sin(np.pi * x)

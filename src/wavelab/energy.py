@@ -87,8 +87,8 @@ class ConvexFunctional:
     F_prime: Callable[[Array], Array]
     label: str
 
-    def validate(self, lattice: Array | None = None) -> None:
-        y = np.linspace(-5.0, 5.0, 501) if lattice is None else lattice
+    def validate(self) -> None:
+        y = np.linspace(-5.0, 5.0, 501)
         f0 = float(np.asarray(self.F(np.array(0.0))))
         if abs(f0) > 1e-14:
             raise ValueError(f"F({self.label}): F(0) = {f0} != 0")
@@ -184,20 +184,18 @@ class DecayFit:
     window: tuple[float, float]
 
 
-DEFAULT_FIT_FLOOR_FACTOR = 1e-13
+FIT_FLOOR_FACTOR = 1e-13
 
 
-def decay_fit(times: Array, energies: Array, window: tuple[float, float],
-              floor: float | None = None) -> DecayFit:
+def decay_fit(times: Array, energies: Array, window: tuple[float, float]) -> DecayFit:
     """Least squares on (t, log E) inside the window; rate = -slope.
 
-    Points at or below the floor (default 1e-13 * E[0], to avoid fitting
-    numerical noise after full decay) are discarded first.
+    Points at or below the floor FIT_FLOOR_FACTOR * E[0] (numerical noise
+    after full decay) are discarded first.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    if floor is None:
-        floor = DEFAULT_FIT_FLOOR_FACTOR * energies[0]
+    floor = FIT_FLOOR_FACTOR * energies[0]
     mask = (times >= window[0]) & (times <= window[1]) & (energies > floor)
     if int(mask.sum()) < 10:
         raise ValueError(
@@ -223,20 +221,19 @@ class EnergyReport:
     fit: DecayFit | None
 
 
-def build_energy_report(traj, p: float, fit_window: tuple[float, float] | None,
-                        floor: float | None = None) -> EnergyReport:
+def build_energy_report(traj, p: float,
+                        fit_window: tuple[float, float] | None) -> EnergyReport:
     times = traj.times
     energies = traj.diagnostics[f"E_p{p:g}"]
     dissipation = traj.diagnostics[f"dEdt_p{p:g}"]
     fit = None
     if fit_window is not None:
-        fit = decay_fit(times, energies, fit_window, floor=floor)
+        fit = decay_fit(times, energies, fit_window)
     return EnergyReport(p=p, times=times, energies=energies,
                         dissipation=dissipation, fit=fit)
 
 
-def observability_ratio(traj, p: float, s: float, t: float,
-                        floor: float = 0.0) -> float:
+def observability_ratio(traj, p: float, s: float, t: float) -> float:
     """int_s^t E_p dt / E_p(s), the empirical constant of the observability
     estimate; bounded by (t - s) since the energy is non-increasing."""
     times = traj.times
@@ -246,7 +243,7 @@ def observability_ratio(traj, p: float, s: float, t: float,
     i_s = int(np.argmin(np.abs(times - s)))
     i_t = int(np.argmin(np.abs(times - t)))
     e_s = energies[i_s]
-    if e_s <= floor:
-        raise ValueError(f"E_p({s}) = {e_s} at or below floor {floor}")
+    if e_s <= 0.0:
+        raise ValueError(f"E_p({s}) = {e_s} is not positive")
     integral = float(np.trapezoid(energies[i_s:i_t + 1], times[i_s:i_t + 1]))
     return integral / e_s

@@ -20,7 +20,7 @@ from .solver import (
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A validated scenario plus experiment-level extras and the raw
-    key=value pairs it was parsed from (for round-trip serialization)."""
+    key=value pairs it was parsed from (which --jobs workers re-parse)."""
 
     scenario: Scenario
     fit_window: tuple[float, float] | None = None
@@ -116,7 +116,7 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     records = _mult.record_window(traj, window)  # shared by every p
     tables = {}
     for p in sc.p_list:
-        rep = _mult.multiplier_terms(traj, triple, p, window, records=records)
+        rep = _mult.multiplier_terms(records, triple, p)
         tables[f"{p:g}"] = {
             "regime": rep.regime, "terms": rep.terms,
             "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,

@@ -20,9 +20,10 @@ from .core import (
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
 from .energy import trapezoid
-from .solver import Trajectory
+from .solver import Scenario, Trajectory
 
-DEFAULT_ETAS = (0.25, 0.5, 1.0, 2.0)
+#: the Young parameters eta of the second-set table
+ETAS = (0.25, 0.5, 1.0, 2.0)
 
 
 def _regime_functions(p: float):
@@ -55,13 +56,6 @@ def elliptic_solve(h: Array, grid: Grid) -> Array:
     a = xs * cum_h - cum_sh                        # int_0^x (x - s) h(s) ds
     total = cum_h[..., -1:] - cum_sh[..., -1:]     # int_0^1 (1 - s) h(s) ds
     return a - xs * total
-
-
-def elliptic_multiplier(y: Array, beta: Array, p: float, grid: Grid) -> Array:
-    """The multiplier v solving v'' = beta * f(y) with Dirichlet walls,
-    f chosen by the p-regime."""
-    f, _, _ = _regime_functions(p)
-    return elliptic_solve(np.asarray(beta) * np.asarray(f(y)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +93,7 @@ class RecordWindow:
     """The p-independent stacks of a trajectory's records inside a window,
     one row per record, shared by the multiplier terms of every p."""
 
+    scenario: Scenario
     window: tuple[float, float]
     times: Array
     rho: Array
@@ -109,10 +104,15 @@ class RecordWindow:
 
 def record_window(traj: Trajectory, window: tuple[float, float],
                   theta: Array | None = None) -> RecordWindow:
-    """Stack the records of `traj` inside `window`; theta as in
-    multiplier_terms."""
+    """Stack the records of `traj` inside `window`.
+
+    theta: per-record (n_records, n_nodes) damping intensity. Defaults to
+    nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
+    source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
+    (record_every = 1) is recommended for meaningful time integrals.
+    """
     if len(traj.states) != len(traj.times):
-        raise ValueError("multiplier_terms needs a trajectory with kept states")
+        raise ValueError("record_window needs a trajectory with kept states")
     idx = _window_indices(traj, window)
     states = [traj.states[i] for i in idx]
     rho = np.stack([s.rho for s in states])
@@ -122,31 +122,17 @@ def record_window(traj: Trajectory, window: tuple[float, float],
     else:
         theta_w = np.asarray(theta)[idx]
     z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
-    return RecordWindow(window=window, times=traj.times[idx], rho=rho, xi=xi,
-                        z=z, theta=theta_w)
+    return RecordWindow(scenario=traj.scenario, window=window,
+                        times=traj.times[idx], rho=rho, xi=xi, z=z, theta=theta_w)
 
 
-def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
-                     window: tuple[float, float],
-                     theta: Array | None = None,
-                     etas: tuple[float, ...] = DEFAULT_ETAS, *,
-                     records: RecordWindow | None = None) -> MultiplierReport:
-    """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window.
-
-    theta: per-record (n_records, n_nodes) damping intensity. Defaults to
-    nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
-    source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
-    (record_every = 1) is recommended for meaningful time integrals.
-    records: record_window(traj, window, theta), for a caller that evaluates
-    several p on one window; built here when not given.
-    """
+def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
+                     p: float) -> MultiplierReport:
+    """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window
+    (record_window), which one window may share across every p."""
     f, fprime, big_f = _regime_functions(p)
     regime = "p_geq_2" if p >= 2.0 else "p_in_1_2"
-    if records is None:
-        records = record_window(traj, window, theta)
-    elif records.window != window:
-        raise ValueError(f"records cover {records.window}, not {window}")
-    grid = traj.scenario.grid
+    grid = records.scenario.grid
     xs = grid.nodes
     dx = grid.dx
 
@@ -164,7 +150,7 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     y = records.z
     f_rho, f_xi = f(rho), f(xi)
     big_rho, big_xi = big_f(rho), big_f(xi)
-    atheta = traj.scenario.a_nodes[None, :] * theta_w
+    atheta = records.scenario.a_nodes[None, :] * theta_w
 
     def space_int(integrand: Array, mask: Array | None = None) -> Array:
         if mask is not None:
@@ -215,14 +201,13 @@ def multiplier_terms(traj: Trajectory, triple: LocalizationTriple, p: float,
     }
     q = p / (p - 1.0)
     eta_table: dict[float, dict[str, float]] = {}
-    for eta in etas:
+    for eta in ETAS:
         eta_table[eta] = {
             "second_set": s4 / max(
                 t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
         }
-    chain["second_set_eta1"] = eta_table.get(1.0, {}).get(
-        "second_set", s4 / max(t5 + int_energy + energy_at_s, 1e-300))
+    chain["second_set_eta1"] = eta_table[1.0]["second_set"]
 
-    return MultiplierReport(p=p, regime=regime, window=window, terms=terms,
+    return MultiplierReport(p=p, regime=regime, window=records.window, terms=terms,
                             int_energy=int_energy, energy_at_s=energy_at_s,
                             chain_constants=chain, eta_table=eta_table)

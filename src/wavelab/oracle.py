@@ -82,12 +82,6 @@ def dalembert_riemann(z0_prime: Callable, z1: Callable, t: float, x):
     return rho, xi
 
 
-def dalembert_zt(z0_prime: Callable, z1: Callable, t: float, x):
-    """z_t(t, x) = (rho - xi)/2 from the exact characteristic extension."""
-    rho, xi = dalembert_riemann(z0_prime, z1, t, x)
-    return 0.5 * (rho - xi)
-
-
 def modal_rate(a0: float, k: int) -> tuple[complex, complex, float]:
     """Roots of lambda^2 + a0 lambda + (k pi)^2 = 0 and the E_2 decay rate
     of mode k of the globally damped string, energy_rate = -2 max Re lambda."""

@@ -91,6 +91,13 @@ class Scenario:
             raise ValueError("record_every must be >= 1")
         if not 0.0 < self.t_final < np.inf:
             raise ValueError("t_final must be positive and finite")
+        seen: dict[str, float] = {}  # diagnostics key -> exponent
+        for p in self.p_list:
+            key = f"E_p{p:g}"
+            if key in seen:
+                raise ValueError(f"p_list must be exponents with distinct diagnostics "
+                                 f"keys: p = {seen[key]!r} and p = {p!r} share '{key}'")
+            seen[key] = p
 
     @property
     def dt(self) -> float:
@@ -148,7 +155,6 @@ class Trajectory:
     states: list[RiemannState]
     diagnostics: dict[str, Array]
     scenario: Scenario
-    kind: str = "simulate"
 
     def energy_series(self, p: float) -> Array:
         return self.diagnostics[f"E_p{p:g}"]
@@ -379,7 +385,7 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
 
     for n in range(scenario.n_steps):
         try:
-            state = advance(state, n)
+            state = advance(state)
             rows = capture(state) if _is_record(scenario, n) else None
         except Exception:
             # the records taken before the failure are guarded first, so an
@@ -412,7 +418,7 @@ def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     asserting E_p monotonicity (for every p simultaneously) at each record."""
     state = scenario.initial.riemann(scenario.grid)
 
-    def advance(s: RiemannState, n: int) -> RiemannState:
+    def advance(s: RiemannState) -> RiemannState:
         return step(s, scenario, scenario.a_nodes, support=scenario.support)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
@@ -421,7 +427,7 @@ def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     times, states, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
     return Trajectory(times=times, states=states, diagnostics=diag,
-                      scenario=scenario, kind="simulate")
+                      scenario=scenario)
 
 
 def run_auxiliary(scenario: Scenario, theta: ThetaField,
@@ -442,7 +448,7 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
         return (_base_diagnostics(rho, xi, scenario, th),)
 
-    def advance(s: RiemannState, n: int) -> RiemannState:
+    def advance(s: RiemannState) -> RiemannState:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
         return _split_step(s, scenario, support, lambda h: (
             h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
@@ -452,7 +458,7 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
         scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
         diagnose, keep_states)
     return Trajectory(times=times, states=states, diagnostics=diag,
-                      scenario=scenario, kind="auxiliary")
+                      scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -491,7 +497,7 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
         zt = 0.5 * (bs.rho[support] - bs.xi[support])
         return a_damped * np.asarray(g.derivative(zt))
 
-    def advance(s: _PairedState, n: int) -> _PairedState:
+    def advance(s: _PairedState) -> _PairedState:
         base = step(s.base, scenario, a_nodes, support=support)
         theta_np1 = theta(base)
         w = _split_step(s.w, scenario, support,
@@ -520,9 +526,9 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
         scenario, _PairedState(base, w_state, theta(base)), advance, capture,
         diagnose, keep_states)
     return (Trajectory(times=times, states=[s.base for s in states],
-                       diagnostics=base_diag, scenario=scenario, kind="simulate"),
+                       diagnostics=base_diag, scenario=scenario),
             Trajectory(times=times, states=[s.w for s in states],
-                       diagnostics=w_diag, scenario=scenario, kind="derivative"))
+                       diagnostics=w_diag, scenario=scenario))
 
 
 def theta_from_run(traj: Trajectory) -> ThetaField:

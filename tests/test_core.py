@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wavelab.core import (
     Grid, HypothesisViolation, NONLINEARITIES, arctan_damping, bump_profile,
     constant_profile, cubic_damping, identity_damping, indicator_profile,
-    make_localization, modified_big_g, modified_fg, modified_fg_prime,
+    make_localization, modified_big_g, modified_fg_prime,
     modified_g, nonmonotone_example, nu_ratio, physical_from_riemann,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
     zero_function,
@@ -48,12 +48,12 @@ class TestSignedPower:
 
 class TestModifiedPair:
     def test_frozen_value_at_one(self):
-        g1, G1 = modified_fg(np.array(1.0), 1.5)
+        g1, G1 = modified_g(np.array(1.0), 1.5), modified_big_g(np.array(1.0), 1.5)
         assert float(g1) == pytest.approx(0.41421356237309515, rel=1e-14)
         assert float(G1) == pytest.approx(0.2189514164974602, rel=1e-13)
 
     def test_vanishes_at_zero(self):
-        g0, G0 = modified_fg(np.array(0.0), 1.5)
+        g0, G0 = modified_g(np.array(0.0), 1.5), modified_big_g(np.array(0.0), 1.5)
         assert float(g0) == 0.0 and float(G0) == 0.0
 
     @given(y=finite_floats)
@@ -62,9 +62,9 @@ class TestModifiedPair:
         # G' = g, checked by central differences
         p = 1.5
         h = 1e-6
-        gp, _ = modified_fg(np.array(y), p)
-        _, Gp = modified_fg(np.array(y + h), p)
-        _, Gm = modified_fg(np.array(y - h), p)
+        gp = modified_g(np.array(y), p)
+        Gp = modified_big_g(np.array(y + h), p)
+        Gm = modified_big_g(np.array(y - h), p)
         assert (float(Gp) - float(Gm)) / (2 * h) == pytest.approx(
             float(gp), abs=1e-6, rel=1e-6)
 
@@ -78,10 +78,8 @@ class TestModifiedPair:
         ay = np.abs(y)
         g_ref = np.sign(y) * ((ay + 1.0) ** (p - 1.0) - 1.0)
         big_g_ref = ((ay + 1.0) ** p - 1.0) / p - ay
-        g, big_g = modified_fg(y, p)
-        assert modified_g(y, p).tobytes() == g.tobytes() == g_ref.tobytes()
-        assert (modified_big_g(y, p).tobytes() == big_g.tobytes()
-                == big_g_ref.tobytes())
+        assert modified_g(y, p).tobytes() == g_ref.tobytes()
+        assert modified_big_g(y, p).tobytes() == big_g_ref.tobytes()
         assert type(modified_g(0.5, p)) is float
         assert type(modified_big_g(0.5, p)) is float
         with pytest.raises(ValueError):
@@ -149,6 +147,11 @@ class TestDampingProfiles:
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("width", [0.0, -0.1])
+    def test_bump_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="width must be > 0"):
+            bump_profile(width=width)
+
     @pytest.mark.parametrize("profile", [sine_profile(2, amplitude=0.7),
                                          bump_profile()])
     def test_derivatives_match_finite_differences(self, profile):

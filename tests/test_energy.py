@@ -163,6 +163,12 @@ class TestObservability:
         with pytest.raises(ValueError):
             observability_ratio(self._synthetic(), 2.0, 15.0, 5.0)
 
+    def test_vanished_energy_at_s_rejected(self):
+        traj = self._synthetic()
+        traj.diagnostics = {"E_p2": np.where(traj.times < 5.0, 1.0, 0.0)}
+        with pytest.raises(ValueError, match="not positive"):
+            observability_ratio(traj, 2.0, 5.0, 15.0)
+
 
 class TestSobolevCheck:
     def test_on_derivative_run(self):

@@ -7,8 +7,8 @@ from wavelab.core import (
 )
 from wavelab.energy import trapezoid
 from wavelab.multipliers import (
-    _regime_functions, _window_indices, elliptic_multiplier, elliptic_solve,
-    multiplier_terms, record_window,
+    ETAS, _regime_functions, _window_indices, elliptic_solve, multiplier_terms,
+    record_window,
 )
 from wavelab.solver import InitialData, Scenario, run_simulation
 
@@ -133,10 +133,10 @@ class TestEllipticSolve:
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
 
     def test_multiplier_wrapper_signs(self):
-        # nonnegative forcing f(y) >= 0 with beta >= 0 gives v <= 0
+        # nonnegative forcing f(y) >= 0 (beta = 1) gives v <= 0
         g = Grid(64)
         y = np.sin(np.pi * g.nodes)
-        v = elliptic_multiplier(y, np.ones(g.n_nodes), 2.0, g)
+        v = elliptic_solve(_regime_functions(2.0)[0](y), g)
         assert np.all(v <= 1e-15)
 
     def test_one_row_matches_reference(self):
@@ -156,9 +156,8 @@ class TestEllipticSolve:
                 np.testing.assert_array_equal(v[i, k], _elliptic_solve_1d(h[i, k], g))
 
     def test_regime_validation(self):
-        g = Grid(16)
         with pytest.raises(ValueError):
-            elliptic_multiplier(np.zeros(17), np.zeros(17), 1.0, g)
+            _regime_functions(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +174,7 @@ def localized_run():
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
         traj, triple = localized_run
-        rep = multiplier_terms(traj, triple, 2.0, (0.0, 6.0))
+        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
         assert set(rep.terms) == {"S1", "S2", "S3", "S4",
                                   "T1", "T2", "T3", "T4", "T5",
                                   "V1", "V2", "V3"}
@@ -184,34 +183,36 @@ class TestMultiplierTerms:
 
     def test_regime_labels(self, localized_run):
         traj, triple = localized_run
-        assert multiplier_terms(traj, triple, 2.0, (0.0, 6.0)).regime == "p_geq_2"
-        assert multiplier_terms(traj, triple, 1.5, (0.0, 6.0)).regime == "p_in_1_2"
+        records = record_window(traj, (0.0, 6.0))
+        assert multiplier_terms(records, triple, 2.0).regime == "p_geq_2"
+        assert multiplier_terms(records, triple, 1.5).regime == "p_in_1_2"
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
         traj, triple = localized_run
-        rep = multiplier_terms(traj, triple, 2.0, (0.0, 6.0))
+        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
         assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
         traj, triple = localized_run
-        rep = multiplier_terms(traj, triple, 2.0, (0.0, 6.0))
+        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
         assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
         traj, triple = localized_run
-        rep = multiplier_terms(traj, triple, 2.0, (0.0, 6.0))
+        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
+        assert tuple(rep.eta_table) == ETAS
         for eta, row in rep.eta_table.items():
             assert row["second_set"] >= 0.0
+        assert rep.chain_constants["second_set_eta1"] == rep.eta_table[1.0]["second_set"]
 
     def test_window_outside_run_rejected(self, localized_run):
         traj, triple = localized_run
         with pytest.raises(ValueError):
-            multiplier_terms(traj, triple, 2.0, (0.0, 60.0))
+            record_window(traj, (0.0, 60.0))
 
-    def test_needs_kept_states(self, localized_run):
-        _, triple = localized_run
+    def test_needs_kept_states(self):
         sc = Scenario(name="thin", grid=Grid(64), t_final=2.0, p_list=(2.0,),
                       g=arctan_damping(),
                       a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
@@ -219,7 +220,7 @@ class TestMultiplierTerms:
                           sine_profile(1, amplitude=0.5), zero_function()))
         traj = run_simulation(sc, keep_states=False)
         with pytest.raises(ValueError):
-            multiplier_terms(traj, triple, 2.0, (0.0, 2.0))
+            record_window(traj, (0.0, 2.0))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("explicit_theta", [False, True])
@@ -230,7 +231,7 @@ class TestMultiplierTerms:
             rng = np.random.default_rng(3)
             theta = rng.uniform(0.5, 1.5, (len(traj.times), traj.scenario.grid.n_nodes))
         window = (0.5, 5.0)
-        rep = multiplier_terms(traj, triple, p, window, theta=theta)
+        rep = multiplier_terms(record_window(traj, window, theta), triple, p)
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
             traj, triple, p, window, theta=theta)
         assert rep.terms == terms
@@ -238,13 +239,3 @@ class TestMultiplierTerms:
         assert rep.energy_at_s == energy_at_s
         for key, value in chain.items():
             assert rep.chain_constants[key] == value
-
-    def test_shared_record_window_gives_the_same_reports(self, localized_run):
-        traj, triple = localized_run
-        window = (0.5, 5.0)
-        records = record_window(traj, window)
-        for p in (1.5, 2.0, 4.0):
-            assert (multiplier_terms(traj, triple, p, window, records=records)
-                    == multiplier_terms(traj, triple, p, window))
-        with pytest.raises(ValueError, match="records cover"):
-            multiplier_terms(traj, triple, 2.0, (0.5, 4.0), records=records)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavelab.core import (
-    Grid, RiemannState, arctan_damping, constant_profile, cubic_damping,
-    identity_damping, indicator_profile, nonmonotone_example,
+    Grid, RiemannState, arctan_damping, bump_profile, constant_profile,
+    cubic_damping, identity_damping, indicator_profile, nonmonotone_example,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
     zero_function, zero_profile, Nonlinearity,
 )
@@ -219,7 +219,68 @@ class TestSubstepDissipativity:
         np.testing.assert_array_equal(out.z_x, state.z_x)
 
 
+_MONOTONE_G = (identity_damping, arctan_damping, cubic_damping, saturating_damping)
+
+
+@st.composite
+def _admissible_scenarios(draw):
+    """A run inside H1 and H2: a shipped monotone g or a positive sum of
+    them, a localized or global a, sine or bump data of random amplitude."""
+    terms = draw(st.lists(st.tuples(st.floats(0.1, 3.0), st.sampled_from(_MONOTONE_G)),
+                          min_size=1, max_size=3))
+    if len(terms) == 1:
+        g = terms[0][1]()
+    else:
+        gs = [(w, make()) for w, make in terms]
+        g = Nonlinearity(lambda s: sum(w * np.asarray(f.value(s)) for w, f in gs),
+                         lambda s: sum(w * np.asarray(f.derivative(s)) for w, f in gs),
+                         "+".join(f"{w:g}*{f.label}" for w, f in gs))
+    g.validate()
+    a0 = draw(st.floats(0.1, 5.0))
+    kind = draw(st.sampled_from(["constant", "indicator", "smooth_indicator"]))
+    b = draw(st.floats(0.0, 0.9))
+    if kind == "constant":
+        a = constant_profile(a0)
+    elif kind == "indicator":
+        a = indicator_profile(b, 1.0, a0)
+    else:
+        a = smooth_indicator_profile(b, 1.0, a0, draw(st.floats(0.01, 0.5 * (1.0 - b))))
+    a.validate()
+    amplitude = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        profile = sine_profile(draw(st.integers(1, 3)), amplitude=amplitude)
+    else:
+        profile = bump_profile(draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 0.3)),
+                               amplitude)
+    initial = (InitialData(profile, zero_function()) if draw(st.booleans())
+               else InitialData(zero_function(), profile))
+    return Scenario(name="property", grid=Grid(draw(st.integers(8, 64))),
+                    t_final=draw(st.floats(0.05, 1.0)), p_list=(1.0, 1.5, 2.0, 4.0),
+                    g=g, a=a, initial=initial,
+                    splitting=draw(st.sampled_from(["strang", "lie"])))
+
+
 class TestRunSimulation:
+    @given(sc=_admissible_scenarios())
+    @settings(max_examples=25, deadline=None)
+    def test_admissible_runs_pass_the_guard(self, sc):
+        # the damping solve never grows |z_t| at a node, the guard passes for
+        # every p (run_simulation raises otherwise) and every completed step
+        # leaves rho = xi at both walls exactly
+        update = solver._implicit_damping_update
+
+        def checked(u_old, c, g):
+            u_new = update(u_old, c, g)
+            assert np.all(np.abs(u_new) <= np.abs(u_old))
+            return u_new
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_implicit_damping_update", checked)
+            traj = run_simulation(sc)
+        assert len(traj.states) == sc.n_steps + 1
+        for state in traj.states[1:]:
+            assert state.boundary_defect() == 0.0
+
     def test_energies_monotone_both_splittings(self):
         for splitting in ("strang", "lie"):
             traj = run_simulation(_scenario(splitting=splitting,
@@ -268,6 +329,11 @@ class TestScenarioGridValues:
         assert sc.support == damped_support(sc.a_nodes)
         with pytest.raises(ValueError, match="read-only"):
             sc.a_nodes[0] = 1.0
+
+    @pytest.mark.parametrize("p_list", [(2.0, 2.0000001), (1.5, 2.0, 2.0)])
+    def test_exponents_sharing_a_diagnostics_key_rejected(self, p_list):
+        with pytest.raises(ValueError, match="share 'E_p2'"):
+            _scenario(p_list=p_list)
 
     def test_replaced_scenario_samples_its_own_a(self):
         sc = _scenario(n=32)
@@ -717,7 +783,6 @@ class TestRecordBlocks:
         _assert_states(w.states, w_states)
         _assert_records(base.diagnostics, base_records)
         _assert_records(w.diagnostics, w_records)
-        assert (base.kind, w.kind) == ("simulate", "derivative")
 
     @pytest.mark.parametrize("where", ["mid_block", "first_of_block",
                                        "final_partial_block"])
