@@ -7,13 +7,13 @@ from .core import (
     Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
     identity_damping, indicator_profile, make_localization, nu_ratio,
-    physical_from_riemann, saturating_damping, signed_power,
+    saturating_damping, signed_power,
     sine_profile, smooth_indicator_profile, zero_function, zero_profile,
 )
 from .energy import (
     ConvexFunctional, DecayFit, EnergyReport, decay_fit, dissipation_rate,
-    energy_p, modified_energy_functional, observability_ratio, phi_dissipation,
-    phi_functional, power_functional, sobolev_bound_check,
+    energy_p, modified_energy_functional, observability_ratio, phi_functional,
+    sobolev_bound_check,
 )
 from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms, record_window
 from .oracle import dalembert, dalembert_riemann, modal_rate

@@ -26,7 +26,7 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
-from .experiments import EXPERIMENTS, ScenarioSpec
+from .experiments import EXPERIMENTS, ScenarioSpec, sweep_fit_window
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
 KINDS = (*EXPERIMENTS, "verify")
@@ -233,18 +233,6 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         a.validate(require_active=stability)
         return a
 
-    def fit_window(text: str) -> tuple[float, float]:
-        lo, hi = _parse_floats(text, 2)
-        if not lo < hi:
-            raise ConfigError("must be 't_lo, t_hi' with t_lo < t_hi")
-        return lo, hi
-
-    def window(text: str) -> tuple[float, float]:
-        s, t = _parse_floats(text, 2)
-        if not 0 <= s < t:
-            raise ConfigError("must be 'S, T' with 0 <= S < T")
-        return s, t
-
     def profile(text: str) -> Profile:
         return parse_profile(text).scaled(amplitude)
 
@@ -268,11 +256,35 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         with _scenario_key(name, "epsilons"):
             make_localization((a.omega[0], 1.0), epsilons, grid)
 
-    return ScenarioSpec(scenario=scenario, fit_window=value("fit_window", fit_window),
-                        alphas=value("alphas", _parse_floats) or (),
-                        epsilons=epsilons, window=value("window", window),
-                        co_integrate_w=value("co_integrate_w", _parse_bool),
-                        raw=dict(raw))
+    # the windows must fit the run: t_final rounded to whole steps
+    t_end = scenario.t_final_actual
+
+    def fit_window(lo: float, hi: float, what: str = "") -> tuple[float, float]:
+        if not lo < hi:
+            raise ConfigError(f"{what}({lo:g}, {hi:g}) needs t_lo < t_hi")
+        if lo >= t_end:
+            raise ConfigError(f"{what}({lo:g}, {hi:g}) starts at or after the "
+                              f"final time {t_end:g}")
+        return lo, hi
+
+    def window(text: str) -> tuple[float, float]:
+        s, t = _parse_floats(text, 2)
+        if not 0 <= s < t:
+            raise ConfigError("must be 'S, T' with 0 <= S < T")
+        if t > t_end + 1e-12:  # the tolerance of the window's consumers
+            raise ConfigError(f"T = {t:g} is past the final time {t_end:g}")
+        return s, t
+
+    spec = ScenarioSpec(
+        scenario=scenario,
+        fit_window=value("fit_window", lambda text: fit_window(*_parse_floats(text, 2))),
+        alphas=value("alphas", _parse_floats) or (), epsilons=epsilons,
+        window=value("window", window),
+        co_integrate_w=value("co_integrate_w", _parse_bool), raw=dict(raw))
+    if kind == "semi_global_sweep" and spec.fit_window is None:
+        with _scenario_key(name, "fit_window"):
+            fit_window(*sweep_fit_window(spec), what="the default ")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +374,7 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
     # scenarios hold closures, so workers get the raw key=value form and
     # re-parse it; each worker writes its own reports
     parallel = (jobs > 1 and len(suite.scenarios) > 1
-                and all(spec.raw for spec in suite.scenarios))
+                and all(spec.raw is not None for spec in suite.scenarios))
     if parallel:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_raw, suite.kind, spec.scenario.name,

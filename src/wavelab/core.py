@@ -282,19 +282,8 @@ DAMPING_PROFILES: dict[str, Callable[..., DampingProfile]] = {
 
 
 # ---------------------------------------------------------------------------
-# Physical fields of a Riemann state
+# Quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhysicalFields:
-    """Physical-variable view of a Riemann state. boundary_defect is |z(1)|,
-    which vanishes for states reachable from admissible data."""
-
-    z: Array
-    z_t: Array
-    z_x: Array
-    boundary_defect: float
-
 
 def cumulative_trapezoid(h: Array, dx: float) -> Array:
     """int_0^x h along the last axis by the trapezoid rule, 0 at the first
@@ -304,13 +293,6 @@ def cumulative_trapezoid(h: Array, dx: float) -> Array:
     out[..., 0] = 0.0
     np.cumsum(0.5 * (h[..., 1:] + h[..., :-1]) * dx, axis=-1, out=out[..., 1:])
     return out
-
-
-def physical_from_riemann(state: RiemannState, grid: Grid) -> PhysicalFields:
-    z_t = state.z_t
-    z_x = state.z_x
-    z = cumulative_trapezoid(z_x, grid.dx)
-    return PhysicalFields(z=z, z_t=z_t, z_x=z_x, boundary_defect=abs(float(z[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -101,14 +101,6 @@ class ConvexFunctional:
             raise ValueError(f"F'({self.label}) does not match finite differences of F")
 
 
-def power_functional(p: float) -> ConvexFunctional:
-    """F = |.|^p / p; Phi with this F is E_p."""
-    return ConvexFunctional(
-        F=lambda s: np.abs(s) ** p / p,
-        F_prime=lambda s: signed_power(s, p - 1.0),
-        label=f"|.|^{p:g}/{p:g}")
-
-
 def modified_energy_functional(p: float) -> ConvexFunctional:
     """F = G from the (1,2) regime; Phi with this F is the modified energy."""
     return ConvexFunctional(
@@ -117,23 +109,9 @@ def modified_energy_functional(p: float) -> ConvexFunctional:
         label=f"G_mod(p={p:g})")
 
 
-def phi_functional(state: RiemannState, F: ConvexFunctional, grid: Grid) -> float:
+def phi_functional(rho: Array, xi: Array, F: ConvexFunctional, dx: float):
     """Phi = int F(rho) + F(xi) dx; non-increasing along damped runs."""
-    return trapezoid(np.asarray(F.F(state.rho)) + np.asarray(F.F(state.xi)), grid.dx)
-
-
-def phi_dissipation_nodal(rho: Array, xi: Array, ag: Array, F: ConvexFunctional,
-                          dx: float) -> float:
-    """dPhi/dt from nodal data, with ag = -a(x) g(z_t) at the nodes."""
-    integrand = ag * (np.asarray(F.F_prime(rho)) - np.asarray(F.F_prime(xi)))
-    return trapezoid(integrand, dx)
-
-
-def phi_dissipation(state: RiemannState, F: ConvexFunctional, a: DampingProfile,
-                    g: Nonlinearity, grid: Grid) -> float:
-    """dPhi/dt = -int a g((rho-xi)/2) (F'(rho) - F'(xi)) dx <= 0."""
-    return phi_dissipation_nodal(state.rho, state.xi, _damping_term(state, a, g, grid),
-                                 F, grid.dx)
+    return trapezoid(np.asarray(F.F(rho)) + np.asarray(F.F(xi)), dx)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +213,19 @@ def build_energy_report(traj, p: float,
 
 def observability_ratio(traj, p: float, s: float, t: float) -> float:
     """int_s^t E_p dt / E_p(s), the empirical constant of the observability
-    estimate; bounded by (t - s) since the energy is non-increasing."""
+    estimate; bounded by (t - s) since the energy is non-increasing.
+
+    s and t snap to their nearest records, which must differ."""
     times = traj.times
     energies = traj.diagnostics[f"E_p{p:g}"]
     if not 0.0 <= s < t <= times[-1] + 1e-12:
         raise ValueError(f"window ({s}, {t}) outside trajectory [0, {times[-1]}]")
     i_s = int(np.argmin(np.abs(times - s)))
     i_t = int(np.argmin(np.abs(times - t)))
+    if i_s == i_t:
+        raise ValueError(f"window ({s}, {t}): s and t snap to the same record, "
+                         f"t = {times[i_s]:g} (records are {times[1] - times[0]:g} "
+                         f"apart)")
     e_s = energies[i_s]
     if e_s <= 0.0:
         raise ValueError(f"E_p({s}) = {e_s} is not positive")

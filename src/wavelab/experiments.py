@@ -3,7 +3,7 @@ A runner takes a ScenarioSpec and returns {"summary": JSON-ready dict,
 "traj": Trajectory or None, "w_traj": w = z_t Trajectory or None}."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,8 @@ from .solver import (
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A validated scenario plus experiment-level extras and the raw
-    key=value pairs it was parsed from (which --jobs workers re-parse)."""
+    key=value pairs it was parsed from (which --jobs workers re-parse), None
+    for a spec built in code."""
 
     scenario: Scenario
     fit_window: tuple[float, float] | None = None
@@ -28,7 +29,7 @@ class ScenarioSpec:
     epsilons: tuple[float, float, float] | None = None
     window: tuple[float, float] | None = None
     co_integrate_w: bool = False
-    raw: dict[str, str] = field(default_factory=dict)
+    raw: dict[str, str] | None = None
 
 
 def run_one_simulation(spec: ScenarioSpec) -> dict:
@@ -61,10 +62,8 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
     traj_nl = run_simulation(dense)
     theta = theta_from_run(traj_nl)
     traj_aux = run_auxiliary(dense, theta)
-    disc = max(float(np.max(np.abs(
-        np.stack([getattr(s, key) for s in traj_nl.states])
-        - np.stack([getattr(s, key) for s in traj_aux.states]))))
-        for key in ("rho", "xi"))
+    disc = max(float(np.max(np.abs(traj_nl.rho - traj_aux.rho))),
+               float(np.max(np.abs(traj_nl.xi - traj_aux.xi))))
     m = float(np.max(traj_nl.diagnostics["max_zt"]))
     lattice = np.linspace(-m, m, 2001) if m > 0 else np.array([0.0])
     nu_vals = nu_ratio(lattice, dense.g)
@@ -80,13 +79,18 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
     }, "traj": traj_nl, "w_traj": None}
 
 
+def sweep_fit_window(spec: ScenarioSpec) -> tuple[float, float]:
+    """The sweep's fit window: spec.fit_window, by default 2 to 0.9 t_final."""
+    return spec.fit_window or (2.0, spec.scenario.t_final * 0.9)
+
+
 def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
     """Scale the initial data by each alpha (default 1, 4, 16), fit the decay
-    rate on a fixed window (default 2 to 0.9 t_final), and report
+    rate on a fixed window (sweep_fit_window), and report
     (alpha, strong-norm proxy c_p, rate) per exponent."""
     base = spec.scenario
     alphas = spec.alphas or (1.0, 4.0, 16.0)
-    fit_window = spec.fit_window or (2.0, base.t_final * 0.9)
+    fit_window = sweep_fit_window(spec)
     entries = []
     for alpha in alphas:
         if alpha == 0.0:

@@ -104,19 +104,17 @@ class RecordWindow:
 
 def record_window(traj: Trajectory, window: tuple[float, float],
                   theta: Array | None = None) -> RecordWindow:
-    """Stack the records of `traj` inside `window`.
+    """The rows of the records of `traj` inside `window`.
 
     theta: per-record (n_records, n_nodes) damping intensity. Defaults to
     nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
     source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
     (record_every = 1) is recommended for meaningful time integrals.
     """
-    if len(traj.states) != len(traj.times):
+    if traj.rho is None:
         raise ValueError("record_window needs a trajectory with kept states")
     idx = _window_indices(traj, window)
-    states = [traj.states[i] for i in idx]
-    rho = np.stack([s.rho for s in states])
-    xi = np.stack([s.xi for s in states])
+    rho, xi = traj.rho[idx], traj.xi[idx]
     if theta is None:
         theta_w = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
     else:

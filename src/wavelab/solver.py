@@ -149,10 +149,12 @@ class ThetaField:
 
 @dataclass
 class Trajectory:
-    """Recorded states and per-record diagnostics of one run."""
+    """Recorded states and per-record diagnostics of one run. Row k of rho and
+    xi, (n_records, n_nodes), is the state at times[k]; None if not kept."""
 
     times: Array
-    states: list[RiemannState]
+    rho: Array | None
+    xi: Array | None
     diagnostics: dict[str, Array]
     scenario: Scenario
 
@@ -320,7 +322,7 @@ def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
 
 def _check_monotone(block: tuple[dict[str, Array], ...],
                     first: list[dict[str, float]], last: list[dict[str, float]],
-                    times: list[float]) -> None:
+                    times: Array) -> None:
     """Raise at the first record of `block` whose energy is not finite or
     rose above the record before it by more than MONOTONICITY_SLACK, relative
     to the initial energy when that exceeds 1.
@@ -358,55 +360,60 @@ def _is_record(scenario: Scenario, n: int) -> bool:
 def _record_loop(scenario: Scenario, state, advance: Callable,
                  capture: Callable[..., tuple[Array, ...]],
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
-                 keep_states: bool) -> tuple[Array, list, tuple[dict[str, Array], ...]]:
+                 keep_states: bool
+                 ) -> tuple[Array, tuple[Array, ...] | None, tuple[dict[str, Array], ...]]:
     """Step `state` (anything with a time `t`) to t_final and guard every
     energy of every record.
 
-    capture(state) gives the 1-d arrays a record's diagnostics need. The
-    records are buffered and evaluated in blocks of
-    max(1, RECORD_BLOCK_VALUES // n_nodes): diagnose receives each captured
-    array stacked over the block, one row per record, and returns one dict of
-    per-record diagnostics per guarded trajectory. Returns (times, states,
-    diagnostics), with diagnostics one dict per trajectory.
+    capture(state) gives the 1-d arrays a record's diagnostics need. Each is
+    written once, as a row of a preallocated buffer that holds every record
+    with keep_states and one reused block of max(1, RECORD_BLOCK_VALUES //
+    n_nodes) records otherwise. diagnose receives each buffer's rows of a
+    block and returns one dict of per-record diagnostics per guarded
+    trajectory. Returns (times, the buffers or None, diagnostics).
     """
     block_len = max(1, RECORD_BLOCK_VALUES // scenario.grid.n_nodes)
-    times = [state.t]
-    states = [state]
-    pending = [capture(state)]
+    n_records = 1 + -(-scenario.n_steps // scenario.record_every)
+    rows = capture(state)
+    buffers = tuple(np.empty((n_records if keep_states else min(block_len, n_records),
+                              *row.shape)) for row in rows)
+    times = np.empty(n_records)
     blocks: list[tuple[dict[str, Array], ...]] = []
+    taken = done = 0  # records written; records diagnosed and guarded
 
     def flush() -> None:
-        block = diagnose(*(np.stack(rows) for rows in zip(*pending)))
+        nonlocal done
+        lo, done = done, taken  # set first: a block is guarded once, even if it raises
+        start = lo if keep_states else 0  # a thin run's block starts at row 0
+        block = diagnose(*(buf[start:start + taken - lo] for buf in buffers))
         first = [_row(d, 0) for d in (blocks[0] if blocks else block)]
         last = [_row(d, -1) for d in blocks[-1]] if blocks else first
-        _check_monotone(block, first, last, times[len(times) - len(pending):])
+        _check_monotone(block, first, last, times[lo:taken])
         blocks.append(block)
-        pending.clear()
 
-    for n in range(scenario.n_steps):
-        try:
+    def write(rows: tuple[Array, ...], t: float) -> None:
+        nonlocal taken
+        for buf, row in zip(buffers, rows):
+            buf[taken if keep_states else taken - done] = row
+        times[taken] = t
+        taken += 1
+        if taken - done == block_len:
+            flush()
+
+    try:
+        write(rows, state.t)
+        for n in range(scenario.n_steps):
             state = advance(state)
-            rows = capture(state) if _is_record(scenario, n) else None
-        except Exception:
-            # the records taken before the failure are guarded first, so an
-            # earlier energy rise stays the run's first error
-            if pending:
-                flush()
-            raise
-        if rows is not None:
-            pending.append(rows)
-            times.append(state.t)
-            if keep_states:
-                states.append(state)
-            if len(pending) == block_len:
-                flush()
-    if pending:
-        flush()
-    if not keep_states:
-        states.append(state)
+            if _is_record(scenario, n):
+                write(capture(state), state.t)
+    finally:
+        # the last block, or the records taken before a failure: those are
+        # guarded first, so an earlier energy rise stays the run's first error
+        if taken > done:
+            flush()
     diagnostics = tuple({k: np.concatenate([b[j][k] for b in blocks]) for k in d}
                         for j, d in enumerate(blocks[0]))
-    return np.array(times), states, diagnostics
+    return times, buffers if keep_states else None, diagnostics
 
 
 def _row(diag: dict[str, Array], i: int) -> dict[str, float]:
@@ -424,9 +431,10 @@ def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
         return (_base_diagnostics(rho, xi, scenario),)
 
-    times, states, (diag,) = _record_loop(
+    times, kept, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
-    return Trajectory(times=times, states=states, diagnostics=diag,
+    rho, xi = kept or (None, None)
+    return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
                       scenario=scenario)
 
 
@@ -454,10 +462,11 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
             h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
             for k in (0, 1)))
 
-    times, states, (diag,) = _record_loop(
+    times, kept, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
         diagnose, keep_states)
-    return Trajectory(times=times, states=states, diagnostics=diag,
+    rho, xi, _ = kept or (None, None, None)  # the theta rows are not kept
+    return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
                       scenario=scenario)
 
 
@@ -522,13 +531,14 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
 
     base = scenario.initial.riemann(grid)
     w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
-    times, states, (base_diag, w_diag) = _record_loop(
+    times, kept, (base_diag, w_diag) = _record_loop(
         scenario, _PairedState(base, w_state, theta(base)), advance, capture,
         diagnose, keep_states)
-    return (Trajectory(times=times, states=[s.base for s in states],
-                       diagnostics=base_diag, scenario=scenario),
-            Trajectory(times=times, states=[s.w for s in states],
-                       diagnostics=w_diag, scenario=scenario))
+    rho, xi, w_rho, w_xi = kept or (None,) * 4
+    return (Trajectory(times=times, rho=rho, xi=xi, diagnostics=base_diag,
+                       scenario=scenario),
+            Trajectory(times=times, rho=w_rho, xi=w_xi, diagnostics=w_diag,
+                       scenario=scenario))
 
 
 def theta_from_run(traj: Trajectory) -> ThetaField:
@@ -547,14 +557,14 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     because the substep states sit off the fixed-node interpolation path.
     """
     sc = traj.scenario
-    if sc.record_every != 1 or len(traj.states) != sc.n_steps + 1:
+    if sc.record_every != 1 or traj.rho is None:
         raise ValueError(
             "theta_from_run needs a dense run: record_every = 1 with states kept")
     g = sc.g
     dt = sc.dt
     t0 = float(traj.times[0])
     n_steps = sc.n_steps
-    zt = np.stack([s.z_t for s in traj.states])
+    zt = 0.5 * (traj.rho - traj.xi)
     nu_records = nu_ratio(zt, g)
     zt_half = zt[:-1] - 0.5 * dt * sc.a_nodes[None, :] * np.asarray(g.value(zt[:-1]))
     nu_half = nu_ratio(zt_half, g)

@@ -76,9 +76,8 @@ def check_conservation() -> CheckResult:
         e = traj.energy_series(p)
         worst = max(worst, float(np.max(np.abs(e - e[0])) / e[0]))
     half = round(2.0 / sc.dt)
-    s0, s2 = traj.states[0], traj.states[half]
-    period_err = max(float(np.max(np.abs(s2.rho - s0.rho))),
-                     float(np.max(np.abs(s2.xi - s0.xi))))
+    period_err = max(float(np.max(np.abs(traj.rho[half] - traj.rho[0]))),
+                     float(np.max(np.abs(traj.xi[half] - traj.xi[0]))))
     ok = worst <= 1e-12 and period_err <= 1e-12
     return CheckResult(1, "undamped conservation", ok,
                        f"relative drift {worst:.2e}, period-2 error {period_err:.2e}")
@@ -93,10 +92,10 @@ def check_oracle_agreement() -> CheckResult:
     traj = run_simulation(sc)
     xs = sc.grid.nodes
     err = 0.0
-    for t, s in zip(traj.times, traj.states):
+    for t, rho_k, xi_k in zip(traj.times, traj.rho, traj.xi):
         rho, xi = dalembert_riemann(z0.deriv, z1.value, float(t), xs)
-        err = max(err, float(np.max(np.abs(s.rho - rho))),
-                  float(np.max(np.abs(s.xi - xi))))
+        err = max(err, float(np.max(np.abs(rho_k - rho))),
+                  float(np.max(np.abs(xi_k - xi))))
     return CheckResult(2, "d'Alembert oracle agreement", err <= 1e-12,
                        f"max pointwise error {err:.2e} over {len(traj.times)} records")
 
@@ -247,7 +246,7 @@ def check_modified_energy() -> CheckResult:
                   initial=InitialData(sine_profile(1, amplitude=0.25), zero_function()))
     e0 = energy_p(sc.initial.riemann(sc.grid), p, sc.grid)
     traj = run_simulation(sc)
-    phi = np.array([phi_functional(s, functional, sc.grid) for s in traj.states])
+    phi = phi_functional(traj.rho, traj.xi, functional, sc.grid.dx)
     rise = float(np.max(np.diff(phi)))
     ok = e0 <= 1.0 and rise <= 1e-10
     return CheckResult(10, "modified energy regime (1 < p < 2)", ok,

@@ -155,6 +155,8 @@ class TestMainEndToEnd:
         ("p_list = 2, 2", "p_list"),
         ("z0 = bump(width=0)", "z0"),
         ("z0 = bump(width=-0.1)", "z0"),
+        ("window = 0, 100", "window"),
+        ("fit_window = 50, 60", "fit_window"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
         lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]
@@ -166,6 +168,31 @@ class TestMainEndToEnd:
         assert (err.startswith(f"config error: scenario 'demo': key '{key}': ")
                 or err.startswith(f"config error: scenario 'demo': {key} must be"))
         assert not (tmp_path / "o").exists()
+
+    def test_empty_default_sweep_fit_window_is_a_config_error(self, tmp_path, capsys):
+        # without fit_window the sweep fits on (2, 0.9 t_final), which is
+        # empty for t_final = 2
+        text = GOOD_SUITE.replace("kind = simulate", "kind = semi_global_sweep")
+        suite_file = tmp_path / "bad.ini"
+        suite_file.write_text(text.replace("fit_window = 0.5, 2\n", ""))
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: scenario 'demo': key 'fit_window': "
+                       "the default (2, 1.8) needs t_lo < t_hi\n")
+        assert not (tmp_path / "o").exists()
+        parse_suite(text)  # an explicit fit_window replaces the default
+
+    def test_window_between_two_records_is_a_scenario_error(self, tmp_path, capsys):
+        # records every 64 steps of dt = 1/64 are 1 apart: s = 0.2 and
+        # t = 0.4 both snap to the record at t = 0
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
+                              "n_cells = 64\nt_final = 4\nrecord_every = 64\n"
+                              "window = 0.2, 0.4\n")
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("ERROR s: ValueError: window (0.2, 0.4): s and t snap to "
+                       "the same record, t = 0 (records are 1 apart)\n")
 
     def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):
         suite_file = tmp_path / "bad.ini"

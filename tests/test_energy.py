@@ -3,13 +3,12 @@ import pytest
 
 from wavelab.core import (
     Grid, RiemannState, arctan_damping, constant_profile, identity_damping,
-    sine_profile, zero_function,
+    signed_power, sine_profile, zero_function,
 )
 from wavelab.energy import (
     ConvexFunctional, decay_fit, dissipation_rate, dissipation_rate_nodal,
     energy_p, energy_p_nodal, lp_norm, modified_energy_functional,
-    observability_ratio, phi_dissipation, phi_dissipation_nodal,
-    phi_functional, power_functional, sobolev_bound_check, w1p_norm,
+    observability_ratio, phi_functional, sobolev_bound_check, w1p_norm,
 )
 from wavelab.solver import InitialData, Scenario, run_derivative_system
 
@@ -58,16 +57,6 @@ class TestDissipation:
                 assert dissipation_rate(state, p, constant_profile(1.0),
                                         arctan_damping(), g) <= 1e-14
 
-    def test_matches_phi_dissipation_for_power_integrand(self):
-        g = Grid(64)
-        rng = np.random.default_rng(3)
-        state = RiemannState(rho=rng.normal(size=65), xi=rng.normal(size=65), t=0.0)
-        r1 = dissipation_rate(state, 2.0, constant_profile(1.0), arctan_damping(), g)
-        r2 = phi_dissipation(state, power_functional(2.0), constant_profile(1.0),
-                             arctan_damping(), g)
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-
     def test_nodal_forms_match_wrappers_bitwise(self):
         g = Grid(64)
         rng = np.random.default_rng(4)
@@ -77,19 +66,37 @@ class TestDissipation:
         for p in (1.0, 1.5, 2.0, 4.0):
             assert dissipation_rate_nodal(state.rho, state.xi, ag, p, g.dx) == \
                 dissipation_rate(state, p, a, nl, g)
-        F = power_functional(3.0)
-        assert phi_dissipation_nodal(state.rho, state.xi, ag, F, g.dx) == \
-            phi_dissipation(state, F, a, nl, g)
+
+
+def _power_integrand(p):
+    """F = |.|^p / p, for which Phi is E_p."""
+    return ConvexFunctional(F=lambda s: np.abs(s) ** p / p,
+                            F_prime=lambda s: signed_power(s, p - 1.0),
+                            label=f"|.|^{p:g}/{p:g}")
 
 
 class TestConvexFunctionals:
-    def test_power_functional_is_energy(self):
+    def test_phi_of_the_power_integrand_is_energy(self):
         g = Grid(32)
         rng = np.random.default_rng(11)
         state = RiemannState(rho=rng.normal(size=33), xi=rng.normal(size=33), t=0.0)
         for p in (1.5, 2.0, 4.0):
-            assert phi_functional(state, power_functional(p), g) == pytest.approx(
+            F = _power_integrand(p)
+            F.validate()
+            assert phi_functional(state.rho, state.xi, F, g.dx) == pytest.approx(
                 energy_p(state, p, g), rel=1e-13)
+
+    @pytest.mark.parametrize("F", [_power_integrand(3.0),
+                                   modified_energy_functional(1.5)],
+                             ids=["power", "modified"])
+    def test_stacked_rows_equal_one_dimensional_calls(self, F):
+        rng = np.random.default_rng(12)
+        rho, xi = rng.normal(size=(2, 9, 129))
+        stacked = phi_functional(rho, xi, F, 1.0 / 128)
+        rows = [phi_functional(rho[i], xi[i], F, 1.0 / 128) for i in range(9)]
+        assert all(type(v) is float for v in rows)
+        assert stacked.shape == (9,)
+        assert stacked.tobytes() == np.array(rows).tobytes()
 
     def test_modified_functional_validates(self):
         modified_energy_functional(1.5).validate()
@@ -162,6 +169,14 @@ class TestObservability:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             observability_ratio(self._synthetic(), 2.0, 15.0, 5.0)
+
+    def test_window_between_two_records_rejected(self):
+        # records 0.025 apart: 5.001 and 5.002 both snap to the record at 5
+        traj = self._synthetic()
+        with pytest.raises(ValueError, match=r"window \(5.001, 5.002\): s and t "
+                           r"snap to the same record, t = 5 \(records are 0.025"):
+            observability_ratio(traj, 2.0, 5.001, 5.002)
+        assert observability_ratio(traj, 2.0, 5.001, 5.02) > 0.0
 
     def test_vanished_energy_at_s_rejected(self):
         traj = self._synthetic()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wavelab
-from wavelab import solver, verify
+from wavelab import cli, solver, verify
 from wavelab.cli import main, parse_suite
 from wavelab.experiments import EXPERIMENTS
 
@@ -126,6 +126,30 @@ def test_parallel_reports_match_serial_bytewise(tmp_path, kind):
     parallel_code, parallel = _run(tmp_path, text, "--jobs", "2", out="parallel")
     assert serial_code == parallel_code == 0
     assert len(_files(serial)) >= 2
+    assert _files(parallel) == _files(serial)
+
+
+def test_scenario_without_keys_still_runs_in_parallel(tmp_path, monkeypatch):
+    # a [scenario NAME] section with no keys parses to raw == {}, which must
+    # not send the suite down the serial path
+    pools = []
+
+    class SpyPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+    text = ("[suite]\nkind = simulate\n\n[scenario empty]\n\n"
+            "[scenario small]\nn_cells = 16\nt_final = 1\n")
+    assert [spec.raw for spec in parse_suite(text).scenarios] == [{}, {"n_cells": "16", "t_final": "1"}]
+    serial_code, serial = _run(tmp_path, text, "--jobs", "1", out="serial")
+    assert pools == []
+    parallel_code, parallel = _run(tmp_path, text, "--jobs", "2", out="parallel")
+    assert pools == [{"max_workers": 2}]
+    assert serial_code == parallel_code == 0
+    assert sorted(_files(serial)) == ["energies_empty.csv", "energies_small.csv",
+                                      "summary_empty.json", "summary_small.json"]
     assert _files(parallel) == _files(serial)
 
 

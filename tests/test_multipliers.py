@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavelab.core import (
-    Grid, arctan_damping, make_localization, nu_ratio, physical_from_riemann,
+    Grid, arctan_damping, cumulative_trapezoid, make_localization, nu_ratio,
     sine_profile, smooth_indicator_profile, zero_function,
 )
 from wavelab.energy import trapezoid
@@ -24,8 +24,8 @@ def _elliptic_solve_1d(h, grid):
 
 
 def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
-    """Reference: multiplier_terms with theta, z and the elliptic multiplier
-    built one record at a time. Returns (terms, int_energy, energy_at_s,
+    """Reference: multiplier_terms with the rows, theta, z and the elliptic
+    multiplier built one record at a time. Returns (terms, int_energy, energy_at_s,
     chain constants without the eta row)."""
     grid = traj.scenario.grid
     xs = grid.nodes
@@ -33,19 +33,20 @@ def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
     f, fprime, big_f = _regime_functions(p)
     idx = _window_indices(traj, window)
     times = traj.times[idx]
-    states = [traj.states[i] for i in idx]
+    rho = np.stack([traj.rho[i] for i in idx])
+    xi = np.stack([traj.xi[i] for i in idx])
     a_nodes = np.asarray(traj.scenario.a.value(xs))
     if theta is None:
-        theta_w = np.stack([nu_ratio(s.z_t, traj.scenario.g) for s in states])
+        theta_w = np.stack([nu_ratio(0.5 * (rho_k - xi_k), traj.scenario.g)
+                            for rho_k, xi_k in zip(rho, xi)])
     else:
         theta_w = np.asarray(theta)[idx]
     q1_mask = xs > triple.q1[0]
     q2_mask = xs > triple.q2[0]
     xpsi = xs * triple.psi_nodes
     one_minus = np.abs(1.0 - triple.xpsi_x(xs))
-    rho = np.stack([s.rho for s in states])
-    xi = np.stack([s.xi for s in states])
-    y = np.stack([physical_from_riemann(s, grid).z for s in states])
+    y = np.stack([cumulative_trapezoid(0.5 * (rho_k + xi_k), dx)
+                  for rho_k, xi_k in zip(rho, xi)])
     f_rho, f_xi = f(rho), f(xi)
     big_rho, big_xi = big_f(rho), big_f(xi)
     diff = rho - xi

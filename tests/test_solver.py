@@ -277,9 +277,9 @@ class TestRunSimulation:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_implicit_damping_update", checked)
             traj = run_simulation(sc)
-        assert len(traj.states) == sc.n_steps + 1
-        for state in traj.states[1:]:
-            assert state.boundary_defect() == 0.0
+        assert traj.rho.shape == traj.xi.shape == (sc.n_steps + 1, sc.grid.n_nodes)
+        walls = [0, -1]
+        np.testing.assert_array_equal(traj.rho[1:, walls], traj.xi[1:, walls])
 
     def test_energies_monotone_both_splittings(self):
         for splitting in ("strang", "lie"):
@@ -393,7 +393,7 @@ class TestAuxiliary:
         got_log, ref_log = [], []
         aux = run_auxiliary(sc, _logged_theta(got_log))
         ref = _auxiliary_ref(sc, _logged_theta(ref_log))
-        _assert_states(aux.states, ref)
+        _assert_states(aux, ref)
         assert got_log == ref_log
         substeps = 2 if splitting == "strang" else 1
         assert len(got_log) == substeps * sc.n_steps + len(aux.times)
@@ -403,9 +403,8 @@ class TestAuxiliary:
         nl = run_simulation(sc)
         theta = ThetaField(sampler=lambda t, x: np.ones_like(x), bounds=(1.0, 1.0))
         aux = run_auxiliary(sc, theta)
-        for a, b in zip(nl.states, aux.states):
-            np.testing.assert_array_equal(a.rho, b.rho)
-            np.testing.assert_array_equal(a.xi, b.xi)
+        np.testing.assert_array_equal(aux.rho, nl.rho)
+        np.testing.assert_array_equal(aux.xi, nl.xi)
 
     def test_stronger_theta_decays_faster(self):
         sc = _scenario(g=identity_damping(), a=constant_profile(1.0), t_final=6.0)
@@ -428,9 +427,7 @@ class TestAuxiliary:
             sc = _scenario(n=n, t_final=4.0)
             nl = run_simulation(sc)
             aux = run_auxiliary(sc, theta_from_run(nl))
-            d = max(float(np.max(np.abs(a.rho - b.rho)))
-                    for a, b in zip(nl.states, aux.states))
-            discs.append(d)
+            discs.append(float(np.max(np.abs(nl.rho - aux.rho))))
         order = np.log2(discs[0] / discs[1])
         assert order >= 1.8
 
@@ -452,10 +449,11 @@ class TestDerivativeSystem:
         base, w = run_derivative_system(sc)
         dt = sc.dt
         # centered finite difference of z_t vs the co-integrated w field
+        zt = 0.5 * (base.rho - base.xi)
         errs = []
-        for k in range(1, len(base.states) - 1, 16):
-            fd = (base.states[k + 1].z_t - base.states[k - 1].z_t) / (2 * dt)
-            wt = 0.5 * (w.states[k].rho - w.states[k].xi)
+        for k in range(1, len(base.times) - 1, 16):
+            fd = (zt[k + 1] - zt[k - 1]) / (2 * dt)
+            wt = 0.5 * (w.rho[k] - w.xi[k])
             errs.append(np.max(np.abs(fd - wt)[1:-1]))
         assert max(errs) < 0.2  # first-order agreement at this resolution
 
@@ -472,10 +470,11 @@ class TestDerivativeSystem:
         base, w = run_derivative_system(sc)
         grid, dt = sc.grid, sc.dt
         a_nodes = sc.a.value(grid.nodes)
-        ws = w.states[0]
+        zt = 0.5 * (base.rho - base.xi)
+        ws = RiemannState(rho=w.rho[0], xi=w.xi[0], t=0.0)
         for k in range(sc.n_steps):
-            theta_n = a_nodes * sc.g.derivative(base.states[k].z_t)
-            theta_np1 = a_nodes * sc.g.derivative(base.states[k + 1].z_t)
+            theta_n = a_nodes * sc.g.derivative(zt[k])
+            theta_np1 = a_nodes * sc.g.derivative(zt[k + 1])
             if splitting == "strang":
                 ws = _reference_substep(ws, 0.5 * dt * theta_n, None)
                 ws = transport_shift(ws, grid)
@@ -483,8 +482,8 @@ class TestDerivativeSystem:
             else:
                 ws = _reference_substep(ws, dt * theta_n, None)
                 ws = transport_shift(ws, grid)
-            np.testing.assert_array_equal(ws.rho, w.states[k + 1].rho)
-            np.testing.assert_array_equal(ws.xi, w.states[k + 1].xi)
+            np.testing.assert_array_equal(ws.rho, w.rho[k + 1])
+            np.testing.assert_array_equal(ws.xi, w.xi[k + 1])
 
     def test_monotonicity_guard_trips_on_antidamping(self):
         bad = Nonlinearity(lambda s: -0.5 * s,
@@ -624,7 +623,18 @@ def _simulate_ref(sc):
     return records
 
 
-def _derivative_system_ref(sc, keep_states=True):
+def _simulation_states_ref(sc):
+    """The recorded states of a hand-stepped run_simulation."""
+    state = sc.initial.riemann(sc.grid)
+    states = [state]
+    for n in range(sc.n_steps):
+        state = step(state, sc)
+        if _recorded(sc, n):
+            states.append(state)
+    return states
+
+
+def _derivative_system_ref(sc):
     """The hand-rolled co-integration loop of run_derivative_system."""
     grid, dt, g = sc.grid, sc.dt, sc.g
     a_nodes = np.asarray(sc.a.value(grid.nodes))
@@ -662,12 +672,8 @@ def _derivative_system_ref(sc, keep_states=True):
             times.append(base.t)
             base_records.append(base_diag)
             w_records.append(w_d)
-            if keep_states:
-                base_states.append(base)
-                w_states.append(w_state)
-    if not keep_states:
-        base_states.append(base)
-        w_states.append(w_state)
+            base_states.append(base)
+            w_states.append(w_state)
     return times, (base_states, base_records), (w_states, w_records)
 
 
@@ -684,12 +690,19 @@ def _assert_records(diagnostics, records):
         _assert_bitwise(series, [r[key] for r in records])
 
 
-def _assert_states(got, ref):
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        _assert_bitwise(a.rho, b.rho)
-        _assert_bitwise(a.xi, b.xi)
-        assert a.t == b.t
+def _assert_states(traj, states):
+    """Row k of traj.rho and traj.xi is states[k], at traj.times[k]."""
+    assert traj.rho.shape == traj.xi.shape == (len(states), traj.scenario.grid.n_nodes)
+    for k, s in enumerate(states):
+        _assert_bitwise(traj.rho[k], s.rho)
+        _assert_bitwise(traj.xi[k], s.xi)
+        assert traj.times[k] == s.t
+
+
+def _row_states(traj):
+    """The recorded rows of traj as states, for the per-state references."""
+    return [RiemannState(rho=rho, xi=xi, t=float(t))
+            for t, rho, xi in zip(traj.times, traj.rho, traj.xi)]
 
 
 # N = 64 takes 252 records per block; 544 steps give 545 dense records, two
@@ -745,11 +758,11 @@ class TestRecordBlocks:
         traj = run_simulation(sc, keep_states=True)
         a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
         _assert_records(traj.diagnostics,
-                        [_base_diag_ref(s, sc, a_nodes) for s in traj.states])
+                        [_base_diag_ref(s, sc, a_nodes) for s in _row_states(traj)])
         _assert_records(traj.diagnostics, _simulate_ref(sc))
         thin = run_simulation(sc, keep_states=False)
         _assert_bitwise(thin.times, traj.times)
-        _assert_states(thin.states, [traj.states[0], traj.states[-1]])
+        assert thin.rho is None and thin.xi is None
         for key in traj.diagnostics:
             _assert_bitwise(thin.diagnostics[key], traj.diagnostics[key])
 
@@ -761,10 +774,10 @@ class TestRecordBlocks:
         theta = theta_from_run(nl)
         aux = run_auxiliary(sc, theta, keep_states=True)
         _assert_records(aux.diagnostics,
-                        [_aux_diag_ref(s, sc, theta) for s in aux.states])
+                        [_aux_diag_ref(s, sc, theta) for s in _row_states(aux)])
         if not keep_states:
             thin = run_auxiliary(sc, theta, keep_states=False)
-            _assert_states(thin.states, [aux.states[0], aux.states[-1]])
+            assert thin.rho is None and thin.xi is None
             for key in aux.diagnostics:
                 _assert_bitwise(thin.diagnostics[key], aux.diagnostics[key])
 
@@ -776,11 +789,14 @@ class TestRecordBlocks:
         sc = _block_scenario(cubic_damping(), splitting, record_every)
         base, w = run_derivative_system(sc, keep_states=keep_states)
         times, (base_states, base_records), (w_states, w_records) = \
-            _derivative_system_ref(sc, keep_states)
+            _derivative_system_ref(sc)
         _assert_bitwise(base.times, times)
         _assert_bitwise(w.times, times)
-        _assert_states(base.states, base_states)
-        _assert_states(w.states, w_states)
+        if keep_states:
+            _assert_states(base, base_states)
+            _assert_states(w, w_states)
+        else:
+            assert base.rho is base.xi is w.rho is w.xi is None
         _assert_records(base.diagnostics, base_records)
         _assert_records(w.diagnostics, w_records)
 
@@ -851,3 +867,54 @@ class TestRecordBlocks:
         with pytest.raises(ThetaBoundError):
             run_auxiliary(sc, ThetaField(lambda t, x: sampler(t, x) ** 2,
                                          bounds=(0.0, 1.0)))
+
+
+def _smooth_theta():
+    return ThetaField(sampler=lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t + 2.0 * np.pi * x),
+                      bounds=(0.5, 1.5))
+
+
+class TestRecordBuffers:
+    """Property test of the record buffers: every driver, both splittings
+    and both keep_states values, with blocks of 1 to 5 records, so that runs
+    cross block boundaries and end on a partial block."""
+
+    @staticmethod
+    def _drivers(sc):
+        """Each driver as run(keep_states) -> trajectories, with its
+        hand-stepped recorded states per trajectory."""
+        theta = _smooth_theta()
+        _, (base, _), (w, _) = _derivative_system_ref(sc)
+        return {
+            "simulation": (lambda keep: (run_simulation(sc, keep),),
+                           (_simulation_states_ref(sc),)),
+            "auxiliary": (lambda keep: (run_auxiliary(sc, theta, keep),),
+                          (_auxiliary_ref(sc, theta),)),
+            "derivative_system": (lambda keep: run_derivative_system(sc, keep),
+                                  (base, w)),
+        }
+
+    @given(n=st.integers(8, 40), record_every=st.integers(1, 7),
+           n_steps=st.integers(1, 30), block=st.integers(1, 5),
+           splitting=st.sampled_from(["strang", "lie"]),
+           g=st.sampled_from(sorted(GS)),
+           driver=st.sampled_from(["simulation", "auxiliary", "derivative_system"]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_hand_stepped_states(self, n, record_every, n_steps,
+                                              block, splitting, g, driver):
+        sc = _scenario(n=n, t_final=n_steps / n, g=GS[g](), p_list=ALL_P,
+                       splitting=splitting, record_every=record_every)
+        assert sc.n_steps == n_steps
+        run, refs = self._drivers(sc)[driver]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
+            kept, thin = run(True), run(False)
+        one_block = run(True)  # the default block holds every record here
+        assert _block_len(sc) >= len(one_block[0].times)
+        for traj, states, thin_traj, ref_traj in zip(kept, refs, thin, one_block):
+            _assert_states(traj, states)
+            assert thin_traj.rho is None and thin_traj.xi is None
+            _assert_bitwise(thin_traj.times, traj.times)
+            for key, series in traj.diagnostics.items():
+                _assert_bitwise(thin_traj.diagnostics[key], series)
+                _assert_bitwise(ref_traj.diagnostics[key], series)
