@@ -19,7 +19,7 @@ from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms, rec
 from .oracle import dalembert, dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,
-    run_auxiliary, run_derivative_system, run_simulation, step,
+    run_auxiliary, run_derivative_system, run_family, run_simulation, step,
     theta_from_run, transport_shift,
 )
 

@@ -273,7 +273,19 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
             raise ConfigError("must be 'S, T' with 0 <= S < T")
         if t > t_end + 1e-12:  # the tolerance of the window's consumers
             raise ConfigError(f"T = {t:g} is past the final time {t_end:g}")
+        if kind == "multiplier_report":
+            multiplier_window(s, t)
         return s, t
+
+    def multiplier_window(s: float, t: float, what: str = "") -> None:
+        # the multiplier terms integrate over at least 3 records of the window
+        steps = np.union1d(np.arange(0, scenario.n_steps, scenario.record_every),
+                           [scenario.n_steps])
+        times = steps * scenario.dt
+        held = np.count_nonzero((times >= s - 1e-12) & (times <= t + 1e-12))
+        if held < 3:
+            raise ConfigError(f"{what}({s:g}, {t:g}) holds {held} record(s); "
+                              f"the multiplier terms need at least 3")
 
     spec = ScenarioSpec(
         scenario=scenario,
@@ -284,6 +296,9 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     if kind == "semi_global_sweep" and spec.fit_window is None:
         with _scenario_key(name, "fit_window"):
             fit_window(*sweep_fit_window(spec), what="the default ")
+    if kind == "multiplier_report" and spec.window is None:
+        with _scenario_key(name, "window"):
+            multiplier_window(0.0, t_end, what="the default ")
     return spec
 
 

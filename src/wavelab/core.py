@@ -52,6 +52,8 @@ class RiemannState:
 
     rho = z_x + z_t, xi = z_x - z_t. After every completed solver step the
     boundary compatibility rho = xi holds at both walls (z_t vanishes there).
+    The last axis runs over the nodes: (n_nodes,) for one run, (B, n_nodes)
+    for the B rows of a family stepped together.
     """
 
     rho: Array
@@ -59,8 +61,9 @@ class RiemannState:
     t: float
 
     def __post_init__(self) -> None:
-        if self.rho.shape != self.xi.shape or self.rho.ndim != 1:
-            raise ValueError("rho and xi must be 1-d arrays of identical length")
+        if self.rho.shape != self.xi.shape or self.rho.ndim not in (1, 2):
+            raise ValueError("rho and xi must be arrays of identical shape, "
+                             "(n_nodes,) or (B, n_nodes)")
 
     @property
     def z_t(self) -> Array:
@@ -71,7 +74,9 @@ class RiemannState:
         return 0.5 * (self.rho + self.xi)
 
     def boundary_defect(self) -> float:
-        return max(abs(self.rho[0] - self.xi[0]), abs(self.rho[-1] - self.xi[-1]))
+        """max |rho - xi| at the walls, over every row."""
+        walls = [0, -1]
+        return float(np.max(np.abs(self.rho[..., walls] - self.xi[..., walls])))
 
 
 # ---------------------------------------------------------------------------

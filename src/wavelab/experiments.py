@@ -12,7 +12,7 @@ from . import multipliers as _mult
 from .core import make_localization, nu_ratio
 from .energy import build_energy_report, energy_p_nodal, observability_ratio
 from .solver import (
-    Scenario, run_auxiliary, run_derivative_system, run_simulation,
+    Scenario, run_auxiliary, run_derivative_system, run_family, run_simulation,
     theta_from_run,
 )
 
@@ -87,18 +87,22 @@ def sweep_fit_window(spec: ScenarioSpec) -> tuple[float, float]:
 def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
     """Scale the initial data by each alpha (default 1, 4, 16), fit the decay
     rate on a fixed window (sweep_fit_window), and report
-    (alpha, strong-norm proxy c_p, rate) per exponent."""
+    (alpha, strong-norm proxy c_p, rate) per exponent. The nonzero alphas
+    run as one family (run_family)."""
     base = spec.scenario
     alphas = spec.alphas or (1.0, 4.0, 16.0)
     fit_window = sweep_fit_window(spec)
+    family = [replace(base, name=f"{base.name}_a{alpha:g}",
+                      initial=base.initial.scaled(alpha))
+              for alpha in alphas if alpha != 0.0]
+    runs = iter(run_family(family, keep_states=False))
     entries = []
     for alpha in alphas:
         if alpha == 0.0:
             entries.append({"alpha": 0.0, "degenerate": True})
             continue
-        sc = replace(base, name=f"{base.name}_a{alpha:g}",
-                     initial=base.initial.scaled(alpha))
-        traj = run_simulation(sc, keep_states=False)
+        traj = next(runs)
+        sc = traj.scenario
         w0 = sc.initial.derivative_system_data(sc.grid, sc.a_nodes, sc.g)
         entry: dict = {"alpha": alpha, "degenerate": False, "rates": {}}
         for p in sc.p_list:

@@ -5,13 +5,16 @@ part is an exact index shift and every dissipation statement about the
 damping is machine-checkable instead of being drowned in advection error.
 The damping substep is backward Euler, which is unconditionally dissipative:
 |u_new| <= |u_old| at every node whenever g is monotone with g(0) = 0.
+The substeps act along the last axis of the state, so a family of runs on one
+grid (run_family) steps as the rows of one (B, n_nodes) state, each row
+bitwise equal to its run alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,11 +30,15 @@ MONOTONICITY_SLACK = 1e-12
 
 class EnergyMonotonicityError(RuntimeError):
     """E_p increased beyond tolerance: the scheme is dissipative by
-    construction, so this signals a bug (or an injected fault)."""
+    construction, so this signals a bug (or an injected fault).
+
+    Raised for row b of a family's (B, n_nodes) state, it carries row = b
+    until run_family names that row's scenario in the message."""
 
 
 class NewtonError(RuntimeError):
-    pass
+    """The implicit damping solve failed; carries row = b as
+    EnergyMonotonicityError does."""
 
 
 class ThetaBoundError(RuntimeError):
@@ -171,13 +178,14 @@ def transport_shift(state: RiemannState, grid: Grid) -> RiemannState:
 
     rho moves left (rho_i <- rho_{i+1}), xi moves right (xi_i <- xi_{i-1});
     the incoming characteristics are closed by xi(0) <- rho(0), rho(N) <- xi(N).
+    Every row of a (B, n_nodes) state shifts the same way.
     """
     rho_new = np.empty_like(state.rho)
     xi_new = np.empty_like(state.xi)
-    rho_new[:-1] = state.rho[1:]
-    xi_new[1:] = state.xi[:-1]
-    xi_new[0] = rho_new[0]
-    rho_new[-1] = xi_new[-1]
+    rho_new[..., :-1] = state.rho[..., 1:]
+    xi_new[..., 1:] = state.xi[..., :-1]
+    xi_new[..., 0] = rho_new[..., 0]
+    rho_new[..., -1] = xi_new[..., -1]
     return RiemannState(rho=rho_new, xi=xi_new, t=state.t + grid.dx)
 
 
@@ -187,6 +195,10 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     Monotone g makes the map strictly increasing, so the root is unique and
     lies between 0 and u_old. Linear g uses the closed form; otherwise
     safeguarded Newton from u_old with a bisection fallback.
+
+    u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
+    stops iterating once all of its nodes pass, and falls back to bisection
+    on its own, so every row takes exactly the iterations of its solve alone.
     """
     if g.linear_slope is not None:
         return u_old / (1.0 + c * g.linear_slope)
@@ -196,14 +208,28 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     converged = False
     for _ in range(NEWTON_MAX_ITER):
         resid = u + c * np.asarray(g.value(u)) - u_old
-        if np.all(np.abs(resid) <= tol):
+        ok = np.abs(resid) <= tol
+        if ok.all():
             converged = True
             break
-        u = u - resid / (1.0 + c * np.asarray(g.derivative(u)))
+        du = resid / (1.0 + c * np.asarray(g.derivative(u)))
+        if u.ndim > 1 and len(u) > 1:
+            du[ok.all(axis=-1)] = 0.0  # u - 0.0 is u: a converged row stays put
+        u = u - du
     if not converged:
         resid = u + c * np.asarray(g.value(u)) - u_old
         bad = np.abs(resid) > tol
-        u[bad] = _bisect_damping(u_old[bad], c[bad], g, tol[bad])
+        c = np.broadcast_to(c, u.shape)
+        for row in np.ndindex(u.shape[:-1]):  # a 1-d solve is the one row ()
+            b = bad[row]
+            if not b.any():
+                continue
+            try:
+                u[row][b] = _bisect_damping(u_old[row][b], c[row][b], g, tol[row][b])
+            except NewtonError as err:
+                if row:
+                    err.row = row[0]
+                raise
     # clamp against roundoff overshoot: the root lies between 0 and u_old
     return np.clip(u, np.minimum(0.0, u_old), np.maximum(0.0, u_old))
 
@@ -241,8 +267,9 @@ def damped_support(a_nodes: Array) -> slice:
 
 def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
                            g: Nonlinearity | None = None) -> RiemannState:
-    """Backward-Euler damping substep on the slice `support`, with c given
-    on that slice. z_x = (rho + xi)/2 is untouched; only u = z_t relaxes.
+    """Backward-Euler damping substep on the slice `support` of the last
+    axis, with c given on that slice. z_x = (rho + xi)/2 is untouched; only
+    u = z_t relaxes.
 
     g relaxes u = z_t by the implicit solve of u + c g(u) = u_old; g = None is
     the frozen linear coefficient of the auxiliary problem, u <- u / (1 + c).
@@ -250,10 +277,10 @@ def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
     there and the full-array delta form keeps every node bitwise equal to
     running the update on the whole grid.
     """
-    u = 0.5 * (state.rho[support] - state.xi[support])
+    u = 0.5 * (state.rho[..., support] - state.xi[..., support])
     u_new = u / (1.0 + c) if g is None else _implicit_damping_update(u, c, g)
     d = np.zeros_like(state.rho)
-    np.subtract(u_new, u, out=d[support])
+    np.subtract(u_new, u, out=d[..., support])
     return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
 
 
@@ -321,35 +348,42 @@ def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
 
 
 def _check_monotone(block: tuple[dict[str, Array], ...],
-                    first: list[dict[str, float]], last: list[dict[str, float]],
+                    first: list[dict[str, Array]], last: list[dict[str, Array]],
                     times: Array) -> None:
     """Raise at the first record of `block` whose energy is not finite or
     rose above the record before it by more than MONOTONICITY_SLACK, relative
     to the initial energy when that exceeds 1.
 
-    block holds one dict of per-record diagnostics per guarded trajectory;
+    block holds one dict of per-record diagnostics per guarded trajectory,
+    each of shape (records,) or, for the rows of a family, (records, B);
     first and last hold their initial record and the record before the block.
-    Records are screened in time order and, within one record, trajectory by
-    trajectory and key by key, so the error is the one a record-by-record
-    screen raises first.
+    Records are screened in time order and, within one record, row by row,
+    trajectory by trajectory and key by key, so the error is the one a
+    record-by-record screen of each row alone raises first. The error for a
+    row of a family carries row = b.
     """
     hits = []
     for j, diag in enumerate(block):
         for key, energies in diag.items():
             if not key.startswith("E_p"):
                 continue
-            slack = MONOTONICITY_SLACK * max(1.0, first[j][key])
+            slack = MONOTONICITY_SLACK * np.maximum(1.0, first[j][key])
             before = np.concatenate(([last[j][key]], energies[:-1]))
-            rises = np.flatnonzero(~np.isfinite(energies) | (energies > before + slack))
+            rises = np.argwhere(~np.isfinite(energies) | (energies > before + slack))
             if rises.size:
-                i = int(rises[0])
-                hits.append((i, j, key, float(before[i]), float(energies[i]), slack))
+                i, *row = rises[0].tolist()  # row: [] for one run, [b] in a family
+                at = (i, *row)
+                hits.append((i, row, j, key, float(before[at]), float(energies[at]),
+                             float(slack[tuple(row)]), float(first[j][key][tuple(row)])))
     if hits:
-        i, j, key, prev, now, slack = min(hits, key=lambda hit: hit[:2])
+        i, row, j, key, prev, now, slack, e0 = min(hits, key=lambda hit: hit[:3])
         change = "increased" if np.isfinite(now) else "is not finite"
-        raise EnergyMonotonicityError(
+        err = EnergyMonotonicityError(
             f"{key} {change} at t = {times[i]}: {prev} -> {now} "
-            f"(slack {slack}, E(0) = {first[j][key]})")
+            f"(slack {slack}, E(0) = {e0})")
+        if row:
+            err.row = row[0]
+        raise err
 
 
 def _is_record(scenario: Scenario, n: int) -> bool:
@@ -365,16 +399,17 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     """Step `state` (anything with a time `t`) to t_final and guard every
     energy of every record.
 
-    capture(state) gives the 1-d arrays a record's diagnostics need. Each is
-    written once, as a row of a preallocated buffer that holds every record
-    with keep_states and one reused block of max(1, RECORD_BLOCK_VALUES //
-    n_nodes) records otherwise. diagnose receives each buffer's rows of a
-    block and returns one dict of per-record diagnostics per guarded
-    trajectory. Returns (times, the buffers or None, diagnostics).
+    capture(state) gives the arrays a record's diagnostics need, (n_nodes,)
+    or (B, n_nodes) for a family. Each is written once, as a row of a
+    preallocated buffer that holds every record with keep_states and one
+    reused block of max(1, RECORD_BLOCK_VALUES // size) records otherwise.
+    diagnose receives each buffer's rows of a block, the records captured
+    since its last call, and returns one dict of per-record diagnostics per
+    guarded trajectory. Returns (times, the buffers or None, diagnostics).
     """
-    block_len = max(1, RECORD_BLOCK_VALUES // scenario.grid.n_nodes)
-    n_records = 1 + -(-scenario.n_steps // scenario.record_every)
     rows = capture(state)
+    block_len = max(1, RECORD_BLOCK_VALUES // rows[0].size)
+    n_records = 1 + -(-scenario.n_steps // scenario.record_every)
     buffers = tuple(np.empty((n_records if keep_states else min(block_len, n_records),
                               *row.shape)) for row in rows)
     times = np.empty(n_records)
@@ -416,26 +451,72 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     return times, buffers if keep_states else None, diagnostics
 
 
-def _row(diag: dict[str, Array], i: int) -> dict[str, float]:
-    return {k: float(v[i]) for k, v in diag.items()}
+def _row(diag: dict[str, Array], i: int) -> dict[str, Array]:
+    return {k: v[i] for k, v in diag.items()}
 
 
 def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
     asserting E_p monotonicity (for every p simultaneously) at each record."""
-    state = scenario.initial.riemann(scenario.grid)
+    return run_family([scenario], keep_states)[0]
+
+
+#: the Scenario fields every row of a family shares; a row has its own name
+#: and initial data
+FAMILY_FIELDS = ("grid", "g", "a", "splitting", "t_final", "record_every", "p_list")
+
+
+def run_family(scenarios: Sequence[Scenario], keep_states: bool = True
+               ) -> list[Trajectory]:
+    """run_simulation of each scenario, stepped together as the rows of one
+    (B, n_nodes) state so that each numpy call serves every row.
+
+    The scenarios must share FAMILY_FIELDS (ValueError otherwise). Each
+    returned trajectory is bitwise equal to run_simulation of its scenario,
+    and each row is guarded on its own: the first energy rise in (time, row)
+    order raises, and an EnergyMonotonicityError or NewtonError of a row
+    names that row's scenario. With keep_states, a row's rho and xi are views
+    into one (n_records, B, n_nodes) buffer. One scenario steps as a 1-d
+    state, as run_simulation does.
+    """
+    if not scenarios:
+        return []
+    head = scenarios[0]
+    for sc in scenarios[1:]:
+        differ = [f for f in FAMILY_FIELDS if getattr(sc, f) != getattr(head, f)]
+        if differ:
+            raise ValueError(
+                f"scenario '{sc.name}' differs from '{head.name}' in "
+                f"{', '.join(differ)}; the rows of a family share "
+                f"{', '.join(FAMILY_FIELDS)}")
+    starts = [sc.initial.riemann(head.grid) for sc in scenarios]
+    stacked = len(scenarios) > 1
+    state = RiemannState(rho=np.stack([s.rho for s in starts]),
+                         xi=np.stack([s.xi for s in starts]), t=0.0) if stacked else starts[0]
 
     def advance(s: RiemannState) -> RiemannState:
-        return step(s, scenario, scenario.a_nodes, support=scenario.support)
+        return step(s, head, head.a_nodes, support=head.support)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, scenario),)
+        return (_base_diagnostics(rho, xi, head),)
 
-    times, kept, (diag,) = _record_loop(
-        scenario, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
+    try:
+        times, kept, (diag,) = _record_loop(
+            head, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
+    except (EnergyMonotonicityError, NewtonError) as err:
+        if not hasattr(err, "row"):
+            raise
+        raise type(err)(f"{scenarios[err.row].name}: {err}") from err
     rho, xi = kept or (None, None)
-    return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
-                      scenario=scenario)
+    if not stacked:
+        return [Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
+                           scenario=head)]
+    return [Trajectory(times=times.copy(),
+                       rho=None if rho is None else rho[:, b],
+                       xi=None if xi is None else xi[:, b],
+                       diagnostics={k: v[:, b].copy() for k, v in diag.items()},
+                       scenario=sc)
+            for b, sc in enumerate(scenarios)]
 
 
 def run_auxiliary(scenario: Scenario, theta: ThetaField,
@@ -453,7 +534,17 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     a_damped = scenario.a_nodes[support]
     state = scenario.initial.riemann(grid)
 
-    def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
+    # theta at the record times captured since the last block: the states
+    # are kept with keep_states, these samples only until their block is done
+    pending: list[Array] = []
+
+    def capture(s: RiemannState) -> tuple[Array, Array]:
+        pending.append(theta(s.t, xs))
+        return s.rho, s.xi
+
+    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
+        th = np.stack(pending)
+        pending.clear()
         return (_base_diagnostics(rho, xi, scenario, th),)
 
     def advance(s: RiemannState) -> RiemannState:
@@ -462,10 +553,9 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
             h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
             for k in (0, 1)))
 
-    times, kept, (diag,) = _record_loop(
-        scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
-        diagnose, keep_states)
-    rho, xi, _ = kept or (None, None, None)  # the theta rows are not kept
+    times, kept, (diag,) = _record_loop(scenario, state, advance, capture,
+                                        diagnose, keep_states)
+    rho, xi = kept or (None, None)
     return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
                       scenario=scenario)
 

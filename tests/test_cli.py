@@ -11,6 +11,11 @@ from wavelab.cli import (
 )
 from wavelab.solver import run_derivative_system
 
+#: the experiment kind of each bad-value case that is not simulate: with
+#: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
+#: need 3
+BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report"}
+
 GOOD_SUITE = """
 [suite]
 kind = simulate
@@ -157,10 +162,12 @@ class TestMainEndToEnd:
         ("z0 = bump(width=-0.1)", "z0"),
         ("window = 0, 100", "window"),
         ("fit_window = 50, 60", "fit_window"),
+        ("window = 0, 0.01", "window"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
         lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]
         text = "\n".join(lines + [line, ""])
+        text = text.replace("kind = simulate", f"kind = {BAD_VALUE_KINDS.get(line, 'simulate')}")
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(text)
         assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
@@ -181,6 +188,18 @@ class TestMainEndToEnd:
                        "the default (2, 1.8) needs t_lo < t_hi\n")
         assert not (tmp_path / "o").exists()
         parse_suite(text)  # an explicit fit_window replaces the default
+
+    def test_default_multiplier_window_needs_three_records(self, tmp_path, capsys):
+        # without window the multiplier terms integrate over (0, t_final),
+        # which holds the records at 0 and 2 only
+        text = GOOD_SUITE.replace("kind = simulate", "kind = multiplier_report")
+        suite_file = tmp_path / "bad.ini"
+        suite_file.write_text(text + "record_every = 128\n")
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: scenario 'demo': key 'window': the default "
+                       "(0, 2) holds 2 record(s); the multiplier terms need at least 3\n")
+        parse_suite(text + "record_every = 64\n")  # records at 0, 1 and 2
 
     def test_window_between_two_records_is_a_scenario_error(self, tmp_path, capsys):
         # records every 64 steps of dt = 1/64 are 1 apart: s = 0.2 and

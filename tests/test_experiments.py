@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import wavelab
-from wavelab import cli, solver, verify
+from wavelab import cli, experiments, solver, verify
 from wavelab.cli import main, parse_suite
 from wavelab.experiments import EXPERIMENTS
+from wavelab.solver import run_family
 
 SCENARIO = {"n_cells": "32", "t_final": "4", "p_list": "1.5, 2", "g": "arctan",
             "a": "smooth_indicator(0.7, 1, 2, 0.05)", "amplitude": "0.5"}
@@ -224,3 +225,19 @@ def test_experiments_load_without_the_cli():
     assert "wavelab.experiments" in loaded
     assert "wavelab.cli" not in loaded
     assert "wavelab.verify" not in loaded
+
+
+def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
+    spec = parse_suite(_suite("semi_global_sweep",
+                              ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
+    families = []
+
+    def spy(scenarios, keep_states=True):
+        families.append([sc.name for sc in scenarios])
+        return run_family(scenarios, keep_states)
+
+    monkeypatch.setattr(experiments, "run_family", spy)
+    summary = EXPERIMENTS["semi_global_sweep"](spec)["summary"]
+    assert families == [["one_a1", "one_a4"]]
+    assert [entry["degenerate"] for entry in summary["entries"]] == [False, True, False]
+    assert [entry["alpha"] for entry in summary["entries"]] == [1.0, 0.0, 4.0]

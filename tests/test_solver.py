@@ -18,7 +18,7 @@ from wavelab.solver import (
     MONOTONICITY_SLACK, RECORD_BLOCK_VALUES, EnergyMonotonicityError,
     InitialData, NewtonError, Scenario, ThetaBoundError, ThetaField,
     _damping_substep_nodal, _implicit_damping_update, damped_support,
-    run_auxiliary, run_derivative_system, run_simulation, step,
+    run_auxiliary, run_derivative_system, run_family, run_simulation, step,
     theta_from_run, transport_shift,
 )
 
@@ -31,6 +31,12 @@ def _scenario(n=64, t_final=2.0, g=None, a=None, p_list=(2.0,), amp=0.5,
         a=a or smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
         initial=InitialData(sine_profile(1, amplitude=amp), zero_function()),
         splitting=splitting, record_every=record_every)
+
+
+def _family(sc, alphas):
+    """The rows of sc with its initial data scaled by each alpha."""
+    return [replace(sc, name=f"{sc.name}_a{alpha:g}", initial=sc.initial.scaled(alpha))
+            for alpha in alphas]
 
 
 class TestTransport:
@@ -535,6 +541,10 @@ class TestSplitKernel:
         run_derivative_system(sc, keep_states=False)
         assert calls == {"transport_shift": 2 * n, "step": n,
                          "_damping_substep_nodal": 2 * substeps}
+        calls.clear()
+        run_family(_family(sc, (1.0, 2.0, 4.0)), keep_states=False)
+        assert calls == {"transport_shift": n, "step": n,
+                         "_damping_substep_nodal": substeps}
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +890,7 @@ class TestRecordBuffers:
     cross block boundaries and end on a partial block."""
 
     @staticmethod
-    def _drivers(sc):
+    def _drivers(sc, family):
         """Each driver as run(keep_states) -> trajectories, with its
         hand-stepped recorded states per trajectory."""
         theta = _smooth_theta()
@@ -888,6 +898,8 @@ class TestRecordBuffers:
         return {
             "simulation": (lambda keep: (run_simulation(sc, keep),),
                            (_simulation_states_ref(sc),)),
+            "family": (lambda keep: run_family(family, keep),
+                       [_simulation_states_ref(row) for row in family]),
             "auxiliary": (lambda keep: (run_auxiliary(sc, theta, keep),),
                           (_auxiliary_ref(sc, theta),)),
             "derivative_system": (lambda keep: run_derivative_system(sc, keep),
@@ -898,23 +910,150 @@ class TestRecordBuffers:
            n_steps=st.integers(1, 30), block=st.integers(1, 5),
            splitting=st.sampled_from(["strang", "lie"]),
            g=st.sampled_from(sorted(GS)),
-           driver=st.sampled_from(["simulation", "auxiliary", "derivative_system"]))
-    @settings(max_examples=40, deadline=None)
+           driver=st.sampled_from(["simulation", "family", "auxiliary",
+                                   "derivative_system"]),
+           alphas=st.lists(st.sampled_from([0.25, 1.0, 4.0, 16.0]),
+                           min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
     def test_rows_are_the_hand_stepped_states(self, n, record_every, n_steps,
-                                              block, splitting, g, driver):
+                                              block, splitting, g, driver, alphas):
+        # a family of B = len(alphas) rows is bitwise its rows' solo runs
         sc = _scenario(n=n, t_final=n_steps / n, g=GS[g](), p_list=ALL_P,
                        splitting=splitting, record_every=record_every)
         assert sc.n_steps == n_steps
-        run, refs = self._drivers(sc)[driver]
+        family = _family(sc, alphas)
+        run, refs = self._drivers(sc, family)[driver]
+        rows = len(family) if driver == "family" else 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
+            mp.setattr(solver, "RECORD_BLOCK_VALUES", block * rows * sc.grid.n_nodes)
             kept, thin = run(True), run(False)
         one_block = run(True)  # the default block holds every record here
-        assert _block_len(sc) >= len(one_block[0].times)
-        for traj, states, thin_traj, ref_traj in zip(kept, refs, thin, one_block):
+        assert _block_len(sc) // rows >= len(one_block[0].times)
+        if driver == "family":
+            for traj, row in zip(kept, family):
+                assert traj.scenario is row
+                for key, series in run_simulation(row).diagnostics.items():
+                    _assert_bitwise(traj.diagnostics[key], series)
+        for traj, states, thin_traj, ref_traj in zip(kept, refs, thin, one_block,
+                                                     strict=True):
             _assert_states(traj, states)
             assert thin_traj.rho is None and thin_traj.xi is None
             _assert_bitwise(thin_traj.times, traj.times)
             for key, series in traj.diagnostics.items():
                 _assert_bitwise(thin_traj.diagnostics[key], series)
                 _assert_bitwise(ref_traj.diagnostics[key], series)
+
+
+def _pumping_rows(starts):
+    """_pumping_substep for the rows of a family: row b is pumped from
+    t = starts[b] on."""
+    real = solver._damping_substep_nodal
+
+    def substep(state, c, support, g=None):
+        out = real(state, c, support, g)
+        rows = [b for b, t_bad in starts.items() if state.t >= t_bad]
+        rho, xi = out.rho.copy(), out.xi.copy()
+        rho[rows] = state.rho[rows] + 2.0 * (state.rho[rows] - out.rho[rows])
+        xi[rows] = state.xi[rows] + 2.0 * (state.xi[rows] - out.xi[rows])
+        return RiemannState(rho=rho, xi=xi, t=state.t)
+
+    return substep
+
+
+def _assert_runs_equal(got, ref):
+    assert got.scenario is ref.scenario
+    _assert_bitwise(got.times, ref.times)
+    _assert_bitwise(got.rho, ref.rho)
+    _assert_bitwise(got.xi, ref.xi)
+    assert list(got.diagnostics) == list(ref.diagnostics)
+    for key, series in ref.diagnostics.items():
+        _assert_bitwise(got.diagnostics[key], series)
+
+
+class TestRunFamily:
+    """The rows of a family step as one (B, n_nodes) state; each row is
+    bitwise its solo run and is guarded on its own."""
+
+    def test_rows_stop_newton_on_their_own(self):
+        # with strong damping the saturating solves of alpha = 1/100 take
+        # fewer Newton iterations than those of alpha = 1 and 16, so the
+        # family keeps iterating after its first row has converged
+        calls = []
+        sat = saturating_damping()
+        g = Nonlinearity(lambda s: calls.append(np.size(s)) or sat.value(s),
+                         sat.derivative, sat.label)
+        family = _family(_scenario(n=32, t_final=1.0, g=g, a=constant_profile(20.0)),
+                         (0.01, 1.0, 16.0))
+        solo, solo_calls = [], []
+        for row in family:
+            calls.clear()
+            solo.append(run_simulation(row))
+            solo_calls.append(len(calls))
+        assert len(set(solo_calls)) > 1
+        for got, ref in zip(run_family(family), solo, strict=True):
+            _assert_runs_equal(got, ref)
+
+    def test_one_row_in_the_bisection_fallback(self, monkeypatch):
+        # three Newton iterations suffice for the cubic at alpha = 1 but not
+        # at alpha = 16, whose row alone falls back to bisection
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 3)
+        bisected = []
+        real = solver._bisect_damping
+
+        def bisect(u_old, c, g, tol):
+            bisected.append(u_old.size)
+            return real(u_old, c, g, tol)
+
+        monkeypatch.setattr(solver, "_bisect_damping", bisect)
+        family = _family(_scenario(n=32, t_final=1.0, g=cubic_damping()), (1.0, 16.0))
+        solo = []
+        for row in family:
+            bisected.clear()
+            solo.append(run_simulation(row))
+            assert bool(bisected) == (row is family[1])
+        bisected.clear()
+        for got, ref in zip(run_family(family), solo, strict=True):
+            _assert_runs_equal(got, ref)
+        assert bisected
+
+    def test_bisection_error_names_its_row(self, monkeypatch):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 3)
+
+        def bisect(u_old, c, g, tol):
+            raise NewtonError("injected bisection failure")
+
+        monkeypatch.setattr(solver, "_bisect_damping", bisect)
+        family = _family(_scenario(n=32, t_final=1.0, g=cubic_damping()), (1.0, 16.0))
+        with pytest.raises(NewtonError) as solo:
+            run_simulation(family[1])
+        assert str(solo.value) == "injected bisection failure"
+        with pytest.raises(NewtonError) as got:
+            run_family(family)
+        assert str(got.value) == "t_a16: injected bisection failure"
+
+    @pytest.mark.parametrize("starts, named", [
+        ({2: 40}, 2),         # one bad row
+        ({0: 60, 2: 40}, 2),  # the earlier rise is raised, not the lower row
+        ({1: 40, 2: 40}, 1),  # at one time, the lower row
+    ])
+    def test_energy_rise_names_its_row(self, monkeypatch, starts, named):
+        sc = _block_scenario()
+        family = _family(sc, (1.0, 2.0, 4.0))
+        t_bad = {b: (k - 0.5) * sc.dt for b, k in starts.items()}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_damping_substep_nodal", _pumping_substep(t_bad[named]))
+            with pytest.raises(EnergyMonotonicityError) as solo:
+                run_simulation(family[named])
+        monkeypatch.setattr(solver, "_damping_substep_nodal", _pumping_rows(t_bad))
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_family(family)
+        assert str(got.value) == f"{family[named].name}: {solo.value}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid", Grid(32)), ("g", cubic_damping()), ("t_final", 1.5)])
+    def test_rows_must_share_the_run_fields(self, field, value):
+        sc = _scenario()
+        other = replace(sc, name="other", **{field: value})
+        with pytest.raises(ValueError, match=f"'other' differs from 't' in {field};"):
+            run_family([sc, other])
+        assert run_family([]) == []
