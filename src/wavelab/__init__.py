@@ -16,7 +16,7 @@ from .energy import (
     sobolev_bound_check,
 )
 from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms, record_window
-from .oracle import dalembert, dalembert_riemann, modal_rate
+from .oracle import dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,
     run_auxiliary, run_derivative_system, run_family, run_simulation, step,

@@ -26,6 +26,7 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
+from .energy import FIT_MIN_POINTS
 from .experiments import EXPERIMENTS, ScenarioSpec, sweep_fit_window
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
@@ -33,6 +34,8 @@ KINDS = (*EXPERIMENTS, "verify")
 #: experiment kinds that invoke the stability theory, which needs 1 < p < inf:
 #: every experiment but plain simulation
 STABILITY_KINDS = tuple(kind for kind in EXPERIMENTS if kind != "simulate")
+#: experiment kinds that fit decay rates on the fit window (decay_fit)
+FIT_KINDS = ("simulate", "semi_global_sweep")
 
 DEFAULTS = {
     "n_cells": "256",
@@ -259,12 +262,23 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     # the windows must fit the run: t_final rounded to whole steps
     t_end = scenario.t_final_actual
 
+    def records_in(s: float, t: float) -> int:
+        # the records at every record_every-th step and at the final step
+        steps = np.union1d(np.arange(0, scenario.n_steps, scenario.record_every),
+                           [scenario.n_steps])
+        times = steps * scenario.dt
+        return int(np.count_nonzero((times >= s - 1e-12) & (times <= t + 1e-12)))
+
     def fit_window(lo: float, hi: float, what: str = "") -> tuple[float, float]:
         if not lo < hi:
             raise ConfigError(f"{what}({lo:g}, {hi:g}) needs t_lo < t_hi")
         if lo >= t_end:
             raise ConfigError(f"{what}({lo:g}, {hi:g}) starts at or after the "
                               f"final time {t_end:g}")
+        held = records_in(lo, hi)
+        if kind in FIT_KINDS and held < FIT_MIN_POINTS:
+            raise ConfigError(f"{what}({lo:g}, {hi:g}) holds {held} record(s); "
+                              f"the decay fit needs at least {FIT_MIN_POINTS}")
         return lo, hi
 
     def window(text: str) -> tuple[float, float]:
@@ -279,10 +293,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 
     def multiplier_window(s: float, t: float, what: str = "") -> None:
         # the multiplier terms integrate over at least 3 records of the window
-        steps = np.union1d(np.arange(0, scenario.n_steps, scenario.record_every),
-                           [scenario.n_steps])
-        times = steps * scenario.dt
-        held = np.count_nonzero((times >= s - 1e-12) & (times <= t + 1e-12))
+        held = records_in(s, t)
         if held < 3:
             raise ConfigError(f"{what}({s:g}, {t:g}) holds {held} record(s); "
                               f"the multiplier terms need at least 3")
@@ -422,11 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run the built-in acceptance suite")
 
     p_or = sub.add_parser("oracle", help="evaluate a reference oracle")
-    p_or.add_argument("case", choices=["modal", "dalembert"])
+    p_or.add_argument("case", choices=["modal"])
     p_or.add_argument("--a0", type=float, default=0.5)
     p_or.add_argument("--k", type=int, default=1)
-    p_or.add_argument("--t", type=float, default=0.5)
-    p_or.add_argument("--x", type=float, default=0.5)
     return parser
 
 
@@ -443,18 +452,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return run_suite(ExperimentSuite(kind="verify", scenarios=()))
     if args.command == "oracle":
-        from . import oracle
-        if args.case == "modal":
-            lp, lm, rate = oracle.modal_rate(args.a0, args.k)
-            print(json.dumps({"lambda_plus": [lp.real, lp.imag],
-                              "lambda_minus": [lm.real, lm.imag],
-                              "energy_rate": rate}))
-        else:
-            from .core import sine_profile, zero_function
-            z0, z1 = sine_profile(args.k), zero_function()
-            z = oracle.dalembert(z0.value, z1.value, args.t, args.x)
-            print(json.dumps({"z": z, "t": args.t, "x": args.x,
-                              "data": f"sine({args.k}), zero"}))
+        from .oracle import modal_rate
+        lp, lm, rate = modal_rate(args.a0, args.k)
+        print(json.dumps({"lambda_plus": [lp.real, lp.imag],
+                          "lambda_minus": [lm.real, lm.imag],
+                          "energy_rate": rate}))
         return 0
     return 2
 

@@ -163,6 +163,8 @@ class DecayFit:
 
 
 FIT_FLOOR_FACTOR = 1e-13
+#: the fewest points above the floor that decay_fit fits a line through
+FIT_MIN_POINTS = 10
 
 
 def decay_fit(times: Array, energies: Array, window: tuple[float, float]) -> DecayFit:
@@ -175,10 +177,10 @@ def decay_fit(times: Array, energies: Array, window: tuple[float, float]) -> Dec
     energies = np.asarray(energies, dtype=float)
     floor = FIT_FLOOR_FACTOR * energies[0]
     mask = (times >= window[0]) & (times <= window[1]) & (energies > floor)
-    if int(mask.sum()) < 10:
+    if int(mask.sum()) < FIT_MIN_POINTS:
         raise ValueError(
-            f"decay_fit needs >= 10 points above the floor in {window}, "
-            f"got {int(mask.sum())}")
+            f"decay_fit needs >= {FIT_MIN_POINTS} points above the floor in "
+            f"{window}, got {int(mask.sum())}")
     t = times[mask]
     y = np.log(energies[mask])
     slope, intercept = np.polyfit(t, y, 1)

@@ -1,16 +1,16 @@
 """Independent reference solutions.
 
-d'Alembert's formula with odd 2-periodic extension for the undamped
-Dirichlet problem, and the modal rates of the constant-coefficient
-linearly damped string. These validate the transport/splitting solver
-and the decay-rate fitting without sharing any code with them.
+d'Alembert's formula for the Riemann invariants of the undamped Dirichlet
+problem, by odd/even 2-periodic extension of the initial invariants, and
+the modal rates of the constant-coefficient linearly damped string. These
+validate the transport/splitting solver and the decay-rate fitting without
+sharing any code with them.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 Array = np.ndarray
 
@@ -41,33 +41,6 @@ def even_extension(f: Callable[[Array], Array], y):
     odd-extended function) at y."""
     m, _ = _fold(y)
     return np.asarray(f(m))
-
-
-def dalembert(z0: Callable, z1: Callable, t: float, x):
-    """z(t, x) for z_tt = z_xx on (0,1) with Dirichlet walls.
-
-    z = [ž0(x+t) + ž0(x-t)]/2 + (1/2) * int_{x-t}^{x+t} ž1, where ž is the
-    odd 2-periodic extension. The integral term uses the antiderivative
-    J(w) = int_0^w z1 (adaptive quadrature, abs tol 1e-13), extended evenly:
-    the antiderivative of an odd 2-periodic function is even 2-periodic.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def anti(w):
-        val, _ = quad(lambda s: float(z1(np.asarray(s))), 0.0, float(w),
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
-
-    def anti_ext(y):
-        m, _ = _fold(y)
-        flat = np.atleast_1d(m)
-        vals = np.array([anti(w) for w in flat])
-        return vals.reshape(m.shape) if m.ndim else float(vals[0])
-
-    homo = 0.5 * (odd_extension(z0, x + t) + odd_extension(z0, x - t))
-    inhomo = 0.5 * (anti_ext(x + t) - anti_ext(x - t))
-    out = homo + inhomo
-    return out if np.ndim(out) else float(out)
 
 
 def dalembert_riemann(z0_prime: Callable, z1: Callable, t: float, x):

@@ -162,6 +162,7 @@ class TestMainEndToEnd:
         ("z0 = bump(width=-0.1)", "z0"),
         ("window = 0, 100", "window"),
         ("fit_window = 50, 60", "fit_window"),
+        ("fit_window = 0.5, 0.6", "fit_window"),
         ("window = 0, 0.01", "window"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
@@ -188,6 +189,18 @@ class TestMainEndToEnd:
                        "the default (2, 1.8) needs t_lo < t_hi\n")
         assert not (tmp_path / "o").exists()
         parse_suite(text)  # an explicit fit_window replaces the default
+
+    def test_default_sweep_fit_window_needs_ten_records(self, tmp_path, capsys):
+        # records every 0.5 put 4 of them in the default window (2, 3.6)
+        text = (GOOD_SUITE.replace("kind = simulate", "kind = semi_global_sweep")
+                .replace("t_final = 2", "t_final = 4").replace("fit_window = 0.5, 2\n", ""))
+        suite_file = tmp_path / "bad.ini"
+        suite_file.write_text(text + "record_every = 32\n")
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: scenario 'demo': key 'fit_window': the default "
+                       "(2, 3.6) holds 4 record(s); the decay fit needs at least 10\n")
+        parse_suite(text + "record_every = 8\n")  # 13 records in the window
 
     def test_default_multiplier_window_needs_three_records(self, tmp_path, capsys):
         # without window the multiplier terms integrate over (0, t_final),
@@ -254,12 +267,6 @@ class TestMainEndToEnd:
         assert main(["oracle", "modal", "--a0", "10", "--k", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["energy_rate"] == pytest.approx(2.22043816171871)
-
-    def test_oracle_dalembert_subcommand(self, capsys):
-        assert main(["oracle", "dalembert", "--t", "0.5", "--x", "0.5"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        # standing wave cos(pi t) sin(pi x) at the center point
-        assert payload["z"] == pytest.approx(np.cos(np.pi * 0.5), abs=1e-10)
 
 
 #: values that are not a number, not finite, empty, negative, garbage or a

@@ -1,6 +1,7 @@
 """Every experiment kind end to end through `wavelab run`, a suite with a
-failing scenario, the one `verify` entry and the layering of
-`wavelab.experiments` below the command line."""
+failing scenario, the one `verify` entry, the layering of
+`wavelab.experiments` below the command line and numpy as the one
+third-party import."""
 import json
 import os
 import subprocess
@@ -156,13 +157,15 @@ def test_scenario_without_keys_still_runs_in_parallel(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scenario_error_does_not_end_the_suite(tmp_path, capsys, jobs):
-    # a fit window holding 4 records makes decay_fit raise a ValueError
-    text = _suite("simulate", ("bad", {"fit_window": "3.9, 4"}),
+    # records 1 apart: both ends of the window snap to the record at t = 0,
+    # and observability_ratio raises a ValueError
+    text = _suite("simulate", ("bad", {"record_every": "32", "window": "0.2, 0.4"}),
                   ("good", {"fit_window": "1, 4"}))
     code, out = _run(tmp_path, text, "--jobs", jobs)
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("ERROR bad: ValueError: decay_fit needs >= 10 points")
+    assert err.startswith("ERROR bad: ValueError: window (0.2, 0.4): s and t "
+                          "snap to the same record")
     assert "Traceback" not in err
     assert sorted(_files(out)) == ["energies_good.csv", "summary_good.json"]
 
@@ -174,7 +177,8 @@ def test_failures_and_errors_are_reported_per_scenario(tmp_path, capsys,
     monkeypatch.setattr(solver, "_implicit_damping_update",
                         lambda u_old, c, g: u_old * (1.0 + c))
     text = _suite("simulate", ("pumped", {}),
-                  ("bad", {"a": "zero", "fit_window": "3.9, 4"}), ("good", {"a": "zero"}))
+                  ("bad", {"a": "zero", "record_every": "32", "window": "0.2, 0.4"}),
+                  ("good", {"a": "zero"}))
     code, out = _run(tmp_path, text)
     assert code == 3
     err = capsys.readouterr().err.splitlines()
@@ -212,19 +216,35 @@ def test_verify_check_that_raises_is_a_scenario_error(tmp_path, capsys, monkeypa
     assert err == "ERROR verify: RuntimeError: check blew up\n" * 2
 
 
-def test_experiments_load_without_the_cli():
+def _loaded_by(modules):
+    """The modules that `import <modules>` loads in a fresh interpreter."""
     src = str(Path(wavelab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import json, sys, wavelab.experiments; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wavelab'))))")
+    probe = ("import json, sys; before = set(sys.modules); "
+             f"import {modules}; print(json.dumps(sorted(set(sys.modules) - before)))")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    loaded = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+def test_experiments_load_without_the_cli():
+    loaded = _loaded_by("wavelab.experiments")
     assert "wavelab.experiments" in loaded
     assert "wavelab.cli" not in loaded
     assert "wavelab.verify" not in loaded
+
+
+def test_numpy_is_the_only_third_party_import():
+    # every process imports the package, the command line and the checks;
+    # beyond the standard library they must load numpy alone (dunder names
+    # are aliases such as multiprocessing's __mp_main__)
+    loaded = _loaded_by("wavelab, wavelab.cli, wavelab.verify")
+    top = {name.partition(".")[0] for name in loaded}
+    third_party = {name for name in top
+                   if name not in sys.stdlib_module_names and not name.startswith("__")}
+    assert third_party == {"numpy", "wavelab"}
 
 
 def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):

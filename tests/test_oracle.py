@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from wavelab.core import sine_profile, zero_function
+from wavelab.core import sine_profile
 from wavelab.oracle import (
-    _fold, dalembert, dalembert_riemann, even_extension, modal_rate,
-    odd_extension,
+    _fold, dalembert_riemann, even_extension, modal_rate, odd_extension,
 )
 
 
@@ -39,41 +38,21 @@ class TestFolding:
 
 
 class TestDalembert:
-    def test_standing_wave(self):
-        z0, z1 = sine_profile(1), zero_function()
-        for t, x in [(0.3, 0.4), (1.7, 0.25), (4.1, 0.8)]:
-            assert dalembert(z0.value, z1.value, t, x) == pytest.approx(
-                np.cos(np.pi * t) * np.sin(np.pi * x), abs=1e-10)
-
-    def test_velocity_data_mode(self):
-        z0, z1 = zero_function(), sine_profile(1)
-        for t, x in [(0.3, 0.4), (0.9, 0.6)]:
-            assert dalembert(z0.value, z1.value, t, x) == pytest.approx(
-                np.sin(np.pi * t) * np.sin(np.pi * x) / np.pi, abs=1e-9)
-
-    def test_initial_condition_reproduced(self):
-        z0, z1 = sine_profile(2, amplitude=0.7), zero_function()
-        x = np.linspace(0, 1, 33)
-        np.testing.assert_allclose(dalembert(z0.value, z1.value, 0.0, x),
-                                   np.asarray(z0.value(x)), atol=1e-12)
-
-    def test_two_periodic_in_time(self):
-        z0, z1 = sine_profile(1), sine_profile(3, amplitude=0.2)
-        x = np.linspace(0.1, 0.9, 9)
-        a = dalembert(z0.value, z1.value, 0.8, x)
-        b = dalembert(z0.value, z1.value, 2.8, x)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
     def test_riemann_consistent_with_zt(self):
-        # (rho - xi)/2 is z_t of the d'Alembert solution: a centered time
-        # difference of z reproduces it
-        z0, z1 = sine_profile(1, amplitude=0.5), sine_profile(2, amplitude=0.3)
+        # z0 = A sin(pi x), z1 = B sin(2 pi x) is the standing wave
+        # z = A cos(pi t) sin(pi x) + B sin(2 pi t) sin(2 pi x) / (2 pi); its
+        # closed-form z_x and z_t give rho = z_x + z_t and xi = z_x - z_t
+        a, b = 0.5, 0.3
+        z0, z1 = sine_profile(1, amplitude=a), sine_profile(2, amplitude=b)
         x = np.linspace(0, 1, 17)
-        rho, xi = dalembert_riemann(z0.deriv, z1.value, 0.6, x)
-        h = 1e-4
-        z_t = (dalembert(z0.value, z1.value, 0.6 + h, x)
-               - dalembert(z0.value, z1.value, 0.6 - h, x)) / (2 * h)
-        np.testing.assert_allclose(z_t, 0.5 * (rho - xi), atol=1e-6)
+        for t in (0.0, 0.3, 0.6, 1.7, 2.45, 5.1):
+            z_x = (a * np.pi * np.cos(np.pi * t) * np.cos(np.pi * x)
+                   + b * np.sin(2 * np.pi * t) * np.cos(2 * np.pi * x))
+            z_t = (-a * np.pi * np.sin(np.pi * t) * np.sin(np.pi * x)
+                   + b * np.cos(2 * np.pi * t) * np.sin(2 * np.pi * x))
+            rho, xi = dalembert_riemann(z0.deriv, z1.value, t, x)
+            np.testing.assert_allclose(rho, z_x + z_t, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(xi, z_x - z_t, rtol=0, atol=1e-13)
 
     def test_riemann_initial_values(self):
         z0, z1 = sine_profile(1), sine_profile(2, amplitude=0.4)
