@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from wavelab.core import sine_profile
+from wavelab.core import (
+    bump_profile, cumulative_trapezoid, sine_profile, zero_function,
+)
 from wavelab.oracle import (
     _fold, dalembert_riemann, even_extension, modal_rate, odd_extension,
 )
@@ -38,6 +40,44 @@ class TestFolding:
 
 
 class TestDalembert:
+    def test_standing_wave(self):
+        # z = cos(pi t) sin(pi x): rho = z_x + z_t, xi = z_x - z_t
+        z0, z1 = sine_profile(1), zero_function()
+        for t, x in [(0.3, 0.4), (1.7, 0.25), (4.1, 0.8)]:
+            z_x = np.pi * np.cos(np.pi * t) * np.cos(np.pi * x)
+            z_t = -np.pi * np.sin(np.pi * t) * np.sin(np.pi * x)
+            rho, xi = dalembert_riemann(z0.deriv, z1.value, t, x)
+            assert rho == pytest.approx(z_x + z_t, abs=1e-12)
+            assert xi == pytest.approx(z_x - z_t, abs=1e-12)
+
+    def test_velocity_data_mode(self):
+        # z = sin(pi t) sin(pi x) / pi from velocity data alone
+        z0, z1 = zero_function(), sine_profile(1)
+        for t, x in [(0.3, 0.4), (0.9, 0.6)]:
+            z_x = np.sin(np.pi * t) * np.cos(np.pi * x)
+            z_t = np.cos(np.pi * t) * np.sin(np.pi * x)
+            rho, xi = dalembert_riemann(z0.deriv, z1.value, t, x)
+            assert rho == pytest.approx(z_x + z_t, abs=1e-12)
+            assert xi == pytest.approx(z_x - z_t, abs=1e-12)
+
+    def test_initial_condition_reproduced(self):
+        # at t = 0 the invariants give back z1 = z_t and, integrated in x,
+        # the displacement z0 (to the trapezoid rule's error)
+        z0, z1 = bump_profile(0.4, 0.1, amplitude=0.7), sine_profile(3, amplitude=0.2)
+        x = np.linspace(0, 1, 2049)
+        rho, xi = dalembert_riemann(z0.deriv, z1.value, 0.0, x)
+        np.testing.assert_allclose(0.5 * (rho - xi), np.asarray(z1.value(x)),
+                                   atol=1e-14)
+        z = cumulative_trapezoid(0.5 * (rho + xi), x[1] - x[0])
+        np.testing.assert_allclose(z, np.asarray(z0.value(x)), atol=1e-5)
+
+    def test_two_periodic_in_time(self):
+        z0, z1 = sine_profile(1), sine_profile(3, amplitude=0.2)
+        x = np.linspace(0.1, 0.9, 9)
+        a = dalembert_riemann(z0.deriv, z1.value, 0.8, x)
+        b = dalembert_riemann(z0.deriv, z1.value, 2.8, x)
+        np.testing.assert_allclose(a, b, atol=1e-13)
+
     def test_riemann_consistent_with_zt(self):
         # z0 = A sin(pi x), z1 = B sin(2 pi x) is the standing wave
         # z = A cos(pi t) sin(pi x) + B sin(2 pi t) sin(2 pi x) / (2 pi); its
