@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavelab.core import (
@@ -97,12 +97,230 @@ class TestImplicitDamping:
             assert u * u0 >= 0.0
 
     def test_stiff_coefficient_converges(self):
-        # large c forces the bisection safeguard path for the cubic
+        # large c: Newton still converges for the cubic here (arctan and
+        # saturating g fall back to bisection at these values)
         u_old = np.array([50.0])
         c = np.array([1e6])
         u = _implicit_damping_update(u_old, c, cubic_damping())
         resid = u + c * (u + u ** 3) - u_old
         assert abs(resid[0]) <= 1e-12 * 50.0
+
+
+def _reference_update(u_old, c, g):
+    """_implicit_damping_update as written with np.clip, ndarray.all, np.all
+    and an upfront copy of u_old; the kernel must match it bit for bit."""
+    if g.linear_slope is not None:
+        return u_old / (1.0 + c * g.linear_slope)
+    u = u_old.copy()
+    tol = solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
+    converged = False
+    for _ in range(solver.NEWTON_MAX_ITER):
+        resid = u + c * np.asarray(g.value(u)) - u_old
+        ok = np.abs(resid) <= tol
+        if ok.all():
+            converged = True
+            break
+        du = resid / (1.0 + c * np.asarray(g.derivative(u)))
+        if u.ndim > 1 and len(u) > 1:
+            du[ok.all(axis=-1)] = 0.0
+        u = u - du
+    if not converged:
+        resid = u + c * np.asarray(g.value(u)) - u_old
+        bad = np.abs(resid) > tol
+        c = np.broadcast_to(c, u.shape)
+        for row in np.ndindex(u.shape[:-1]):
+            b = bad[row]
+            if not b.any():
+                continue
+            try:
+                u[row][b] = _reference_bisect(u_old[row][b], c[row][b], g, tol[row][b])
+            except NewtonError as err:
+                if row:
+                    err.row = row[0]
+                raise
+    return np.clip(u, np.minimum(0.0, u_old), np.maximum(0.0, u_old))
+
+
+def _reference_bisect(u_old, c, g, tol):
+    lo = np.minimum(0.0, u_old)
+    hi = np.maximum(0.0, u_old)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        resid = mid + c * np.asarray(g.value(mid)) - u_old
+        if np.all(np.abs(resid) <= tol) or np.all(hi - lo <= 1e-16 * np.abs(hi)):
+            return mid
+        take_hi = resid < 0.0
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    resid = mid + c * np.asarray(g.value(mid)) - u_old
+    if np.any(np.abs(resid) > np.maximum(tol, 1e-10)):
+        raise NewtonError(
+            f"implicit damping solve failed for g = {g.label}; "
+            f"worst residual {np.max(np.abs(resid))}")
+    return mid
+
+
+def _reference_slice_substep(state, c, support, g=None):
+    """_damping_substep_nodal as written with a zero delta array and the
+    full-array rho + d, xi - d."""
+    u = 0.5 * (state.rho[..., support] - state.xi[..., support])
+    u_new = u / (1.0 + c) if g is None else _reference_update(u, c, g)
+    d = np.zeros_like(state.rho)
+    np.subtract(u_new, u, out=d[..., support])
+    return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
+
+
+def _counted(g, calls):
+    """g with its value and derivative evaluations counted in calls."""
+    def value(s):
+        calls["value"] += 1
+        return g.value(s)
+
+    def derivative(s):
+        calls["derivative"] += 1
+        return g.derivative(s)
+
+    return Nonlinearity(value, derivative, g.label, g.linear_slope)
+
+
+def _outcome(solve, *args):
+    """What solve(*args) did: ("ok", result) or ("raised", message, row)."""
+    try:
+        return "ok", solve(*args)
+    except NewtonError as err:
+        return "raised", str(err), getattr(err, "row", None)
+
+
+KERNEL_GS = {"arctan": arctan_damping, "cubic": cubic_damping,
+             "saturating": saturating_damping, "identity": identity_damping,
+             "linear": lambda: None}
+# values in [-1, 1] with signed zeros; each row is scaled by its own size
+UNIT = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+COEF = st.sampled_from([0.0, 1e6]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(u_old, c, g name): u_old of shape (m,) or (B, m) whose rows differ in
+    size by orders of magnitude, so that they stop at different Newton
+    iterations; c >= 0 of shape (m,) or u_old's, stiff c = 1e6 included."""
+    m = draw(st.integers(1, 12))
+    n_rows = draw(st.sampled_from([None, 2, 3]))  # None: a 1-d solve
+    shape = (m,) if n_rows is None else (n_rows, m)
+    sizes = np.array(draw(st.permutations([1e-3, 1.0, 50.0]))[:n_rows or 1])
+    u_old = draw(arrays(float, shape, elements=UNIT)) * (
+        sizes[0] if n_rows is None else sizes[:, None])
+    c = draw(arrays(float, draw(st.sampled_from([(m,), shape])), elements=COEF))
+    return u_old, c, draw(st.sampled_from(sorted(KERNEL_GS)))
+
+
+STIFF = (np.array([[50.0, -50.0, 0.5], [1e-3, 0.0, -0.0]]),
+         np.array([1e6, 1e6, 3.0]), "arctan")  # row 0 falls back to bisection
+
+
+class TestKernelMatchesReference:
+    """The damping kernel takes the same Newton iterations and floating-point
+    operations as the reference forms above, so its output is equal in
+    bytes and g is evaluated the same number of times."""
+
+    @given(case=_kernel_cases())
+    @example(case=STIFF)
+    @settings(max_examples=150, deadline=None)
+    def test_newton_and_substep(self, case):
+        u_old, c, name = case
+        g = KERNEL_GS[name]()
+        calls, ref_calls = Counter(), Counter()
+        if g is not None:
+            got = _outcome(_implicit_damping_update, u_old, c, _counted(g, calls))
+            ref = _outcome(_reference_update, u_old, c, _counted(g, ref_calls))
+            assert got[0] == ref[0]
+            if got[0] == "ok":
+                _assert_bitwise(got[1], ref[1])
+            else:
+                assert got[1:] == ref[1:]
+            assert calls == ref_calls
+
+        # the substep on a slice of a wider state with the same rows
+        m = u_old.shape[-1]
+        support = slice(2, 2 + m)
+        rng = np.random.default_rng(m)
+        rho = rng.normal(size=(*u_old.shape[:-1], m + 4))
+        rho[..., 0] = -0.0  # off the slice, x + 0.0 would turn it into +0.0
+        xi = rho.copy()
+        rho[..., support] += u_old
+        xi[..., support] -= u_old
+        state = RiemannState(rho=rho, xi=xi, t=0.0)
+        gs = [None if g is None else _counted(g, counts) for counts in (calls, ref_calls)]
+        got = _outcome(_damping_substep_nodal, state, c, support, gs[0])
+        ref = _outcome(_reference_slice_substep, state, c, support, gs[1])
+        assert got[0] == ref[0]
+        if got[0] == "ok":
+            for new, old in ((got[1].rho, ref[1].rho), (got[1].xi, ref[1].xi)):
+                assert np.array_equal(new, old)
+                _assert_bitwise(new[..., support], old[..., support])
+            assert got[1].t == ref[1].t
+        assert calls == ref_calls
+
+    def test_stiff_example_reaches_bisection(self, monkeypatch):
+        rows = []
+        real = solver._bisect_damping
+
+        def bisect(u_old, c, g, tol):
+            rows.append(u_old.size)
+            return real(u_old, c, g, tol)
+
+        monkeypatch.setattr(solver, "_bisect_damping", bisect)
+        u_old, c, name = STIFF
+        _implicit_damping_update(u_old, c, KERNEL_GS[name]())
+        assert rows
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class TestInputsNotWritten:
+    """The kernel reads its inputs in place (no defensive copies), so it must
+    never write them; read-only inputs make any write raise."""
+
+    @pytest.mark.parametrize("g, max_iter, bisects", [
+        (cubic_damping(), solver.NEWTON_MAX_ITER, False),
+        (arctan_damping(), solver.NEWTON_MAX_ITER, True),
+        # no Newton iteration: the fallback starts from u_old itself
+        (cubic_damping(), 0, True),
+        (saturating_damping(), 0, True),
+    ])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_implicit_update(self, monkeypatch, g, max_iter, bisects, shape):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", max_iter)
+        bisected = []
+        real = solver._bisect_damping
+        monkeypatch.setattr(solver, "_bisect_damping",
+                            lambda *args: bisected.append(1) or real(*args))
+        u_old, c = _read_only(np.resize([50.0, -0.7, 0.0], shape),
+                              np.resize([1e6, 2.0, 1e6], shape))
+        kept = u_old.copy(), c.copy()
+        _implicit_damping_update(u_old, c, g)
+        assert bool(bisected) == bisects
+        _assert_bitwise(u_old, kept[0])
+        _assert_bitwise(c, kept[1])
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    @pytest.mark.parametrize("g", [None, arctan_damping(), cubic_damping()])
+    def test_substep_and_transport(self, rows, g):
+        grid = Grid(16)
+        rng = np.random.default_rng(5)
+        rho, xi = _read_only(rng.normal(size=(*rows, grid.n_nodes)),
+                             rng.normal(size=(*rows, grid.n_nodes)))
+        kept = rho.copy(), xi.copy()
+        state = RiemannState(rho=rho, xi=xi, t=0.0)
+        support = slice(4, 12)
+        _damping_substep_nodal(state, np.full(8, 0.3), support, g)
+        transport_shift(state, grid)
+        _assert_bitwise(rho, kept[0])
+        _assert_bitwise(xi, kept[1])
 
 
 def _reference_substep(state, c, g):
@@ -1048,6 +1266,21 @@ class TestRunFamily:
         with pytest.raises(EnergyMonotonicityError) as got:
             run_family(family)
         assert str(got.value) == f"{family[named].name}: {solo.value}"
+
+    def test_equal_profiles_built_apart_share_a_family(self):
+        # a DampingProfile holds closures, so two equal profiles compare
+        # unequal; the family compares their samples a_nodes
+        sc = replace(_scenario(n=32, t_final=1.0), name="a",
+                     a=smooth_indicator_profile(0.7, 1, 2, 0.05))
+        other = replace(sc, name="b", a=smooth_indicator_profile(0.7, 1, 2, 0.05),
+                        initial=sc.initial.scaled(4.0))
+        assert other.a != sc.a
+        family = [sc, other]
+        for got, row in zip(run_family(family), family, strict=True):
+            _assert_runs_equal(got, run_simulation(row))
+        differs = replace(other, a=smooth_indicator_profile(0.6, 1, 2, 0.05))
+        with pytest.raises(ValueError, match="'b' differs from 'a' in a;"):
+            run_family([sc, differs])
 
     @pytest.mark.parametrize("field, value", [
         ("grid", Grid(32)), ("g", cubic_damping()), ("t_final", 1.5)])
