@@ -20,7 +20,7 @@ from .core import (
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
 from .energy import trapezoid
-from .solver import Scenario, Trajectory
+from .solver import Scenario, Trajectory, record_blocks
 
 #: the Young parameters eta of the second-set table
 ETAS = (0.25, 0.5, 1.0, 2.0)
@@ -77,21 +77,28 @@ class MultiplierReport:
     eta_table: dict[float, dict[str, float]]
 
 
-def _window_indices(traj: Trajectory, window: tuple[float, float]) -> np.ndarray:
+def _window_slice(traj: Trajectory, window: tuple[float, float]) -> slice:
+    """The records of `traj` with times inside `window` (1e-12 slack), a
+    contiguous run since the records are in time order."""
     s, t = window
     times = traj.times
     if s < times[0] - 1e-12 or t > times[-1] + 1e-12 or s >= t:
         raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
-    idx = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
-    if len(idx) < 3:
+    rows = slice(int(np.searchsorted(times, s - 1e-12, side="left")),
+                 int(np.searchsorted(times, t + 1e-12, side="right")))
+    if rows.stop - rows.start < 3:
         raise ValueError(f"window {window} contains too few records")
-    return idx
+    return rows
 
 
 @dataclass(frozen=True)
 class RecordWindow:
     """The p-independent stacks of a trajectory's records inside a window,
-    one row per record, shared by the multiplier terms of every p."""
+    one row per record, shared by the multiplier terms of every p.
+
+    rho and xi are views of the trajectory's kept states, as is theta when
+    it is given (record_window); z, and theta by default, are computed for
+    the window."""
 
     scenario: Scenario
     window: tuple[float, float]
@@ -113,42 +120,40 @@ def record_window(traj: Trajectory, window: tuple[float, float],
     """
     if traj.rho is None:
         raise ValueError("record_window needs a trajectory with kept states")
-    idx = _window_indices(traj, window)
-    rho, xi = traj.rho[idx], traj.xi[idx]
+    rows = _window_slice(traj, window)
+    rho, xi = traj.rho[rows], traj.xi[rows]
     if theta is None:
         theta_w = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
     else:
-        theta_w = np.asarray(theta)[idx]
+        theta_w = np.asarray(theta)[rows]
     z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
     return RecordWindow(scenario=traj.scenario, window=window,
-                        times=traj.times[idx], rho=rho, xi=xi, z=z, theta=theta_w)
+                        times=traj.times[rows], rho=rho, xi=xi, z=z, theta=theta_w)
 
 
 def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
                      p: float) -> MultiplierReport:
     """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window
-    (record_window), which one window may share across every p."""
+    (record_window), which one window may share across every p.
+
+    The space integral of each record is taken block by block
+    (record_blocks) and the time integrals over the joined series, so the
+    per-record integrands only ever exist one block at a time. S2, T2 and V1
+    read only the first and last records. The elliptic multiplier v and its
+    time derivative v_t = np.gradient(v, times) are the two window-length
+    arrays: one elliptic_solve covers every record of the window."""
     f, fprime, big_f = _regime_functions(p)
     regime = "p_geq_2" if p >= 2.0 else "p_in_1_2"
     grid = records.scenario.grid
     xs = grid.nodes
     dx = grid.dx
-
     times = records.times
-    rho = records.rho
-    xi = records.xi
-    diff = rho - xi
-    theta_w = records.theta
 
     q1_mask = xs > triple.q1[0]
     q2_mask = xs > triple.q2[0]
     xpsi = xs * triple.psi_nodes
     one_minus = np.abs(1.0 - triple.xpsi_x(xs))
-
-    y = records.z
-    f_rho, f_xi = f(rho), f(xi)
-    big_rho, big_xi = big_f(rho), big_f(xi)
-    atheta = records.scenario.a_nodes[None, :] * theta_w
+    a_nodes = records.scenario.a_nodes
 
     def space_int(integrand: Array, mask: Array | None = None) -> Array:
         if mask is not None:
@@ -158,35 +163,56 @@ def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
     def time_int(series: Array) -> float:
         return float(np.trapezoid(series, times))
 
-    energies = space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p)
-    int_energy = time_int(energies)
-    energy_at_s = float(energies[0])
-
-    # first set of multipliers (x psi f)
-    s1 = time_int(space_int(one_minus[None, :] * (big_rho + big_xi), q1_mask))
-    s2 = trapezoid(np.abs(xpsi) * np.abs(
-        (big_rho[-1] - big_xi[-1]) - (big_rho[0] - big_xi[0])), dx)
-    s3 = 0.5 * time_int(space_int(
-        np.abs(atheta * xpsi[None, :]) * np.abs(f_rho + f_xi) * np.abs(diff)))
-    s4 = time_int(space_int(big_rho + big_xi, q1_mask))
-
-    # second set (phi f' y)
-    t1 = time_int(space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), q2_mask))
-    bracket = space_int((f_rho - f_xi) * y)
-    t2 = abs(float(bracket[-1] - bracket[0]))
-    t3 = time_int(space_int(
-        np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff), q2_mask))
-    t4 = time_int(space_int(
-        np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi))))
-    t5 = time_int(space_int(np.abs(y) ** p, q2_mask))
-
-    # third multiplier (elliptic v)
-    v = elliptic_solve(triple.beta_nodes[None, :] * f(y), grid)
+    # third multiplier (elliptic v), whose time derivative needs every record
+    v = elliptic_solve(triple.beta_nodes[None, :] * f(records.z), grid)
     v_t = np.gradient(v, times, axis=0)
-    bracket_v = space_int(v * diff)
-    v1 = abs(float(bracket_v[-1] - bracket_v[0]))
-    v2 = time_int(space_int(np.abs(v_t) * np.abs(diff)))
-    v3 = time_int(space_int(np.abs(v * atheta * diff)))
+
+    def block_integrals(rows: slice) -> dict[str, Array]:
+        rho, xi, y = records.rho[rows], records.xi[rows], records.z[rows]
+        diff = rho - xi
+        f_rho, f_xi = f(rho), f(xi)
+        big_sum = big_f(rho) + big_f(xi)
+        atheta = a_nodes[None, :] * records.theta[rows]
+        return {
+            "E": space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p),
+            # first set of multipliers (x psi f)
+            "S1": space_int(one_minus[None, :] * big_sum, q1_mask),
+            "S3": space_int(np.abs(atheta * xpsi[None, :]) * np.abs(f_rho + f_xi)
+                            * np.abs(diff)),
+            "S4": space_int(big_sum, q1_mask),
+            # second set (phi f' y)
+            "T1": space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), q2_mask),
+            "T3": space_int(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff),
+                            q2_mask),
+            "T4": space_int(np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi))),
+            "T5": space_int(np.abs(y) ** p, q2_mask),
+            "V2": space_int(np.abs(v_t[rows]) * np.abs(diff)),
+            "V3": space_int(np.abs(v[rows] * atheta * diff)),
+        }
+
+    blocks = [block_integrals(rows) for rows in record_blocks(len(times), len(xs))]
+    series = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    int_energy = time_int(series["E"])
+    energy_at_s = float(series["E"][0])
+
+    ends = [0, -1]  # the first and last records
+    rho, xi = records.rho[ends], records.xi[ends]
+    big_diff = big_f(rho) - big_f(xi)
+    bracket = space_int((f(rho) - f(xi)) * records.z[ends])
+    bracket_v = space_int(v[ends] * (rho - xi))
+
+    s1 = time_int(series["S1"])
+    s2 = trapezoid(np.abs(xpsi) * np.abs(big_diff[1] - big_diff[0]), dx)
+    s3 = 0.5 * time_int(series["S3"])
+    s4 = time_int(series["S4"])
+    t1 = time_int(series["T1"])
+    t2 = abs(float(bracket[1] - bracket[0]))
+    t3 = time_int(series["T3"])
+    t4 = time_int(series["T4"])
+    t5 = time_int(series["T5"])
+    v1 = abs(float(bracket_v[1] - bracket_v[0]))
+    v2 = time_int(series["V2"])
+    v3 = time_int(series["V3"])
 
     terms = {"S1": s1, "S2": s2, "S3": s3, "S4": s4,
              "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5,

@@ -333,10 +333,25 @@ def step(state: RiemannState, scenario: Scenario,
 # Run drivers
 # ---------------------------------------------------------------------------
 
-#: node values per block of recorded states whose diagnostics are evaluated
-#: together: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES // n_nodes)
-#: records per block
+#: node values per block of recorded states that are evaluated together, by
+#: the record loop's diagnostics and by every pass over a run's kept states: a
+#: run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES // n_nodes) records
+#: per block
 RECORD_BLOCK_VALUES = 2 ** 14
+
+
+def _block_len(values_per_record: int) -> int:
+    return max(1, RECORD_BLOCK_VALUES // values_per_record)
+
+
+def record_blocks(n_records: int, n_nodes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n_records), one per block of
+    max(1, RECORD_BLOCK_VALUES // n_nodes) records; the last may be shorter.
+    A pass over recorded states that evaluates each record on its own gives
+    the same bits block by block as on the whole stack."""
+    block_len = _block_len(n_nodes)
+    for lo in range(0, n_records, block_len):
+        yield slice(lo, min(lo + block_len, n_records))
 
 
 def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
@@ -395,11 +410,6 @@ def _check_monotone(block: tuple[dict[str, Array], ...],
         raise err
 
 
-def _is_record(scenario: Scenario, n: int) -> bool:
-    """Whether the state after step n (0-based) is recorded."""
-    return (n + 1) % scenario.record_every == 0 or n + 1 == scenario.n_steps
-
-
 def _record_loop(scenario: Scenario, state, advance: Callable,
                  capture: Callable[..., tuple[Array, ...]],
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
@@ -417,8 +427,9 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     guarded trajectory. Returns (times, the buffers or None, diagnostics).
     """
     rows = capture(state)
-    block_len = max(1, RECORD_BLOCK_VALUES // rows[0].size)
-    n_records = 1 + -(-scenario.n_steps // scenario.record_every)
+    block_len = _block_len(rows[0].size)
+    n_steps, every = scenario.n_steps, scenario.record_every  # read once per run
+    n_records = 1 + -(-n_steps // every)
     buffers = tuple(np.empty((n_records if keep_states else min(block_len, n_records),
                               *row.shape)) for row in rows)
     times = np.empty(n_records)
@@ -446,9 +457,9 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
 
     try:
         write(rows, state.t)
-        for n in range(scenario.n_steps):
+        for n in range(1, n_steps + 1):
             state = advance(state)
-            if _is_record(scenario, n):
+            if n % every == 0 or n == n_steps:
                 write(capture(state), state.t)
     finally:
         # the last block, or the records taken before a failure: those are
@@ -663,6 +674,11 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     to O(dt^2), so the frozen-theta rerun reproduces the nonlinear run at
     second order; plain interpolation of the records only manages O(dt),
     because the substep states sit off the fixed-node interpolation path.
+
+    nu of the records and of their half steps is evaluated one record block
+    at a time (record_blocks): only the two tables the field samples,
+    (n_records, n_nodes) and (n_records - 1, n_nodes), exist at full length,
+    and z_t and the half steps one block at a time.
     """
     sc = traj.scenario
     if sc.record_every != 1 or traj.rho is None:
@@ -672,10 +688,16 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     dt = sc.dt
     t0 = float(traj.times[0])
     n_steps = sc.n_steps
-    zt = 0.5 * (traj.rho - traj.xi)
-    nu_records = nu_ratio(zt, g)
-    zt_half = zt[:-1] - 0.5 * dt * sc.a_nodes[None, :] * np.asarray(g.value(zt[:-1]))
-    nu_half = nu_ratio(zt_half, g)
+    n_records, n_nodes = traj.rho.shape
+    nu_records = np.empty((n_records, n_nodes))
+    nu_half = np.empty((n_records - 1, n_nodes))
+    for rows in record_blocks(n_records, n_nodes):
+        zt = 0.5 * (traj.rho[rows] - traj.xi[rows])
+        nu_records[rows] = nu_ratio(zt, g)
+        left = zt[:n_records - 1 - rows.start]  # the records a step follows
+        if len(left):
+            nu_half[rows.start:rows.start + len(left)] = nu_ratio(
+                left - 0.5 * dt * sc.a_nodes * np.asarray(g.value(left)), g)
     th1 = float(min(nu_records.min(), nu_half.min()))
     th2 = float(max(nu_records.max(), nu_half.max()))
 

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavelab
@@ -261,3 +262,26 @@ def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
     assert families == [["one_a1", "one_a4"]]
     assert [entry["degenerate"] for entry in summary["entries"]] == [False, True, False]
     assert [entry["alpha"] for entry in summary["entries"]] == [1.0, 0.0, 4.0]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_aux_equivalence_is_the_same_in_record_blocks(monkeypatch, block):
+    # blocks of 1, 2 and 3 of the 65 records, the last one partial, against
+    # one block that holds every record and the max over the whole stacks
+    spec = parse_suite(_suite("aux_equivalence", ("one", {"t_final": "2"}))).scenarios[0]
+    aux_runs = []
+
+    def spy(scenario, theta, keep_states=True):
+        aux_runs.append(solver.run_auxiliary(scenario, theta, keep_states))
+        return aux_runs[-1]
+
+    monkeypatch.setattr(experiments, "run_auxiliary", spy)
+    whole = EXPERIMENTS["aux_equivalence"](spec)
+    nl, aux = whole["traj"], aux_runs[0]
+    n_records, n_nodes = nl.rho.shape
+    assert n_records % 2 and n_records % 3
+    assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
+    assert whole["summary"]["max_discrepancy"] == max(
+        float(np.max(np.abs(nl.rho - aux.rho))), float(np.max(np.abs(nl.xi - aux.xi))))
+    monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
+    assert EXPERIMENTS["aux_equivalence"](spec)["summary"] == whole["summary"]

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wavelab import solver
 from wavelab.core import (
     Grid, arctan_damping, cumulative_trapezoid, make_localization, nu_ratio,
     sine_profile, smooth_indicator_profile, zero_function,
 )
 from wavelab.energy import trapezoid
 from wavelab.multipliers import (
-    ETAS, _regime_functions, _window_indices, elliptic_solve, multiplier_terms,
+    ETAS, _regime_functions, _window_slice, elliptic_solve, multiplier_terms,
     record_window,
 )
 from wavelab.solver import InitialData, Scenario, run_simulation
@@ -31,7 +34,7 @@ def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
     xs = grid.nodes
     dx = grid.dx
     f, fprime, big_f = _regime_functions(p)
-    idx = _window_indices(traj, window)
+    idx = np.arange(len(traj.times))[_window_slice(traj, window)]
     times = traj.times[idx]
     rho = np.stack([traj.rho[i] for i in idx])
     xi = np.stack([traj.xi[i] for i in idx])
@@ -161,6 +164,23 @@ class TestEllipticSolve:
             _regime_functions(1.0)
 
 
+@pytest.fixture(scope="module", params=[1, 7], ids=["uniform", "nonuniform"])
+def short_run(request):
+    """65 records one step apart, or 11 records seven steps apart but for the
+    last, one step after the one before it: np.gradient takes its uniform or
+    its non-uniform formula from the times of the whole window."""
+    sc = Scenario(name="short", grid=Grid(32), t_final=2.0, p_list=(1.5, 2.0, 4.0),
+                  g=arctan_damping(),
+                  a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
+                  initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
+                  record_every=request.param)
+    traj = run_simulation(sc)
+    steps = np.unique(np.diff(traj.times))
+    assert len(steps) == (1 if request.param == 1 else 2)
+    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
+    return traj, triple
+
+
 @pytest.fixture(scope="module")
 def localized_run():
     sc = Scenario(name="mult", grid=Grid(128), t_final=6.0, p_list=(1.5, 2.0),
@@ -240,3 +260,54 @@ class TestMultiplierTerms:
         assert rep.energy_at_s == energy_at_s
         for key, value in chain.items():
             assert rep.chain_constants[key] == value
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_record_blocks_do_not_change_a_bit(self, short_run, block, monkeypatch):
+        # blocks of 1, 2 and 3 records, the last one partial; one default
+        # block holds the whole window, as the whole-window form does
+        traj, triple = short_run
+        window = (0.0, float(traj.times[-1]))
+        records = record_window(traj, window)
+        n_records, n_nodes = records.rho.shape
+        assert n_records % 2 and n_records % 3
+        assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
+        whole = {p: multiplier_terms(records, triple, p) for p in traj.scenario.p_list}
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
+        for p, ref in whole.items():
+            rep = multiplier_terms(records, triple, p)
+            assert rep == ref
+            terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
+                traj, triple, p, window)
+            assert (rep.terms, rep.int_energy, rep.energy_at_s) == (
+                terms, int_energy, energy_at_s)
+            assert chain.items() <= rep.chain_constants.items()
+
+    def test_peak_memory_is_the_window_solve_and_a_few_blocks(self, localized_run):
+        # v and v_t are the window-length arrays; the block loop adds at most
+        # a few blocks on top of the solve that builds them
+        traj, triple = localized_run
+        records = record_window(traj, (0.0, 6.0))
+        f = _regime_functions(2.0)[0]
+        block = (solver.RECORD_BLOCK_VALUES // records.rho.shape[1]) * records.rho[0].nbytes
+        tracemalloc.start()
+        try:
+            v = elliptic_solve(triple.beta_nodes[None, :] * f(records.z), traj.scenario.grid)
+            np.gradient(v, records.times, axis=0)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            del v
+            tracemalloc.reset_peak()
+            multiplier_terms(records, triple, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= solve_peak + 16 * block
+
+    def test_window_is_a_slice_of_the_kept_states(self, localized_run):
+        traj, _ = localized_run
+        times = traj.times
+        for s, t in [(0.0, 6.0), (0.5, 5.0), (1.0 + 1e-13, 2.0 - 1e-13), (0.3, 0.33)]:
+            ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
+            np.testing.assert_array_equal(
+                np.arange(len(times))[_window_slice(traj, (s, t))], ref)
+        records = record_window(traj, (0.5, 5.0))
+        assert records.rho.base is traj.rho and records.xi.base is traj.xi

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from wavelab.core import (
     Grid, RiemannState, arctan_damping, bump_profile, constant_profile,
     cubic_damping, identity_damping, indicator_profile, nonmonotone_example,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
-    zero_function, zero_profile, Nonlinearity,
+    zero_function, zero_profile, Nonlinearity, nu_ratio,
 )
 from wavelab import solver
 from wavelab.energy import energy_p
@@ -576,6 +577,15 @@ def _logged_theta(log):
     return ThetaField(sampler=sampler, bounds=(0.5, 1.5))
 
 
+def _theta_tables_ref(traj):
+    """Reference: nu of the records and of their half steps, each over the
+    whole (n_records, n_nodes) stack at once."""
+    sc = traj.scenario
+    zt = 0.5 * (traj.rho - traj.xi)
+    zt_half = zt[:-1] - 0.5 * sc.dt * sc.a_nodes[None, :] * np.asarray(sc.g.value(zt[:-1]))
+    return nu_ratio(zt, sc.g), nu_ratio(zt_half, sc.g)
+
+
 def _auxiliary_ref(sc, theta):
     """The hand-written auxiliary loop: theta sampled at each substep's
     midpoint and, as the record loop does, once at every record time.
@@ -665,6 +675,40 @@ class TestAuxiliary:
         traj = run_simulation(_scenario(record_every=4))
         with pytest.raises(ValueError):
             theta_from_run(traj)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_theta_from_run_is_the_same_in_record_blocks(self, block, monkeypatch):
+        # blocks of 1, 2 and 3 of the 65 records, the last one partial, give
+        # the field of nu over the whole stack
+        nl = run_simulation(_scenario(n=32, t_final=2.0, g=saturating_damping()))
+        n_records, n_nodes = nl.rho.shape
+        assert n_records % 2 and n_records % 3
+        nu_records, nu_half = _theta_tables_ref(nl)
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
+        theta = theta_from_run(nl)
+        assert theta.bounds == (min(nu_records.min(), nu_half.min()),
+                                max(nu_records.max(), nu_half.max()))
+        xs, dt = nl.scenario.grid.nodes, nl.scenario.dt
+        for n, t in enumerate(nl.times):
+            _assert_bitwise(theta(t, xs), nu_records[n])
+            if n < n_records - 1:
+                _assert_bitwise(theta(t + 0.25 * dt, xs), nu_half[n])
+                _assert_bitwise(theta(t + 0.75 * dt, xs), nu_records[n + 1])
+
+    def test_theta_from_run_peak_memory_is_its_tables_and_a_few_blocks(self):
+        nl = run_simulation(_scenario(n=512, t_final=2.0))
+        n_records, n_nodes = nl.rho.shape
+        tables = (2 * n_records - 1) * n_nodes * 8
+        block = _block_len(nl.scenario) * n_nodes * 8
+        tracemalloc.start()
+        try:
+            theta_from_run(nl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-stack form peaks near 3 tables: z_t, its half step and
+        # the intermediates of nu at full length
+        assert peak <= tables + 16 * block
 
 
 class TestDerivativeSystem:
