@@ -19,8 +19,8 @@ from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms, rec
 from .oracle import dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,
-    run_auxiliary, run_derivative_system, run_family, run_simulation, step,
-    theta_from_run, transport_shift,
+    run_auxiliary, run_auxiliary_rerun, run_derivative_system, run_family,
+    run_simulation, step, theta_from_run, transport_shift,
 )
 
 __version__ = "0.1.0"

@@ -117,18 +117,23 @@ def record_window(traj: Trajectory, window: tuple[float, float],
     nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
     source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
     (record_every = 1) is recommended for meaningful time integrals.
+
+    z, and theta by default, are filled one record block at a time
+    (record_blocks), so their temporaries never exist at window length.
     """
     if traj.rho is None:
         raise ValueError("record_window needs a trajectory with kept states")
     rows = _window_slice(traj, window)
     rho, xi = traj.rho[rows], traj.xi[rows]
-    if theta is None:
-        theta_w = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
-    else:
-        theta_w = np.asarray(theta)[rows]
-    z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
-    return RecordWindow(scenario=traj.scenario, window=window,
-                        times=traj.times[rows], rho=rho, xi=xi, z=z, theta=theta_w)
+    sc = traj.scenario
+    z = np.empty(rho.shape)
+    theta_w = np.empty(rho.shape) if theta is None else np.asarray(theta)[rows]
+    for blk in record_blocks(*rho.shape):
+        z[blk] = cumulative_trapezoid(0.5 * (rho[blk] + xi[blk]), sc.grid.dx)
+        if theta is None:
+            theta_w[blk] = nu_ratio(0.5 * (rho[blk] - xi[blk]), sc.g)
+    return RecordWindow(scenario=sc, window=window, times=traj.times[rows],
+                        rho=rho, xi=xi, z=z, theta=theta_w)
 
 
 def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,

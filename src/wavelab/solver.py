@@ -660,6 +660,84 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
                        scenario=scenario))
 
 
+def _nu_block(rho: Array, xi: Array, n_half: int, scenario: Scenario
+              ) -> tuple[Array, Array]:
+    """The recorded theta of a block of records, one row each: nu(z_t) of
+    the records, and nu of an explicit half step of the nodal damping flow
+    z_t' = -a g(z_t) from the first n_half of them, the records a step
+    follows."""
+    g = scenario.g
+    zt = 0.5 * (rho - xi)
+    nu_records = nu_ratio(zt, g)
+    left = zt[:n_half]
+    if not len(left):
+        return nu_records, left
+    return nu_records, nu_ratio(
+        left - 0.5 * scenario.dt * scenario.a_nodes * np.asarray(g.value(left)), g)
+
+
+def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
+    """The nonlinear run and its auxiliary rerun with recorded theta, bit
+    for bit as run_simulation, theta_from_run and run_auxiliary give them
+    on kept states, with no state kept.
+
+    Each record block of the nonlinear run gives nu of its records and half
+    steps (_nu_block) and steps the rerun, one record behind, to the block's
+    last record. Step n damps with nu_half[n], then nu_records[n + 1]
+    (strang), or with nu_records[n + 1] alone (lie); record k reads
+    nu_records[k]. The rerun's state and the last record's nu_half row
+    cross a block edge. Both runs are guarded, as in run_derivative_system.
+    The rerun's diagnostics add, per record, "discrepancy" (max |rho -
+    rho_aux| and |xi - xi_aux| over the nodes) and "theta_min" and
+    "theta_max" of nu at the record and its half step. Returns (nonlinear,
+    auxiliary) trajectories without states.
+    """
+    if scenario.record_every != 1:
+        raise ValueError("run_auxiliary_rerun needs dense records: record_every = 1")
+    support = scenario.support
+    a_nodes = scenario.a_nodes
+    a_damped = a_nodes[support]
+    strang = scenario.splitting == "strang"
+    n_records = scenario.n_steps + 1
+    start = scenario.initial.riemann(scenario.grid)
+    aux = start  # the rerun's latest record: lo - 1, or 0 before the first block
+    carried: Array | None = None  # nu_half of record lo - 1
+    lo = 0  # the block's first record
+
+    def advance(s: RiemannState) -> RiemannState:
+        return step(s, scenario, a_nodes, support=support)
+
+    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
+        nonlocal aux, carried, lo
+        nu_records, nu_half = _nu_block(rho, xi, n_records - 1 - lo, scenario)
+        aux_rho, aux_xi = np.empty(rho.shape), np.empty(xi.shape)
+        for i, nu_next in enumerate(nu_records):
+            if lo + i:  # record 0 is the initial state
+                half = carried if i == 0 else nu_half[i - 1]
+                ths = (half, nu_next) if strang else (nu_next,)
+                aux = _split_step(aux, scenario, support,
+                                  lambda h: (h * a_damped * th[support] for th in ths))
+            aux_rho[i], aux_xi[i] = aux.rho, aux.xi
+        carried = nu_half[-1] if len(nu_half) == len(rho) else None
+        lo += len(rho)
+        aux_diag = _base_diagnostics(aux_rho, aux_xi, scenario, nu_records)
+        aux_diag["discrepancy"] = np.maximum(np.max(np.abs(rho - aux_rho), axis=-1),
+                                             np.max(np.abs(xi - aux_xi), axis=-1))
+        th_min, th_max = np.min(nu_records, axis=-1), np.max(nu_records, axis=-1)
+        k = len(nu_half)
+        np.minimum(th_min[:k], np.min(nu_half, axis=-1), out=th_min[:k])
+        np.maximum(th_max[:k], np.max(nu_half, axis=-1), out=th_max[:k])
+        aux_diag["theta_min"], aux_diag["theta_max"] = th_min, th_max
+        return _base_diagnostics(rho, xi, scenario), aux_diag
+
+    times, _, (diag, aux_diag) = _record_loop(
+        scenario, start, advance, lambda s: (s.rho, s.xi), diagnose, keep_states=False)
+    return (Trajectory(times=times, rho=None, xi=None, diagnostics=diag,
+                       scenario=scenario),
+            Trajectory(times=times, rho=None, xi=None, diagnostics=aux_diag,
+                       scenario=scenario))
+
+
 def theta_from_run(traj: Trajectory) -> ThetaField:
     """The linearizing coefficient theta(t, x) = nu(z_t) along a nonlinear
     run, recorded densely (record_every = 1, kept states) and reconstructed
@@ -669,22 +747,26 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     step follows the nodal damping flow z_t' = -a g(z_t). Sampling in the
     first half of a step returns nu of an explicit half-step of that flow from
     the left record; sampling in the second half returns nu of the right
-    record, which is itself the post-damping state. With the strang
-    arrangement this tracks the linearizer of each nonlinear implicit substep
-    to O(dt^2), so the frozen-theta rerun reproduces the nonlinear run at
-    second order; plain interpolation of the records only manages O(dt),
-    because the substep states sit off the fixed-node interpolation path.
+    record, which is itself the post-damping state. The midpoint, where the
+    lie substep samples, counts as the second half up to the rounding of the
+    accumulated t, so the lie rerun reads the right record at every N. With
+    the strang arrangement this tracks the linearizer of each nonlinear
+    implicit substep to O(dt^2), so the frozen-theta rerun reproduces the
+    nonlinear run at second order; plain interpolation of the records only
+    manages O(dt), because the substep states sit off the fixed-node
+    interpolation path.
 
     nu of the records and of their half steps is evaluated one record block
-    at a time (record_blocks): only the two tables the field samples,
-    (n_records, n_nodes) and (n_records - 1, n_nodes), exist at full length,
-    and z_t and the half steps one block at a time.
+    at a time (record_blocks, _nu_block): only the two tables the field
+    samples, (n_records, n_nodes) and (n_records - 1, n_nodes), exist at
+    full length, and z_t and the half steps one block at a time.
+    run_auxiliary_rerun takes the same values block by block without
+    keeping any.
     """
     sc = traj.scenario
     if sc.record_every != 1 or traj.rho is None:
         raise ValueError(
             "theta_from_run needs a dense run: record_every = 1 with states kept")
-    g = sc.g
     dt = sc.dt
     t0 = float(traj.times[0])
     n_steps = sc.n_steps
@@ -692,12 +774,9 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     nu_records = np.empty((n_records, n_nodes))
     nu_half = np.empty((n_records - 1, n_nodes))
     for rows in record_blocks(n_records, n_nodes):
-        zt = 0.5 * (traj.rho[rows] - traj.xi[rows])
-        nu_records[rows] = nu_ratio(zt, g)
-        left = zt[:n_records - 1 - rows.start]  # the records a step follows
-        if len(left):
-            nu_half[rows.start:rows.start + len(left)] = nu_ratio(
-                left - 0.5 * dt * sc.a_nodes * np.asarray(g.value(left)), g)
+        nu_records[rows], half = _nu_block(traj.rho[rows], traj.xi[rows],
+                                           n_records - 1 - rows.start, sc)
+        nu_half[rows.start:rows.start + len(half)] = half
     th1 = float(min(nu_records.min(), nu_half.min()))
     th2 = float(max(nu_records.max(), nu_half.max()))
 
@@ -707,7 +786,7 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
         frac = pos - n
         if frac <= 1e-9:
             return nu_records[n]
-        if frac < 0.5:
+        if frac < 0.5 - 1e-9:
             return nu_half[n]
         return nu_records[n + 1]
 

@@ -2,10 +2,12 @@
 failing scenario, the one `verify` entry, the layering of
 `wavelab.experiments` below the command line and numpy as the one
 third-party import."""
+import functools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,24 +266,96 @@ def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
     assert [entry["alpha"] for entry in summary["entries"]] == [1.0, 0.0, 4.0]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_aux_equivalence_is_the_same_in_record_blocks(monkeypatch, block):
-    # blocks of 1, 2 and 3 of the 65 records, the last one partial, against
-    # one block that holds every record and the max over the whole stacks
-    spec = parse_suite(_suite("aux_equivalence", ("one", {"t_final": "2"}))).scenarios[0]
-    aux_runs = []
+def _aux_spec(n_cells, t_final, splitting="strang", p_list="1.5, 2"):
+    keys = {"n_cells": str(n_cells), "t_final": str(t_final),
+            "splitting": splitting, "p_list": p_list}
+    return parse_suite(_suite("aux_equivalence", ("one", keys))).scenarios[0]
 
-    def spy(scenario, theta, keep_states=True):
-        aux_runs.append(solver.run_auxiliary(scenario, theta, keep_states))
-        return aux_runs[-1]
 
-    monkeypatch.setattr(experiments, "run_auxiliary", spy)
-    whole = EXPERIMENTS["aux_equivalence"](spec)
-    nl, aux = whole["traj"], aux_runs[0]
+@functools.lru_cache(maxsize=None)
+def _aux_reference(n_cells, splitting):
+    """The two-pass aux_equivalence over kept states: the dense nonlinear
+    run, its recorded theta field and the auxiliary rerun (t_final = 2)."""
+    dense = replace(_aux_spec(n_cells, 2, splitting).scenario, record_every=1)
+    nl = solver.run_simulation(dense)
+    theta = solver.theta_from_run(nl)
+    return nl, theta, solver.run_auxiliary(dense, theta)
+
+
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+@pytest.mark.parametrize("n_cells", [32, 96])
+@pytest.mark.parametrize("splitting", ["strang", "lie"])
+def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splitting,
+                                                           n_cells, block):
+    # 65 and 193 dense records: blocks of 1, 2 and 3 records end on a partial
+    # block; the default block (None) holds all 65, or 168 of the 193. At
+    # N = 96 the lie substep's midpoint rounds either way of t_n + dt/2.
+    spec = _aux_spec(n_cells, 2, splitting)
+    nl, theta, aux = _aux_reference(n_cells, splitting)
     n_records, n_nodes = nl.rho.shape
     assert n_records % 2 and n_records % 3
-    assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
-    assert whole["summary"]["max_discrepancy"] == max(
-        float(np.max(np.abs(nl.rho - aux.rho))), float(np.max(np.abs(nl.xi - aux.xi))))
-    monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-    assert EXPERIMENTS["aux_equivalence"](spec)["summary"] == whole["summary"]
+    if block is not None:
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
+    res = EXPERIMENTS["aux_equivalence"](spec)
+    summary = res["summary"]
+    assert summary["max_discrepancy"] == max(float(np.max(np.abs(nl.rho - aux.rho))),
+                                             float(np.max(np.abs(nl.xi - aux.xi))))
+    assert summary["theta_bounds"] == list(theta.bounds)
+    assert summary["max_zt"] == float(np.max(nl.diagnostics["max_zt"]))
+    assert summary["theta_inside_nu_bounds"] is True
+
+    nl_pass, aux_pass = solver.run_auxiliary_rerun(nl.scenario)
+    for got in (res["traj"], nl_pass):
+        assert got.rho is None and got.xi is None
+        _assert_bitwise(got.times, nl.times)
+        assert list(got.diagnostics) == list(nl.diagnostics)
+        for key, series in nl.diagnostics.items():
+            _assert_bitwise(got.diagnostics[key], series)
+    assert list(aux_pass.diagnostics) == [*aux.diagnostics, "discrepancy",
+                                          "theta_min", "theta_max"]
+    for key, series in aux.diagnostics.items():
+        _assert_bitwise(aux_pass.diagnostics[key], series)
+    _assert_bitwise(aux_pass.diagnostics["discrepancy"],
+                    np.maximum(np.max(np.abs(nl.rho - aux.rho), axis=1),
+                               np.max(np.abs(nl.xi - aux.xi), axis=1)))
+    # theta of each record and of its half step, read from the field
+    xs, dt = nl.scenario.grid.nodes, nl.scenario.dt
+    records = np.array([theta(t, xs) for t in nl.times])
+    halves = np.array([theta(t + 0.25 * dt, xs) for t in nl.times[:-1]])
+    for key, reduce in (("theta_min", np.minimum), ("theta_max", np.maximum)):
+        per_record = reduce.reduce(records, axis=1)
+        per_record[:-1] = reduce(per_record[:-1], reduce.reduce(halves, axis=1))
+        _assert_bitwise(aux_pass.diagnostics[key], per_record)
+
+
+def test_aux_equivalence_guards_the_rerun(monkeypatch):
+    # a negative theta pumps energy into the rerun alone
+    spec = _aux_spec(32, 2)
+    nu_ratio = solver.nu_ratio
+    monkeypatch.setattr(solver, "nu_ratio", lambda x, g: -nu_ratio(x, g))
+    solver.run_simulation(replace(spec.scenario, record_every=1), keep_states=False)
+    with pytest.raises(solver.EnergyMonotonicityError, match="E_p1.5 increased"):
+        EXPERIMENTS["aux_equivalence"](spec)
+
+
+def test_aux_equivalence_peak_memory_does_not_grow_with_the_run():
+    # N = 512: 1025 records at T = 2, 4097 at T = 8. Kept states and theta
+    # tables, six (n_records, n_nodes) stacks, would add 75.6 MB at T = 8;
+    # only the per-record series grow, by less than a few record blocks.
+    peaks = []
+    for t_final in (2, 8):
+        spec = _aux_spec(512, t_final, p_list="2")
+        tracemalloc.start()
+        try:
+            EXPERIMENTS["aux_equivalence"](spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n_nodes = spec.scenario.grid.n_nodes
+    block = (solver.RECORD_BLOCK_VALUES // n_nodes) * n_nodes * 8
+    assert peaks[1] <= peaks[0] + 8 * block

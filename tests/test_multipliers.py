@@ -282,6 +282,28 @@ class TestMultiplierTerms:
                 terms, int_energy, energy_at_s)
             assert chain.items() <= rep.chain_constants.items()
 
+    @pytest.mark.parametrize("block", [1, 2, 3, None])
+    def test_record_window_fills_theta_and_z_in_record_blocks(self, localized_run,
+                                                              block, monkeypatch):
+        # 577 records in the window: blocks of 1, 2 and 3 records and the
+        # default 127 each end on a partial block, with the bits of the
+        # whole-window theta and z
+        traj, _ = localized_run
+        window = (0.5, 5.0)
+        rows = _window_slice(traj, window)
+        rho, xi = traj.rho[rows], traj.xi[rows]
+        n_records, n_nodes = rho.shape
+        assert n_records % 2 and n_records % 3
+        assert n_records % (solver.RECORD_BLOCK_VALUES // n_nodes)
+        theta = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
+        z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
+        if block is not None:
+            monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
+        records = record_window(traj, window)
+        for got, ref in ((records.theta, theta), (records.z, z)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
     def test_peak_memory_is_the_window_solve_and_a_few_blocks(self, localized_run):
         # v and v_t are the window-length arrays; the block loop adds at most
         # a few blocks on top of the solve that builds them

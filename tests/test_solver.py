@@ -695,6 +695,21 @@ class TestAuxiliary:
                 _assert_bitwise(theta(t + 0.25 * dt, xs), nu_half[n])
                 _assert_bitwise(theta(t + 0.75 * dt, xs), nu_records[n + 1])
 
+    @pytest.mark.parametrize("n", [96, 100, 128])
+    def test_lie_midpoint_reads_the_right_record(self, n):
+        # the lie substep samples at t_n + dt/2 with t_n accumulated step by
+        # step; at N = 96 and 100 that rounds below the middle of some steps
+        sc = _scenario(n=n, t_final=3.0, splitting="lie")
+        nl = run_simulation(sc)
+        theta = theta_from_run(nl)
+        nu_records, _ = _theta_tables_ref(nl)
+        xs, dt = sc.grid.nodes, sc.dt
+        mids = nl.times[:-1] + 0.5 * dt
+        below = np.count_nonzero(mids / dt - np.arange(len(mids)) < 0.5)
+        assert (below > 0) == (n != 128)
+        for k, t in enumerate(mids):
+            _assert_bitwise(theta(t, xs), nu_records[k + 1])
+
     def test_theta_from_run_peak_memory_is_its_tables_and_a_few_blocks(self):
         nl = run_simulation(_scenario(n=512, t_final=2.0))
         n_records, n_nodes = nl.rho.shape
