@@ -121,11 +121,10 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     traj = run_simulation(sc, keep_states=True)
     triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
     window = spec.window or (0.0, sc.t_final_actual)
-    records = _mult.record_window(traj, window)  # shared by every p
+    records = _mult.record_window(traj, window)
     tables = {}
-    for p in sc.p_list:
-        rep = _mult.multiplier_terms(records, triple, p)
-        tables[f"{p:g}"] = {
+    for rep in _mult.multiplier_terms(records, triple, sc.p_list):
+        tables[f"{rep.p:g}"] = {
             "regime": rep.regime, "terms": rep.terms,
             "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,
             "chain_constants": rep.chain_constants,

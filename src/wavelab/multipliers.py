@@ -12,6 +12,7 @@ the bounded surrogate pair (g_mod, G_mod).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,72 +94,93 @@ def _window_slice(traj: Trajectory, window: tuple[float, float]) -> slice:
 
 @dataclass(frozen=True)
 class RecordWindow:
-    """The p-independent stacks of a trajectory's records inside a window,
-    one row per record, shared by the multiplier terms of every p.
+    """A trajectory's records inside a window, one row per record, shared by
+    the multiplier terms of every p.
 
-    rho and xi are views of the trajectory's kept states, as is theta when
-    it is given (record_window); z, and theta by default, are computed for
-    the window."""
+    rho, xi, times and the given theta are views of the trajectory's arrays;
+    theta None stands for the default nu(z_t), which multiplier_terms
+    evaluates one record block at a time."""
 
     scenario: Scenario
     window: tuple[float, float]
     times: Array
     rho: Array
     xi: Array
-    z: Array      # z from z_x, z(0) = 0
-    theta: Array  # damping intensity
+    theta: Array | None  # damping intensity
 
 
 def record_window(traj: Trajectory, window: tuple[float, float],
                   theta: Array | None = None) -> RecordWindow:
     """The rows of the records of `traj` inside `window`.
 
-    theta: per-record (n_records, n_nodes) damping intensity. Defaults to
+    theta: per-record damping intensity of the shape of traj.rho. Defaults to
     nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
     source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
     (record_every = 1) is recommended for meaningful time integrals.
-
-    z, and theta by default, are filled one record block at a time
-    (record_blocks), so their temporaries never exist at window length.
     """
     if traj.rho is None:
         raise ValueError("record_window needs a trajectory with kept states")
+    if theta is not None and np.shape(theta) != traj.rho.shape:
+        raise ValueError(f"theta has shape {np.shape(theta)}, the recorded states "
+                         f"{traj.rho.shape}")
     rows = _window_slice(traj, window)
-    rho, xi = traj.rho[rows], traj.xi[rows]
-    sc = traj.scenario
-    z = np.empty(rho.shape)
-    theta_w = np.empty(rho.shape) if theta is None else np.asarray(theta)[rows]
-    for blk in record_blocks(*rho.shape):
-        z[blk] = cumulative_trapezoid(0.5 * (rho[blk] + xi[blk]), sc.grid.dx)
-        if theta is None:
-            theta_w[blk] = nu_ratio(0.5 * (rho[blk] - xi[blk]), sc.g)
-    return RecordWindow(scenario=sc, window=window, times=traj.times[rows],
-                        rho=rho, xi=xi, z=z, theta=theta_w)
+    return RecordWindow(scenario=traj.scenario, window=window,
+                        times=traj.times[rows], rho=traj.rho[rows], xi=traj.xi[rows],
+                        theta=None if theta is None else np.asarray(theta)[rows])
+
+
+def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
+                     uniform: bool) -> Array:
+    """The rows `rows` of np.gradient(v_window, times, axis=0), bit for bit,
+    from v on the rows `ext`: `rows` with one halo record on each side,
+    clamped to the window. dts are the window's time steps, and uniform is
+    np.gradient's choice of formula, which it takes from all of them."""
+    lo, hi = rows.start, rows.stop
+    n_records = len(dts) + 1
+    first, last = max(lo, 1), min(hi, n_records - 1)  # the block's interior rows
+    before = v[first - 1 - ext.start:last - 1 - ext.start]
+    here = v[first - ext.start:last - ext.start]
+    after = v[first + 1 - ext.start:last + 1 - ext.start]
+    out = np.empty((hi - lo,) + v.shape[1:])
+    if uniform:
+        out[first - lo:last - lo] = (after - before) / (2. * dts[0])
+    else:
+        dx1, dx2 = dts[first - 1:last - 1, None], dts[first:last, None]
+        out[first - lo:last - lo] = (-(dx2) / (dx1 * (dx1 + dx2)) * before
+                                     + (dx2 - dx1) / (dx1 * dx2) * here
+                                     + dx1 / (dx2 * (dx1 + dx2)) * after)
+    if lo == 0:  # one-sided at the window's first and last records
+        out[0] = (v[1] - v[0]) / dts[0]
+    if hi == n_records:
+        out[-1] = (v[-1] - v[-2]) / dts[-1]
+    return out
 
 
 def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
-                     p: float) -> MultiplierReport:
-    """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window
-    (record_window), which one window may share across every p.
+                     p_list: Sequence[float]) -> list[MultiplierReport]:
+    """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window (record_window)
+    for each p of p_list, one report per p in that order.
 
-    The space integral of each record is taken block by block
-    (record_blocks) and the time integrals over the joined series, so the
-    per-record integrands only ever exist one block at a time. S2, T2 and V1
-    read only the first and last records. The elliptic multiplier v and its
-    time derivative v_t = np.gradient(v, times) are the two window-length
-    arrays: one elliptic_solve covers every record of the window."""
-    f, fprime, big_f = _regime_functions(p)
-    regime = "p_geq_2" if p >= 2.0 else "p_in_1_2"
-    grid = records.scenario.grid
+    The window is taken one record block at a time (record_blocks): z and the
+    default theta once per block, then for each p the elliptic multiplier v
+    (on the block and one halo record on each side), its time derivative
+    v_t = np.gradient(v, times) and the space integral of each record. The
+    time integrals run over the joined series, so nothing longer than a block
+    exists but the series and the kept states. S2, T2 and V1 read only the
+    window's first and last records, which are solved on their own."""
+    sc = records.scenario
+    grid = sc.grid
     xs = grid.nodes
     dx = grid.dx
     times = records.times
+    a_nodes = sc.a_nodes
+    dts = np.diff(times)
+    uniform = bool((dts == dts[0]).all())
 
     q1_mask = xs > triple.q1[0]
     q2_mask = xs > triple.q2[0]
     xpsi = xs * triple.psi_nodes
     one_minus = np.abs(1.0 - triple.xpsi_x(xs))
-    a_nodes = records.scenario.a_nodes
 
     def space_int(integrand: Array, mask: Array | None = None) -> Array:
         if mask is not None:
@@ -168,16 +190,14 @@ def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
     def time_int(series: Array) -> float:
         return float(np.trapezoid(series, times))
 
-    # third multiplier (elliptic v), whose time derivative needs every record
-    v = elliptic_solve(triple.beta_nodes[None, :] * f(records.z), grid)
-    v_t = np.gradient(v, times, axis=0)
+    def multiplier(z: Array, f) -> Array:
+        return elliptic_solve(triple.beta_nodes[None, :] * f(z), grid)
 
-    def block_integrals(rows: slice) -> dict[str, Array]:
-        rho, xi, y = records.rho[rows], records.xi[rows], records.z[rows]
+    def block_integrals(p, fns, rho, xi, y, atheta, v, v_t) -> dict[str, Array]:
+        f, fprime, big_f = fns
         diff = rho - xi
         f_rho, f_xi = f(rho), f(xi)
         big_sum = big_f(rho) + big_f(xi)
-        atheta = a_nodes[None, :] * records.theta[rows]
         return {
             "E": space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p),
             # first set of multipliers (x psi f)
@@ -191,52 +211,70 @@ def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
                             q2_mask),
             "T4": space_int(np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi))),
             "T5": space_int(np.abs(y) ** p, q2_mask),
-            "V2": space_int(np.abs(v_t[rows]) * np.abs(diff)),
-            "V3": space_int(np.abs(v[rows] * atheta * diff)),
+            # third multiplier (elliptic v)
+            "V2": space_int(np.abs(v_t) * np.abs(diff)),
+            "V3": space_int(np.abs(v * atheta * diff)),
         }
 
-    blocks = [block_integrals(rows) for rows in record_blocks(len(times), len(xs))]
-    series = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    int_energy = time_int(series["E"])
-    energy_at_s = float(series["E"][0])
+    regimes = [_regime_functions(p) for p in p_list]
+    blocks: list[list[dict[str, Array]]] = [[] for _ in p_list]
+    n_records = len(times)
+    for rows in record_blocks(n_records, len(xs)):
+        ext = slice(max(rows.start - 1, 0), min(rows.stop + 1, n_records))
+        inner = slice(rows.start - ext.start, rows.stop - ext.start)
+        rho, xi = records.rho[rows], records.xi[rows]
+        z = cumulative_trapezoid(0.5 * (records.rho[ext] + records.xi[ext]), dx)
+        theta = (nu_ratio(0.5 * (rho - xi), sc.g) if records.theta is None
+                 else records.theta[rows])
+        atheta = a_nodes[None, :] * theta
+        for p, fns, out in zip(p_list, regimes, blocks):
+            v = multiplier(z, fns[0])
+            out.append(block_integrals(p, fns, rho, xi, z[inner], atheta, v[inner],
+                                       _time_derivative(v, rows, ext, dts, uniform)))
 
     ends = [0, -1]  # the first and last records
     rho, xi = records.rho[ends], records.xi[ends]
-    big_diff = big_f(rho) - big_f(xi)
-    bracket = space_int((f(rho) - f(xi)) * records.z[ends])
-    bracket_v = space_int(v[ends] * (rho - xi))
+    z = cumulative_trapezoid(0.5 * (rho + xi), dx)
+    reports = []
+    for p, (f, _, big_f), p_blocks in zip(p_list, regimes, blocks):
+        series = {key: np.concatenate([b[key] for b in p_blocks]) for key in p_blocks[0]}
+        int_energy = time_int(series["E"])
+        energy_at_s = float(series["E"][0])
+        big_diff = big_f(rho) - big_f(xi)
+        bracket = space_int((f(rho) - f(xi)) * z)
+        bracket_v = space_int(multiplier(z, f) * (rho - xi))
 
-    s1 = time_int(series["S1"])
-    s2 = trapezoid(np.abs(xpsi) * np.abs(big_diff[1] - big_diff[0]), dx)
-    s3 = 0.5 * time_int(series["S3"])
-    s4 = time_int(series["S4"])
-    t1 = time_int(series["T1"])
-    t2 = abs(float(bracket[1] - bracket[0]))
-    t3 = time_int(series["T3"])
-    t4 = time_int(series["T4"])
-    t5 = time_int(series["T5"])
-    v1 = abs(float(bracket_v[1] - bracket_v[0]))
-    v2 = time_int(series["V2"])
-    v3 = time_int(series["V3"])
+        s4 = time_int(series["S4"])
+        t5 = time_int(series["T5"])
+        terms = {"S1": time_int(series["S1"]),
+                 "S2": trapezoid(np.abs(xpsi) * np.abs(big_diff[1] - big_diff[0]), dx),
+                 "S3": 0.5 * time_int(series["S3"]),
+                 "S4": s4,
+                 "T1": time_int(series["T1"]),
+                 "T2": abs(float(bracket[1] - bracket[0])),
+                 "T3": time_int(series["T3"]),
+                 "T4": time_int(series["T4"]),
+                 "T5": t5,
+                 "V1": abs(float(bracket_v[1] - bracket_v[0])),
+                 "V2": time_int(series["V2"]),
+                 "V3": time_int(series["V3"])}
 
-    terms = {"S1": s1, "S2": s2, "S3": s3, "S4": s4,
-             "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5,
-             "V1": v1, "V2": v2, "V3": v3}
-
-    # minimal empirical constants closing each estimate on this data
-    chain = {
-        "first_set": int_energy / max(energy_at_s + s4, 1e-300),
-        "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
-    }
-    q = p / (p - 1.0)
-    eta_table: dict[float, dict[str, float]] = {}
-    for eta in ETAS:
-        eta_table[eta] = {
-            "second_set": s4 / max(
-                t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
+        # minimal empirical constants closing each estimate on this data
+        chain = {
+            "first_set": int_energy / max(energy_at_s + s4, 1e-300),
+            "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
         }
-    chain["second_set_eta1"] = eta_table[1.0]["second_set"]
+        q = p / (p - 1.0)
+        eta_table: dict[float, dict[str, float]] = {}
+        for eta in ETAS:
+            eta_table[eta] = {
+                "second_set": s4 / max(
+                    t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
+            }
+        chain["second_set_eta1"] = eta_table[1.0]["second_set"]
 
-    return MultiplierReport(p=p, regime=regime, window=records.window, terms=terms,
-                            int_energy=int_energy, energy_at_s=energy_at_s,
-                            chain_constants=chain, eta_table=eta_table)
+        reports.append(MultiplierReport(
+            p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=records.window,
+            terms=terms, int_energy=int_energy, energy_at_s=energy_at_s,
+            chain_constants=chain, eta_table=eta_table))
+    return reports

@@ -195,7 +195,7 @@ def localized_run():
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
         traj, triple = localized_run
-        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
+        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
         assert set(rep.terms) == {"S1", "S2", "S3", "S4",
                                   "T1", "T2", "T3", "T4", "T5",
                                   "V1", "V2", "V3"}
@@ -204,25 +204,25 @@ class TestMultiplierTerms:
 
     def test_regime_labels(self, localized_run):
         traj, triple = localized_run
-        records = record_window(traj, (0.0, 6.0))
-        assert multiplier_terms(records, triple, 2.0).regime == "p_geq_2"
-        assert multiplier_terms(records, triple, 1.5).regime == "p_in_1_2"
+        reps = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0, 1.5])
+        assert [rep.p for rep in reps] == [2.0, 1.5]
+        assert [rep.regime for rep in reps] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
         traj, triple = localized_run
-        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
+        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
         assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
         traj, triple = localized_run
-        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
+        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
         assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
         traj, triple = localized_run
-        rep = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, 2.0)
+        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
         assert tuple(rep.eta_table) == ETAS
         for eta, row in rep.eta_table.items():
             assert row["second_set"] >= 0.0
@@ -252,7 +252,7 @@ class TestMultiplierTerms:
             rng = np.random.default_rng(3)
             theta = rng.uniform(0.5, 1.5, (len(traj.times), traj.scenario.grid.n_nodes))
         window = (0.5, 5.0)
-        rep = multiplier_terms(record_window(traj, window, theta), triple, p)
+        [rep] = multiplier_terms(record_window(traj, window, theta), triple, [p])
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
             traj, triple, p, window, theta=theta)
         assert rep.terms == terms
@@ -261,68 +261,65 @@ class TestMultiplierTerms:
         for key, value in chain.items():
             assert rep.chain_constants[key] == value
 
+    @pytest.mark.parametrize("explicit_theta", [False, True])
+    @pytest.mark.parametrize("inside", [False, True], ids=["whole", "inside"])
     @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_record_blocks_do_not_change_a_bit(self, short_run, block, monkeypatch):
+    def test_record_blocks_do_not_change_a_bit(self, short_run, block, inside,
+                                               explicit_theta, monkeypatch):
         # blocks of 1, 2 and 3 records, the last one partial; one default
-        # block holds the whole window, as the whole-window form does
+        # block holds the whole window, as the whole-window form does. A
+        # window inside the run has records on both sides that the halo of
+        # v_t must not read.
         traj, triple = short_run
-        window = (0.0, float(traj.times[-1]))
-        records = record_window(traj, window)
+        window = (0.2, 1.55) if inside else (0.0, float(traj.times[-1]))
+        theta = None
+        if explicit_theta:
+            theta = np.random.default_rng(5).uniform(0.5, 1.5, traj.rho.shape)
+        records = record_window(traj, window, theta)
         n_records, n_nodes = records.rho.shape
+        assert (n_records < len(traj.times)) == inside
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
-        whole = {p: multiplier_terms(records, triple, p) for p in traj.scenario.p_list}
+        p_list = traj.scenario.p_list
+        whole = multiplier_terms(records, triple, p_list)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        for p, ref in whole.items():
-            rep = multiplier_terms(records, triple, p)
-            assert rep == ref
+        assert multiplier_terms(records, triple, p_list) == whole
+        for p, rep in zip(p_list, whole):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-                traj, triple, p, window)
-            assert (rep.terms, rep.int_energy, rep.energy_at_s) == (
-                terms, int_energy, energy_at_s)
+                traj, triple, p, window, theta)
+            assert (rep.p, rep.terms, rep.int_energy, rep.energy_at_s) == (
+                p, terms, int_energy, energy_at_s)
             assert chain.items() <= rep.chain_constants.items()
 
-    @pytest.mark.parametrize("block", [1, 2, 3, None])
-    def test_record_window_fills_theta_and_z_in_record_blocks(self, localized_run,
-                                                              block, monkeypatch):
-        # 577 records in the window: blocks of 1, 2 and 3 records and the
-        # default 127 each end on a partial block, with the bits of the
-        # whole-window theta and z
-        traj, _ = localized_run
-        window = (0.5, 5.0)
-        rows = _window_slice(traj, window)
-        rho, xi = traj.rho[rows], traj.xi[rows]
-        n_records, n_nodes = rho.shape
-        assert n_records % 2 and n_records % 3
-        assert n_records % (solver.RECORD_BLOCK_VALUES // n_nodes)
-        theta = nu_ratio(0.5 * (rho - xi), traj.scenario.g)
-        z = cumulative_trapezoid(0.5 * (rho + xi), traj.scenario.grid.dx)
-        if block is not None:
-            monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        records = record_window(traj, window)
-        for got, ref in ((records.theta, theta), (records.z, z)):
-            assert got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("shape", ["one_row", "one_column", "short"])
+    def test_theta_of_another_shape_is_refused(self, short_run, shape):
+        # broadcasting would accept the first two and give wrong terms
+        traj, _ = short_run
+        n_records, n_nodes = traj.rho.shape
+        theta = np.ones({"one_row": (1, n_nodes), "one_column": (n_records, 1),
+                         "short": (n_records - 1, n_nodes)}[shape])
+        with pytest.raises(ValueError, match=(
+                rf"theta has shape \({theta.shape[0]}, {theta.shape[1]}\), "
+                rf"the recorded states \({n_records}, {n_nodes}\)")):
+            record_window(traj, (0.0, float(traj.times[-1])), theta)
 
-    def test_peak_memory_is_the_window_solve_and_a_few_blocks(self, localized_run):
-        # v and v_t are the window-length arrays; the block loop adds at most
-        # a few blocks on top of the solve that builds them
+    def test_peak_memory_does_not_grow_with_the_window(self, localized_run):
+        # every array of the terms is one record block long (plus the halo),
+        # so a window three times longer adds no more than a few blocks
         traj, triple = localized_run
-        records = record_window(traj, (0.0, 6.0))
-        f = _regime_functions(2.0)[0]
-        block = (solver.RECORD_BLOCK_VALUES // records.rho.shape[1]) * records.rho[0].nbytes
-        tracemalloc.start()
-        try:
-            v = elliptic_solve(triple.beta_nodes[None, :] * f(records.z), traj.scenario.grid)
-            np.gradient(v, records.times, axis=0)
-            solve_peak = tracemalloc.get_traced_memory()[1]
-            del v
-            tracemalloc.reset_peak()
-            multiplier_terms(records, triple, 2.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= solve_peak + 16 * block
+        p_list = traj.scenario.p_list
+        block = ((solver.RECORD_BLOCK_VALUES // traj.rho.shape[1] + 2)
+                 * traj.rho[0].nbytes)
+        peaks = []
+        for t in (2.0, 6.0):
+            records = record_window(traj, (0.0, t))
+            tracemalloc.start()
+            try:
+                multiplier_terms(records, triple, p_list)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * block
 
     def test_window_is_a_slice_of_the_kept_states(self, localized_run):
         traj, _ = localized_run
@@ -331,5 +328,10 @@ class TestMultiplierTerms:
             ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
             np.testing.assert_array_equal(
                 np.arange(len(times))[_window_slice(traj, (s, t))], ref)
-        records = record_window(traj, (0.5, 5.0))
-        assert records.rho.base is traj.rho and records.xi.base is traj.xi
+        theta = np.ones(traj.rho.shape)
+        for given in (None, theta):
+            records = record_window(traj, (0.5, 5.0), given)
+            assert records.rho.base is traj.rho and records.xi.base is traj.xi
+            assert records.times.base is traj.times
+            assert (records.theta is None if given is None
+                    else records.theta.base is theta)
