@@ -26,8 +26,9 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
-from .energy import FIT_MIN_POINTS
-from .experiments import EXPERIMENTS, ScenarioSpec, sweep_fit_window
+from .energy import FIT_MIN_POINTS, window_rows
+from .experiments import EXPERIMENTS, ScenarioSpec, multiplier_window, sweep_fit_window
+from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
 KINDS = (*EXPERIMENTS, "verify")
@@ -226,16 +227,6 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                     f"1 < p < inf only (experiment kind '{kind}')")
         return p_list
 
-    def nonlinearity(text: str) -> Nonlinearity:
-        g = parse_nonlinearity(text)
-        g.validate()  # H2 lattice check at parse time
-        return g
-
-    def damping(text: str) -> DampingProfile:
-        a = parse_damping(text)
-        a.validate(require_active=stability)
-        return a
-
     def profile(text: str) -> Profile:
         return parse_profile(text).scaled(amplitude)
 
@@ -244,8 +235,12 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     p_list = value("p_list", exponents)
     record_every = value("record_every", int)
     amplitude = value("amplitude", _finite)
-    g = value("g", nonlinearity)
-    a = value("a", damping)
+    g = value("g", parse_nonlinearity)
+    with _scenario_key(name, "g"):
+        g.validate()  # H2 lattice check at parse time
+    a = value("a", parse_damping)
+    with _scenario_key(name, "a"):
+        a.validate(require_active=stability)
     initial = InitialData(value("z0", profile), value("z1", profile))
     epsilons = value("epsilons", lambda text: _parse_floats(text, 3))
     with _scenario_key(name):  # Scenario's message names the field
@@ -259,57 +254,46 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         with _scenario_key(name, "epsilons"):
             make_localization((a.omega[0], 1.0), epsilons, grid)
 
-    # the windows must fit the run: t_final rounded to whole steps
-    t_end = scenario.t_final_actual
-
-    def records_in(s: float, t: float) -> int:
-        # the records at every record_every-th step and at the final step
-        steps = np.union1d(np.arange(0, scenario.n_steps, scenario.record_every),
-                           [scenario.n_steps])
-        times = steps * scenario.dt
-        return int(np.count_nonzero((times >= s - 1e-12) & (times <= t + 1e-12)))
-
-    def fit_window(lo: float, hi: float, what: str = "") -> tuple[float, float]:
-        if not lo < hi:
-            raise ConfigError(f"{what}({lo:g}, {hi:g}) needs t_lo < t_hi")
-        if lo >= t_end:
-            raise ConfigError(f"{what}({lo:g}, {hi:g}) starts at or after the "
-                              f"final time {t_end:g}")
-        held = records_in(lo, hi)
-        if kind in FIT_KINDS and held < FIT_MIN_POINTS:
-            raise ConfigError(f"{what}({lo:g}, {hi:g}) holds {held} record(s); "
-                              f"the decay fit needs at least {FIT_MIN_POINTS}")
-        return lo, hi
-
-    def window(text: str) -> tuple[float, float]:
-        s, t = _parse_floats(text, 2)
-        if not 0 <= s < t:
-            raise ConfigError("must be 'S, T' with 0 <= S < T")
-        if t > t_end + 1e-12:  # the tolerance of the window's consumers
-            raise ConfigError(f"T = {t:g} is past the final time {t_end:g}")
-        if kind == "multiplier_report":
-            multiplier_window(s, t)
-        return s, t
-
-    def multiplier_window(s: float, t: float, what: str = "") -> None:
-        # the multiplier terms integrate over at least 3 records of the window
-        held = records_in(s, t)
-        if held < 3:
-            raise ConfigError(f"{what}({s:g}, {t:g}) holds {held} record(s); "
-                              f"the multiplier terms need at least 3")
-
     spec = ScenarioSpec(
         scenario=scenario,
-        fit_window=value("fit_window", lambda text: fit_window(*_parse_floats(text, 2))),
+        fit_window=value("fit_window", lambda text: _parse_floats(text, 2)),
         alphas=value("alphas", _parse_floats) or (), epsilons=epsilons,
-        window=value("window", window),
+        window=value("window", lambda text: _parse_floats(text, 2)),
         co_integrate_w=value("co_integrate_w", _parse_bool), raw=dict(raw))
-    if kind == "semi_global_sweep" and spec.fit_window is None:
+
+    # each window, its default (experiments) resolved, must fit the run,
+    # t_final rounded to whole steps, and hold the records its consumer needs:
+    # window_rows counts them on the record schedule as it picks them in a run
+    t_end = scenario.t_final_actual
+    times = scenario.record_steps * scenario.dt
+
+    def holds(what: str, window: tuple[float, float], need: int, consumer: str):
+        held = len(times[window_rows(times, window)])
+        if held < need:
+            raise ConfigError(f"{what} holds {held} record(s); the {consumer} "
+                              f"at least {need}")
+
+    fit = sweep_fit_window(spec) if kind == "semi_global_sweep" else spec.fit_window
+    if fit is not None:
+        what = f"{'' if spec.fit_window else 'the default '}({fit[0]:g}, {fit[1]:g})"
         with _scenario_key(name, "fit_window"):
-            fit_window(*sweep_fit_window(spec), what="the default ")
-    if kind == "multiplier_report" and spec.window is None:
-        with _scenario_key(name, "window"):
-            multiplier_window(0.0, t_end, what="the default ")
+            if not fit[0] < fit[1]:
+                raise ConfigError(f"{what} needs t_lo < t_hi")
+            if fit[0] >= t_end:
+                raise ConfigError(f"{what} starts at or after the final time {t_end:g}")
+            if kind in FIT_KINDS:
+                holds(what, fit, FIT_MIN_POINTS, "decay fit needs")
+    with _scenario_key(name, "window"):
+        if spec.window is not None:
+            s, t = spec.window
+            if not 0 <= s < t:
+                raise ConfigError("must be 'S, T' with 0 <= S < T")
+            if t > t_end + 1e-12:  # the tolerance of the window's consumers
+                raise ConfigError(f"T = {t:g} is past the final time {t_end:g}")
+        if kind == "multiplier_report":
+            s, t = multiplier_window(spec)
+            holds(f"{'' if spec.window else 'the default '}({s:g}, {t:g})", (s, t),
+                  MIN_RECORDS, "multiplier terms need")
     return spec
 
 
@@ -320,14 +304,9 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 def write_energy_csv(path: Path, traj: Trajectory,
                      w_traj: Trajectory | None = None) -> None:
     p_list = traj.scenario.p_list
-    header = ["t"]
-    header += [f"E_p{p:g}" for p in p_list]
-    header += [f"dEdt_p{p:g}" for p in p_list]
-    header.append("max_zt")
-    columns = [traj.times]
-    columns += [traj.diagnostics[f"E_p{p:g}"] for p in p_list]
-    columns += [traj.diagnostics[f"dEdt_p{p:g}"] for p in p_list]
-    columns.append(traj.diagnostics["max_zt"])
+    keys = [f"E_p{p:g}" for p in p_list] + [f"dEdt_p{p:g}" for p in p_list] + ["max_zt"]
+    header = ["t", *keys]
+    columns = [traj.times, *(traj.diagnostics[key] for key in keys)]
     if w_traj is not None:
         header.append("W1p_zt")
         columns.append(w_traj.diagnostics[f"W1p_zt_p{p_list[0]:g}"])
@@ -443,7 +422,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
-            suite = parse_suite(args.suite_file.read_text())
+            try:
+                text = args.suite_file.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                why = exc.strerror if isinstance(exc, OSError) else exc
+                raise ConfigError(f"cannot read '{args.suite_file}': {why}") from None
+            suite = parse_suite(text)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

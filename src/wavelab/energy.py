@@ -167,22 +167,31 @@ FIT_FLOOR_FACTOR = 1e-13
 FIT_MIN_POINTS = 10
 
 
+def window_rows(times: Array, window: tuple[float, float]) -> slice:
+    """The rows of the increasing `times` inside `window`, ends within 1e-12,
+    as a slice: the rule by which the parser counts a window's records on the
+    record schedule and decay_fit and multiplier_terms pick them from a run."""
+    lo, hi = window
+    return slice(int(np.searchsorted(times, lo - 1e-12, side="left")),
+                 int(np.searchsorted(times, hi + 1e-12, side="right")))
+
+
 def decay_fit(times: Array, energies: Array, window: tuple[float, float]) -> DecayFit:
-    """Least squares on (t, log E) inside the window; rate = -slope.
+    """Least squares on (t, log E) inside the window (window_rows); rate = -slope.
 
     Points at or below the floor FIT_FLOOR_FACTOR * E[0] (numerical noise
     after full decay) are discarded first.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    floor = FIT_FLOOR_FACTOR * energies[0]
-    mask = (times >= window[0]) & (times <= window[1]) & (energies > floor)
+    rows = window_rows(times, window)
+    mask = energies[rows] > FIT_FLOOR_FACTOR * energies[0]
     if int(mask.sum()) < FIT_MIN_POINTS:
         raise ValueError(
             f"decay_fit needs >= {FIT_MIN_POINTS} points above the floor in "
             f"{window}, got {int(mask.sum())}")
-    t = times[mask]
-    y = np.log(energies[mask])
+    t = times[rows][mask]
+    y = np.log(energies[rows][mask])
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -206,9 +215,7 @@ def build_energy_report(traj, p: float,
     times = traj.times
     energies = traj.diagnostics[f"E_p{p:g}"]
     dissipation = traj.diagnostics[f"dEdt_p{p:g}"]
-    fit = None
-    if fit_window is not None:
-        fit = decay_fit(times, energies, fit_window)
+    fit = None if fit_window is None else decay_fit(times, energies, fit_window)
     return EnergyReport(p=p, times=times, energies=energies,
                         dissipation=dissipation, fit=fit)
 

@@ -116,14 +116,18 @@ def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
             "traj": None, "w_traj": None}
 
 
+def multiplier_window(spec: ScenarioSpec) -> tuple[float, float]:
+    """The multiplier window: spec.window, by default 0 to the final time."""
+    return spec.window or (0.0, spec.scenario.t_final_actual)
+
+
 def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     sc = spec.scenario
     traj = run_simulation(sc, keep_states=True)
     triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
-    window = spec.window or (0.0, sc.t_final_actual)
-    records = _mult.record_window(traj, window)
+    window = multiplier_window(spec)
     tables = {}
-    for rep in _mult.multiplier_terms(records, triple, sc.p_list):
+    for rep in _mult.multiplier_terms(traj, window, triple, sc.p_list):
         tables[f"{rep.p:g}"] = {
             "regime": rep.regime, "terms": rep.terms,
             "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,

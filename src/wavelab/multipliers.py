@@ -20,11 +20,13 @@ from .core import (
     Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_big_g,
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
-from .energy import trapezoid
-from .solver import Scenario, Trajectory, record_blocks
+from .energy import trapezoid, window_rows
+from .solver import Trajectory, record_blocks
 
 #: the Young parameters eta of the second-set table
 ETAS = (0.25, 0.5, 1.0, 2.0)
+#: the fewest records of a window that multiplier_terms integrates over
+MIN_RECORDS = 3
 
 
 def _regime_functions(p: float):
@@ -78,57 +80,6 @@ class MultiplierReport:
     eta_table: dict[float, dict[str, float]]
 
 
-def _window_slice(traj: Trajectory, window: tuple[float, float]) -> slice:
-    """The records of `traj` with times inside `window` (1e-12 slack), a
-    contiguous run since the records are in time order."""
-    s, t = window
-    times = traj.times
-    if s < times[0] - 1e-12 or t > times[-1] + 1e-12 or s >= t:
-        raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
-    rows = slice(int(np.searchsorted(times, s - 1e-12, side="left")),
-                 int(np.searchsorted(times, t + 1e-12, side="right")))
-    if rows.stop - rows.start < 3:
-        raise ValueError(f"window {window} contains too few records")
-    return rows
-
-
-@dataclass(frozen=True)
-class RecordWindow:
-    """A trajectory's records inside a window, one row per record, shared by
-    the multiplier terms of every p.
-
-    rho, xi, times and the given theta are views of the trajectory's arrays;
-    theta None stands for the default nu(z_t), which multiplier_terms
-    evaluates one record block at a time."""
-
-    scenario: Scenario
-    window: tuple[float, float]
-    times: Array
-    rho: Array
-    xi: Array
-    theta: Array | None  # damping intensity
-
-
-def record_window(traj: Trajectory, window: tuple[float, float],
-                  theta: Array | None = None) -> RecordWindow:
-    """The rows of the records of `traj` inside `window`.
-
-    theta: per-record damping intensity of the shape of traj.rho. Defaults to
-    nu(z_t) for a nonlinear run (the linearizing coefficient) so that the
-    source reads a(x) theta (rho - xi)/2 in both cases. Dense recording
-    (record_every = 1) is recommended for meaningful time integrals.
-    """
-    if traj.rho is None:
-        raise ValueError("record_window needs a trajectory with kept states")
-    if theta is not None and np.shape(theta) != traj.rho.shape:
-        raise ValueError(f"theta has shape {np.shape(theta)}, the recorded states "
-                         f"{traj.rho.shape}")
-    rows = _window_slice(traj, window)
-    return RecordWindow(scenario=traj.scenario, window=window,
-                        times=traj.times[rows], rho=traj.rho[rows], xi=traj.xi[rows],
-                        theta=None if theta is None else np.asarray(theta)[rows])
-
-
 def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
                      uniform: bool) -> Array:
     """The rows `rows` of np.gradient(v_window, times, axis=0), bit for bit,
@@ -156,24 +107,39 @@ def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
     return out
 
 
-def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
-                     p_list: Sequence[float]) -> list[MultiplierReport]:
-    """Evaluate S1..S4, T1..T5, V1..V3 on the recorded window (record_window)
-    for each p of p_list, one report per p in that order.
+def multiplier_terms(traj: Trajectory, window: tuple[float, float],
+                     triple: LocalizationTriple, p_list: Sequence[float],
+                     theta: Array | None = None) -> list[MultiplierReport]:
+    """Evaluate S1..S4, T1..T5, V1..V3 on the records of `traj` (kept states)
+    inside `window` (window_rows) for each p of p_list, one report per p in
+    that order. theta: per-record damping intensity of the shape of traj.rho;
+    by default nu(z_t), the linearizing coefficient, so that the source reads
+    a(x) theta (rho - xi)/2 in both cases. Dense recording (record_every = 1)
+    is recommended for meaningful time integrals.
 
-    The window is taken one record block at a time (record_blocks): z and the
-    default theta once per block, then for each p the elliptic multiplier v
-    (on the block and one halo record on each side), its time derivative
-    v_t = np.gradient(v, times) and the space integral of each record. The
-    time integrals run over the joined series, so nothing longer than a block
-    exists but the series and the kept states. S2, T2 and V1 read only the
-    window's first and last records, which are solved on their own."""
-    sc = records.scenario
-    grid = sc.grid
-    xs = grid.nodes
-    dx = grid.dx
-    times = records.times
-    a_nodes = sc.a_nodes
+    The window's rows of the states and theta are views, walked one record
+    block at a time (record_blocks): z and the default theta once per block,
+    then for each p the elliptic multiplier v (on the block and one halo
+    record on each side), its time derivative v_t = np.gradient(v, times) and
+    the space integral of each record. The time integrals run over the joined
+    series, so nothing longer than a block exists but the series and the kept
+    states. S2, T2 and V1 read only the window's first and last records,
+    which are solved on their own."""
+    if traj.rho is None:
+        raise ValueError("multiplier_terms needs a trajectory with kept states")
+    if theta is not None and np.shape(theta) != traj.rho.shape:
+        raise ValueError(f"theta has shape {np.shape(theta)}, the recorded states "
+                         f"{traj.rho.shape}")
+    s, t = window
+    if s < traj.times[0] - 1e-12 or t > traj.times[-1] + 1e-12 or s >= t:
+        raise ValueError(f"window {window} outside trajectory [0, {traj.times[-1]}]")
+    rows_w = window_rows(traj.times, window)
+    times, rho_w, xi_w = traj.times[rows_w], traj.rho[rows_w], traj.xi[rows_w]
+    if len(times) < MIN_RECORDS:
+        raise ValueError(f"window {window} contains too few records")
+    theta_w = None if theta is None else np.asarray(theta)[rows_w]
+    sc, grid = traj.scenario, traj.scenario.grid
+    xs, dx, a_nodes = grid.nodes, grid.dx, sc.a_nodes
     dts = np.diff(times)
     uniform = bool((dts == dts[0]).all())
 
@@ -222,18 +188,17 @@ def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
     for rows in record_blocks(n_records, len(xs)):
         ext = slice(max(rows.start - 1, 0), min(rows.stop + 1, n_records))
         inner = slice(rows.start - ext.start, rows.stop - ext.start)
-        rho, xi = records.rho[rows], records.xi[rows]
-        z = cumulative_trapezoid(0.5 * (records.rho[ext] + records.xi[ext]), dx)
-        theta = (nu_ratio(0.5 * (rho - xi), sc.g) if records.theta is None
-                 else records.theta[rows])
-        atheta = a_nodes[None, :] * theta
+        rho, xi = rho_w[rows], xi_w[rows]
+        z = cumulative_trapezoid(0.5 * (rho_w[ext] + xi_w[ext]), dx)
+        theta_b = nu_ratio(0.5 * (rho - xi), sc.g) if theta_w is None else theta_w[rows]
+        atheta = a_nodes[None, :] * theta_b
         for p, fns, out in zip(p_list, regimes, blocks):
             v = multiplier(z, fns[0])
             out.append(block_integrals(p, fns, rho, xi, z[inner], atheta, v[inner],
                                        _time_derivative(v, rows, ext, dts, uniform)))
 
     ends = [0, -1]  # the first and last records
-    rho, xi = records.rho[ends], records.xi[ends]
+    rho, xi = rho_w[ends], xi_w[ends]
     z = cumulative_trapezoid(0.5 * (rho + xi), dx)
     reports = []
     for p, (f, _, big_f), p_blocks in zip(p_list, regimes, blocks):
@@ -274,7 +239,7 @@ def multiplier_terms(records: RecordWindow, triple: LocalizationTriple,
         chain["second_set_eta1"] = eta_table[1.0]["second_set"]
 
         reports.append(MultiplierReport(
-            p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=records.window,
+            p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=window,
             terms=terms, int_energy=int_energy, energy_at_s=energy_at_s,
             chain_constants=chain, eta_table=eta_table))
     return reports

@@ -119,6 +119,12 @@ class Scenario:
         # t_final rounded to a whole number of steps; reported with the run
         return self.n_steps * self.dt
 
+    @property
+    def record_steps(self) -> Array:
+        """The record schedule: the steps a run records, every record_every-th
+        from 0 and the final one, in increasing order."""
+        return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
+
     @functools.cached_property
     def a_nodes(self) -> Array:
         """a(x) at the grid nodes, sampled once per scenario; read-only."""
@@ -415,8 +421,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
                  keep_states: bool
                  ) -> tuple[Array, tuple[Array, ...] | None, tuple[dict[str, Array], ...]]:
-    """Step `state` (anything with a time `t`) to t_final and guard every
-    energy of every record.
+    """Step `state` (anything with a time `t`) to t_final, recording it at
+    scenario.record_steps, and guard every energy of every record.
 
     capture(state) gives the arrays a record's diagnostics need, (n_nodes,)
     or (B, n_nodes) for a family. Each is written once, as a row of a
@@ -428,8 +434,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     """
     rows = capture(state)
     block_len = _block_len(rows[0].size)
-    n_steps, every = scenario.n_steps, scenario.record_every  # read once per run
-    n_records = 1 + -(-n_steps // every)
+    steps = scenario.record_steps.tolist()  # read once per run
+    n_records = len(steps)
     buffers = tuple(np.empty((n_records if keep_states else min(block_len, n_records),
                               *row.shape)) for row in rows)
     times = np.empty(n_records)
@@ -457,9 +463,9 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
 
     try:
         write(rows, state.t)
-        for n in range(1, n_steps + 1):
+        for n in range(1, steps[-1] + 1):
             state = advance(state)
-            if n % every == 0 or n == n_steps:
+            if n == steps[taken]:
                 write(capture(state), state.t)
     finally:
         # the last block, or the records taken before a failure: those are
@@ -698,7 +704,6 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     a_nodes = scenario.a_nodes
     a_damped = a_nodes[support]
     strang = scenario.splitting == "strang"
-    n_records = scenario.n_steps + 1
     start = scenario.initial.riemann(scenario.grid)
     aux = start  # the rerun's latest record: lo - 1, or 0 before the first block
     carried: Array | None = None  # nu_half of record lo - 1
@@ -709,7 +714,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
         nonlocal aux, carried, lo
-        nu_records, nu_half = _nu_block(rho, xi, n_records - 1 - lo, scenario)
+        nu_records, nu_half = _nu_block(rho, xi, scenario.n_steps - lo, scenario)
         aux_rho, aux_xi = np.empty(rho.shape), np.empty(xi.shape)
         for i, nu_next in enumerate(nu_records):
             if lo + i:  # record 0 is the initial state

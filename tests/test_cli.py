@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavelab.core import HypothesisViolation
+from wavelab.core import HypothesisViolation, make_localization
 from wavelab.cli import (
     KINDS, ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
     parse_nonlinearity, parse_profile, parse_suite, write_energy_csv,
 )
-from wavelab.solver import run_derivative_system
+from wavelab.energy import FIT_MIN_POINTS, decay_fit
+from wavelab.multipliers import MIN_RECORDS, multiplier_terms
+from wavelab.solver import run_derivative_system, run_simulation
 
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
@@ -226,6 +228,37 @@ class TestMainEndToEnd:
         assert err == ("ERROR s: ValueError: window (0.2, 0.4): s and t snap to "
                        "the same record, t = 0 (records are 1 apart)\n")
 
+    def test_fit_window_on_a_grid_that_is_not_a_power_of_two(self, tmp_path, capsys):
+        # dt = 0.01 puts 10 records in (0.1, 0.19); the run's accumulated
+        # times miss the window's ends by a few ulps, which the fit forgives
+        # as the parser does
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text(GOOD_SUITE.replace("n_cells = 64", "n_cells = 100")
+                              .replace("fit_window = 0.5, 2", "fit_window = 0.1, 0.19"))
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary_demo.json").read_text())
+        for p in ("1.5", "2"):
+            assert summary["fits"][p]["window"] == [0.1, 0.19]
+            assert summary["fits"][p]["fitted_rate"] > 0.0
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_suite_file_is_a_config_error(self, tmp_path, capsys, case):
+        path = tmp_path / "suite.ini"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(GOOD_SUITE.encode("utf-16"))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        reason = {"missing": "No such file or directory",
+                  "directory": "Is a directory",
+                  "not_utf8": "'utf-8' codec can't decode byte 0xff in position 0"}[case]
+        assert err.startswith(f"config error: cannot read '{path}': {reason}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(GOOD_SUITE.replace("smooth_indicator(0.7, 1, 2, 0.05)",
@@ -291,6 +324,46 @@ def test_parse_suite_raises_only_config_errors(kind, keys):
     except ConfigError:
         return
     assert isinstance(suite, ExperimentSuite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_cells=st.integers(50, 300).filter(lambda n: n & (n - 1)),
+       record_every=st.integers(1, 4),
+       kind=st.sampled_from(["simulate", "multiplier_report"]),
+       data=st.data())
+def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, kind,
+                                                       data):
+    # windows whose ends lie on record times, as the run accumulates them and
+    # as n dt, holding one record fewer than their consumer needs, as many
+    # and one more: the parser counts on the schedule what the consumer picks
+    # from the run
+    text = (f"[suite]\nkind = {kind}\n\n[scenario w]\nn_cells = {n_cells}\n"
+            f"t_final = 1\np_list = 2\nrecord_every = {record_every}\ng = arctan\n"
+            "a = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
+    sc = parse_suite(text).scenarios[0].scenario
+    fit = kind == "simulate"
+    traj = run_simulation(sc, keep_states=not fit)
+    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
+    need = FIT_MIN_POINTS if fit else MIN_RECORDS
+    lo = data.draw(st.integers(0, len(traj.times) - need - 1))
+    for times in (traj.times, sc.record_steps * sc.dt):
+        for hi in range(lo + need - 2, lo + need + 1):
+            window = (float(times[lo]), float(times[hi]))
+            try:
+                parse_suite(text + f"{'fit_window' if fit else 'window'} = "
+                                   f"{window[0]!r}, {window[1]!r}\n")
+                accepted = True
+            except ConfigError:
+                accepted = False
+            try:
+                if fit:
+                    decay_fit(traj.times, traj.energy_series(2.0), window)
+                else:
+                    multiplier_terms(traj, window, triple, [2.0])
+                consumed = True
+            except ValueError:
+                consumed = False
+            assert accepted == consumed == (hi - lo + 1 >= need), window
 
 
 def _write_energy_csv_per_row(path, traj, w_traj=None):

@@ -8,11 +8,8 @@ from wavelab.core import (
     Grid, arctan_damping, cumulative_trapezoid, make_localization, nu_ratio,
     sine_profile, smooth_indicator_profile, zero_function,
 )
-from wavelab.energy import trapezoid
-from wavelab.multipliers import (
-    ETAS, _regime_functions, _window_slice, elliptic_solve, multiplier_terms,
-    record_window,
-)
+from wavelab.energy import trapezoid, window_rows
+from wavelab.multipliers import ETAS, _regime_functions, elliptic_solve, multiplier_terms
 from wavelab.solver import InitialData, Scenario, run_simulation
 
 
@@ -34,7 +31,7 @@ def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
     xs = grid.nodes
     dx = grid.dx
     f, fprime, big_f = _regime_functions(p)
-    idx = np.arange(len(traj.times))[_window_slice(traj, window)]
+    idx = np.arange(len(traj.times))[window_rows(traj.times, window)]
     times = traj.times[idx]
     rho = np.stack([traj.rho[i] for i in idx])
     xi = np.stack([traj.xi[i] for i in idx])
@@ -195,7 +192,7 @@ def localized_run():
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
         traj, triple = localized_run
-        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
+        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
         assert set(rep.terms) == {"S1", "S2", "S3", "S4",
                                   "T1", "T2", "T3", "T4", "T5",
                                   "V1", "V2", "V3"}
@@ -204,25 +201,25 @@ class TestMultiplierTerms:
 
     def test_regime_labels(self, localized_run):
         traj, triple = localized_run
-        reps = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0, 1.5])
+        reps = multiplier_terms(traj, (0.0, 6.0), triple, [2.0, 1.5])
         assert [rep.p for rep in reps] == [2.0, 1.5]
         assert [rep.regime for rep in reps] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
         traj, triple = localized_run
-        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
+        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
         assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
         traj, triple = localized_run
-        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
+        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
         assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
         traj, triple = localized_run
-        [rep] = multiplier_terms(record_window(traj, (0.0, 6.0)), triple, [2.0])
+        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
         assert tuple(rep.eta_table) == ETAS
         for eta, row in rep.eta_table.items():
             assert row["second_set"] >= 0.0
@@ -230,8 +227,8 @@ class TestMultiplierTerms:
 
     def test_window_outside_run_rejected(self, localized_run):
         traj, triple = localized_run
-        with pytest.raises(ValueError):
-            record_window(traj, (0.0, 60.0))
+        with pytest.raises(ValueError, match="outside trajectory"):
+            multiplier_terms(traj, (0.0, 60.0), triple, [2.0])
 
     def test_needs_kept_states(self):
         sc = Scenario(name="thin", grid=Grid(64), t_final=2.0, p_list=(2.0,),
@@ -240,8 +237,9 @@ class TestMultiplierTerms:
                       initial=InitialData(
                           sine_profile(1, amplitude=0.5), zero_function()))
         traj = run_simulation(sc, keep_states=False)
-        with pytest.raises(ValueError):
-            record_window(traj, (0.0, 2.0))
+        triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
+        with pytest.raises(ValueError, match="kept states"):
+            multiplier_terms(traj, (0.0, 2.0), triple, [2.0])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("explicit_theta", [False, True])
@@ -252,7 +250,7 @@ class TestMultiplierTerms:
             rng = np.random.default_rng(3)
             theta = rng.uniform(0.5, 1.5, (len(traj.times), traj.scenario.grid.n_nodes))
         window = (0.5, 5.0)
-        [rep] = multiplier_terms(record_window(traj, window, theta), triple, [p])
+        [rep] = multiplier_terms(traj, window, triple, [p], theta)
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
             traj, triple, p, window, theta=theta)
         assert rep.terms == terms
@@ -275,15 +273,15 @@ class TestMultiplierTerms:
         theta = None
         if explicit_theta:
             theta = np.random.default_rng(5).uniform(0.5, 1.5, traj.rho.shape)
-        records = record_window(traj, window, theta)
-        n_records, n_nodes = records.rho.shape
+        rows = window_rows(traj.times, window)
+        n_records, n_nodes = rows.stop - rows.start, traj.rho.shape[1]
         assert (n_records < len(traj.times)) == inside
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
         p_list = traj.scenario.p_list
-        whole = multiplier_terms(records, triple, p_list)
+        whole = multiplier_terms(traj, window, triple, p_list, theta)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        assert multiplier_terms(records, triple, p_list) == whole
+        assert multiplier_terms(traj, window, triple, p_list, theta) == whole
         for p, rep in zip(p_list, whole):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
                 traj, triple, p, window, theta)
@@ -294,28 +292,31 @@ class TestMultiplierTerms:
     @pytest.mark.parametrize("shape", ["one_row", "one_column", "short"])
     def test_theta_of_another_shape_is_refused(self, short_run, shape):
         # broadcasting would accept the first two and give wrong terms
-        traj, _ = short_run
+        traj, triple = short_run
         n_records, n_nodes = traj.rho.shape
         theta = np.ones({"one_row": (1, n_nodes), "one_column": (n_records, 1),
                          "short": (n_records - 1, n_nodes)}[shape])
         with pytest.raises(ValueError, match=(
                 rf"theta has shape \({theta.shape[0]}, {theta.shape[1]}\), "
                 rf"the recorded states \({n_records}, {n_nodes}\)")):
-            record_window(traj, (0.0, float(traj.times[-1])), theta)
+            multiplier_terms(traj, (0.0, float(traj.times[-1])), triple, [2.0], theta)
 
-    def test_peak_memory_does_not_grow_with_the_window(self, localized_run):
+    @pytest.mark.parametrize("explicit_theta", [False, True])
+    def test_peak_memory_does_not_grow_with_the_window(self, localized_run,
+                                                       explicit_theta):
         # every array of the terms is one record block long (plus the halo),
-        # so a window three times longer adds no more than a few blocks
+        # so a window three times longer adds no more than a few blocks: the
+        # window's rows of the states and of a given theta are views
         traj, triple = localized_run
         p_list = traj.scenario.p_list
+        theta = np.ones(traj.rho.shape) if explicit_theta else None
         block = ((solver.RECORD_BLOCK_VALUES // traj.rho.shape[1] + 2)
                  * traj.rho[0].nbytes)
         peaks = []
         for t in (2.0, 6.0):
-            records = record_window(traj, (0.0, t))
             tracemalloc.start()
             try:
-                multiplier_terms(records, triple, p_list)
+                multiplier_terms(traj, (0.0, t), triple, p_list, theta)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -327,11 +328,4 @@ class TestMultiplierTerms:
         for s, t in [(0.0, 6.0), (0.5, 5.0), (1.0 + 1e-13, 2.0 - 1e-13), (0.3, 0.33)]:
             ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
             np.testing.assert_array_equal(
-                np.arange(len(times))[_window_slice(traj, (s, t))], ref)
-        theta = np.ones(traj.rho.shape)
-        for given in (None, theta):
-            records = record_window(traj, (0.5, 5.0), given)
-            assert records.rho.base is traj.rho and records.xi.base is traj.xi
-            assert records.times.base is traj.times
-            assert (records.theta is None if given is None
-                    else records.theta.base is theta)
+                np.arange(len(times))[window_rows(times, (s, t))], ref)
