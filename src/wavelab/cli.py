@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -381,6 +380,7 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
     parallel = (jobs > 1 and len(suite.scenarios) > 1
                 and all(spec.raw is not None for spec in suite.scenarios))
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_raw, suite.kind, spec.scenario.name,
                                    spec.raw, out)

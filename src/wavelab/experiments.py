@@ -42,11 +42,15 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
     summary: dict = {"name": sc.name, "t_final": sc.t_final_actual,
                      "n_cells": sc.grid.n_cells, "fits": {}}
     for p in sc.p_list:
-        rep = build_energy_report(traj, p, spec.fit_window)
-        if rep.fit is not None:
-            summary["fits"][f"{p:g}"] = {"fitted_rate": rep.fit.rate,
-                                         "r2": rep.fit.r2,
-                                         "window": list(rep.fit.window)}
+        try:
+            fit = build_energy_report(traj, p, spec.fit_window).fit
+        except ValueError as exc:  # too few records above the fit floor
+            summary["fits"][f"{p:g}"] = {"window": list(spec.fit_window),
+                                         "error": str(exc)}
+            continue
+        if fit is not None:
+            summary["fits"][f"{p:g}"] = {"fitted_rate": fit.rate, "r2": fit.r2,
+                                         "window": list(fit.window)}
     if spec.window is not None:
         s, t = spec.window
         summary["observability_ratio"] = {

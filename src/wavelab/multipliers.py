@@ -108,28 +108,24 @@ def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
 
 
 def multiplier_terms(traj: Trajectory, window: tuple[float, float],
-                     triple: LocalizationTriple, p_list: Sequence[float],
-                     theta: Array | None = None) -> list[MultiplierReport]:
+                     triple: LocalizationTriple, p_list: Sequence[float]
+                     ) -> list[MultiplierReport]:
     """Evaluate S1..S4, T1..T5, V1..V3 on the records of `traj` (kept states)
     inside `window` (window_rows) for each p of p_list, one report per p in
-    that order. theta: per-record damping intensity of the shape of traj.rho;
-    by default nu(z_t), the linearizing coefficient, so that the source reads
-    a(x) theta (rho - xi)/2 in both cases. Dense recording (record_every = 1)
-    is recommended for meaningful time integrals.
+    that order; theta = nu(z_t), the linearizing coefficient, so the source
+    reads a(x) theta (rho - xi)/2. Dense recording (record_every = 1) is
+    recommended for meaningful time integrals.
 
-    The window's rows of the states and theta are views, walked one record
-    block at a time (record_blocks): z and the default theta once per block,
-    then for each p the elliptic multiplier v (on the block and one halo
-    record on each side), its time derivative v_t = np.gradient(v, times) and
-    the space integral of each record. The time integrals run over the joined
-    series, so nothing longer than a block exists but the series and the kept
-    states. S2, T2 and V1 read only the window's first and last records,
-    which are solved on their own."""
+    The window's rows of the states are views, walked one record block at a
+    time (record_blocks): z and theta once per block, then for each p the
+    elliptic multiplier v (on the block and one halo record on each side),
+    its time derivative v_t = np.gradient(v, times) and the space integral
+    of each record. The time integrals run over the joined series, so
+    nothing longer than a block exists but the series and the kept states.
+    S2, T2 and V1 read only the window's first and last records, which are
+    solved on their own."""
     if traj.rho is None:
         raise ValueError("multiplier_terms needs a trajectory with kept states")
-    if theta is not None and np.shape(theta) != traj.rho.shape:
-        raise ValueError(f"theta has shape {np.shape(theta)}, the recorded states "
-                         f"{traj.rho.shape}")
     s, t = window
     if s < traj.times[0] - 1e-12 or t > traj.times[-1] + 1e-12 or s >= t:
         raise ValueError(f"window {window} outside trajectory [0, {traj.times[-1]}]")
@@ -137,7 +133,6 @@ def multiplier_terms(traj: Trajectory, window: tuple[float, float],
     times, rho_w, xi_w = traj.times[rows_w], traj.rho[rows_w], traj.xi[rows_w]
     if len(times) < MIN_RECORDS:
         raise ValueError(f"window {window} contains too few records")
-    theta_w = None if theta is None else np.asarray(theta)[rows_w]
     sc, grid = traj.scenario, traj.scenario.grid
     xs, dx, a_nodes = grid.nodes, grid.dx, sc.a_nodes
     dts = np.diff(times)
@@ -190,8 +185,7 @@ def multiplier_terms(traj: Trajectory, window: tuple[float, float],
         inner = slice(rows.start - ext.start, rows.stop - ext.start)
         rho, xi = rho_w[rows], xi_w[rows]
         z = cumulative_trapezoid(0.5 * (rho_w[ext] + xi_w[ext]), dx)
-        theta_b = nu_ratio(0.5 * (rho - xi), sc.g) if theta_w is None else theta_w[rows]
-        atheta = a_nodes[None, :] * theta_b
+        atheta = a_nodes[None, :] * nu_ratio(0.5 * (rho - xi), sc.g)
         for p, fns, out in zip(p_list, regimes, blocks):
             v = multiplier(z, fns[0])
             out.append(block_integrals(p, fns, rho, xi, z[inner], atheta, v[inner],

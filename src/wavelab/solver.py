@@ -554,13 +554,12 @@ def run_family(scenarios: Sequence[Scenario], keep_states: bool = True
             for b, sc in enumerate(scenarios)]
 
 
-def run_auxiliary(scenario: Scenario, theta: ThetaField,
-                  keep_states: bool = True) -> Trajectory:
+def run_auxiliary(scenario: Scenario, theta: ThetaField) -> Trajectory:
     """Integrate the auxiliary linear time-varying problem
-    y_tt - y_xx + a(x) theta(t, x) y_t = 0 with the same splitting; the
-    damping substep is linear-implicit in closed form. theta is sampled at
-    the midpoint of each substep interval, and once at each record time for
-    the recorded dissipation rate."""
+    y_tt - y_xx + a(x) theta(t, x) y_t = 0 with the same splitting, keeping
+    its states; the damping substep is linear-implicit in closed form. theta
+    is sampled at the midpoint of each substep interval, and once at each
+    record time, as one more recorded row, for the recorded dissipation rate."""
     grid = scenario.grid
     if theta.grid is not None and theta.grid != grid:
         raise ValueError("recorded theta field is bound to the run's grid")
@@ -569,17 +568,7 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     a_damped = scenario.a_nodes[support]
     state = scenario.initial.riemann(grid)
 
-    # theta at the record times captured since the last block: the states
-    # are kept with keep_states, these samples only until their block is done
-    pending: list[Array] = []
-
-    def capture(s: RiemannState) -> tuple[Array, Array]:
-        pending.append(theta(s.t, xs))
-        return s.rho, s.xi
-
-    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        th = np.stack(pending)
-        pending.clear()
+    def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
         return (_base_diagnostics(rho, xi, scenario, th),)
 
     def advance(s: RiemannState) -> RiemannState:
@@ -588,9 +577,9 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
             h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
             for k in (0, 1)))
 
-    times, kept, (diag,) = _record_loop(scenario, state, advance, capture,
-                                        diagnose, keep_states)
-    rho, xi = kept or (None, None)
+    times, (rho, xi, _), (diag,) = _record_loop(
+        scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
+        keep_states=True)
     return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
                       scenario=scenario)
 

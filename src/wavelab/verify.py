@@ -29,7 +29,9 @@ from .energy import (
 from .experiments import ScenarioSpec, run_aux_equivalence, run_semi_global_sweep
 from .multipliers import elliptic_solve
 from .oracle import dalembert_riemann, modal_rate
-from .solver import InitialData, Scenario, run_derivative_system, run_simulation
+from .solver import (
+    MONOTONICITY_SLACK, InitialData, Scenario, run_derivative_system, run_simulation,
+)
 from . import cli as _cli
 
 MODERATE_AMPLITUDE = 0.5  # keeps the observability spread inside tolerance
@@ -111,8 +113,7 @@ def check_energy_monotonicity() -> CheckResult:
         traj = run_simulation(sc, keep_states=False)  # raises on violation too
         for p in sc.p_list:
             e = traj.energy_series(p)
-            slack = 1e-12 * max(1.0, e[0])
-            rise = float(np.max(np.diff(e))) - slack
+            rise = float(np.max(np.diff(e))) - MONOTONICITY_SLACK * max(1.0, e[0])
             if rise > worst:
                 worst, worst_tag = rise, f"g={name}, p={p:g}"
     ok = worst <= 0.0

@@ -243,6 +243,43 @@ class TestMainEndToEnd:
             assert summary["fits"][p]["window"] == [0.1, 0.19]
             assert summary["fits"][p]["fitted_rate"] > 0.0
 
+    def test_fit_window_past_full_decay_keeps_the_reports(self, tmp_path, capsys):
+        # E_p falls below the fit floor long before t = 50: the parser cannot
+        # see the floor, so the fit is reported as missing, with the reason,
+        # and the run that passed its guards still writes both reports
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
+                              "n_cells = 64\nt_final = 60\ng = identity\n"
+                              "a = constant(2)\nfit_window = 50, 60\n")
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["energies_s.csv",
+                                                         "summary_s.json"]
+        summary = json.loads((out / "summary_s.json").read_text())
+        assert list(summary["fits"]) == ["1.5", "2", "4"]
+        for fit in summary["fits"].values():
+            assert fit == {"window": [50.0, 60.0], "error": (
+                f"decay_fit needs >= {FIT_MIN_POINTS} points above the floor "
+                "in (50.0, 60.0), got 0")}
+
+    def test_fit_error_is_reported_for_its_p_alone(self, tmp_path, capsys):
+        # E_4 falls below its fit floor before t = 10, E_1.5 and E_2 later
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
+                              "n_cells = 64\nt_final = 20\ng = identity\n"
+                              "a = constant(2)\nfit_window = 10, 20\n")
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        fits = json.loads((out / "summary_s.json").read_text())["fits"]
+        for p in ("1.5", "2"):
+            assert fits[p]["window"] == [10.0, 20.0]
+            assert fits[p]["fitted_rate"] > 0.0
+        assert fits["4"] == {"window": [10.0, 20.0], "error": (
+            f"decay_fit needs >= {FIT_MIN_POINTS} points above the floor "
+            "in (10.0, 20.0), got 0")}
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_suite_file_is_a_config_error(self, tmp_path, capsys, case):
         path = tmp_path / "suite.ini"

@@ -2,6 +2,7 @@
 failing scenario, the one `verify` entry, the layering of
 `wavelab.experiments` below the command line and numpy as the one
 third-party import."""
+import concurrent.futures
 import functools
 import json
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import wavelab
-from wavelab import cli, experiments, solver, verify
+from wavelab import experiments, solver, verify
 from wavelab.cli import main, parse_suite
 from wavelab.experiments import EXPERIMENTS
 from wavelab.solver import run_family
@@ -139,12 +140,12 @@ def test_scenario_without_keys_still_runs_in_parallel(tmp_path, monkeypatch):
     # not send the suite down the serial path
     pools = []
 
-    class SpyPool(cli.ProcessPoolExecutor):
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     text = ("[suite]\nkind = simulate\n\n[scenario empty]\n\n"
             "[scenario small]\nn_cells = 16\nt_final = 1\n")
     assert [spec.raw for spec in parse_suite(text).scenarios] == [{}, {"n_cells": "16", "t_final": "1"}]
@@ -219,6 +220,24 @@ def test_verify_check_that_raises_is_a_scenario_error(tmp_path, capsys, monkeypa
     assert err == "ERROR verify: RuntimeError: check blew up\n" * 2
 
 
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_monotonicity_check_allows_the_solver_slack(monkeypatch, factor, passed):
+    # the check forgives a rise of the guard's own slack, relative to E_p(0):
+    # half of it passes and twice it fails, on every law and every p
+    e0 = 4.0
+    rise = factor * solver.MONOTONICITY_SLACK * e0
+
+    class Run:
+        def energy_series(self, p):
+            return np.array([e0, e0 + rise, e0])
+
+    monkeypatch.setattr(verify, "run_simulation", lambda sc, keep_states: Run())
+    result = verify.check_energy_monotonicity()
+    assert result.passed == passed
+    beyond = rise - solver.MONOTONICITY_SLACK * e0
+    assert result.detail == f"worst rise beyond slack {beyond:.2e} (g=identity, p=1)"
+
+
 def _loaded_by(modules):
     """The modules that `import <modules>` loads in a fresh interpreter."""
     src = str(Path(wavelab.__file__).resolve().parents[1])
@@ -237,6 +256,14 @@ def test_experiments_load_without_the_cli():
     assert "wavelab.experiments" in loaded
     assert "wavelab.cli" not in loaded
     assert "wavelab.verify" not in loaded
+
+
+@pytest.mark.parametrize("module", ["wavelab.cli", "wavelab.verify"])
+def test_the_cli_loads_without_the_process_pool(module):
+    # only a suite run with --jobs > 1 needs the pool, and imports it there
+    loaded = _loaded_by(module)
+    assert "wavelab.cli" in loaded
+    assert not any(name.startswith("concurrent") for name in loaded)
 
 
 def test_numpy_is_the_only_third_party_import():

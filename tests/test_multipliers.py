@@ -5,8 +5,8 @@ import pytest
 
 from wavelab import solver
 from wavelab.core import (
-    Grid, arctan_damping, cumulative_trapezoid, make_localization, nu_ratio,
-    sine_profile, smooth_indicator_profile, zero_function,
+    NONLINEARITIES, Grid, arctan_damping, cumulative_trapezoid, make_localization,
+    nu_ratio, sine_profile, smooth_indicator_profile, zero_function,
 )
 from wavelab.energy import trapezoid, window_rows
 from wavelab.multipliers import ETAS, _regime_functions, elliptic_solve, multiplier_terms
@@ -23,10 +23,10 @@ def _elliptic_solve_1d(h, grid):
     return xs * cum_h - cum_sh - xs * (cum_h[-1] - cum_sh[-1])
 
 
-def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
-    """Reference: multiplier_terms with the rows, theta, z and the elliptic
-    multiplier built one record at a time. Returns (terms, int_energy, energy_at_s,
-    chain constants without the eta row)."""
+def _multiplier_terms_per_record(traj, triple, p, window):
+    """Reference: multiplier_terms with the rows, theta = nu(z_t), z and the
+    elliptic multiplier built one record at a time. Returns (terms, int_energy,
+    energy_at_s, chain constants without the eta row)."""
     grid = traj.scenario.grid
     xs = grid.nodes
     dx = grid.dx
@@ -36,11 +36,8 @@ def _multiplier_terms_per_record(traj, triple, p, window, theta=None):
     rho = np.stack([traj.rho[i] for i in idx])
     xi = np.stack([traj.xi[i] for i in idx])
     a_nodes = np.asarray(traj.scenario.a.value(xs))
-    if theta is None:
-        theta_w = np.stack([nu_ratio(0.5 * (rho_k - xi_k), traj.scenario.g)
-                            for rho_k, xi_k in zip(rho, xi)])
-    else:
-        theta_w = np.asarray(theta)[idx]
+    theta_w = np.stack([nu_ratio(0.5 * (rho_k - xi_k), traj.scenario.g)
+                        for rho_k, xi_k in zip(rho, xi)])
     q1_mask = xs > triple.q1[0]
     q2_mask = xs > triple.q2[0]
     xpsi = xs * triple.psi_nodes
@@ -161,27 +158,33 @@ class TestEllipticSolve:
             _regime_functions(1.0)
 
 
-@pytest.fixture(scope="module", params=[1, 7], ids=["uniform", "nonuniform"])
+@pytest.fixture(scope="module",
+                params=[(1, "arctan"), (7, "arctan"), (1, "cubic"), (7, "cubic")],
+                ids=["uniform", "nonuniform", "uniform-cubic", "nonuniform-cubic"])
 def short_run(request):
     """65 records one step apart, or 11 records seven steps apart but for the
     last, one step after the one before it: np.gradient takes its uniform or
-    its non-uniform formula from the times of the whole window."""
+    its non-uniform formula from the times of the whole window. theta =
+    nu(z_t) lies in (0, 1] for arctan damping and in [1, oo) for cubic."""
+    record_every, law = request.param
     sc = Scenario(name="short", grid=Grid(32), t_final=2.0, p_list=(1.5, 2.0, 4.0),
-                  g=arctan_damping(),
+                  g=NONLINEARITIES[law](),
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
-                  record_every=request.param)
+                  record_every=record_every)
     traj = run_simulation(sc)
     steps = np.unique(np.diff(traj.times))
-    assert len(steps) == (1 if request.param == 1 else 2)
+    assert len(steps) == (1 if record_every == 1 else 2)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     return traj, triple
 
 
 @pytest.fixture(scope="module")
-def localized_run():
+def localized_run(request):
+    """An arctan-damped run, or one of the damping law given as the
+    fixture's indirect parameter."""
     sc = Scenario(name="mult", grid=Grid(128), t_final=6.0, p_list=(1.5, 2.0),
-                  g=arctan_damping(),
+                  g=NONLINEARITIES[getattr(request, "param", "arctan")](),
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()))
     traj = run_simulation(sc)
@@ -242,81 +245,59 @@ class TestMultiplierTerms:
             multiplier_terms(traj, (0.0, 2.0), triple, [2.0])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    @pytest.mark.parametrize("explicit_theta", [False, True])
-    def test_equals_per_record_reference(self, localized_run, p, explicit_theta):
+    @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
+    def test_equals_per_record_reference(self, localized_run, p):
         traj, triple = localized_run
-        theta = None
-        if explicit_theta:
-            rng = np.random.default_rng(3)
-            theta = rng.uniform(0.5, 1.5, (len(traj.times), traj.scenario.grid.n_nodes))
         window = (0.5, 5.0)
-        [rep] = multiplier_terms(traj, window, triple, [p], theta)
+        [rep] = multiplier_terms(traj, window, triple, [p])
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-            traj, triple, p, window, theta=theta)
+            traj, triple, p, window)
         assert rep.terms == terms
         assert rep.int_energy == int_energy
         assert rep.energy_at_s == energy_at_s
         for key, value in chain.items():
             assert rep.chain_constants[key] == value
 
-    @pytest.mark.parametrize("explicit_theta", [False, True])
     @pytest.mark.parametrize("inside", [False, True], ids=["whole", "inside"])
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_record_blocks_do_not_change_a_bit(self, short_run, block, inside,
-                                               explicit_theta, monkeypatch):
+                                               monkeypatch):
         # blocks of 1, 2 and 3 records, the last one partial; one default
         # block holds the whole window, as the whole-window form does. A
         # window inside the run has records on both sides that the halo of
         # v_t must not read.
         traj, triple = short_run
         window = (0.2, 1.55) if inside else (0.0, float(traj.times[-1]))
-        theta = None
-        if explicit_theta:
-            theta = np.random.default_rng(5).uniform(0.5, 1.5, traj.rho.shape)
         rows = window_rows(traj.times, window)
         n_records, n_nodes = rows.stop - rows.start, traj.rho.shape[1]
         assert (n_records < len(traj.times)) == inside
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
         p_list = traj.scenario.p_list
-        whole = multiplier_terms(traj, window, triple, p_list, theta)
+        whole = multiplier_terms(traj, window, triple, p_list)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        assert multiplier_terms(traj, window, triple, p_list, theta) == whole
+        assert multiplier_terms(traj, window, triple, p_list) == whole
         for p, rep in zip(p_list, whole):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-                traj, triple, p, window, theta)
+                traj, triple, p, window)
             assert (rep.p, rep.terms, rep.int_energy, rep.energy_at_s) == (
                 p, terms, int_energy, energy_at_s)
             assert chain.items() <= rep.chain_constants.items()
 
-    @pytest.mark.parametrize("shape", ["one_row", "one_column", "short"])
-    def test_theta_of_another_shape_is_refused(self, short_run, shape):
-        # broadcasting would accept the first two and give wrong terms
-        traj, triple = short_run
-        n_records, n_nodes = traj.rho.shape
-        theta = np.ones({"one_row": (1, n_nodes), "one_column": (n_records, 1),
-                         "short": (n_records - 1, n_nodes)}[shape])
-        with pytest.raises(ValueError, match=(
-                rf"theta has shape \({theta.shape[0]}, {theta.shape[1]}\), "
-                rf"the recorded states \({n_records}, {n_nodes}\)")):
-            multiplier_terms(traj, (0.0, float(traj.times[-1])), triple, [2.0], theta)
-
-    @pytest.mark.parametrize("explicit_theta", [False, True])
-    def test_peak_memory_does_not_grow_with_the_window(self, localized_run,
-                                                       explicit_theta):
+    @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
+    def test_peak_memory_does_not_grow_with_the_window(self, localized_run):
         # every array of the terms is one record block long (plus the halo),
         # so a window three times longer adds no more than a few blocks: the
-        # window's rows of the states and of a given theta are views
+        # window's rows of the states are views
         traj, triple = localized_run
         p_list = traj.scenario.p_list
-        theta = np.ones(traj.rho.shape) if explicit_theta else None
         block = ((solver.RECORD_BLOCK_VALUES // traj.rho.shape[1] + 2)
                  * traj.rho[0].nbytes)
         peaks = []
         for t in (2.0, 6.0):
             tracemalloc.start()
             try:
-                multiplier_terms(traj, (0.0, t), triple, p_list, theta)
+                multiplier_terms(traj, (0.0, t), triple, p_list)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

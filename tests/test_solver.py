@@ -642,10 +642,8 @@ class TestAuxiliary:
 
     def test_stronger_theta_decays_faster(self):
         sc = _scenario(g=identity_damping(), a=constant_profile(1.0), t_final=6.0)
-        lo = run_auxiliary(sc, ThetaField(lambda t, x: np.full_like(x, 0.5),
-                                          (0.5, 0.5)), keep_states=False)
-        hi = run_auxiliary(sc, ThetaField(lambda t, x: np.full_like(x, 1.5),
-                                          (1.5, 1.5)), keep_states=False)
+        lo = run_auxiliary(sc, ThetaField(lambda t, x: np.full_like(x, 0.5), (0.5, 0.5)))
+        hi = run_auxiliary(sc, ThetaField(lambda t, x: np.full_like(x, 1.5), (1.5, 1.5)))
         assert hi.energy_series(2.0)[-1] < lo.energy_series(2.0)[-1]
 
     def test_bound_violation_raises(self):
@@ -811,8 +809,7 @@ class TestSplitKernel:
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
         calls.clear()
-        run_auxiliary(sc, ThetaField(lambda t, x: np.ones_like(x), (1.0, 1.0)),
-                      keep_states=False)
+        run_auxiliary(sc, ThetaField(lambda t, x: np.ones_like(x), (1.0, 1.0)))
         assert calls == {"transport_shift": n, "_damping_substep_nodal": substeps}
         calls.clear()
         run_derivative_system(sc, keep_states=False)
@@ -1053,20 +1050,20 @@ class TestRecordBlocks:
         for key in traj.diagnostics:
             _assert_bitwise(thin.diagnostics[key], traj.diagnostics[key])
 
-    @pytest.mark.parametrize("keep_states", [True, False])
+    @pytest.mark.parametrize("field", ["recorded", "smooth"])
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
-    def test_auxiliary_matches_per_record_diagnostics(self, splitting, keep_states):
+    def test_auxiliary_matches_per_record_diagnostics(self, splitting, field):
+        # theta is captured with each record, so every record's dissipation
+        # rate reads theta at its own time, for a field recorded from the
+        # nonlinear run and for one given in closed form
         sc = _block_scenario(splitting=splitting)
-        nl = run_simulation(sc)
-        theta = theta_from_run(nl)
-        aux = run_auxiliary(sc, theta, keep_states=True)
+        if field == "recorded":
+            theta = theta_from_run(run_simulation(sc))
+        else:
+            theta = _smooth_theta()
+        aux = run_auxiliary(sc, theta)
         _assert_records(aux.diagnostics,
                         [_aux_diag_ref(s, sc, theta) for s in _row_states(aux)])
-        if not keep_states:
-            thin = run_auxiliary(sc, theta, keep_states=False)
-            assert thin.rho is None and thin.xi is None
-            for key in aux.diagnostics:
-                _assert_bitwise(thin.diagnostics[key], aux.diagnostics[key])
 
     @pytest.mark.parametrize("splitting, keep_states, record_every", [
         ("strang", True, 1), ("lie", False, 1),
@@ -1163,8 +1160,9 @@ def _smooth_theta():
 
 class TestRecordBuffers:
     """Property test of the record buffers: every driver, both splittings
-    and both keep_states values, with blocks of 1 to 5 records, so that runs
-    cross block boundaries and end on a partial block."""
+    and both keep_states values (the auxiliary run, which always keeps its
+    states, runs twice), with blocks of 1 to 5 records, so that runs cross
+    block boundaries and end on a partial block."""
 
     @staticmethod
     def _drivers(sc, family):
@@ -1177,7 +1175,7 @@ class TestRecordBuffers:
                            (_simulation_states_ref(sc),)),
             "family": (lambda keep: run_family(family, keep),
                        [_simulation_states_ref(row) for row in family]),
-            "auxiliary": (lambda keep: (run_auxiliary(sc, theta, keep),),
+            "auxiliary": (lambda keep: (run_auxiliary(sc, theta),),
                           (_auxiliary_ref(sc, theta),)),
             "derivative_system": (lambda keep: run_derivative_system(sc, keep),
                                   (base, w)),
@@ -1214,7 +1212,8 @@ class TestRecordBuffers:
         for traj, states, thin_traj, ref_traj in zip(kept, refs, thin, one_block,
                                                      strict=True):
             _assert_states(traj, states)
-            assert thin_traj.rho is None and thin_traj.xi is None
+            if driver != "auxiliary":  # which always keeps its states
+                assert thin_traj.rho is None and thin_traj.xi is None
             _assert_bitwise(thin_traj.times, traj.times)
             for key, series in traj.diagnostics.items():
                 _assert_bitwise(thin_traj.diagnostics[key], series)
