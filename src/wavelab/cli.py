@@ -25,7 +25,7 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
-from .energy import FIT_MIN_POINTS, window_rows
+from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, window_rows
 from .experiments import EXPERIMENTS, ScenarioSpec, multiplier_window, sweep_fit_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
@@ -233,6 +233,9 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     t_final = value("t_final", _finite)
     p_list = value("p_list", exponents)
     record_every = value("record_every", int)
+    if kind == "aux_equivalence" and record_every != 1:
+        raise ConfigError(f"scenario '{name}': key 'record_every': the auxiliary "
+                          f"rerun records every step, so it must be 1, not {record_every}")
     amplitude = value("amplitude", _finite)
     g = value("g", parse_nonlinearity)
     with _scenario_key(name, "g"):
@@ -269,8 +272,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     def holds(what: str, window: tuple[float, float], need: int, consumer: str):
         held = len(times[window_rows(times, window)])
         if held < need:
-            raise ConfigError(f"{what} holds {held} record(s); the {consumer} "
-                              f"at least {need}")
+            raise ConfigError(f"{what} holds {held} record(s); the {consumer} at least {need}")
 
     fit = sweep_fit_window(spec) if kind == "semi_global_sweep" else spec.fit_window
     if fit is not None:
@@ -293,6 +295,8 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
             s, t = multiplier_window(spec)
             holds(f"{'' if spec.window else 'the default '}({s:g}, {t:g})", (s, t),
                   MIN_RECORDS, "multiplier terms need")
+        elif kind == "simulate" and spec.window is not None:
+            holds(f"({s:g}, {t:g})", (s, t), RATIO_MIN_RECORDS, "observability ratio needs")
     return spec
 
 

@@ -165,12 +165,14 @@ class DecayFit:
 FIT_FLOOR_FACTOR = 1e-13
 #: the fewest points above the floor that decay_fit fits a line through
 FIT_MIN_POINTS = 10
+#: the fewest records that observability_ratio integrates E_p over
+RATIO_MIN_RECORDS = 2
 
 
 def window_rows(times: Array, window: tuple[float, float]) -> slice:
     """The rows of the increasing `times` inside `window`, ends within 1e-12,
-    as a slice: the rule by which the parser counts a window's records on the
-    record schedule and decay_fit and multiplier_terms pick them from a run."""
+    as a slice: the rule by which the parser counts a window's records on the record
+    schedule and decay_fit, multiplier_terms and observability_ratio pick them."""
     lo, hi = window
     return slice(int(np.searchsorted(times, lo - 1e-12, side="left")),
                  int(np.searchsorted(times, hi + 1e-12, side="right")))
@@ -220,23 +222,19 @@ def build_energy_report(traj, p: float,
                         dissipation=dissipation, fit=fit)
 
 
-def observability_ratio(traj, p: float, s: float, t: float) -> float:
-    """int_s^t E_p dt / E_p(s), the empirical constant of the observability
-    estimate; bounded by (t - s) since the energy is non-increasing.
-
-    s and t snap to their nearest records, which must differ."""
-    times = traj.times
-    energies = traj.diagnostics[f"E_p{p:g}"]
+def observability_ratio(traj, p: float, window: tuple[float, float]) -> float:
+    """int_S^T E_p dt / E_p(S) over the records inside `window` (window_rows),
+    S and T the first and last of them: the empirical constant of the
+    observability estimate, bounded by T - S since the energy is non-increasing."""
+    times, energies = traj.times, traj.diagnostics[f"E_p{p:g}"]
+    s, t = window
     if not 0.0 <= s < t <= times[-1] + 1e-12:
-        raise ValueError(f"window ({s}, {t}) outside trajectory [0, {times[-1]}]")
-    i_s = int(np.argmin(np.abs(times - s)))
-    i_t = int(np.argmin(np.abs(times - t)))
-    if i_s == i_t:
-        raise ValueError(f"window ({s}, {t}): s and t snap to the same record, "
-                         f"t = {times[i_s]:g} (records are {times[1] - times[0]:g} "
-                         f"apart)")
-    e_s = energies[i_s]
+        raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
+    rows = window_rows(times, window)
+    if len(times[rows]) < RATIO_MIN_RECORDS:
+        raise ValueError(f"window {window} holds {len(times[rows])} record(s); the "
+                         f"observability ratio needs at least {RATIO_MIN_RECORDS}")
+    e_s = energies[rows.start]
     if e_s <= 0.0:
-        raise ValueError(f"E_p({s}) = {e_s} is not positive")
-    integral = float(np.trapezoid(energies[i_s:i_t + 1], times[i_s:i_t + 1]))
-    return integral / e_s
+        raise ValueError(f"E_p({times[rows.start]}) = {e_s} is not positive")
+    return float(np.trapezoid(energies[rows], times[rows])) / e_s

@@ -52,9 +52,8 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
             summary["fits"][f"{p:g}"] = {"fitted_rate": fit.rate, "r2": fit.r2,
                                          "window": list(fit.window)}
     if spec.window is not None:
-        s, t = spec.window
         summary["observability_ratio"] = {
-            f"{p:g}": observability_ratio(traj, p, s, t) for p in sc.p_list}
+            f"{p:g}": observability_ratio(traj, p, spec.window) for p in sc.p_list}
     return {"summary": summary, "traj": traj, "w_traj": w_traj}
 
 
@@ -65,16 +64,15 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
     run one record block behind (run_auxiliary_rerun), and the summary
     reduces its per-record discrepancy and theta extremes; max and min are
     exact, so they equal the reductions over whole kept stacks."""
-    dense = replace(spec.scenario, record_every=1)
-    traj_nl, traj_aux = run_auxiliary_rerun(dense)
+    traj_nl, traj_aux = run_auxiliary_rerun(spec.scenario)
     aux = traj_aux.diagnostics
     m = float(np.max(traj_nl.diagnostics["max_zt"]))
     lattice = np.linspace(-m, m, 2001) if m > 0 else np.array([0.0])
-    nu_vals = nu_ratio(lattice, dense.g)
+    nu_vals = nu_ratio(lattice, spec.scenario.g)
     nu1, nu2 = float(np.min(nu_vals)), float(np.max(nu_vals))
     th1, th2 = float(np.min(aux["theta_min"])), float(np.max(aux["theta_max"]))
     return {"summary": {
-        "name": dense.name,
+        "name": spec.scenario.name,
         "max_discrepancy": float(np.max(aux["discrepancy"])),
         "max_zt": m,
         "theta_bounds": [th1, th2],

@@ -55,7 +55,7 @@ class CheckResult:
     @property
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{self.index:2d}/13] {status} {self.name}: {self.detail}"
+        return f"[{self.index:2d}/{len(CHECKS)}] {status} {self.name}: {self.detail}"
 
 
 @functools.lru_cache(maxsize=1)
@@ -286,7 +286,7 @@ def check_observability() -> CheckResult:
     details = []
     ok = True
     for p in traj.scenario.p_list:
-        ratios = [observability_ratio(traj, p, s, s + 10.0)
+        ratios = [observability_ratio(traj, p, (s, s + 10.0))
                   for s in (0.0, 5.0, 10.0, 15.0)]
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         ok = ok and spread < 0.20 and max(ratios) <= 10.0

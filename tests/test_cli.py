@@ -9,7 +9,9 @@ from wavelab.cli import (
     KINDS, ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
     parse_nonlinearity, parse_profile, parse_suite, write_energy_csv,
 )
-from wavelab.energy import FIT_MIN_POINTS, decay_fit
+from wavelab.energy import (
+    FIT_MIN_POINTS, RATIO_MIN_RECORDS, decay_fit, observability_ratio,
+)
 from wavelab.multipliers import MIN_RECORDS, multiplier_terms
 from wavelab.solver import run_derivative_system, run_simulation
 
@@ -216,17 +218,35 @@ class TestMainEndToEnd:
                        "(0, 2) holds 2 record(s); the multiplier terms need at least 3\n")
         parse_suite(text + "record_every = 64\n")  # records at 0, 1 and 2
 
-    def test_window_between_two_records_is_a_scenario_error(self, tmp_path, capsys):
-        # records every 64 steps of dt = 1/64 are 1 apart: s = 0.2 and
-        # t = 0.4 both snap to the record at t = 0
+    def test_window_between_two_records_is_a_config_error(self, tmp_path, capsys):
+        # records every 64 steps of dt = 1/64 are 1 apart: (0.2, 0.4) holds
+        # none of them, and the observability ratio integrates over 2 at least
         suite_file = tmp_path / "suite.ini"
-        suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
-                              "n_cells = 64\nt_final = 4\nrecord_every = 64\n"
-                              "window = 0.2, 0.4\n")
-        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 3
+        text = ("[suite]\nkind = simulate\n\n[scenario s]\n"
+                "n_cells = 64\nt_final = 4\nrecord_every = 64\n")
+        suite_file.write_text(text + "window = 0.2, 0.4\n")
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err == ("ERROR s: ValueError: window (0.2, 0.4): s and t snap to "
-                       "the same record, t = 0 (records are 1 apart)\n")
+        assert err == ("config error: scenario 's': key 'window': (0.2, 0.4) holds "
+                       "0 record(s); the observability ratio needs at least 2\n")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ConfigError, match=r"\(0.2, 1\) holds 1 record"):
+            parse_suite(text + "window = 0.2, 1\n")
+        parse_suite(text + "window = 0, 1\n")  # records at 0 and 1
+
+    def test_aux_equivalence_needs_every_step_recorded(self, tmp_path, capsys):
+        # the auxiliary rerun records every step, so a sparser schedule is a
+        # config error
+        suite_file = tmp_path / "suite.ini"
+        text = ("[suite]\nkind = aux_equivalence\n\n[scenario aux]\n"
+                "n_cells = 32\nt_final = 1\n")
+        suite_file.write_text(text + "record_every = 8\n")
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: scenario 'aux': key 'record_every': the "
+                       "auxiliary rerun records every step, so it must be 1, not 8\n")
+        assert not (tmp_path / "o").exists()
+        parse_suite(text + "record_every = 1\n")
 
     def test_fit_window_on_a_grid_that_is_not_a_power_of_two(self, tmp_path, capsys):
         # dt = 0.01 puts 10 records in (0.1, 0.19); the run's accumulated
@@ -366,35 +386,38 @@ def test_parse_suite_raises_only_config_errors(kind, keys):
 @settings(max_examples=40, deadline=None)
 @given(n_cells=st.integers(50, 300).filter(lambda n: n & (n - 1)),
        record_every=st.integers(1, 4),
-       kind=st.sampled_from(["simulate", "multiplier_report"]),
+       consumer=st.sampled_from(["decay_fit", "observability_ratio", "multiplier_terms"]),
        data=st.data())
-def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, kind,
+def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, consumer,
                                                        data):
     # windows whose ends lie on record times, as the run accumulates them and
     # as n dt, holding one record fewer than their consumer needs, as many
     # and one more: the parser counts on the schedule what the consumer picks
-    # from the run
+    # from the run (one record of the ratio's 2 is the point window (t, t))
+    kind = "multiplier_report" if consumer == "multiplier_terms" else "simulate"
+    key = "fit_window" if consumer == "decay_fit" else "window"
     text = (f"[suite]\nkind = {kind}\n\n[scenario w]\nn_cells = {n_cells}\n"
             f"t_final = 1\np_list = 2\nrecord_every = {record_every}\ng = arctan\n"
             "a = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
     sc = parse_suite(text).scenarios[0].scenario
-    fit = kind == "simulate"
-    traj = run_simulation(sc, keep_states=not fit)
+    traj = run_simulation(sc, keep_states=consumer == "multiplier_terms")
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    need = FIT_MIN_POINTS if fit else MIN_RECORDS
+    need = {"decay_fit": FIT_MIN_POINTS, "observability_ratio": RATIO_MIN_RECORDS,
+            "multiplier_terms": MIN_RECORDS}[consumer]
     lo = data.draw(st.integers(0, len(traj.times) - need - 1))
     for times in (traj.times, sc.record_steps * sc.dt):
         for hi in range(lo + need - 2, lo + need + 1):
             window = (float(times[lo]), float(times[hi]))
             try:
-                parse_suite(text + f"{'fit_window' if fit else 'window'} = "
-                                   f"{window[0]!r}, {window[1]!r}\n")
+                parse_suite(text + f"{key} = {window[0]!r}, {window[1]!r}\n")
                 accepted = True
             except ConfigError:
                 accepted = False
             try:
-                if fit:
+                if consumer == "decay_fit":
                     decay_fit(traj.times, traj.energy_series(2.0), window)
+                elif consumer == "observability_ratio":
+                    observability_ratio(traj, 2.0, window)
                 else:
                     multiplier_terms(traj, window, triple, [2.0])
                 consumed = True

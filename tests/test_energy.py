@@ -157,32 +157,33 @@ class TestObservability:
 
     def test_exponential_gives_uniform_ratio(self):
         traj = self._synthetic()
-        r0 = observability_ratio(traj, 2.0, 0.0, 10.0)
-        r5 = observability_ratio(traj, 2.0, 5.0, 15.0)
+        r0 = observability_ratio(traj, 2.0, (0.0, 10.0))
+        r5 = observability_ratio(traj, 2.0, (5.0, 15.0))
         assert r0 == pytest.approx(r5, rel=1e-6)
         assert r0 == pytest.approx((1 - np.exp(-5.0)) / 0.5, rel=1e-3)
 
     def test_window_bounded_by_length(self):
         traj = self._synthetic(rate=0.01)
-        assert observability_ratio(traj, 2.0, 0.0, 10.0) <= 10.0
+        assert observability_ratio(traj, 2.0, (0.0, 10.0)) <= 10.0
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            observability_ratio(self._synthetic(), 2.0, 15.0, 5.0)
+            observability_ratio(self._synthetic(), 2.0, (15.0, 5.0))
 
     def test_window_between_two_records_rejected(self):
-        # records 0.025 apart: 5.001 and 5.002 both snap to the record at 5
+        # records 0.025 apart: (5.001, 5.002) holds none of them, and
+        # (5.001, 5.06) the two at 5.025 and 5.05
         traj = self._synthetic()
-        with pytest.raises(ValueError, match=r"window \(5.001, 5.002\): s and t "
-                           r"snap to the same record, t = 5 \(records are 0.025"):
-            observability_ratio(traj, 2.0, 5.001, 5.002)
-        assert observability_ratio(traj, 2.0, 5.001, 5.02) > 0.0
+        with pytest.raises(ValueError, match=r"window \(5.001, 5.002\) holds 0 "
+                           r"record\(s\); the observability ratio needs at least 2"):
+            observability_ratio(traj, 2.0, (5.001, 5.002))
+        assert observability_ratio(traj, 2.0, (5.001, 5.06)) > 0.0
 
     def test_vanished_energy_at_s_rejected(self):
         traj = self._synthetic()
         traj.diagnostics = {"E_p2": np.where(traj.times < 5.0, 1.0, 0.0)}
         with pytest.raises(ValueError, match="not positive"):
-            observability_ratio(traj, 2.0, 5.0, 15.0)
+            observability_ratio(traj, 2.0, (5.0, 15.0))
 
 
 class TestSobolevCheck:

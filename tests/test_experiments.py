@@ -161,16 +161,14 @@ def test_scenario_without_keys_still_runs_in_parallel(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scenario_error_does_not_end_the_suite(tmp_path, capsys, jobs):
-    # records 1 apart: both ends of the window snap to the record at t = 0,
-    # and observability_ratio raises a ValueError
-    text = _suite("simulate", ("bad", {"record_every": "32", "window": "0.2, 0.4"}),
+    # zero data: the run passes its guard, and observability_ratio, after
+    # it, raises a ValueError on E_p(0) = 0
+    text = _suite("simulate", ("bad", {"amplitude": "0", "window": "0, 1"}),
                   ("good", {"fit_window": "1, 4"}))
     code, out = _run(tmp_path, text, "--jobs", jobs)
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("ERROR bad: ValueError: window (0.2, 0.4): s and t "
-                          "snap to the same record")
-    assert "Traceback" not in err
+    assert err == "ERROR bad: ValueError: E_p(0.0) = 0.0 is not positive\n"
     assert sorted(_files(out)) == ["energies_good.csv", "summary_good.json"]
 
 
@@ -181,13 +179,13 @@ def test_failures_and_errors_are_reported_per_scenario(tmp_path, capsys,
     monkeypatch.setattr(solver, "_implicit_damping_update",
                         lambda u_old, c, g: u_old * (1.0 + c))
     text = _suite("simulate", ("pumped", {}),
-                  ("bad", {"a": "zero", "record_every": "32", "window": "0.2, 0.4"}),
+                  ("bad", {"a": "zero", "amplitude": "0", "window": "0, 1"}),
                   ("good", {"a": "zero"}))
     code, out = _run(tmp_path, text)
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("FAIL pumped: E_p")
-    assert err[1].startswith("ERROR bad: ValueError: ")
+    assert err[1] == "ERROR bad: ValueError: E_p(0.0) = 0.0 is not positive"
     assert len(err) == 2
     assert sorted(_files(out)) == ["energies_good.csv", "summary_good.json"]
 
@@ -218,6 +216,15 @@ def test_verify_check_that_raises_is_a_scenario_error(tmp_path, capsys, monkeypa
     assert _run(tmp_path, "[suite]\nkind = verify\n")[0] == 3
     err = capsys.readouterr().err
     assert err == "ERROR verify: RuntimeError: check blew up\n" * 2
+
+
+def test_check_line_counts_every_check(monkeypatch):
+    # the denominator is len(CHECKS), which grows with the checklist
+    result = verify.CheckResult(12, "observability ratio uniformity", False, "detail")
+    n_checks = len(verify.CHECKS)
+    assert result.line == f"[12/{n_checks}] FAIL observability ratio uniformity: detail"
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + verify.CHECKS[:2])
+    assert result.line == f"[12/{n_checks + 2}] FAIL observability ratio uniformity: detail"
 
 
 @pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
