@@ -15,7 +15,7 @@ from .energy import (
     energy_p, modified_energy_functional, observability_ratio, phi_functional,
     sobolev_bound_check, window_rows,
 )
-from .multipliers import MultiplierReport, elliptic_solve, multiplier_terms
+from .multipliers import MultiplierReport, MultiplierStream, elliptic_solve, multiplier_terms
 from .oracle import dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,

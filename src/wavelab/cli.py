@@ -26,7 +26,9 @@ from .core import (
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
 from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, window_rows
-from .experiments import EXPERIMENTS, ScenarioSpec, multiplier_window, sweep_fit_window
+from .experiments import (
+    EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window, sweep_fit_window,
+)
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
@@ -34,8 +36,6 @@ KINDS = (*EXPERIMENTS, "verify")
 #: experiment kinds that invoke the stability theory, which needs 1 < p < inf:
 #: every experiment but plain simulation
 STABILITY_KINDS = tuple(kind for kind in EXPERIMENTS if kind != "simulate")
-#: experiment kinds that fit decay rates on the fit window (decay_fit)
-FIT_KINDS = ("simulate", "semi_global_sweep")
 
 DEFAULTS = {
     "n_cells": "256",
@@ -154,9 +154,10 @@ class ExperimentSuite:
 
 
 _SUITE_KEYS = {"kind", "output_dir"}
-_SCENARIO_KEYS = {"n_cells", "t_final", "p_list", "splitting", "record_every",
-                  "g", "a", "z0", "z1", "amplitude", "fit_window", "alphas",
-                  "epsilons", "window", "co_integrate_w"}
+#: the keys of a scenario's Scenario, which every kind reads
+_RUN_KEYS = {"n_cells", "t_final", "p_list", "splitting", "record_every",
+             "g", "a", "z0", "z1", "amplitude"}
+_SCENARIO_KEYS = _RUN_KEYS.union(*SPEC_KEYS.values())
 
 
 def parse_suite(config_text: str) -> ExperimentSuite:
@@ -199,9 +200,12 @@ def parse_suite(config_text: str) -> ExperimentSuite:
 
 
 def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
-    for key in raw:
+    for key in raw:  # [DEFAULT] keys included
         if key not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario '{name}': unknown key '{key}'")
+        if key not in _RUN_KEYS and key not in SPEC_KEYS.get(kind, ()):
+            raise ConfigError(f"scenario '{name}': key '{key}' is not read by "
+                              f"experiment kind '{kind}'")
     stability = kind in STABILITY_KINDS
 
     def value(key: str, parse: Callable[[str], object]):
@@ -265,9 +269,9 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 
     # each window, its default (experiments) resolved, must fit the run,
     # t_final rounded to whole steps, and hold the records its consumer needs:
-    # window_rows counts them on the record schedule as it picks them in a run
+    # window_rows counts them on the record times as it picks them in a run
     t_end = scenario.t_final_actual
-    times = scenario.record_steps * scenario.dt
+    times = scenario.record_times
 
     def holds(what: str, window: tuple[float, float], need: int, consumer: str):
         held = len(times[window_rows(times, window)])
@@ -282,8 +286,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                 raise ConfigError(f"{what} needs t_lo < t_hi")
             if fit[0] >= t_end:
                 raise ConfigError(f"{what} starts at or after the final time {t_end:g}")
-            if kind in FIT_KINDS:
-                holds(what, fit, FIT_MIN_POINTS, "decay fit needs")
+            holds(what, fit, FIT_MIN_POINTS, "decay fit needs")
     with _scenario_key(name, "window"):
         if spec.window is not None:
             s, t = spec.window
@@ -295,7 +298,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
             s, t = multiplier_window(spec)
             holds(f"{'' if spec.window else 'the default '}({s:g}, {t:g})", (s, t),
                   MIN_RECORDS, "multiplier terms need")
-        elif kind == "simulate" and spec.window is not None:
+        elif spec.window is not None:  # simulate's observability ratio
             holds(f"({s:g}, {t:g})", (s, t), RATIO_MIN_RECORDS, "observability ratio needs")
     return spec
 

@@ -172,7 +172,7 @@ RATIO_MIN_RECORDS = 2
 def window_rows(times: Array, window: tuple[float, float]) -> slice:
     """The rows of the increasing `times` inside `window`, ends within 1e-12,
     as a slice: the rule by which the parser counts a window's records on the record
-    schedule and decay_fit, multiplier_terms and observability_ratio pick them."""
+    times and decay_fit, MultiplierStream and observability_ratio pick them."""
     lo, hi = window
     return slice(int(np.searchsorted(times, lo - 1e-12, side="left")),
                  int(np.searchsorted(times, hi + 1e-12, side="right")))

@@ -125,11 +125,12 @@ def multiplier_window(spec: ScenarioSpec) -> tuple[float, float]:
 
 def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     sc = spec.scenario
-    traj = run_simulation(sc, keep_states=True)
     triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
     window = multiplier_window(spec)
+    stream = _mult.MultiplierStream(sc, window, triple, sc.p_list)
+    traj = run_simulation(sc, keep_states=False, consume=stream)
     tables = {}
-    for rep in _mult.multiplier_terms(traj, window, triple, sc.p_list):
+    for rep in stream.reports():
         tables[f"{rep.p:g}"] = {
             "regime": rep.regime, "terms": rep.terms,
             "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,
@@ -148,3 +149,8 @@ EXPERIMENTS: dict[str, Callable[[ScenarioSpec], dict]] = {
     "semi_global_sweep": run_semi_global_sweep,
     "multiplier_report": run_one_multiplier_report,
 }
+#: the ScenarioSpec extras, suite keys of the same name, that the runner of
+#: each kind reads; every kind reads its Scenario
+SPEC_KEYS = {"simulate": ("fit_window", "window", "co_integrate_w"),
+             "aux_equivalence": (), "semi_global_sweep": ("fit_window", "alphas"),
+             "multiplier_report": ("window", "epsilons")}

@@ -21,11 +21,11 @@ from .core import (
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
 from .energy import trapezoid, window_rows
-from .solver import Trajectory, record_blocks
+from .solver import Scenario
 
 #: the Young parameters eta of the second-set table
 ETAS = (0.25, 0.5, 1.0, 2.0)
-#: the fewest records of a window that multiplier_terms integrates over
+#: the fewest records of a window that MultiplierStream integrates over
 MIN_RECORDS = 3
 
 
@@ -107,133 +107,158 @@ def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
     return out
 
 
-def multiplier_terms(traj: Trajectory, window: tuple[float, float],
-                     triple: LocalizationTriple, p_list: Sequence[float]
-                     ) -> list[MultiplierReport]:
-    """Evaluate S1..S4, T1..T5, V1..V3 on the records of `traj` (kept states)
-    inside `window` (window_rows) for each p of p_list, one report per p in
-    that order; theta = nu(z_t), the linearizing coefficient, so the source
-    reads a(x) theta (rho - xi)/2. Dense recording (record_every = 1) is
-    recommended for meaningful time integrals.
+def _space_int(integrand: Array, dx: float, mask: Array | None = None) -> Array:
+    if mask is not None:
+        integrand = integrand * mask[None, :]
+    return np.trapezoid(integrand, dx=dx, axis=1)
 
-    The window's rows of the states are views, walked one record block at a
-    time (record_blocks): z and theta once per block, then for each p the
-    elliptic multiplier v (on the block and one halo record on each side),
-    its time derivative v_t = np.gradient(v, times) and the space integral
-    of each record. The time integrals run over the joined series, so
-    nothing longer than a block exists but the series and the kept states.
-    S2, T2 and V1 read only the window's first and last records, which are
-    solved on their own."""
-    if traj.rho is None:
-        raise ValueError("multiplier_terms needs a trajectory with kept states")
-    s, t = window
-    if s < traj.times[0] - 1e-12 or t > traj.times[-1] + 1e-12 or s >= t:
-        raise ValueError(f"window {window} outside trajectory [0, {traj.times[-1]}]")
-    rows_w = window_rows(traj.times, window)
-    times, rho_w, xi_w = traj.times[rows_w], traj.rho[rows_w], traj.xi[rows_w]
-    if len(times) < MIN_RECORDS:
-        raise ValueError(f"window {window} contains too few records")
-    sc, grid = traj.scenario, traj.scenario.grid
-    xs, dx, a_nodes = grid.nodes, grid.dx, sc.a_nodes
-    dts = np.diff(times)
-    uniform = bool((dts == dts[0]).all())
 
-    q1_mask = xs > triple.q1[0]
-    q2_mask = xs > triple.q2[0]
-    xpsi = xs * triple.psi_nodes
-    one_minus = np.abs(1.0 - triple.xpsi_x(xs))
-
-    def space_int(integrand: Array, mask: Array | None = None) -> Array:
-        if mask is not None:
-            integrand = integrand * mask[None, :]
-        return np.trapezoid(integrand, dx=dx, axis=1)
-
-    def time_int(series: Array) -> float:
-        return float(np.trapezoid(series, times))
-
-    def multiplier(z: Array, f) -> Array:
-        return elliptic_solve(triple.beta_nodes[None, :] * f(z), grid)
-
-    def block_integrals(p, fns, rho, xi, y, atheta, v, v_t) -> dict[str, Array]:
-        f, fprime, big_f = fns
-        diff = rho - xi
+def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slice,
+                     ext: slice) -> list[dict[str, Array]]:
+    """Per p of stream.p_list, the space integrals of the window records
+    `rows` from rho and xi on `ext`: `rows` and one halo record each side,
+    clamped to the window. theta = nu(z_t), the linearizing coefficient;
+    v is the elliptic multiplier on `ext`, v_t = np.gradient(v, stream.times)."""
+    st, sc, dx = stream, stream.scenario, stream.scenario.grid.dx
+    inner = slice(rows.start - ext.start, rows.stop - ext.start)
+    z = cumulative_trapezoid(0.5 * (rho + xi), dx)
+    rho, xi, y = rho[inner], xi[inner], z[inner]
+    atheta = sc.a_nodes[None, :] * nu_ratio(0.5 * (rho - xi), sc.g)
+    diff = rho - xi
+    out = []
+    for p, (f, fprime, big_f) in zip(st.p_list, st.regimes):
+        v = elliptic_solve(st.triple.beta_nodes[None, :] * f(z), sc.grid)
+        v_t = _time_derivative(v, rows, ext, st.dts, st.uniform)
         f_rho, f_xi = f(rho), f(xi)
         big_sum = big_f(rho) + big_f(xi)
-        return {
-            "E": space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p),
+        out.append({
+            "E": _space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx),
             # first set of multipliers (x psi f)
-            "S1": space_int(one_minus[None, :] * big_sum, q1_mask),
-            "S3": space_int(np.abs(atheta * xpsi[None, :]) * np.abs(f_rho + f_xi)
-                            * np.abs(diff)),
-            "S4": space_int(big_sum, q1_mask),
+            "S1": _space_int(st.one_minus[None, :] * big_sum, dx, st.q1_mask),
+            "S3": _space_int(np.abs(atheta * st.xpsi[None, :]) * np.abs(f_rho + f_xi)
+                             * np.abs(diff), dx),
+            "S4": _space_int(big_sum, dx, st.q1_mask),
             # second set (phi f' y)
-            "T1": space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), q2_mask),
-            "T3": space_int(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff),
-                            q2_mask),
-            "T4": space_int(np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi))),
-            "T5": space_int(np.abs(y) ** p, q2_mask),
+            "T1": _space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), dx, st.q2_mask),
+            "T3": _space_int(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff),
+                             dx, st.q2_mask),
+            "T4": _space_int(np.abs(st.triple.phi_nodes[None, :] * diff * (f_rho - f_xi)),
+                             dx),
+            "T5": _space_int(np.abs(y) ** p, dx, st.q2_mask),
             # third multiplier (elliptic v)
-            "V2": space_int(np.abs(v_t) * np.abs(diff)),
-            "V3": space_int(np.abs(v * atheta * diff)),
-        }
+            "V2": _space_int(np.abs(v_t) * np.abs(diff), dx),
+            "V3": _space_int(np.abs(v[inner] * atheta * diff), dx),
+        })
+    return out
 
-    regimes = [_regime_functions(p) for p in p_list]
-    blocks: list[list[dict[str, Array]]] = [[] for _ in p_list]
-    n_records = len(times)
-    for rows in record_blocks(n_records, len(xs)):
-        ext = slice(max(rows.start - 1, 0), min(rows.stop + 1, n_records))
-        inner = slice(rows.start - ext.start, rows.stop - ext.start)
-        rho, xi = rho_w[rows], xi_w[rows]
-        z = cumulative_trapezoid(0.5 * (rho_w[ext] + xi_w[ext]), dx)
-        atheta = a_nodes[None, :] * nu_ratio(0.5 * (rho - xi), sc.g)
-        for p, fns, out in zip(p_list, regimes, blocks):
-            v = multiplier(z, fns[0])
-            out.append(block_integrals(p, fns, rho, xi, z[inner], atheta, v[inner],
-                                       _time_derivative(v, rows, ext, dts, uniform)))
 
-    ends = [0, -1]  # the first and last records
-    rho, xi = rho_w[ends], xi_w[ends]
-    z = cumulative_trapezoid(0.5 * (rho + xi), dx)
-    reports = []
-    for p, (f, _, big_f), p_blocks in zip(p_list, regimes, blocks):
-        series = {key: np.concatenate([b[key] for b in p_blocks]) for key in p_blocks[0]}
-        int_energy = time_int(series["E"])
-        energy_at_s = float(series["E"][0])
-        big_diff = big_f(rho) - big_f(xi)
-        bracket = space_int((f(rho) - f(xi)) * z)
-        bracket_v = space_int(multiplier(z, f) * (rho - xi))
+class MultiplierStream:
+    """A block consumer of a run (run_simulation's consume) whose reports()
+    are S1..S4, T1..T5, V1..V3 on the records inside `window` (window_rows of
+    scenario.record_times), one MultiplierReport per p of p_list. A window
+    record goes to multiplier_terms once v is known on both its neighbours:
+    a block's last record waits for the next block. The stream copies the
+    records the next call needs, at most two (the last of them, at the end,
+    the window's last record), and the window's first record: S2, T2 and V1
+    read those two alone. Dense records (record_every = 1) are advised."""
 
-        s4 = time_int(series["S4"])
-        t5 = time_int(series["T5"])
-        terms = {"S1": time_int(series["S1"]),
-                 "S2": trapezoid(np.abs(xpsi) * np.abs(big_diff[1] - big_diff[0]), dx),
-                 "S3": 0.5 * time_int(series["S3"]),
-                 "S4": s4,
-                 "T1": time_int(series["T1"]),
-                 "T2": abs(float(bracket[1] - bracket[0])),
-                 "T3": time_int(series["T3"]),
-                 "T4": time_int(series["T4"]),
-                 "T5": t5,
-                 "V1": abs(float(bracket_v[1] - bracket_v[0])),
-                 "V2": time_int(series["V2"]),
-                 "V3": time_int(series["V3"])}
+    def __init__(self, scenario: Scenario, window: tuple[float, float],
+                 triple: LocalizationTriple, p_list: Sequence[float]):
+        times = scenario.record_times
+        s, t = window
+        if s < times[0] - 1e-12 or t > times[-1] + 1e-12 or s >= t:
+            raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
+        self.rows = window_rows(times, window)
+        self.times = times[self.rows]
+        if len(self.times) < MIN_RECORDS:
+            raise ValueError(f"window {window} contains too few records")
+        self.scenario, self.window, self.triple = scenario, window, triple
+        self.p_list = tuple(p_list)
+        self.regimes = [_regime_functions(p) for p in self.p_list]
+        self.dts = np.diff(self.times)
+        self.uniform = bool((self.dts == self.dts[0]).all())
+        xs = scenario.grid.nodes
+        self.q1_mask, self.q2_mask = xs > triple.q1[0], xs > triple.q2[0]
+        self.xpsi = xs * triple.psi_nodes
+        self.one_minus = np.abs(1.0 - triple.xpsi_x(xs))
+        self.blocks: list[list[dict[str, Array]]] = []  # multiplier_terms of each call
+        self.done = 0  # window records whose integrals are in blocks
+        self.held = (np.empty((0, len(xs))),) * 2  # rho, xi of records max(done - 1, 0) on
+        self.first: tuple[Array, Array] = ()  # rho, xi of the window's first record
 
-        # minimal empirical constants closing each estimate on this data
-        chain = {
-            "first_set": int_energy / max(energy_at_s + s4, 1e-300),
-            "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
-        }
-        q = p / (p - 1.0)
-        eta_table: dict[float, dict[str, float]] = {}
-        for eta in ETAS:
-            eta_table[eta] = {
-                "second_set": s4 / max(
-                    t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
+    def __call__(self, records: slice, rho: Array, xi: Array) -> None:
+        n_records, lo = len(self.times), self.rows.start
+        start, stop = max(records.start - lo, 0), min(records.stop - lo, n_records)
+        if start >= stop:  # no window record in this block
+            return
+        cut = slice(start + lo - records.start, stop + lo - records.start)
+        if start == 0:
+            self.first = (rho[cut][0].copy(), xi[cut][0].copy())
+        rho = np.concatenate((self.held[0], rho[cut]))
+        xi = np.concatenate((self.held[1], xi[cut]))
+        ext = slice(max(self.done - 1, 0), stop)
+        rows = slice(self.done, stop if stop == n_records else stop - 1)
+        if rows.start < rows.stop:
+            self.blocks.append(multiplier_terms(self, rho, xi, rows, ext))
+            self.done = rows.stop
+        keep = max(self.done - 1, 0) - ext.start
+        self.held = (rho[keep:].copy(), xi[keep:].copy())
+
+    def reports(self) -> list[MultiplierReport]:
+        """The reports of the window, once the run has passed its end."""
+        if self.done < len(self.times):
+            raise ValueError(f"the run has not passed the window {self.window}")
+        grid, dx = self.scenario.grid, self.scenario.grid.dx
+        rho, xi = (np.stack((first, held[-1])) for first, held in zip(self.first, self.held))
+        z = cumulative_trapezoid(0.5 * (rho + xi), dx)
+
+        def time_int(series: Array) -> float:
+            return float(np.trapezoid(series, self.times))
+
+        reports = []
+        for j, (p, (f, _, big_f)) in enumerate(zip(self.p_list, self.regimes)):
+            series = {key: np.concatenate([b[j][key] for b in self.blocks])
+                      for key in self.blocks[0][j]}
+            int_energy = time_int(series["E"])
+            energy_at_s = float(series["E"][0])
+            big_diff = big_f(rho) - big_f(xi)
+            bracket = _space_int((f(rho) - f(xi)) * z, dx)
+            bracket_v = _space_int(
+                elliptic_solve(self.triple.beta_nodes[None, :] * f(z), grid)
+                * (rho - xi), dx)
+
+            s4 = time_int(series["S4"])
+            t5 = time_int(series["T5"])
+            terms = {"S1": time_int(series["S1"]),
+                     "S2": trapezoid(np.abs(self.xpsi) * np.abs(big_diff[1] - big_diff[0]),
+                                     dx),
+                     "S3": 0.5 * time_int(series["S3"]),
+                     "S4": s4,
+                     "T1": time_int(series["T1"]),
+                     "T2": abs(float(bracket[1] - bracket[0])),
+                     "T3": time_int(series["T3"]),
+                     "T4": time_int(series["T4"]),
+                     "T5": t5,
+                     "V1": abs(float(bracket_v[1] - bracket_v[0])),
+                     "V2": time_int(series["V2"]),
+                     "V3": time_int(series["V3"])}
+
+            # minimal empirical constants closing each estimate on this data
+            chain = {
+                "first_set": int_energy / max(energy_at_s + s4, 1e-300),
+                "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
             }
-        chain["second_set_eta1"] = eta_table[1.0]["second_set"]
+            q = p / (p - 1.0)
+            eta_table: dict[float, dict[str, float]] = {}
+            for eta in ETAS:
+                eta_table[eta] = {
+                    "second_set": s4 / max(
+                        t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
+                }
+            chain["second_set_eta1"] = eta_table[1.0]["second_set"]
 
-        reports.append(MultiplierReport(
-            p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=window,
-            terms=terms, int_energy=int_energy, energy_at_s=energy_at_s,
-            chain_constants=chain, eta_table=eta_table))
-    return reports
+            reports.append(MultiplierReport(
+                p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=self.window,
+                terms=terms, int_energy=int_energy, energy_at_s=energy_at_s,
+                chain_constants=chain, eta_table=eta_table))
+        return reports

@@ -125,6 +125,12 @@ class Scenario:
         from 0 and the final one, in increasing order."""
         return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
 
+    @property
+    def record_times(self) -> Array:
+        """The record times, known before a run: dt summed once per step from
+        0.0, in step order as a run's t accumulates, so bit for bit its times."""
+        return np.cumsum(np.append(0.0, np.full(self.n_steps, self.dt)))[self.record_steps]
+
     @functools.cached_property
     def a_nodes(self) -> Array:
         """a(x) at the grid nodes, sampled once per scenario; read-only."""
@@ -340,9 +346,9 @@ def step(state: RiemannState, scenario: Scenario,
 # ---------------------------------------------------------------------------
 
 #: node values per block of recorded states that are evaluated together, by
-#: the record loop's diagnostics and by every pass over a run's kept states: a
-#: run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES // n_nodes) records
-#: per block
+#: the record loop's diagnostics, its block consumers and every pass over a
+#: run's kept states: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES
+#: // n_nodes) records per block
 RECORD_BLOCK_VALUES = 2 ** 14
 
 
@@ -419,25 +425,27 @@ def _check_monotone(block: tuple[dict[str, Array], ...],
 def _record_loop(scenario: Scenario, state, advance: Callable,
                  capture: Callable[..., tuple[Array, ...]],
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
-                 keep_states: bool
+                 keep_states: bool, consume: Callable[..., None] | None = None
                  ) -> tuple[Array, tuple[Array, ...] | None, tuple[dict[str, Array], ...]]:
     """Step `state` (anything with a time `t`) to t_final, recording it at
     scenario.record_steps, and guard every energy of every record.
 
     capture(state) gives the arrays a record's diagnostics need, (n_nodes,)
-    or (B, n_nodes) for a family. Each is written once, as a row of a
-    preallocated buffer that holds every record with keep_states and one
-    reused block of max(1, RECORD_BLOCK_VALUES // size) records otherwise.
-    diagnose receives each buffer's rows of a block, the records captured
-    since its last call, and returns one dict of per-record diagnostics per
-    guarded trajectory. Returns (times, the buffers or None, diagnostics).
+    or (B, n_nodes) for a family. Each is written once, as a row of a reused
+    buffer of max(1, RECORD_BLOCK_VALUES // size) records. diagnose receives
+    each buffer's rows of a block, the records captured since its last call,
+    and returns one dict of per-record diagnostics per guarded trajectory.
+    A guarded block is copied into full-length arrays with keep_states, and
+    consume(records, *rows) gets its slice of record indices and its rows,
+    views that the next block overwrites. Returns (times, the arrays or
+    None, diagnostics).
     """
     rows = capture(state)
-    block_len = _block_len(rows[0].size)
     steps = scenario.record_steps.tolist()  # read once per run
     n_records = len(steps)
-    buffers = tuple(np.empty((n_records if keep_states else min(block_len, n_records),
-                              *row.shape)) for row in rows)
+    block_len = min(_block_len(rows[0].size), n_records)
+    buffers = tuple(np.empty((block_len, *row.shape)) for row in rows)
+    kept = tuple(np.empty((n_records, *row.shape)) for row in rows) if keep_states else None
     times = np.empty(n_records)
     blocks: list[tuple[dict[str, Array], ...]] = []
     taken = done = 0  # records written; records diagnosed and guarded
@@ -445,17 +453,21 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     def flush() -> None:
         nonlocal done
         lo, done = done, taken  # set first: a block is guarded once, even if it raises
-        start = lo if keep_states else 0  # a thin run's block starts at row 0
-        block = diagnose(*(buf[start:start + taken - lo] for buf in buffers))
-        first = [_row(d, 0) for d in (blocks[0] if blocks else block)]
+        block = tuple(buf[:taken - lo] for buf in buffers)
+        diag = diagnose(*block)
+        first = [_row(d, 0) for d in (blocks[0] if blocks else diag)]
         last = [_row(d, -1) for d in blocks[-1]] if blocks else first
-        _check_monotone(block, first, last, times[lo:taken])
-        blocks.append(block)
+        _check_monotone(diag, first, last, times[lo:taken])
+        blocks.append(diag)
+        for full, part in zip(kept or (), block):
+            full[lo:taken] = part
+        if consume is not None:
+            consume(slice(lo, taken), *block)
 
     def write(rows: tuple[Array, ...], t: float) -> None:
         nonlocal taken
         for buf, row in zip(buffers, rows):
-            buf[taken if keep_states else taken - done] = row
+            buf[taken - done] = row
         times[taken] = t
         taken += 1
         if taken - done == block_len:
@@ -474,17 +486,19 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
             flush()
     diagnostics = tuple({k: np.concatenate([b[j][k] for b in blocks]) for k in d}
                         for j, d in enumerate(blocks[0]))
-    return times, buffers if keep_states else None, diagnostics
+    return times, kept, diagnostics
 
 
 def _row(diag: dict[str, Array], i: int) -> dict[str, Array]:
     return {k: v[i] for k, v in diag.items()}
 
 
-def run_simulation(scenario: Scenario, keep_states: bool = True) -> Trajectory:
+def run_simulation(scenario: Scenario, keep_states: bool = True,
+                   consume: Callable[..., None] | None = None) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
-    asserting E_p monotonicity (for every p simultaneously) at each record."""
-    return run_family([scenario], keep_states)[0]
+    asserting E_p monotonicity (for every p simultaneously) at each record;
+    consume as in run_family."""
+    return run_family([scenario], keep_states, consume)[0]
 
 
 #: the Scenario fields every row of a family shares; a row has its own name
@@ -501,8 +515,8 @@ def _shares(sc: Scenario, head: Scenario, field: str) -> bool:
     return field == "a" and np.array_equal(sc.a_nodes, head.a_nodes)
 
 
-def run_family(scenarios: Sequence[Scenario], keep_states: bool = True
-               ) -> list[Trajectory]:
+def run_family(scenarios: Sequence[Scenario], keep_states: bool = True,
+               consume: Callable[..., None] | None = None) -> list[Trajectory]:
     """run_simulation of each scenario, stepped together as the rows of one
     (B, n_nodes) state so that each numpy call serves every row.
 
@@ -511,7 +525,9 @@ def run_family(scenarios: Sequence[Scenario], keep_states: bool = True
     and each row is guarded on its own: the first energy rise in (time, row)
     order raises, and an EnergyMonotonicityError or NewtonError of a row
     names that row's scenario. With keep_states, a row's rho and xi are views
-    into one (n_records, B, n_nodes) buffer. One scenario steps as a 1-d
+    into one (n_records, B, n_nodes) array. consume(records, rho, xi) gets
+    each guarded record block of rows, (records, n_nodes) or (records, B,
+    n_nodes), as _record_loop hands it out. One scenario steps as a 1-d
     state, as run_simulation does.
     """
     if not scenarios:
@@ -537,7 +553,7 @@ def run_family(scenarios: Sequence[Scenario], keep_states: bool = True
 
     try:
         times, kept, (diag,) = _record_loop(
-            head, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states)
+            head, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states, consume)
     except (EnergyMonotonicityError, NewtonError) as err:
         if not hasattr(err, "row"):
             raise

@@ -72,14 +72,19 @@ def check_conservation() -> CheckResult:
                   p_list=(1.0, 1.5, 2.0, 3.0), g=NONLINEARITIES["identity"](),
                   a=zero_profile(),
                   initial=InitialData(sine_profile(1), zero_function()))
-    traj = run_simulation(sc)
+    half = round(2.0 / sc.dt)
+    kept: dict = {}  # records 0 and half, copied as they pass
+
+    def keep(records: slice, rho, xi) -> None:
+        kept.update({k: (rho[k - records.start].copy(), xi[k - records.start].copy())
+                     for k in (0, half) if records.start <= k < records.stop})
+
+    traj = run_simulation(sc, keep_states=False, consume=keep)
     worst = 0.0
     for p in sc.p_list:
         e = traj.energy_series(p)
         worst = max(worst, float(np.max(np.abs(e - e[0])) / e[0]))
-    half = round(2.0 / sc.dt)
-    period_err = max(float(np.max(np.abs(traj.rho[half] - traj.rho[0]))),
-                     float(np.max(np.abs(traj.xi[half] - traj.xi[0]))))
+    period_err = max(float(np.max(np.abs(b - a))) for b, a in zip(kept[half], kept[0]))
     ok = worst <= 1e-12 and period_err <= 1e-12
     return CheckResult(1, "undamped conservation", ok,
                        f"relative drift {worst:.2e}, period-2 error {period_err:.2e}")
@@ -91,13 +96,17 @@ def check_oracle_agreement() -> CheckResult:
     sc = Scenario(name="oracle", grid=Grid(256), t_final=3.0, p_list=(2.0,),
                   g=NONLINEARITIES["identity"](), a=zero_profile(),
                   initial=InitialData(z0, z1))
-    traj = run_simulation(sc)
-    xs = sc.grid.nodes
+    xs, times = sc.grid.nodes, sc.record_times
     err = 0.0
-    for t, rho_k, xi_k in zip(traj.times, traj.rho, traj.xi):
-        rho, xi = dalembert_riemann(z0.deriv, z1.value, float(t), xs)
-        err = max(err, float(np.max(np.abs(rho_k - rho))),
-                  float(np.max(np.abs(xi_k - xi))))
+
+    def agree(records: slice, rho_b, xi_b) -> None:  # each record as it passes
+        nonlocal err
+        for t, rho_k, xi_k in zip(times[records], rho_b, xi_b):
+            rho, xi = dalembert_riemann(z0.deriv, z1.value, float(t), xs)
+            err = max(err, float(np.max(np.abs(rho_k - rho))),
+                      float(np.max(np.abs(xi_k - xi))))
+
+    traj = run_simulation(sc, keep_states=False, consume=agree)
     return CheckResult(2, "d'Alembert oracle agreement", err <= 1e-12,
                        f"max pointwise error {err:.2e} over {len(traj.times)} records")
 
@@ -246,9 +255,10 @@ def check_modified_energy() -> CheckResult:
                   g=NONLINEARITIES["arctan"](), a=_localized_damping(),
                   initial=InitialData(sine_profile(1, amplitude=0.25), zero_function()))
     e0 = energy_p(sc.initial.riemann(sc.grid), p, sc.grid)
-    traj = run_simulation(sc)
-    phi = phi_functional(traj.rho, traj.xi, functional, sc.grid.dx)
-    rise = float(np.max(np.diff(phi)))
+    phis: list = []  # Phi of each record block; phi_functional is row-wise
+    run_simulation(sc, keep_states=False, consume=lambda records, rho, xi: phis.append(
+        phi_functional(rho, xi, functional, sc.grid.dx)))
+    rise = float(np.max(np.diff(np.concatenate(phis))))
     ok = e0 <= 1.0 and rise <= 1e-10
     return CheckResult(10, "modified energy regime (1 < p < 2)", ok,
                        f"E_p(0) = {e0:.3f}, worst modified-energy rise {rise:.2e}")

@@ -12,13 +12,19 @@ from wavelab.cli import (
 from wavelab.energy import (
     FIT_MIN_POINTS, RATIO_MIN_RECORDS, decay_fit, observability_ratio,
 )
-from wavelab.multipliers import MIN_RECORDS, multiplier_terms
+from wavelab.experiments import SPEC_KEYS
+from wavelab.multipliers import MIN_RECORDS, MultiplierStream
 from wavelab.solver import run_derivative_system, run_simulation
 
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
-#: need 3
-BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report"}
+#: need 3; the sweep reads alphas
+BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report",
+                   "alphas = nan": "semi_global_sweep"}
+
+#: a good value of each key that some kinds read and the others refuse
+SPEC_VALUES = {"fit_window": "0.5, 2", "window": "0, 1", "co_integrate_w": "true",
+               "alphas": "1, 2", "epsilons": "0.15, 0.1, 0.05"}
 
 GOOD_SUITE = """
 [suite]
@@ -35,6 +41,16 @@ z0 = sine(1)
 amplitude = 0.5
 fit_window = 0.5, 2
 """
+
+
+def _as_kind(text, kind):
+    """Suite text of kind `simulate` as one of `kind`, without the fit_window
+    line if that kind does not read it."""
+    text = text.replace("kind = simulate", f"kind = {kind}")
+    if "fit_window" in SPEC_KEYS[kind]:
+        return text
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith("fit_window ="))
 
 
 class TestSpecParsing:
@@ -77,6 +93,22 @@ class TestSuiteParsing:
         with pytest.raises(ConfigError, match="unknown key 'outptu_dir'"):
             parse_suite(text)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_key_the_kind_never_reads_is_refused(self, kind):
+        # in the scenario or in [DEFAULT]; the kinds that read it accept it
+        base = (f"[suite]\nkind = {kind}\n\n[scenario demo]\nn_cells = 64\n"
+                "t_final = 4\ng = arctan\na = smooth_indicator(0.7, 1, 2, 0.05)\n")
+        assert set(SPEC_VALUES) == set().union(*SPEC_KEYS.values())
+        for key, value in SPEC_VALUES.items():
+            for text in (base + f"{key} = {value}\n", f"[DEFAULT]\n{key} = {value}\n" + base):
+                if key in SPEC_KEYS.get(kind, ()):
+                    assert parse_suite(text).scenarios[0].scenario.name == "demo"
+                    continue
+                with pytest.raises(ConfigError, match=(
+                        f"^scenario 'demo': key '{key}' is not read by "
+                        f"experiment kind '{kind}'$")):
+                    parse_suite(text)
+
     def test_default_section_keys_reach_scenarios_only(self):
         text = "[DEFAULT]\nn_cells = 32\n" + GOOD_SUITE.replace("n_cells = 64\n", "")
         assert parse_suite(text).scenarios[0].scenario.grid.n_cells == 32
@@ -87,7 +119,7 @@ class TestSuiteParsing:
             parse_suite(text)
 
     def test_p_one_rejected_for_stability_kinds(self):
-        text = GOOD_SUITE.replace("kind = simulate", "kind = aux_equivalence")
+        text = _as_kind(GOOD_SUITE, "aux_equivalence")
         text = text.replace("p_list = 1.5, 2", "p_list = 1, 2")
         with pytest.raises(ConfigError, match="stability"):
             parse_suite(text)
@@ -172,7 +204,7 @@ class TestMainEndToEnd:
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
         lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]
         text = "\n".join(lines + [line, ""])
-        text = text.replace("kind = simulate", f"kind = {BAD_VALUE_KINDS.get(line, 'simulate')}")
+        text = _as_kind(text, BAD_VALUE_KINDS.get(line, "simulate"))
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(text)
         assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
@@ -209,7 +241,7 @@ class TestMainEndToEnd:
     def test_default_multiplier_window_needs_three_records(self, tmp_path, capsys):
         # without window the multiplier terms integrate over (0, t_final),
         # which holds the records at 0 and 2 only
-        text = GOOD_SUITE.replace("kind = simulate", "kind = multiplier_report")
+        text = _as_kind(GOOD_SUITE, "multiplier_report")
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(text + "record_every = 128\n")
         assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
@@ -400,7 +432,7 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, co
             f"t_final = 1\np_list = 2\nrecord_every = {record_every}\ng = arctan\n"
             "a = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
     sc = parse_suite(text).scenarios[0].scenario
-    traj = run_simulation(sc, keep_states=consumer == "multiplier_terms")
+    traj = run_simulation(sc, keep_states=False)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     need = {"decay_fit": FIT_MIN_POINTS, "observability_ratio": RATIO_MIN_RECORDS,
             "multiplier_terms": MIN_RECORDS}[consumer]
@@ -419,7 +451,7 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, co
                 elif consumer == "observability_ratio":
                     observability_ratio(traj, 2.0, window)
                 else:
-                    multiplier_terms(traj, window, triple, [2.0])
+                    MultiplierStream(sc, window, triple, [2.0])
                 consumed = True
             except ValueError:
                 consumed = False

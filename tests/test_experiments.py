@@ -18,7 +18,7 @@ import pytest
 import wavelab
 from wavelab import experiments, solver, verify
 from wavelab.cli import main, parse_suite
-from wavelab.experiments import EXPERIMENTS
+from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.solver import run_family
 
 SCENARIO = {"n_cells": "32", "t_final": "4", "p_list": "1.5, 2", "g": "arctan",
@@ -393,3 +393,51 @@ def test_aux_equivalence_peak_memory_does_not_grow_with_the_run():
     n_nodes = spec.scenario.grid.n_nodes
     block = (solver.RECORD_BLOCK_VALUES // n_nodes) * n_nodes * 8
     assert peaks[1] <= peaks[0] + 8 * block
+
+
+def test_multiplier_report_keeps_no_states():
+    # N = 256, T = 6: the states, 1537 records of 257 nodes, would take
+    # 6.3 MB; the streamed terms hold about 20 record blocks of 128 KB and
+    # the per-record series
+    spec = parse_suite(_suite("multiplier_report", ("m", {
+        "n_cells": "256", "t_final": "6", "p_list": "1.5, 2, 4"}))).scenarios[0]
+    sc = spec.scenario
+    states = 2 * len(sc.record_steps) * sc.grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        EXPERIMENTS["multiplier_report"](spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_spec_keys_are_what_each_runner_reads(kind):
+    # the parser refuses the others: a key no runner reads would be ignored
+    spec = parse_suite(_suite(kind, ("one", EXTRA[kind]))).scenarios[0]
+    read = set()
+
+    class Spy:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(spec, name)
+
+    EXPERIMENTS[kind](Spy())
+    assert read == {"scenario", *SPEC_KEYS[kind]}
+
+
+@pytest.mark.parametrize("check", ["conservation", "oracle_agreement",
+                                   "modified_energy"])
+def test_state_checks_keep_no_states(check, monkeypatch):
+    # they read the states block by block as the run hands them out
+    run = solver.run_simulation
+    kept = []
+
+    def spy(sc, keep_states=True, consume=None):
+        kept.append(keep_states)
+        return run(sc, keep_states, consume)
+
+    monkeypatch.setattr(verify, "run_simulation", spy)
+    assert getattr(verify, f"check_{check}")().passed
+    assert kept == [False]

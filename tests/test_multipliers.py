@@ -1,15 +1,18 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wavelab import solver
 from wavelab.core import (
-    NONLINEARITIES, Grid, arctan_damping, cumulative_trapezoid, make_localization,
+    NONLINEARITIES, Grid, cumulative_trapezoid, make_localization,
     nu_ratio, sine_profile, smooth_indicator_profile, zero_function,
 )
 from wavelab.energy import trapezoid, window_rows
-from wavelab.multipliers import ETAS, _regime_functions, elliptic_solve, multiplier_terms
+from wavelab.multipliers import (
+    ETAS, MIN_RECORDS, MultiplierStream, _regime_functions, elliptic_solve,
+)
 from wavelab.solver import InitialData, Scenario, run_simulation
 
 
@@ -23,8 +26,26 @@ def _elliptic_solve_1d(h, grid):
     return xs * cum_h - cum_sh - xs * (cum_h[-1] - cum_sh[-1])
 
 
+def _kept_terms(traj, window, triple, p_list, block=None):
+    """The terms on a run's kept states: a MultiplierStream fed `block`
+    records at a time, by default the whole run at once."""
+    stream = MultiplierStream(traj.scenario, window, triple, p_list)
+    n_records = len(traj.times)
+    for lo in range(0, n_records, block or n_records):
+        rows = slice(lo, min(lo + (block or n_records), n_records))
+        stream(rows, traj.rho[rows], traj.xi[rows])
+    return stream.reports()
+
+
+def _streamed_terms(scenario, window, triple, p_list):
+    """The terms of a run that keeps no states, fed block by block."""
+    stream = MultiplierStream(scenario, window, triple, p_list)
+    assert run_simulation(scenario, keep_states=False, consume=stream).rho is None
+    return stream.reports()
+
+
 def _multiplier_terms_per_record(traj, triple, p, window):
-    """Reference: multiplier_terms with the rows, theta = nu(z_t), z and the
+    """Reference: the multiplier terms with the rows, theta = nu(z_t), z and the
     elliptic multiplier built one record at a time. Returns (terms, int_energy,
     energy_at_s, chain constants without the eta row)."""
     grid = traj.scenario.grid
@@ -195,7 +216,7 @@ def localized_run(request):
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
         traj, triple = localized_run
-        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
+        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
         assert set(rep.terms) == {"S1", "S2", "S3", "S4",
                                   "T1", "T2", "T3", "T4", "T5",
                                   "V1", "V2", "V3"}
@@ -204,25 +225,25 @@ class TestMultiplierTerms:
 
     def test_regime_labels(self, localized_run):
         traj, triple = localized_run
-        reps = multiplier_terms(traj, (0.0, 6.0), triple, [2.0, 1.5])
+        reps = _kept_terms(traj, (0.0, 6.0), triple, [2.0, 1.5])
         assert [rep.p for rep in reps] == [2.0, 1.5]
         assert [rep.regime for rep in reps] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
         traj, triple = localized_run
-        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
+        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
         assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
         traj, triple = localized_run
-        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
+        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
         assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
         traj, triple = localized_run
-        [rep] = multiplier_terms(traj, (0.0, 6.0), triple, [2.0])
+        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
         assert tuple(rep.eta_table) == ETAS
         for eta, row in rep.eta_table.items():
             assert row["second_set"] >= 0.0
@@ -231,25 +252,30 @@ class TestMultiplierTerms:
     def test_window_outside_run_rejected(self, localized_run):
         traj, triple = localized_run
         with pytest.raises(ValueError, match="outside trajectory"):
-            multiplier_terms(traj, (0.0, 60.0), triple, [2.0])
+            MultiplierStream(traj.scenario, (0.0, 60.0), triple, [2.0])
 
-    def test_needs_kept_states(self):
-        sc = Scenario(name="thin", grid=Grid(64), t_final=2.0, p_list=(2.0,),
-                      g=arctan_damping(),
-                      a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
-                      initial=InitialData(
-                          sine_profile(1, amplitude=0.5), zero_function()))
-        traj = run_simulation(sc, keep_states=False)
-        triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-        with pytest.raises(ValueError, match="kept states"):
-            multiplier_terms(traj, (0.0, 2.0), triple, [2.0])
+    def test_too_few_records_rejected_before_the_run(self, localized_run):
+        traj, triple = localized_run
+        dt = traj.scenario.dt
+        with pytest.raises(ValueError, match="too few records"):
+            MultiplierStream(traj.scenario, (dt, 2.5 * dt), triple, [2.0])
+
+    def test_reports_need_the_window_end(self, localized_run):
+        # a run that stops short of the window's last record has no V1
+        traj, triple = localized_run
+        stream = MultiplierStream(traj.scenario, (0.5, 5.0), triple, [2.0])
+        stream(slice(0, 600), traj.rho[:600], traj.xi[:600])
+        with pytest.raises(ValueError, match="has not passed the window"):
+            stream.reports()
+        stream(slice(600, len(traj.times)), traj.rho[600:], traj.xi[600:])
+        assert stream.reports() == _kept_terms(traj, (0.5, 5.0), triple, [2.0])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
     def test_equals_per_record_reference(self, localized_run, p):
         traj, triple = localized_run
         window = (0.5, 5.0)
-        [rep] = multiplier_terms(traj, window, triple, [p])
+        [rep] = _kept_terms(traj, window, triple, [p])
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
             traj, triple, p, window)
         assert rep.terms == terms
@@ -262,10 +288,9 @@ class TestMultiplierTerms:
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_record_blocks_do_not_change_a_bit(self, short_run, block, inside,
                                                monkeypatch):
-        # blocks of 1, 2 and 3 records, the last one partial; one default
-        # block holds the whole window, as the whole-window form does. A
-        # window inside the run has records on both sides that the halo of
-        # v_t must not read.
+        # the run hands out blocks of 1, 2 and 3 records, the last one
+        # partial; the kept states go in as one block. A window inside the
+        # run has records on both sides that the halo of v_t must not read.
         traj, triple = short_run
         window = (0.2, 1.55) if inside else (0.0, float(traj.times[-1]))
         rows = window_rows(traj.times, window)
@@ -274,9 +299,10 @@ class TestMultiplierTerms:
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
         p_list = traj.scenario.p_list
-        whole = multiplier_terms(traj, window, triple, p_list)
+        whole = _kept_terms(traj, window, triple, p_list)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        assert multiplier_terms(traj, window, triple, p_list) == whole
+        assert _streamed_terms(traj.scenario, window, triple, p_list) == whole
+        assert _kept_terms(traj, window, triple, p_list, block) == whole
         for p, rep in zip(p_list, whole):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
                 traj, triple, p, window)
@@ -287,21 +313,22 @@ class TestMultiplierTerms:
     @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
     def test_peak_memory_does_not_grow_with_the_window(self, localized_run):
         # every array of the terms is one record block long (plus the halo),
-        # so a window three times longer adds no more than a few blocks: the
-        # window's rows of the states are views
+        # so a window three times longer adds no more than a few blocks and
+        # the per-record series: the run keeps no states
         traj, triple = localized_run
-        p_list = traj.scenario.p_list
+        sc = traj.scenario
         block = ((solver.RECORD_BLOCK_VALUES // traj.rho.shape[1] + 2)
                  * traj.rho[0].nbytes)
         peaks = []
         for t in (2.0, 6.0):
             tracemalloc.start()
             try:
-                multiplier_terms(traj, (0.0, t), triple, p_list)
+                _streamed_terms(replace(sc, t_final=t), (0.0, t), triple, sc.p_list)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 * block
+
 
     def test_window_is_a_slice_of_the_kept_states(self, localized_run):
         traj, _ = localized_run
@@ -310,3 +337,48 @@ class TestMultiplierTerms:
             ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
             np.testing.assert_array_equal(
                 np.arange(len(times))[window_rows(times, (s, t))], ref)
+
+
+#: (N, record_every, window, records per block or None for the default) of
+#: each case whose streamed terms must equal those of the kept states; every
+#: run has t_final = 2
+STREAM_CASES = {
+    # 257 records in blocks of 127: the window starts and ends inside blocks
+    "mid-run": (128, 1, (0.5, 1.5), None),
+    # dt = 0.01 accumulates unevenly: np.gradient's non-uniform formula
+    "N=100": (100, 1, (0.0, 2.0), None),
+    # records 32, 33 | 34 across a block edge
+    "MIN_RECORDS": (64, 1, (0.5, 0.5 + 2 / 64), 2),
+    # blocks of 8 records: the window starts on a block edge (record 16)
+    # and ends inside a block (record 45), then the reverse (5 to 39)
+    "edge-start": (32, 1, (0.5, 45 / 32), 8),
+    "edge-end": (32, 1, (5 / 32, 39 / 32), 8),
+    # records 3 steps apart but for the last, 2 steps after the one before
+    "record_every=3": (64, 3, (0.25, 2.0), 5),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+@pytest.mark.parametrize("law", ["arctan", "cubic"])
+def test_streamed_terms_equal_the_kept_states_bitwise(case, law, monkeypatch):
+    n, record_every, window, block = STREAM_CASES[case]
+    sc = Scenario(name="stream", grid=Grid(n), t_final=2.0, p_list=(1.5, 2.0, 4.0),
+                  g=NONLINEARITIES[law](),
+                  a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
+                  initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
+                  record_every=record_every)
+    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
+    traj = run_simulation(sc)
+    rows = window_rows(traj.times, window)
+    steps = np.unique(np.diff(traj.times[rows]))
+    assert (len(steps) > 1) == (case in ("N=100", "record_every=3"))
+    assert (rows.stop - rows.start == MIN_RECORDS) == (case == "MIN_RECORDS")
+    if block:
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
+    kept = _kept_terms(traj, window, triple, sc.p_list)
+    assert _streamed_terms(sc, window, triple, sc.p_list) == kept
+    for p, rep in zip(sc.p_list, kept):
+        terms, int_energy, energy_at_s, _ = _multiplier_terms_per_record(
+            traj, triple, p, window)
+        assert (rep.terms, rep.int_energy, rep.energy_at_s) == (
+            terms, int_energy, energy_at_s)

@@ -1027,6 +1027,34 @@ def _violation_index(message, sc):
 
 
 class TestRecordBlocks:
+    @pytest.mark.parametrize("n, record_every", [
+        (256, 1), (100, 1), (96, 3), (130, 7), (50, 4)])
+    def test_record_times_are_the_run_times(self, n, record_every):
+        # known before the run, bit for bit, where dt = 1/100 accumulates
+        # unevenly too
+        sc = _scenario(n=n, t_final=2.0, record_every=record_every)
+        times = run_simulation(sc, keep_states=False).times
+        assert sc.record_times.tobytes() == times.tobytes()
+        base, _ = run_derivative_system(sc, keep_states=False)
+        assert base.times.tobytes() == times.tobytes()
+
+    @pytest.mark.parametrize("keep_states", [True, False])
+    def test_consumer_gets_each_guarded_block_once_in_order(self, keep_states,
+                                                            monkeypatch):
+        # 17 records in blocks of 3, the last one partial; the rows are views
+        # into the reused buffer, so the consumer copies them
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", 3 * 33)
+        sc = _scenario(n=32, t_final=1.0, record_every=2)
+        seen = []
+        traj = run_simulation(sc, keep_states, consume=lambda records, rho, xi:
+                              seen.append((records, rho.copy(), xi.copy())))
+        assert [(r.start, r.stop) for r, _, _ in seen] == [
+            (lo, min(lo + 3, 17)) for lo in range(0, 17, 3)]
+        kept = run_simulation(sc)
+        _assert_bitwise(np.concatenate([rho for _, rho, _ in seen]), kept.rho)
+        _assert_bitwise(np.concatenate([xi for _, _, xi in seen]), kept.xi)
+        assert (traj.rho is None) == (not keep_states)
+
     def test_block_layout_of_the_fixtures(self):
         sc = _block_scenario()
         n_records = sc.n_steps + 1
