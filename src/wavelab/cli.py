@@ -404,6 +404,17 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _jobs(text: str) -> int:
+    """--jobs N: a whole number of worker processes, N >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"N must be a whole number >= 1, got '{text}'")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavelab",
@@ -414,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("suite_file", type=Path)
     p_run.add_argument("--out", default=None, help="output directory "
                        "(WAVELAB_OUT env var takes precedence)")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     sub.add_parser("verify", help="run the built-in acceptance suite")
 

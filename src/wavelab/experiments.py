@@ -35,9 +35,9 @@ class ScenarioSpec:
 def run_one_simulation(spec: ScenarioSpec) -> dict:
     sc = spec.scenario
     if spec.co_integrate_w:
-        traj, w_traj = run_derivative_system(sc, keep_states=False)
+        traj, w_traj = run_derivative_system(sc)
     else:
-        traj = run_simulation(sc, keep_states=False)
+        traj = run_simulation(sc)
         w_traj = None
     summary: dict = {"name": sc.name, "t_final": sc.t_final_actual,
                      "n_cells": sc.grid.n_cells, "fits": {}}
@@ -63,7 +63,7 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
     principle behind the stability proof). The rerun follows the nonlinear
     run one record block behind (run_auxiliary_rerun), and the summary
     reduces its per-record discrepancy and theta extremes; max and min are
-    exact, so they equal the reductions over whole kept stacks."""
+    exact, so they equal the reductions over the whole stacked states."""
     traj_nl, traj_aux = run_auxiliary_rerun(spec.scenario)
     aux = traj_aux.diagnostics
     m = float(np.max(traj_nl.diagnostics["max_zt"]))
@@ -97,7 +97,7 @@ def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
     family = [replace(base, name=f"{base.name}_a{alpha:g}",
                       initial=base.initial.scaled(alpha))
               for alpha in alphas if alpha != 0.0]
-    runs = iter(run_family(family, keep_states=False))
+    runs = iter(run_family(family))
     entries = []
     for alpha in alphas:
         if alpha == 0.0:
@@ -128,7 +128,7 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
     window = multiplier_window(spec)
     stream = _mult.MultiplierStream(sc, window, triple, sc.p_list)
-    traj = run_simulation(sc, keep_states=False, consume=stream)
+    traj = run_simulation(sc, consume=stream)
     tables = {}
     for rep in stream.reports():
         tables[f"{rep.p:g}"] = {

@@ -168,12 +168,10 @@ class ThetaField:
 
 @dataclass
 class Trajectory:
-    """Recorded states and per-record diagnostics of one run. Row k of rho and
-    xi, (n_records, n_nodes), is the state at times[k]; None if not kept."""
+    """Record times and per-record diagnostics of one run. A run keeps no
+    states: a caller sees them through the drivers' block consumer."""
 
     times: Array
-    rho: Array | None
-    xi: Array | None
     diagnostics: dict[str, Array]
     scenario: Scenario
 
@@ -346,8 +344,8 @@ def step(state: RiemannState, scenario: Scenario,
 # ---------------------------------------------------------------------------
 
 #: node values per block of recorded states that are evaluated together, by
-#: the record loop's diagnostics, its block consumers and every pass over a
-#: run's kept states: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES
+#: the record loop's diagnostics, its block consumers and every pass over
+#: stacked states: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES
 #: // n_nodes) records per block
 RECORD_BLOCK_VALUES = 2 ** 14
 
@@ -425,8 +423,8 @@ def _check_monotone(block: tuple[dict[str, Array], ...],
 def _record_loop(scenario: Scenario, state, advance: Callable,
                  capture: Callable[..., tuple[Array, ...]],
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
-                 keep_states: bool, consume: Callable[..., None] | None = None
-                 ) -> tuple[Array, tuple[Array, ...] | None, tuple[dict[str, Array], ...]]:
+                 consume: Callable[..., None] | None = None
+                 ) -> tuple[Array, tuple[dict[str, Array], ...]]:
     """Step `state` (anything with a time `t`) to t_final, recording it at
     scenario.record_steps, and guard every energy of every record.
 
@@ -435,17 +433,15 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     buffer of max(1, RECORD_BLOCK_VALUES // size) records. diagnose receives
     each buffer's rows of a block, the records captured since its last call,
     and returns one dict of per-record diagnostics per guarded trajectory.
-    A guarded block is copied into full-length arrays with keep_states, and
-    consume(records, *rows) gets its slice of record indices and its rows,
-    views that the next block overwrites. Returns (times, the arrays or
-    None, diagnostics).
+    consume(records, *rows) gets each guarded block's slice of record indices
+    and its rows, views that the next block overwrites: the only way a caller
+    sees the states. Returns (times, diagnostics).
     """
     rows = capture(state)
     steps = scenario.record_steps.tolist()  # read once per run
     n_records = len(steps)
     block_len = min(_block_len(rows[0].size), n_records)
     buffers = tuple(np.empty((block_len, *row.shape)) for row in rows)
-    kept = tuple(np.empty((n_records, *row.shape)) for row in rows) if keep_states else None
     times = np.empty(n_records)
     blocks: list[tuple[dict[str, Array], ...]] = []
     taken = done = 0  # records written; records diagnosed and guarded
@@ -459,8 +455,6 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
         last = [_row(d, -1) for d in blocks[-1]] if blocks else first
         _check_monotone(diag, first, last, times[lo:taken])
         blocks.append(diag)
-        for full, part in zip(kept or (), block):
-            full[lo:taken] = part
         if consume is not None:
             consume(slice(lo, taken), *block)
 
@@ -486,19 +480,19 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
             flush()
     diagnostics = tuple({k: np.concatenate([b[j][k] for b in blocks]) for k in d}
                         for j, d in enumerate(blocks[0]))
-    return times, kept, diagnostics
+    return times, diagnostics
 
 
 def _row(diag: dict[str, Array], i: int) -> dict[str, Array]:
     return {k: v[i] for k, v in diag.items()}
 
 
-def run_simulation(scenario: Scenario, keep_states: bool = True,
+def run_simulation(scenario: Scenario,
                    consume: Callable[..., None] | None = None) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
     asserting E_p monotonicity (for every p simultaneously) at each record;
     consume as in run_family."""
-    return run_family([scenario], keep_states, consume)[0]
+    return run_family([scenario], consume)[0]
 
 
 #: the Scenario fields every row of a family shares; a row has its own name
@@ -515,7 +509,7 @@ def _shares(sc: Scenario, head: Scenario, field: str) -> bool:
     return field == "a" and np.array_equal(sc.a_nodes, head.a_nodes)
 
 
-def run_family(scenarios: Sequence[Scenario], keep_states: bool = True,
+def run_family(scenarios: Sequence[Scenario],
                consume: Callable[..., None] | None = None) -> list[Trajectory]:
     """run_simulation of each scenario, stepped together as the rows of one
     (B, n_nodes) state so that each numpy call serves every row.
@@ -524,11 +518,10 @@ def run_family(scenarios: Sequence[Scenario], keep_states: bool = True,
     returned trajectory is bitwise equal to run_simulation of its scenario,
     and each row is guarded on its own: the first energy rise in (time, row)
     order raises, and an EnergyMonotonicityError or NewtonError of a row
-    names that row's scenario. With keep_states, a row's rho and xi are views
-    into one (n_records, B, n_nodes) array. consume(records, rho, xi) gets
-    each guarded record block of rows, (records, n_nodes) or (records, B,
-    n_nodes), as _record_loop hands it out. One scenario steps as a 1-d
-    state, as run_simulation does.
+    names that row's scenario. consume(records, rho, xi) gets each guarded
+    record block of rows, (records, n_nodes) or (records, B, n_nodes), as
+    _record_loop hands it out. One scenario steps as a 1-d state, as
+    run_simulation does.
     """
     if not scenarios:
         return []
@@ -552,30 +545,28 @@ def run_family(scenarios: Sequence[Scenario], keep_states: bool = True,
         return (_base_diagnostics(rho, xi, head),)
 
     try:
-        times, kept, (diag,) = _record_loop(
-            head, state, advance, lambda s: (s.rho, s.xi), diagnose, keep_states, consume)
+        times, (diag,) = _record_loop(
+            head, state, advance, lambda s: (s.rho, s.xi), diagnose, consume)
     except (EnergyMonotonicityError, NewtonError) as err:
         if not hasattr(err, "row"):
             raise
         raise type(err)(f"{scenarios[err.row].name}: {err}") from err
-    rho, xi = kept or (None, None)
     if not stacked:
-        return [Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
-                           scenario=head)]
+        return [Trajectory(times=times, diagnostics=diag, scenario=head)]
     return [Trajectory(times=times.copy(),
-                       rho=None if rho is None else rho[:, b],
-                       xi=None if xi is None else xi[:, b],
                        diagnostics={k: v[:, b].copy() for k, v in diag.items()},
                        scenario=sc)
             for b, sc in enumerate(scenarios)]
 
 
-def run_auxiliary(scenario: Scenario, theta: ThetaField) -> Trajectory:
+def run_auxiliary(scenario: Scenario, theta: ThetaField,
+                  consume: Callable[..., None] | None = None) -> Trajectory:
     """Integrate the auxiliary linear time-varying problem
-    y_tt - y_xx + a(x) theta(t, x) y_t = 0 with the same splitting, keeping
-    its states; the damping substep is linear-implicit in closed form. theta
-    is sampled at the midpoint of each substep interval, and once at each
-    record time, as one more recorded row, for the recorded dissipation rate."""
+    y_tt - y_xx + a(x) theta(t, x) y_t = 0 with the same splitting; the
+    damping substep is linear-implicit in closed form. theta is sampled at the
+    midpoint of each substep interval, and once at each record time, as one
+    more recorded row, for the recorded dissipation rate. consume(records,
+    rho, xi, th) gets each guarded record block, as _record_loop hands it out."""
     grid = scenario.grid
     if theta.grid is not None and theta.grid != grid:
         raise ValueError("recorded theta field is bound to the run's grid")
@@ -593,11 +584,10 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField) -> Trajectory:
             h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
             for k in (0, 1)))
 
-    times, (rho, xi, _), (diag,) = _record_loop(
+    times, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
-        keep_states=True)
-    return Trajectory(times=times, rho=rho, xi=xi, diagnostics=diag,
-                      scenario=scenario)
+        consume)
+    return Trajectory(times=times, diagnostics=diag, scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -614,7 +604,8 @@ class _PairedState:
         return self.base.t
 
 
-def run_derivative_system(scenario: Scenario, keep_states: bool = True
+def run_derivative_system(scenario: Scenario,
+                          consume: Callable[..., None] | None = None
                           ) -> tuple[Trajectory, Trajectory]:
     """Co-integrate the nonlinear run and the w = z_t system.
 
@@ -623,7 +614,8 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
     run (the first half-substep uses z_t at t_n, the second at t_{n+1};
     symmetric over the step). Records E_p(w) and the W^{1,p} norm of z_t,
     and asserts monotonicity of the base E_p and of E_p(w) at each record.
-    Returns (base trajectory, w trajectory).
+    consume(records, rho, xi, w_rho, w_xi) gets each guarded record block, as
+    _record_loop hands it out. Returns (base trajectory, w trajectory).
     """
     grid = scenario.grid
     dx = grid.dx
@@ -661,14 +653,11 @@ def run_derivative_system(scenario: Scenario, keep_states: bool = True
 
     base = scenario.initial.riemann(grid)
     w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
-    times, kept, (base_diag, w_diag) = _record_loop(
+    times, (base_diag, w_diag) = _record_loop(
         scenario, _PairedState(base, w_state, theta(base)), advance, capture,
-        diagnose, keep_states)
-    rho, xi, w_rho, w_xi = kept or (None,) * 4
-    return (Trajectory(times=times, rho=rho, xi=xi, diagnostics=base_diag,
-                       scenario=scenario),
-            Trajectory(times=times, rho=w_rho, xi=w_xi, diagnostics=w_diag,
-                       scenario=scenario))
+        diagnose, consume)
+    return (Trajectory(times=times, diagnostics=base_diag, scenario=scenario),
+            Trajectory(times=times, diagnostics=w_diag, scenario=scenario))
 
 
 def _nu_block(rho: Array, xi: Array, n_half: int, scenario: Scenario
@@ -690,7 +679,7 @@ def _nu_block(rho: Array, xi: Array, n_half: int, scenario: Scenario
 def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     """The nonlinear run and its auxiliary rerun with recorded theta, bit
     for bit as run_simulation, theta_from_run and run_auxiliary give them
-    on kept states, with no state kept.
+    on the run's stacked states, with no state kept.
 
     Each record block of the nonlinear run gives nu of its records and half
     steps (_nu_block) and steps the rerun, one record behind, to the block's
@@ -701,7 +690,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     The rerun's diagnostics add, per record, "discrepancy" (max |rho -
     rho_aux| and |xi - xi_aux| over the nodes) and "theta_min" and
     "theta_max" of nu at the record and its half step. Returns (nonlinear,
-    auxiliary) trajectories without states.
+    auxiliary) trajectories.
     """
     if scenario.record_every != 1:
         raise ValueError("run_auxiliary_rerun needs dense records: record_every = 1")
@@ -740,18 +729,17 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
         aux_diag["theta_min"], aux_diag["theta_max"] = th_min, th_max
         return _base_diagnostics(rho, xi, scenario), aux_diag
 
-    times, _, (diag, aux_diag) = _record_loop(
-        scenario, start, advance, lambda s: (s.rho, s.xi), diagnose, keep_states=False)
-    return (Trajectory(times=times, rho=None, xi=None, diagnostics=diag,
-                       scenario=scenario),
-            Trajectory(times=times, rho=None, xi=None, diagnostics=aux_diag,
-                       scenario=scenario))
+    times, (diag, aux_diag) = _record_loop(
+        scenario, start, advance, lambda s: (s.rho, s.xi), diagnose)
+    return (Trajectory(times=times, diagnostics=diag, scenario=scenario),
+            Trajectory(times=times, diagnostics=aux_diag, scenario=scenario))
 
 
-def theta_from_run(traj: Trajectory) -> ThetaField:
+def theta_from_run(scenario: Scenario, rho: Array, xi: Array) -> ThetaField:
     """The linearizing coefficient theta(t, x) = nu(z_t) along a nonlinear
-    run, recorded densely (record_every = 1, kept states) and reconstructed
-    at in-step sampling times.
+    run of scenario, recorded densely (record_every = 1) as the stacked
+    states rho and xi, (n_records, n_nodes), and reconstructed at in-step
+    sampling times.
 
     Between records only the damping substeps act at a node, so z_t inside a
     step follows the nodal damping flow z_t' = -a g(z_t). Sampling in the
@@ -773,25 +761,23 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
     run_auxiliary_rerun takes the same values block by block without
     keeping any.
     """
-    sc = traj.scenario
-    if sc.record_every != 1 or traj.rho is None:
-        raise ValueError(
-            "theta_from_run needs a dense run: record_every = 1 with states kept")
-    dt = sc.dt
-    t0 = float(traj.times[0])
-    n_steps = sc.n_steps
-    n_records, n_nodes = traj.rho.shape
+    dt = scenario.dt
+    n_steps = scenario.n_steps
+    n_records, n_nodes = n_steps + 1, scenario.grid.n_nodes
+    if scenario.record_every != 1 or not rho.shape == xi.shape == (n_records, n_nodes):
+        raise ValueError(f"theta_from_run needs a dense run (record_every = 1) and its "
+                         f"{(n_records, n_nodes)} states, got {rho.shape} and {xi.shape}")
     nu_records = np.empty((n_records, n_nodes))
     nu_half = np.empty((n_records - 1, n_nodes))
     for rows in record_blocks(n_records, n_nodes):
-        nu_records[rows], half = _nu_block(traj.rho[rows], traj.xi[rows],
-                                           n_records - 1 - rows.start, sc)
+        nu_records[rows], half = _nu_block(rho[rows], xi[rows],
+                                           n_records - 1 - rows.start, scenario)
         nu_half[rows.start:rows.start + len(half)] = half
     th1 = float(min(nu_records.min(), nu_half.min()))
     th2 = float(max(nu_records.max(), nu_half.max()))
 
     def sampler(t: float, x: Array) -> Array:
-        pos = (t - t0) / dt
+        pos = t / dt
         n = min(max(int(np.floor(pos + 1e-9)), 0), n_steps - 1)
         frac = pos - n
         if frac <= 1e-9:
@@ -800,4 +786,4 @@ def theta_from_run(traj: Trajectory) -> ThetaField:
             return nu_half[n]
         return nu_records[n + 1]
 
-    return ThetaField(sampler=sampler, bounds=(th1, th2), grid=sc.grid)
+    return ThetaField(sampler=sampler, bounds=(th1, th2), grid=scenario.grid)

@@ -64,7 +64,7 @@ def _decay_fixture():
     sc = Scenario(name="decay_fixture", grid=Grid(256), t_final=30.0,
                   p_list=(1.5, 2.0, 4.0), g=NONLINEARITIES["arctan"](),
                   a=_localized_damping(), initial=_moderate_data())
-    return run_simulation(sc, keep_states=False)
+    return run_simulation(sc)
 
 
 def check_conservation() -> CheckResult:
@@ -79,7 +79,7 @@ def check_conservation() -> CheckResult:
         kept.update({k: (rho[k - records.start].copy(), xi[k - records.start].copy())
                      for k in (0, half) if records.start <= k < records.stop})
 
-    traj = run_simulation(sc, keep_states=False, consume=keep)
+    traj = run_simulation(sc, consume=keep)
     worst = 0.0
     for p in sc.p_list:
         e = traj.energy_series(p)
@@ -106,7 +106,7 @@ def check_oracle_agreement() -> CheckResult:
             err = max(err, float(np.max(np.abs(rho_k - rho))),
                       float(np.max(np.abs(xi_k - xi))))
 
-    traj = run_simulation(sc, keep_states=False, consume=agree)
+    traj = run_simulation(sc, consume=agree)
     return CheckResult(2, "d'Alembert oracle agreement", err <= 1e-12,
                        f"max pointwise error {err:.2e} over {len(traj.times)} records")
 
@@ -119,7 +119,7 @@ def check_energy_monotonicity() -> CheckResult:
         sc = Scenario(name=f"mono_{name}", grid=Grid(128), t_final=6.0,
                       p_list=(1.0, 1.5, 2.0, 4.0), g=NONLINEARITIES[name](),
                       a=_localized_damping(), initial=_moderate_data())
-        traj = run_simulation(sc, keep_states=False)  # raises on violation too
+        traj = run_simulation(sc)  # raises on violation too
         for p in sc.p_list:
             e = traj.energy_series(p)
             rise = float(np.max(np.diff(e))) - MONOTONICITY_SLACK * max(1.0, e[0])
@@ -136,7 +136,7 @@ def check_dissipation_identity() -> CheckResult:
         sc = Scenario(name=f"diss_{n}", grid=Grid(n), t_final=4.0,
                       p_list=(2.0,), g=NONLINEARITIES["arctan"](),
                       a=_localized_damping(), initial=_moderate_data())
-        traj = run_simulation(sc, keep_states=False)
+        traj = run_simulation(sc)
         e = traj.energy_series(2.0)
         d = traj.diagnostics["dEdt_p2"]
         dt = sc.dt
@@ -155,7 +155,7 @@ def _fitted_rate(a0: float, t_final: float, window: tuple[float, float]) -> floa
                   p_list=(2.0,), g=NONLINEARITIES["identity"](),
                   a=constant_profile(a0),
                   initial=InitialData(sine_profile(1), zero_function()))
-    traj = run_simulation(sc, keep_states=False)
+    traj = run_simulation(sc)
     return build_energy_report(traj, 2.0, window).fit.rate
 
 
@@ -230,7 +230,7 @@ def check_regularity_bound() -> CheckResult:
         sc = Scenario(name=f"reg_{g_name}", grid=Grid(256), t_final=10.0,
                       p_list=(1.5, 2.0, 4.0), g=NONLINEARITIES[g_name](), a=a,
                       initial=_moderate_data())
-        _, w_traj = run_derivative_system(sc, keep_states=False)
+        _, w_traj = run_derivative_system(sc)
         sup = w_traj.diagnostics["max_zt"]
         for p in sc.p_list:
             ew = w_traj.diagnostics[f"E_pw{p:g}"]
@@ -256,7 +256,7 @@ def check_modified_energy() -> CheckResult:
                   initial=InitialData(sine_profile(1, amplitude=0.25), zero_function()))
     e0 = energy_p(sc.initial.riemann(sc.grid), p, sc.grid)
     phis: list = []  # Phi of each record block; phi_functional is row-wise
-    run_simulation(sc, keep_states=False, consume=lambda records, rho, xi: phis.append(
+    run_simulation(sc, consume=lambda records, rho, xi: phis.append(
         phi_functional(rho, xi, functional, sc.grid.dx)))
     rise = float(np.max(np.diff(np.concatenate(phis))))
     ok = e0 <= 1.0 and rise <= 1e-10

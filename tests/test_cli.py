@@ -348,6 +348,21 @@ class TestMainEndToEnd:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys, jobs):
+        # no large N is tried here: a valid one starts that many processes
+        monkeypatch.delenv("WAVELAB_OUT", raising=False)
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text(GOOD_SUITE)
+        with pytest.raises(SystemExit) as exited:
+            main(["run", str(suite_file), "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wavelab run ")
+        assert err.endswith("wavelab run: error: argument --jobs: "
+                            f"N must be a whole number >= 1, got '{jobs}'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(GOOD_SUITE.replace("smooth_indicator(0.7, 1, 2, 0.05)",
@@ -432,7 +447,7 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, co
             f"t_final = 1\np_list = 2\nrecord_every = {record_every}\ng = arctan\n"
             "a = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
     sc = parse_suite(text).scenarios[0].scenario
-    traj = run_simulation(sc, keep_states=False)
+    traj = run_simulation(sc)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     need = {"decay_fit": FIT_MIN_POINTS, "observability_ratio": RATIO_MIN_RECORDS,
             "multiplier_terms": MIN_RECORDS}[consumer]
@@ -483,7 +498,7 @@ def _write_energy_csv_per_row(path, traj, w_traj=None):
 @pytest.mark.parametrize("with_w", [False, True])
 def test_energy_csv_matches_per_row_writer_bytewise(tmp_path, with_w):
     spec = parse_suite(GOOD_SUITE.replace("n_cells = 64", "n_cells = 32")).scenarios[0]
-    traj, w_traj = run_derivative_system(spec.scenario, keep_states=False)
+    traj, w_traj = run_derivative_system(spec.scenario)
     w_traj = w_traj if with_w else None
     write_energy_csv(tmp_path / "new.csv", traj, w_traj)
     _write_energy_csv_per_row(tmp_path / "ref.csv", traj, w_traj)

@@ -192,7 +192,7 @@ class TestSobolevCheck:
                       g=arctan_damping(), a=constant_profile(1.0),
                       initial=InitialData(
                           sine_profile(1, amplitude=0.5), zero_function()))
-        _, w = run_derivative_system(sc, keep_states=False)
+        _, w = run_derivative_system(sc)
         check = sobolev_bound_check(w, 2.0)
         assert check.satisfied
         assert check.worst_margin >= -1e-10

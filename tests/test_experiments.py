@@ -21,6 +21,8 @@ from wavelab.cli import main, parse_suite
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.solver import run_family
 
+from kept import run_kept
+
 SCENARIO = {"n_cells": "32", "t_final": "4", "p_list": "1.5, 2", "g": "arctan",
             "a": "smooth_indicator(0.7, 1, 2, 0.05)", "amplitude": "0.5"}
 
@@ -238,7 +240,7 @@ def test_monotonicity_check_allows_the_solver_slack(monkeypatch, factor, passed)
         def energy_series(self, p):
             return np.array([e0, e0 + rise, e0])
 
-    monkeypatch.setattr(verify, "run_simulation", lambda sc, keep_states: Run())
+    monkeypatch.setattr(verify, "run_simulation", lambda sc: Run())
     result = verify.check_energy_monotonicity()
     assert result.passed == passed
     beyond = rise - solver.MONOTONICITY_SLACK * e0
@@ -289,9 +291,9 @@ def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
                               ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
     families = []
 
-    def spy(scenarios, keep_states=True):
+    def spy(scenarios):
         families.append([sc.name for sc in scenarios])
-        return run_family(scenarios, keep_states)
+        return run_family(scenarios)
 
     monkeypatch.setattr(experiments, "run_family", spy)
     summary = EXPERIMENTS["semi_global_sweep"](spec)["summary"]
@@ -309,11 +311,13 @@ def _aux_spec(n_cells, t_final, splitting="strang", p_list="1.5, 2"):
 @functools.lru_cache(maxsize=None)
 def _aux_reference(n_cells, splitting):
     """The two-pass aux_equivalence over kept states: the dense nonlinear
-    run, its recorded theta field and the auxiliary rerun (t_final = 2)."""
+    run, its recorded theta field and the auxiliary rerun (t_final = 2),
+    each run with its kept (rho, xi)."""
     dense = replace(_aux_spec(n_cells, 2, splitting).scenario, record_every=1)
-    nl = solver.run_simulation(dense)
-    theta = solver.theta_from_run(nl)
-    return nl, theta, solver.run_auxiliary(dense, theta)
+    nl, (rho, xi) = run_kept(solver.run_simulation, dense)
+    theta = solver.theta_from_run(dense, rho, xi)
+    aux, (aux_rho, aux_xi, _) = run_kept(solver.run_auxiliary, dense, theta)
+    return (nl, (rho, xi)), theta, (aux, (aux_rho, aux_xi))
 
 
 def _assert_bitwise(got, ref):
@@ -330,22 +334,21 @@ def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splittin
     # block; the default block (None) holds all 65, or 168 of the 193. At
     # N = 96 the lie substep's midpoint rounds either way of t_n + dt/2.
     spec = _aux_spec(n_cells, 2, splitting)
-    nl, theta, aux = _aux_reference(n_cells, splitting)
-    n_records, n_nodes = nl.rho.shape
+    (nl, (rho, xi)), theta, (aux, (aux_rho, aux_xi)) = _aux_reference(n_cells, splitting)
+    n_records, n_nodes = rho.shape
     assert n_records % 2 and n_records % 3
     if block is not None:
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
     res = EXPERIMENTS["aux_equivalence"](spec)
     summary = res["summary"]
-    assert summary["max_discrepancy"] == max(float(np.max(np.abs(nl.rho - aux.rho))),
-                                             float(np.max(np.abs(nl.xi - aux.xi))))
+    assert summary["max_discrepancy"] == max(float(np.max(np.abs(rho - aux_rho))),
+                                             float(np.max(np.abs(xi - aux_xi))))
     assert summary["theta_bounds"] == list(theta.bounds)
     assert summary["max_zt"] == float(np.max(nl.diagnostics["max_zt"]))
     assert summary["theta_inside_nu_bounds"] is True
 
     nl_pass, aux_pass = solver.run_auxiliary_rerun(nl.scenario)
     for got in (res["traj"], nl_pass):
-        assert got.rho is None and got.xi is None
         _assert_bitwise(got.times, nl.times)
         assert list(got.diagnostics) == list(nl.diagnostics)
         for key, series in nl.diagnostics.items():
@@ -355,8 +358,8 @@ def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splittin
     for key, series in aux.diagnostics.items():
         _assert_bitwise(aux_pass.diagnostics[key], series)
     _assert_bitwise(aux_pass.diagnostics["discrepancy"],
-                    np.maximum(np.max(np.abs(nl.rho - aux.rho), axis=1),
-                               np.max(np.abs(nl.xi - aux.xi), axis=1)))
+                    np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
+                               np.max(np.abs(xi - aux_xi), axis=1)))
     # theta of each record and of its half step, read from the field
     xs, dt = nl.scenario.grid.nodes, nl.scenario.dt
     records = np.array([theta(t, xs) for t in nl.times])
@@ -372,7 +375,7 @@ def test_aux_equivalence_guards_the_rerun(monkeypatch):
     spec = _aux_spec(32, 2)
     nu_ratio = solver.nu_ratio
     monkeypatch.setattr(solver, "nu_ratio", lambda x, g: -nu_ratio(x, g))
-    solver.run_simulation(replace(spec.scenario, record_every=1), keep_states=False)
+    solver.run_simulation(replace(spec.scenario, record_every=1))
     with pytest.raises(solver.EnergyMonotonicityError, match="E_p1.5 increased"):
         EXPERIMENTS["aux_equivalence"](spec)
 
@@ -432,12 +435,12 @@ def test_spec_keys_are_what_each_runner_reads(kind):
 def test_state_checks_keep_no_states(check, monkeypatch):
     # they read the states block by block as the run hands them out
     run = solver.run_simulation
-    kept = []
+    consumers = []
 
-    def spy(sc, keep_states=True, consume=None):
-        kept.append(keep_states)
-        return run(sc, keep_states, consume)
+    def spy(sc, consume=None):
+        consumers.append(consume)
+        return run(sc, consume)
 
     monkeypatch.setattr(verify, "run_simulation", spy)
     assert getattr(verify, f"check_{check}")().passed
-    assert kept == [False]
+    assert len(consumers) == 1 and consumers[0] is not None

@@ -15,6 +15,8 @@ from wavelab.multipliers import (
 )
 from wavelab.solver import InitialData, Scenario, run_simulation
 
+from kept import run_kept
+
 
 def _elliptic_solve_1d(h, grid):
     """Reference: the one-right-hand-side solve, written out."""
@@ -26,25 +28,26 @@ def _elliptic_solve_1d(h, grid):
     return xs * cum_h - cum_sh - xs * (cum_h[-1] - cum_sh[-1])
 
 
-def _kept_terms(traj, window, triple, p_list, block=None):
-    """The terms on a run's kept states: a MultiplierStream fed `block`
-    records at a time, by default the whole run at once."""
+def _kept_terms(traj, states, window, triple, p_list, block=None):
+    """The terms on a run's kept states (rho, xi): a MultiplierStream fed
+    `block` records at a time, by default the whole run at once."""
+    rho, xi = states
     stream = MultiplierStream(traj.scenario, window, triple, p_list)
     n_records = len(traj.times)
     for lo in range(0, n_records, block or n_records):
         rows = slice(lo, min(lo + (block or n_records), n_records))
-        stream(rows, traj.rho[rows], traj.xi[rows])
+        stream(rows, rho[rows], xi[rows])
     return stream.reports()
 
 
 def _streamed_terms(scenario, window, triple, p_list):
     """The terms of a run that keeps no states, fed block by block."""
     stream = MultiplierStream(scenario, window, triple, p_list)
-    assert run_simulation(scenario, keep_states=False, consume=stream).rho is None
+    run_simulation(scenario, consume=stream)
     return stream.reports()
 
 
-def _multiplier_terms_per_record(traj, triple, p, window):
+def _multiplier_terms_per_record(traj, states, triple, p, window):
     """Reference: the multiplier terms with the rows, theta = nu(z_t), z and the
     elliptic multiplier built one record at a time. Returns (terms, int_energy,
     energy_at_s, chain constants without the eta row)."""
@@ -54,8 +57,8 @@ def _multiplier_terms_per_record(traj, triple, p, window):
     f, fprime, big_f = _regime_functions(p)
     idx = np.arange(len(traj.times))[window_rows(traj.times, window)]
     times = traj.times[idx]
-    rho = np.stack([traj.rho[i] for i in idx])
-    xi = np.stack([traj.xi[i] for i in idx])
+    rho = np.stack([states[0][i] for i in idx])
+    xi = np.stack([states[1][i] for i in idx])
     a_nodes = np.asarray(traj.scenario.a.value(xs))
     theta_w = np.stack([nu_ratio(0.5 * (rho_k - xi_k), traj.scenario.g)
                         for rho_k, xi_k in zip(rho, xi)])
@@ -193,11 +196,11 @@ def short_run(request):
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
                   record_every=record_every)
-    traj = run_simulation(sc)
+    traj, states = run_kept(run_simulation, sc)
     steps = np.unique(np.diff(traj.times))
     assert len(steps) == (1 if record_every == 1 else 2)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    return traj, triple
+    return traj, states, triple
 
 
 @pytest.fixture(scope="module")
@@ -208,15 +211,15 @@ def localized_run(request):
                   g=NONLINEARITIES[getattr(request, "param", "arctan")](),
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()))
-    traj = run_simulation(sc)
+    traj, states = run_kept(run_simulation, sc)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    return traj, triple
+    return traj, states, triple
 
 
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
-        traj, triple = localized_run
-        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
+        traj, states, triple = localized_run
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
         assert set(rep.terms) == {"S1", "S2", "S3", "S4",
                                   "T1", "T2", "T3", "T4", "T5",
                                   "V1", "V2", "V3"}
@@ -224,60 +227,61 @@ class TestMultiplierTerms:
             assert np.isfinite(value) and value >= 0.0, name
 
     def test_regime_labels(self, localized_run):
-        traj, triple = localized_run
-        reps = _kept_terms(traj, (0.0, 6.0), triple, [2.0, 1.5])
+        traj, states, triple = localized_run
+        reps = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0, 1.5])
         assert [rep.p for rep in reps] == [2.0, 1.5]
         assert [rep.regime for rep in reps] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
-        traj, triple = localized_run
-        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
+        traj, states, triple = localized_run
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
         assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
-        traj, triple = localized_run
-        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
+        traj, states, triple = localized_run
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
         assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
-        traj, triple = localized_run
-        [rep] = _kept_terms(traj, (0.0, 6.0), triple, [2.0])
+        traj, states, triple = localized_run
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
         assert tuple(rep.eta_table) == ETAS
         for eta, row in rep.eta_table.items():
             assert row["second_set"] >= 0.0
         assert rep.chain_constants["second_set_eta1"] == rep.eta_table[1.0]["second_set"]
 
     def test_window_outside_run_rejected(self, localized_run):
-        traj, triple = localized_run
+        traj, _, triple = localized_run
         with pytest.raises(ValueError, match="outside trajectory"):
             MultiplierStream(traj.scenario, (0.0, 60.0), triple, [2.0])
 
     def test_too_few_records_rejected_before_the_run(self, localized_run):
-        traj, triple = localized_run
+        traj, _, triple = localized_run
         dt = traj.scenario.dt
         with pytest.raises(ValueError, match="too few records"):
             MultiplierStream(traj.scenario, (dt, 2.5 * dt), triple, [2.0])
 
     def test_reports_need_the_window_end(self, localized_run):
         # a run that stops short of the window's last record has no V1
-        traj, triple = localized_run
+        traj, states, triple = localized_run
         stream = MultiplierStream(traj.scenario, (0.5, 5.0), triple, [2.0])
-        stream(slice(0, 600), traj.rho[:600], traj.xi[:600])
+        rho, xi = states
+        stream(slice(0, 600), rho[:600], xi[:600])
         with pytest.raises(ValueError, match="has not passed the window"):
             stream.reports()
-        stream(slice(600, len(traj.times)), traj.rho[600:], traj.xi[600:])
-        assert stream.reports() == _kept_terms(traj, (0.5, 5.0), triple, [2.0])
+        stream(slice(600, len(traj.times)), rho[600:], xi[600:])
+        assert stream.reports() == _kept_terms(traj, states, (0.5, 5.0), triple, [2.0])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
     def test_equals_per_record_reference(self, localized_run, p):
-        traj, triple = localized_run
+        traj, states, triple = localized_run
         window = (0.5, 5.0)
-        [rep] = _kept_terms(traj, window, triple, [p])
+        [rep] = _kept_terms(traj, states, window, triple, [p])
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-            traj, triple, p, window)
+            traj, states, triple, p, window)
         assert rep.terms == terms
         assert rep.int_energy == int_energy
         assert rep.energy_at_s == energy_at_s
@@ -291,21 +295,21 @@ class TestMultiplierTerms:
         # the run hands out blocks of 1, 2 and 3 records, the last one
         # partial; the kept states go in as one block. A window inside the
         # run has records on both sides that the halo of v_t must not read.
-        traj, triple = short_run
+        traj, states, triple = short_run
         window = (0.2, 1.55) if inside else (0.0, float(traj.times[-1]))
         rows = window_rows(traj.times, window)
-        n_records, n_nodes = rows.stop - rows.start, traj.rho.shape[1]
+        n_records, n_nodes = rows.stop - rows.start, traj.scenario.grid.n_nodes
         assert (n_records < len(traj.times)) == inside
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
         p_list = traj.scenario.p_list
-        whole = _kept_terms(traj, window, triple, p_list)
+        whole = _kept_terms(traj, states, window, triple, p_list)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
         assert _streamed_terms(traj.scenario, window, triple, p_list) == whole
-        assert _kept_terms(traj, window, triple, p_list, block) == whole
+        assert _kept_terms(traj, states, window, triple, p_list, block) == whole
         for p, rep in zip(p_list, whole):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-                traj, triple, p, window)
+                traj, states, triple, p, window)
             assert (rep.p, rep.terms, rep.int_energy, rep.energy_at_s) == (
                 p, terms, int_energy, energy_at_s)
             assert chain.items() <= rep.chain_constants.items()
@@ -315,10 +319,10 @@ class TestMultiplierTerms:
         # every array of the terms is one record block long (plus the halo),
         # so a window three times longer adds no more than a few blocks and
         # the per-record series: the run keeps no states
-        traj, triple = localized_run
+        traj, _, triple = localized_run
         sc = traj.scenario
-        block = ((solver.RECORD_BLOCK_VALUES // traj.rho.shape[1] + 2)
-                 * traj.rho[0].nbytes)
+        block = ((solver.RECORD_BLOCK_VALUES // sc.grid.n_nodes + 2)
+                 * sc.grid.n_nodes * 8)
         peaks = []
         for t in (2.0, 6.0):
             tracemalloc.start()
@@ -331,7 +335,7 @@ class TestMultiplierTerms:
 
 
     def test_window_is_a_slice_of_the_kept_states(self, localized_run):
-        traj, _ = localized_run
+        traj, _, _ = localized_run
         times = traj.times
         for s, t in [(0.0, 6.0), (0.5, 5.0), (1.0 + 1e-13, 2.0 - 1e-13), (0.3, 0.33)]:
             ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
@@ -368,17 +372,17 @@ def test_streamed_terms_equal_the_kept_states_bitwise(case, law, monkeypatch):
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
                   record_every=record_every)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    traj = run_simulation(sc)
+    traj, states = run_kept(run_simulation, sc)
     rows = window_rows(traj.times, window)
     steps = np.unique(np.diff(traj.times[rows]))
     assert (len(steps) > 1) == (case in ("N=100", "record_every=3"))
     assert (rows.stop - rows.start == MIN_RECORDS) == (case == "MIN_RECORDS")
     if block:
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
-    kept = _kept_terms(traj, window, triple, sc.p_list)
+    kept = _kept_terms(traj, states, window, triple, sc.p_list)
     assert _streamed_terms(sc, window, triple, sc.p_list) == kept
     for p, rep in zip(sc.p_list, kept):
         terms, int_energy, energy_at_s, _ = _multiplier_terms_per_record(
-            traj, triple, p, window)
+            traj, states, triple, p, window)
         assert (rep.terms, rep.int_energy, rep.energy_at_s) == (
             terms, int_energy, energy_at_s)

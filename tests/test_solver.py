@@ -23,6 +23,8 @@ from wavelab.solver import (
     theta_from_run, transport_shift,
 )
 
+from kept import KeptStates, run_kept
+
 
 def _scenario(n=64, t_final=2.0, g=None, a=None, p_list=(2.0,), amp=0.5,
               splitting="strang", record_every=1):
@@ -501,10 +503,10 @@ class TestRunSimulation:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_implicit_damping_update", checked)
-            traj = run_simulation(sc)
-        assert traj.rho.shape == traj.xi.shape == (sc.n_steps + 1, sc.grid.n_nodes)
+            _, (rho, xi) = run_kept(run_simulation, sc)
+        assert rho.shape == xi.shape == (sc.n_steps + 1, sc.grid.n_nodes)
         walls = [0, -1]
-        np.testing.assert_array_equal(traj.rho[1:, walls], traj.xi[1:, walls])
+        np.testing.assert_array_equal(rho[1:, walls], xi[1:, walls])
 
     def test_energies_monotone_both_splittings(self):
         for splitting in ("strang", "lie"):
@@ -515,8 +517,8 @@ class TestRunSimulation:
                 assert np.all(np.diff(e) <= 1e-12 * max(1.0, e[0]))
 
     def test_record_every_thins_output(self):
-        dense = run_simulation(_scenario(record_every=1), keep_states=False)
-        sparse = run_simulation(_scenario(record_every=8), keep_states=False)
+        dense = run_simulation(_scenario(record_every=1))
+        sparse = run_simulation(_scenario(record_every=8))
         assert len(sparse.times) < len(dense.times)
         np.testing.assert_allclose(sparse.energy_series(2.0)[-1],
                                    dense.energy_series(2.0)[-1], rtol=1e-14)
@@ -540,7 +542,7 @@ class TestRunSimulation:
 
     def test_final_time_rounding(self):
         sc = _scenario(n=64, t_final=1.0)
-        traj = run_simulation(sc, keep_states=False)
+        traj = run_simulation(sc)
         assert traj.times[-1] == pytest.approx(sc.t_final_actual, abs=1e-12)
         assert sc.n_steps == 64
 
@@ -577,11 +579,10 @@ def _logged_theta(log):
     return ThetaField(sampler=sampler, bounds=(0.5, 1.5))
 
 
-def _theta_tables_ref(traj):
+def _theta_tables_ref(sc, rho, xi):
     """Reference: nu of the records and of their half steps, each over the
     whole (n_records, n_nodes) stack at once."""
-    sc = traj.scenario
-    zt = 0.5 * (traj.rho - traj.xi)
+    zt = 0.5 * (rho - xi)
     zt_half = zt[:-1] - 0.5 * sc.dt * sc.a_nodes[None, :] * np.asarray(sc.g.value(zt[:-1]))
     return nu_ratio(zt, sc.g), nu_ratio(zt_half, sc.g)
 
@@ -625,20 +626,20 @@ class TestAuxiliary:
         sc = _scenario(t_final=1.0, splitting=splitting,
                        record_every=record_every)
         got_log, ref_log = [], []
-        aux = run_auxiliary(sc, _logged_theta(got_log))
+        aux, (rho, xi, _) = run_kept(run_auxiliary, sc, _logged_theta(got_log))
         ref = _auxiliary_ref(sc, _logged_theta(ref_log))
-        _assert_states(aux, ref)
+        _assert_states(aux.times, rho, xi, ref)
         assert got_log == ref_log
         substeps = 2 if splitting == "strang" else 1
         assert len(got_log) == substeps * sc.n_steps + len(aux.times)
 
     def test_theta_one_matches_identity_g_bitwise(self):
         sc = _scenario(g=identity_damping(), a=constant_profile(1.5), t_final=2.0)
-        nl = run_simulation(sc)
+        _, (rho, xi) = run_kept(run_simulation, sc)
         theta = ThetaField(sampler=lambda t, x: np.ones_like(x), bounds=(1.0, 1.0))
-        aux = run_auxiliary(sc, theta)
-        np.testing.assert_array_equal(aux.rho, nl.rho)
-        np.testing.assert_array_equal(aux.xi, nl.xi)
+        _, (aux_rho, aux_xi, _) = run_kept(run_auxiliary, sc, theta)
+        np.testing.assert_array_equal(aux_rho, rho)
+        np.testing.assert_array_equal(aux_xi, xi)
 
     def test_stronger_theta_decays_faster(self):
         sc = _scenario(g=identity_damping(), a=constant_profile(1.0), t_final=6.0)
@@ -657,36 +658,47 @@ class TestAuxiliary:
         discs = []
         for n in (64, 128):
             sc = _scenario(n=n, t_final=4.0)
-            nl = run_simulation(sc)
-            aux = run_auxiliary(sc, theta_from_run(nl))
-            discs.append(float(np.max(np.abs(nl.rho - aux.rho))))
+            _, (rho, xi) = run_kept(run_simulation, sc)
+            _, (aux_rho, _, _) = run_kept(run_auxiliary, sc, theta_from_run(sc, rho, xi))
+            discs.append(float(np.max(np.abs(rho - aux_rho))))
         order = np.log2(discs[0] / discs[1])
         assert order >= 1.8
 
     def test_recorded_theta_is_bound_to_its_grid(self):
-        theta = theta_from_run(run_simulation(_scenario(n=64, t_final=0.5)))
+        sc = _scenario(n=64, t_final=0.5)
+        theta = theta_from_run(sc, *run_kept(run_simulation, sc)[1])
         assert theta.grid == Grid(64)
         with pytest.raises(ValueError, match="bound to the run's grid"):
             run_auxiliary(_scenario(n=128, t_final=0.5), theta)
 
     def test_theta_from_run_needs_dense_records(self):
-        traj = run_simulation(_scenario(record_every=4))
-        with pytest.raises(ValueError):
-            theta_from_run(traj)
+        sc = _scenario(record_every=4)
+        _, (rho, xi) = run_kept(run_simulation, sc)
+        with pytest.raises(ValueError, match=r"record_every = 1\) and its \(129, 65\) "
+                                             r"states, got \(33, 65\) and \(33, 65\)$"):
+            theta_from_run(sc, rho, xi)
+
+    def test_theta_from_run_needs_every_state_of_its_run(self):
+        sc = _scenario()
+        _, (rho, xi) = run_kept(run_simulation, sc)
+        for got in ((rho[:-1], xi[:-1]), (rho, xi[:, 1:]), (rho[0], xi[0])):
+            with pytest.raises(ValueError, match=r"its \(129, 65\) states, got "):
+                theta_from_run(sc, *got)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_theta_from_run_is_the_same_in_record_blocks(self, block, monkeypatch):
         # blocks of 1, 2 and 3 of the 65 records, the last one partial, give
         # the field of nu over the whole stack
-        nl = run_simulation(_scenario(n=32, t_final=2.0, g=saturating_damping()))
-        n_records, n_nodes = nl.rho.shape
+        sc = _scenario(n=32, t_final=2.0, g=saturating_damping())
+        nl, (rho, xi) = run_kept(run_simulation, sc)
+        n_records, n_nodes = rho.shape
         assert n_records % 2 and n_records % 3
-        nu_records, nu_half = _theta_tables_ref(nl)
+        nu_records, nu_half = _theta_tables_ref(sc, rho, xi)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        theta = theta_from_run(nl)
+        theta = theta_from_run(sc, rho, xi)
         assert theta.bounds == (min(nu_records.min(), nu_half.min()),
                                 max(nu_records.max(), nu_half.max()))
-        xs, dt = nl.scenario.grid.nodes, nl.scenario.dt
+        xs, dt = sc.grid.nodes, sc.dt
         for n, t in enumerate(nl.times):
             _assert_bitwise(theta(t, xs), nu_records[n])
             if n < n_records - 1:
@@ -698,9 +710,9 @@ class TestAuxiliary:
         # the lie substep samples at t_n + dt/2 with t_n accumulated step by
         # step; at N = 96 and 100 that rounds below the middle of some steps
         sc = _scenario(n=n, t_final=3.0, splitting="lie")
-        nl = run_simulation(sc)
-        theta = theta_from_run(nl)
-        nu_records, _ = _theta_tables_ref(nl)
+        nl, (rho, xi) = run_kept(run_simulation, sc)
+        theta = theta_from_run(sc, rho, xi)
+        nu_records, _ = _theta_tables_ref(sc, rho, xi)
         xs, dt = sc.grid.nodes, sc.dt
         mids = nl.times[:-1] + 0.5 * dt
         below = np.count_nonzero(mids / dt - np.arange(len(mids)) < 0.5)
@@ -709,13 +721,14 @@ class TestAuxiliary:
             _assert_bitwise(theta(t, xs), nu_records[k + 1])
 
     def test_theta_from_run_peak_memory_is_its_tables_and_a_few_blocks(self):
-        nl = run_simulation(_scenario(n=512, t_final=2.0))
-        n_records, n_nodes = nl.rho.shape
+        sc = _scenario(n=512, t_final=2.0)
+        _, (rho, xi) = run_kept(run_simulation, sc)
+        n_records, n_nodes = rho.shape
         tables = (2 * n_records - 1) * n_nodes * 8
-        block = _block_len(nl.scenario) * n_nodes * 8
+        block = _block_len(sc) * n_nodes * 8
         tracemalloc.start()
         try:
-            theta_from_run(nl)
+            theta_from_run(sc, rho, xi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -727,20 +740,20 @@ class TestAuxiliary:
 class TestDerivativeSystem:
     def test_w_tracks_time_derivative_of_base(self):
         sc = _scenario(n=128, t_final=2.0)
-        base, w = run_derivative_system(sc)
+        (base, _), (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
         dt = sc.dt
         # centered finite difference of z_t vs the co-integrated w field
-        zt = 0.5 * (base.rho - base.xi)
+        zt = 0.5 * (rho - xi)
         errs = []
         for k in range(1, len(base.times) - 1, 16):
             fd = (zt[k + 1] - zt[k - 1]) / (2 * dt)
-            wt = 0.5 * (w.rho[k] - w.xi[k])
+            wt = 0.5 * (w_rho[k] - w_xi[k])
             errs.append(np.max(np.abs(fd - wt)[1:-1]))
         assert max(errs) < 0.2  # first-order agreement at this resolution
 
     def test_w_energy_monotone(self):
         sc = _scenario(n=128, t_final=4.0, p_list=(1.5, 2.0))
-        _, w = run_derivative_system(sc, keep_states=False)
+        _, w = run_derivative_system(sc)
         for p in (1.5, 2.0):
             ew = w.diagnostics[f"E_pw{p:g}"]
             assert np.all(ew <= ew[0] + 1e-10)
@@ -748,11 +761,11 @@ class TestDerivativeSystem:
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
     def test_w_states_match_full_grid_reference(self, splitting):
         sc = _scenario(t_final=0.25, g=cubic_damping(), splitting=splitting)
-        base, w = run_derivative_system(sc)
+        _, (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
         grid, dt = sc.grid, sc.dt
         a_nodes = sc.a.value(grid.nodes)
-        zt = 0.5 * (base.rho - base.xi)
-        ws = RiemannState(rho=w.rho[0], xi=w.xi[0], t=0.0)
+        zt = 0.5 * (rho - xi)
+        ws = RiemannState(rho=w_rho[0], xi=w_xi[0], t=0.0)
         for k in range(sc.n_steps):
             theta_n = a_nodes * sc.g.derivative(zt[k])
             theta_np1 = a_nodes * sc.g.derivative(zt[k + 1])
@@ -763,8 +776,8 @@ class TestDerivativeSystem:
             else:
                 ws = _reference_substep(ws, dt * theta_n, None)
                 ws = transport_shift(ws, grid)
-            np.testing.assert_array_equal(ws.rho, w.rho[k + 1])
-            np.testing.assert_array_equal(ws.xi, w.xi[k + 1])
+            np.testing.assert_array_equal(ws.rho, w_rho[k + 1])
+            np.testing.assert_array_equal(ws.xi, w_xi[k + 1])
 
     def test_monotonicity_guard_trips_on_antidamping(self):
         bad = Nonlinearity(lambda s: -0.5 * s,
@@ -805,18 +818,18 @@ class TestSplitKernel:
         n = sc.n_steps
         substeps = 2 * n if splitting == "strang" else n
         calls = self._count(monkeypatch)
-        run_simulation(sc, keep_states=False)
+        run_simulation(sc)
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
         calls.clear()
         run_auxiliary(sc, ThetaField(lambda t, x: np.ones_like(x), (1.0, 1.0)))
         assert calls == {"transport_shift": n, "_damping_substep_nodal": substeps}
         calls.clear()
-        run_derivative_system(sc, keep_states=False)
+        run_derivative_system(sc)
         assert calls == {"transport_shift": 2 * n, "step": n,
                          "_damping_substep_nodal": 2 * substeps}
         calls.clear()
-        run_family(_family(sc, (1.0, 2.0, 4.0)), keep_states=False)
+        run_family(_family(sc, (1.0, 2.0, 4.0)))
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
 
@@ -974,19 +987,19 @@ def _assert_records(diagnostics, records):
         _assert_bitwise(series, [r[key] for r in records])
 
 
-def _assert_states(traj, states):
-    """Row k of traj.rho and traj.xi is states[k], at traj.times[k]."""
-    assert traj.rho.shape == traj.xi.shape == (len(states), traj.scenario.grid.n_nodes)
+def _assert_states(times, rho, xi, states):
+    """Row k of the kept rho and xi is states[k], at times[k]."""
+    assert rho.shape == xi.shape == (len(states), len(states[0].rho))
     for k, s in enumerate(states):
-        _assert_bitwise(traj.rho[k], s.rho)
-        _assert_bitwise(traj.xi[k], s.xi)
-        assert traj.times[k] == s.t
+        _assert_bitwise(rho[k], s.rho)
+        _assert_bitwise(xi[k], s.xi)
+        assert times[k] == s.t
 
 
-def _row_states(traj):
-    """The recorded rows of traj as states, for the per-state references."""
-    return [RiemannState(rho=rho, xi=xi, t=float(t))
-            for t, rho, xi in zip(traj.times, traj.rho, traj.xi)]
+def _row_states(times, rho, xi):
+    """The kept rows of a run as states, for the per-state references."""
+    return [RiemannState(rho=rho_k, xi=xi_k, t=float(t))
+            for t, rho_k, xi_k in zip(times, rho, xi)]
 
 
 # N = 64 takes 252 records per block; 544 steps give 545 dense records, two
@@ -1026,6 +1039,46 @@ def _violation_index(message, sc):
     return round(t / sc.dt)
 
 
+def _smooth_theta():
+    return ThetaField(sampler=lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t + 2.0 * np.pi * x),
+                      bounds=(0.5, 1.5))
+
+
+DRIVERS = ("simulation", "family", "auxiliary", "derivative_system")
+
+
+def _drivers(sc, family):
+    """The record times of sc's hand-stepped run, and two tables keyed by
+    DRIVERS: each driver as run(consume) -> its trajectories, and the rows
+    its consumer gets, stacked from the hand-stepped states. They are (rho,
+    xi); a family of B > 1 rows stacks them along axis 1, the auxiliary run
+    (with theta = _smooth_theta()) adds theta(t_k, x) and the derivative
+    system (w_rho, w_xi)."""
+    theta = _smooth_theta()
+
+    def stack(states):
+        return [np.array([s.rho for s in states]), np.array([s.xi for s in states])]
+
+    states = _simulation_states_ref(sc)
+    aux = _auxiliary_ref(sc, theta)
+    _, (base, _), (w, _) = _derivative_system_ref(sc)
+    solo = [stack(_simulation_states_ref(row)) for row in family]
+    run = {
+        "simulation": lambda consume: (run_simulation(sc, consume),),
+        "family": lambda consume: run_family(family, consume),
+        "auxiliary": lambda consume: (run_auxiliary(sc, theta, consume),),
+        "derivative_system": lambda consume: run_derivative_system(sc, consume),
+    }
+    rows = {
+        "simulation": stack(states),
+        "family": solo[0] if len(family) == 1
+        else [np.stack(row, axis=1) for row in zip(*solo)],
+        "auxiliary": [*stack(aux), np.array([theta(s.t, sc.grid.nodes) for s in aux])],
+        "derivative_system": [*stack(base), *stack(w)],
+    }
+    return np.array([s.t for s in states]), run, rows
+
+
 class TestRecordBlocks:
     @pytest.mark.parametrize("n, record_every", [
         (256, 1), (100, 1), (96, 3), (130, 7), (50, 4)])
@@ -1033,27 +1086,44 @@ class TestRecordBlocks:
         # known before the run, bit for bit, where dt = 1/100 accumulates
         # unevenly too
         sc = _scenario(n=n, t_final=2.0, record_every=record_every)
-        times = run_simulation(sc, keep_states=False).times
+        times = run_simulation(sc).times
         assert sc.record_times.tobytes() == times.tobytes()
-        base, _ = run_derivative_system(sc, keep_states=False)
+        base, _ = run_derivative_system(sc)
         assert base.times.tobytes() == times.tobytes()
 
-    @pytest.mark.parametrize("keep_states", [True, False])
-    def test_consumer_gets_each_guarded_block_once_in_order(self, keep_states,
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_consumer_gets_each_guarded_block_once_in_order(self, driver,
                                                             monkeypatch):
         # 17 records in blocks of 3, the last one partial; the rows are views
-        # into the reused buffer, so the consumer copies them
-        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", 3 * 33)
+        # into the reused buffer, so the consumer copies them. Joined, the
+        # blocks are the hand-stepped states (and the auxiliary run's theta
+        # at each record time).
         sc = _scenario(n=32, t_final=1.0, record_every=2)
+        family = _family(sc, (1.0, 4.0))
+        _, run, rows = _drivers(sc, family)
+        width = len(family) if driver == "family" else 1
+        monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", 3 * width * sc.grid.n_nodes)
         seen = []
-        traj = run_simulation(sc, keep_states, consume=lambda records, rho, xi:
-                              seen.append((records, rho.copy(), xi.copy())))
-        assert [(r.start, r.stop) for r, _, _ in seen] == [
+        run[driver](lambda records, *block:
+                    seen.append((records, [row.copy() for row in block])))
+        assert [(r.start, r.stop) for r, _ in seen] == [
             (lo, min(lo + 3, 17)) for lo in range(0, 17, 3)]
-        kept = run_simulation(sc)
-        _assert_bitwise(np.concatenate([rho for _, rho, _ in seen]), kept.rho)
-        _assert_bitwise(np.concatenate([xi for _, _, xi in seen]), kept.xi)
-        assert (traj.rho is None) == (not keep_states)
+        blocks = [block for _, block in seen]
+        for got, ref in zip(zip(*blocks), rows[driver], strict=True):
+            _assert_bitwise(np.concatenate(got), ref)
+
+    @pytest.mark.parametrize("run", [run_simulation, run_derivative_system])
+    def test_default_runs_keep_no_states(self, run):
+        # N = 256, T = 6: rho and xi of 1537 records would take 6.3 MB
+        sc = _scenario(n=256, t_final=6.0)
+        states = 2 * len(sc.record_steps) * sc.grid.n_nodes * 8
+        tracemalloc.start()
+        try:
+            run(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states
 
     def test_block_layout_of_the_fixtures(self):
         sc = _block_scenario()
@@ -1067,16 +1137,11 @@ class TestRecordBlocks:
     def test_simulation_matches_per_record_diagnostics(self, g, splitting,
                                                         record_every):
         sc = _block_scenario(GS[g](), splitting, record_every)
-        traj = run_simulation(sc, keep_states=True)
+        traj, (rho, xi) = run_kept(run_simulation, sc)
         a_nodes = np.asarray(sc.a.value(sc.grid.nodes))
-        _assert_records(traj.diagnostics,
-                        [_base_diag_ref(s, sc, a_nodes) for s in _row_states(traj)])
+        _assert_records(traj.diagnostics, [_base_diag_ref(s, sc, a_nodes)
+                                           for s in _row_states(traj.times, rho, xi)])
         _assert_records(traj.diagnostics, _simulate_ref(sc))
-        thin = run_simulation(sc, keep_states=False)
-        _assert_bitwise(thin.times, traj.times)
-        assert thin.rho is None and thin.xi is None
-        for key in traj.diagnostics:
-            _assert_bitwise(thin.diagnostics[key], traj.diagnostics[key])
 
     @pytest.mark.parametrize("field", ["recorded", "smooth"])
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
@@ -1086,29 +1151,24 @@ class TestRecordBlocks:
         # nonlinear run and for one given in closed form
         sc = _block_scenario(splitting=splitting)
         if field == "recorded":
-            theta = theta_from_run(run_simulation(sc))
+            theta = theta_from_run(sc, *run_kept(run_simulation, sc)[1])
         else:
             theta = _smooth_theta()
-        aux = run_auxiliary(sc, theta)
-        _assert_records(aux.diagnostics,
-                        [_aux_diag_ref(s, sc, theta) for s in _row_states(aux)])
+        aux, (rho, xi, _) = run_kept(run_auxiliary, sc, theta)
+        _assert_records(aux.diagnostics, [_aux_diag_ref(s, sc, theta)
+                                          for s in _row_states(aux.times, rho, xi)])
 
-    @pytest.mark.parametrize("splitting, keep_states, record_every", [
-        ("strang", True, 1), ("lie", False, 1),
-        ("strang", False, 5), ("lie", True, 5)])
-    def test_derivative_system_matches_hand_rolled_loop(self, splitting,
-                                                        keep_states, record_every):
+    @pytest.mark.parametrize("record_every", [1, 5])
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_derivative_system_matches_hand_rolled_loop(self, splitting, record_every):
         sc = _block_scenario(cubic_damping(), splitting, record_every)
-        base, w = run_derivative_system(sc, keep_states=keep_states)
+        (base, w), (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
         times, (base_states, base_records), (w_states, w_records) = \
             _derivative_system_ref(sc)
         _assert_bitwise(base.times, times)
         _assert_bitwise(w.times, times)
-        if keep_states:
-            _assert_states(base, base_states)
-            _assert_states(w, w_states)
-        else:
-            assert base.rho is base.xi is w.rho is w.xi is None
+        _assert_states(times, rho, xi, base_states)
+        _assert_states(times, w_rho, w_xi, w_states)
         _assert_records(base.diagnostics, base_records)
         _assert_records(w.diagnostics, w_records)
 
@@ -1181,40 +1241,16 @@ class TestRecordBlocks:
                                          bounds=(0.0, 1.0)))
 
 
-def _smooth_theta():
-    return ThetaField(sampler=lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t + 2.0 * np.pi * x),
-                      bounds=(0.5, 1.5))
-
-
 class TestRecordBuffers:
-    """Property test of the record buffers: every driver, both splittings
-    and both keep_states values (the auxiliary run, which always keeps its
-    states, runs twice), with blocks of 1 to 5 records, so that runs cross
-    block boundaries and end on a partial block."""
-
-    @staticmethod
-    def _drivers(sc, family):
-        """Each driver as run(keep_states) -> trajectories, with its
-        hand-stepped recorded states per trajectory."""
-        theta = _smooth_theta()
-        _, (base, _), (w, _) = _derivative_system_ref(sc)
-        return {
-            "simulation": (lambda keep: (run_simulation(sc, keep),),
-                           (_simulation_states_ref(sc),)),
-            "family": (lambda keep: run_family(family, keep),
-                       [_simulation_states_ref(row) for row in family]),
-            "auxiliary": (lambda keep: (run_auxiliary(sc, theta),),
-                          (_auxiliary_ref(sc, theta),)),
-            "derivative_system": (lambda keep: run_derivative_system(sc, keep),
-                                  (base, w)),
-        }
+    """Property test of the record buffers: every driver and both
+    splittings, with blocks of 1 to 5 records, so that runs cross block
+    boundaries and end on a partial block."""
 
     @given(n=st.integers(8, 40), record_every=st.integers(1, 7),
            n_steps=st.integers(1, 30), block=st.integers(1, 5),
            splitting=st.sampled_from(["strang", "lie"]),
            g=st.sampled_from(sorted(GS)),
-           driver=st.sampled_from(["simulation", "family", "auxiliary",
-                                   "derivative_system"]),
+           driver=st.sampled_from(DRIVERS),
            alphas=st.lists(st.sampled_from([0.25, 1.0, 4.0, 16.0]),
                            min_size=1, max_size=4))
     @settings(max_examples=50, deadline=None)
@@ -1225,26 +1261,25 @@ class TestRecordBuffers:
                        splitting=splitting, record_every=record_every)
         assert sc.n_steps == n_steps
         family = _family(sc, alphas)
-        run, refs = self._drivers(sc, family)[driver]
-        rows = len(family) if driver == "family" else 1
+        times, run, rows = _drivers(sc, family)
+        width = len(family) if driver == "family" else 1
+        kept = KeptStates(len(times))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "RECORD_BLOCK_VALUES", block * rows * sc.grid.n_nodes)
-            kept, thin = run(True), run(False)
-        one_block = run(True)  # the default block holds every record here
-        assert _block_len(sc) // rows >= len(one_block[0].times)
+            mp.setattr(solver, "RECORD_BLOCK_VALUES", block * width * sc.grid.n_nodes)
+            trajs = run[driver](kept)
+        one_block = run[driver](None)  # the default block holds every record here
+        assert _block_len(sc) // width >= len(one_block[0].times)
+        for got, ref in zip(kept.rows, rows[driver], strict=True):
+            _assert_bitwise(got, ref)
         if driver == "family":
-            for traj, row in zip(kept, family):
+            for traj, row in zip(trajs, family):
                 assert traj.scenario is row
                 for key, series in run_simulation(row).diagnostics.items():
                     _assert_bitwise(traj.diagnostics[key], series)
-        for traj, states, thin_traj, ref_traj in zip(kept, refs, thin, one_block,
-                                                     strict=True):
-            _assert_states(traj, states)
-            if driver != "auxiliary":  # which always keeps its states
-                assert thin_traj.rho is None and thin_traj.xi is None
-            _assert_bitwise(thin_traj.times, traj.times)
+        for traj, ref_traj in zip(trajs, one_block, strict=True):
+            _assert_bitwise(traj.times, times)
+            assert list(traj.diagnostics) == list(ref_traj.diagnostics)
             for key, series in traj.diagnostics.items():
-                _assert_bitwise(thin_traj.diagnostics[key], series)
                 _assert_bitwise(ref_traj.diagnostics[key], series)
 
 
@@ -1264,11 +1299,20 @@ def _pumping_rows(starts):
     return substep
 
 
+def _family_kept(family):
+    """run_family of B > 1 rows: each row's trajectory with its kept (rho, xi),
+    as run_kept gives them for a solo run."""
+    trajs, (rho, xi) = run_kept(run_family, family)
+    return [(traj, (rho[:, b], xi[:, b])) for b, traj in enumerate(trajs)]
+
+
 def _assert_runs_equal(got, ref):
+    """got and ref are (trajectory, kept (rho, xi)) pairs."""
+    (got, got_states), (ref, ref_states) = got, ref
     assert got.scenario is ref.scenario
     _assert_bitwise(got.times, ref.times)
-    _assert_bitwise(got.rho, ref.rho)
-    _assert_bitwise(got.xi, ref.xi)
+    for new, old in zip(got_states, ref_states, strict=True):
+        _assert_bitwise(new, old)
     assert list(got.diagnostics) == list(ref.diagnostics)
     for key, series in ref.diagnostics.items():
         _assert_bitwise(got.diagnostics[key], series)
@@ -1291,10 +1335,10 @@ class TestRunFamily:
         solo, solo_calls = [], []
         for row in family:
             calls.clear()
-            solo.append(run_simulation(row))
+            solo.append(run_kept(run_simulation, row))
             solo_calls.append(len(calls))
         assert len(set(solo_calls)) > 1
-        for got, ref in zip(run_family(family), solo, strict=True):
+        for got, ref in zip(_family_kept(family), solo, strict=True):
             _assert_runs_equal(got, ref)
 
     def test_one_row_in_the_bisection_fallback(self, monkeypatch):
@@ -1313,10 +1357,10 @@ class TestRunFamily:
         solo = []
         for row in family:
             bisected.clear()
-            solo.append(run_simulation(row))
+            solo.append(run_kept(run_simulation, row))
             assert bool(bisected) == (row is family[1])
         bisected.clear()
-        for got, ref in zip(run_family(family), solo, strict=True):
+        for got, ref in zip(_family_kept(family), solo, strict=True):
             _assert_runs_equal(got, ref)
         assert bisected
 
@@ -1362,8 +1406,8 @@ class TestRunFamily:
                         initial=sc.initial.scaled(4.0))
         assert other.a != sc.a
         family = [sc, other]
-        for got, row in zip(run_family(family), family, strict=True):
-            _assert_runs_equal(got, run_simulation(row))
+        for got, row in zip(_family_kept(family), family, strict=True):
+            _assert_runs_equal(got, run_kept(run_simulation, row))
         differs = replace(other, a=smooth_indicator_profile(0.6, 1, 2, 0.05))
         with pytest.raises(ValueError, match="'b' differs from 'a' in a;"):
             run_family([sc, differs])
