@@ -12,7 +12,6 @@ bitwise equal to its run alone.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -143,6 +142,16 @@ class Scenario:
         """damped_support(a_nodes), the slice the damping substep solves on."""
         return damped_support(self.a_nodes)
 
+    @property
+    def substep_lengths(self) -> tuple[float, ...]:
+        """The length h of each damping substep of a step, in order."""
+        return (0.5 * self.dt,) * 2 if self.splitting == "strang" else (self.dt,)
+
+    @functools.cached_property
+    def substep_coef(self) -> Array:
+        """_substep_coef on `support`, built once per scenario."""
+        return _substep_coef(self.a_nodes[self.support], self.substep_lengths[0], self.g)
+
 
 @dataclass(frozen=True)
 class ThetaField:
@@ -203,32 +212,29 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     """Solve u + c g(u) = u_old nodewise (backward Euler for u' = -a g(u)).
 
     Monotone g makes the map strictly increasing, so the root is unique and
-    lies between 0 and u_old. Linear g uses the closed form; otherwise
-    safeguarded Newton from u_old with a bisection fallback.
+    lies between 0 and u_old: safeguarded Newton from u_old, with a bisection
+    fallback (a linear g takes the substep's closed form, _substep_coef).
 
     u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
     stops iterating once all of its nodes pass, and falls back to bisection
     on its own, so every row takes exactly the iterations of its solve alone.
     """
-    if g.linear_slope is not None:
-        return u_old / (1.0 + c * g.linear_slope)
-
     u = u_old  # only rebound below, never written, until the bisection fallback
     tol = NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
     converged = False
     for _ in range(NEWTON_MAX_ITER):
-        resid = u + c * np.asarray(g.value(u)) - u_old
+        resid = u + c * g.value(u) - u_old
         ok = np.abs(resid) <= tol
         if np.count_nonzero(ok) == ok.size:
             converged = True
             break
-        du = resid / (1.0 + c * np.asarray(g.derivative(u)))
+        du = resid / (1.0 + c * g.derivative(u))
         if u.ndim > 1 and len(u) > 1:
             # u - 0.0 is u: a converged row stays put
             du[np.count_nonzero(ok, axis=-1) == ok.shape[-1]] = 0.0
         u = u - du
     if not converged:
-        resid = u + c * np.asarray(g.value(u)) - u_old
+        resid = u + c * g.value(u) - u_old
         bad = np.abs(resid) > tol
         u = u.copy()  # written below, and still u_old if no iteration ran
         c = np.broadcast_to(c, u.shape)
@@ -278,49 +284,53 @@ def damped_support(a_nodes: Array) -> slice:
     return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
-def _damping_substep_nodal(state: RiemannState, c: Array, support: slice,
-                           g: Nonlinearity | None = None) -> RiemannState:
-    """Backward-Euler damping substep on the slice `support` of the last
-    axis, with c given on that slice. z_x = (rho + xi)/2 is untouched; only
-    u = z_t relaxes.
+def _substep_coef(a_damped: Array, h: float, g: Nonlinearity) -> Array:
+    """A damping substep's coefficient on the damped slice, read-only: c = h a,
+    or for a linear g, which the substep gets as g = None, 1 + c slope."""
+    coef = h * a_damped if g.linear_slope is None else 1.0 + h * a_damped * g.linear_slope
+    coef.setflags(write=False)
+    return coef
 
-    g relaxes u = z_t by the implicit solve of u + c g(u) = u_old; g = None is
-    the frozen linear coefficient of the auxiliary problem, u <- u / (1 + c).
-    The new rho and xi are copies of the old ones in which only the slice is
-    updated, by rho + d and xi - d with d = u_new - u: the same operations,
-    node for node, as the update on the whole grid. Off the slice c = 0, the
-    update is the identity and the copies keep the old values; the
-    whole-grid form adds d = 0.0 there, which only turns a -0.0 into +0.0.
+
+def _damping_substep_nodal(state: RiemannState, coef: Array, support: slice,
+                           g: Nonlinearity | None = None,
+                           in_place: bool = False) -> RiemannState:
+    """Backward-Euler damping substep on the slice `support` of the last
+    axis, with coef given on that slice. z_x = (rho + xi)/2 is untouched; only
+    u = z_t relaxes: g solves u + coef g(u) = u_old; g = None is the closed
+    form of a linear coefficient, u <- u / coef, coef the denominator 1 + c.
+
+    Copies of rho and xi (with in_place, the state's own arrays, returned)
+    are updated on the slice only, by rho + d and xi - d with d = u_new - u:
+    the same operations, node for node, as on the whole grid, where c = 0
+    off the slice adds d = 0.0, which only turns a -0.0 into +0.0.
     """
     u = 0.5 * (state.rho[..., support] - state.xi[..., support])
-    u_new = u / (1.0 + c) if g is None else _implicit_damping_update(u, c, g)
+    u_new = u / coef if g is None else _implicit_damping_update(u, coef, g)
     d = u_new - u
-    rho = state.rho.copy()
-    xi = state.xi.copy()
-    r, x = rho[..., support], xi[..., support]  # views: written in place
+    if not in_place:
+        state = RiemannState(rho=state.rho.copy(), xi=state.xi.copy(), t=state.t)
+    r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
     np.add(r, d, out=r)
     np.subtract(x, d, out=x)
-    return RiemannState(rho=rho, xi=xi, t=state.t)
+    return state
 
 
 def _split_step(state: RiemannState, scenario: Scenario, support: slice,
-                coefs: Callable[[float], Iterator[Array]],
-                g: Nonlinearity | None = None) -> RiemannState:
+                coefs: Sequence[Array], g: Nonlinearity | None = None
+                ) -> RiemannState:
     """One step of the splitting: strang = damp(dt/2) o transport o damp(dt/2);
     lie = transport o damp(dt).
 
-    coefs(h) yields the damping coefficient on the slice `support` of each
-    damping substep of length h, in order: lie draws one, strang two, the
-    second after the transport. g as in _damping_substep_nodal, None for a
-    linear coefficient.
+    coefs holds each damping substep's coefficient on `support`, with g as
+    _damping_substep_nodal takes them: lie reads one, strang two. Strang's
+    second substep damps transport_shift's fresh output in place; the first
+    copies, so the caller's state is never written.
     """
-    strang = scenario.splitting == "strang"
-    h = 0.5 * scenario.dt if strang else scenario.dt
-    cs = coefs(h)
-    state = _damping_substep_nodal(state, next(cs), support, g)
+    state = _damping_substep_nodal(state, coefs[0], support, g)
     state = transport_shift(state, scenario.grid)
-    if strang:
-        state = _damping_substep_nodal(state, next(cs), support, g)
+    if scenario.splitting == "strang":
+        state = _damping_substep_nodal(state, coefs[1], support, g, in_place=True)
     return state
 
 
@@ -328,15 +338,18 @@ def step(state: RiemannState, scenario: Scenario,
          a_nodes: Array | None = None, *,
          support: slice | None = None) -> RiemannState:
     """One full step of the nonlinear problem. a_nodes defaults to
-    scenario.a_nodes and support to damped_support(a_nodes); run drivers pass
-    scenario.a_nodes and scenario.support."""
+    scenario.a_nodes and support to damped_support(a_nodes). Given
+    scenario.a_nodes itself, as run drivers pass it, the step damps with the
+    table scenario.substep_coef; other arrays build their coefficient."""
     if a_nodes is None:
         a_nodes = scenario.a_nodes
-    if support is None:
-        support = damped_support(a_nodes)
-    a_damped = a_nodes[support]
-    return _split_step(state, scenario, support,
-                       lambda h: itertools.repeat(h * a_damped), scenario.g)
+    if a_nodes is scenario.a_nodes and support in (None, scenario.support):
+        support, coef = scenario.support, scenario.substep_coef
+    else:
+        support = damped_support(a_nodes) if support is None else support
+        coef = _substep_coef(a_nodes[support], scenario.substep_lengths[0], scenario.g)
+    g = None if scenario.g.linear_slope is not None else scenario.g
+    return _split_step(state, scenario, support, (coef, coef), g)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +593,9 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
 
     def advance(s: RiemannState) -> RiemannState:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
-        return _split_step(s, scenario, support, lambda h: (
-            h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
-            for k in (0, 1)))
+        return _split_step(s, scenario, support, [
+            1.0 + h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
+            for k, h in enumerate(scenario.substep_lengths)])
 
     times, (diag,) = _record_loop(
         scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
@@ -631,8 +644,8 @@ def run_derivative_system(scenario: Scenario,
     def advance(s: _PairedState) -> _PairedState:
         base = step(s.base, scenario, a_nodes, support=support)
         theta_np1 = theta(base)
-        w = _split_step(s.w, scenario, support,
-                        lambda h: (h * th for th in (s.theta, theta_np1)))
+        w = _split_step(s.w, scenario, support, [
+            1.0 + h * th for h, th in zip(scenario.substep_lengths, (s.theta, theta_np1))])
         return _PairedState(base, w, theta_np1)
 
     def capture(s: _PairedState) -> tuple[Array, ...]:
@@ -696,11 +709,11 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
         raise ValueError("run_auxiliary_rerun needs dense records: record_every = 1")
     support = scenario.support
     a_nodes = scenario.a_nodes
-    a_damped = a_nodes[support]
+    ha = scenario.substep_lengths[0] * a_nodes[support]  # h a on the damped slice
     strang = scenario.splitting == "strang"
     start = scenario.initial.riemann(scenario.grid)
     aux = start  # the rerun's latest record: lo - 1, or 0 before the first block
-    carried: Array | None = None  # nu_half of record lo - 1
+    carried: Array | None = None  # 1 + c of nu_half of record lo - 1
     lo = 0  # the block's first record
 
     def advance(s: RiemannState) -> RiemannState:
@@ -709,15 +722,16 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
         nonlocal aux, carried, lo
         nu_records, nu_half = _nu_block(rho, xi, scenario.n_steps - lo, scenario)
+        den_records = 1.0 + ha * nu_records[:, support]
+        den_half = 1.0 + ha * nu_half[:, support]
         aux_rho, aux_xi = np.empty(rho.shape), np.empty(xi.shape)
-        for i, nu_next in enumerate(nu_records):
+        for i, den_next in enumerate(den_records):
             if lo + i:  # record 0 is the initial state
-                half = carried if i == 0 else nu_half[i - 1]
-                ths = (half, nu_next) if strang else (nu_next,)
-                aux = _split_step(aux, scenario, support,
-                                  lambda h: (h * a_damped * th[support] for th in ths))
+                half = carried if i == 0 else den_half[i - 1]
+                dens = (half, den_next) if strang else (den_next,)
+                aux = _split_step(aux, scenario, support, dens)
             aux_rho[i], aux_xi[i] = aux.rho, aux.xi
-        carried = nu_half[-1] if len(nu_half) == len(rho) else None
+        carried = den_half[-1] if len(den_half) == len(rho) else None
         lo += len(rho)
         aux_diag = _base_diagnostics(aux_rho, aux_xi, scenario, nu_records)
         aux_diag["discrepancy"] = np.maximum(np.max(np.abs(rho - aux_rho), axis=-1),

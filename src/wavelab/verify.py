@@ -24,7 +24,7 @@ from .core import (
 )
 from .energy import (
     build_energy_report, energy_p, modified_energy_functional,
-    observability_ratio, phi_functional, sobolev_bound_check,
+    observability_ratio, phi_functional, sobolev_bound_check, window_rows,
 )
 from .experiments import ScenarioSpec, run_aux_equivalence, run_semi_global_sweep
 from .multipliers import elliptic_solve
@@ -65,6 +65,16 @@ def _decay_fixture():
                   p_list=(1.5, 2.0, 4.0), g=NONLINEARITIES["arctan"](),
                   a=_localized_damping(), initial=_moderate_data())
     return run_simulation(sc)
+
+
+@functools.lru_cache(maxsize=3)
+def _arctan_ladder(n: int) -> dict:
+    """run_aux_equivalence of the T = 8 arctan run at N = n, shared by checks
+    8 and 4 (which reads the records with t <= 4)."""
+    sc = Scenario(name=f"aux_{n}", grid=Grid(n), t_final=8.0,
+                  p_list=(2.0,), g=NONLINEARITIES["arctan"](),
+                  a=_localized_damping(), initial=_moderate_data())
+    return run_aux_equivalence(ScenarioSpec(sc))
 
 
 def check_conservation() -> CheckResult:
@@ -133,13 +143,11 @@ def check_energy_monotonicity() -> CheckResult:
 def check_dissipation_identity() -> CheckResult:
     errs = []
     for n in (128, 256, 512):
-        sc = Scenario(name=f"diss_{n}", grid=Grid(n), t_final=4.0,
-                      p_list=(2.0,), g=NONLINEARITIES["arctan"](),
-                      a=_localized_damping(), initial=_moderate_data())
-        traj = run_simulation(sc)
-        e = traj.energy_series(2.0)
-        d = traj.diagnostics["dEdt_p2"]
-        dt = sc.dt
+        traj = _arctan_ladder(n)["traj"]
+        rows = window_rows(traj.times, (0.0, 4.0))  # the records of a T = 4 run
+        e = traj.energy_series(2.0)[rows]
+        d = traj.diagnostics["dEdt_p2"][rows]
+        dt = traj.scenario.dt
         # centered difference of E against the rate at the middle record
         resid = np.abs((e[2:] - e[:-2]) / (2.0 * dt) - d[1:-1])
         errs.append(float(np.max(resid)))
@@ -208,10 +216,7 @@ def check_aux_equivalence() -> CheckResult:
     discs = []
     inside = True
     for n in (128, 256, 512):
-        sc = Scenario(name=f"aux_{n}", grid=Grid(n), t_final=8.0,
-                      p_list=(2.0,), g=NONLINEARITIES["arctan"](),
-                      a=_localized_damping(), initial=_moderate_data())
-        rep = run_aux_equivalence(ScenarioSpec(sc))["summary"]
+        rep = _arctan_ladder(n)["summary"]
         discs.append(rep["max_discrepancy"])
         inside = inside and rep["theta_inside_nu_bounds"]
     orders = [float(np.log2(discs[i] / discs[i + 1])) for i in range(2)]

@@ -18,6 +18,8 @@ import pytest
 import wavelab
 from wavelab import experiments, solver, verify
 from wavelab.cli import main, parse_suite
+from wavelab.core import NONLINEARITIES, Grid
+from wavelab.energy import window_rows
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.solver import run_family
 
@@ -245,6 +247,22 @@ def test_monotonicity_check_allows_the_solver_slack(monkeypatch, factor, passed)
     assert result.passed == passed
     beyond = rise - solver.MONOTONICITY_SLACK * e0
     assert result.detail == f"worst rise beyond slack {beyond:.2e} (g=identity, p=1)"
+
+
+def test_dissipation_identity_reads_the_first_half_of_the_ladder():
+    # the dissipation identity reads the T = 4 records of the auxiliary
+    # equivalence's T = 8 run; they are a T = 4 run's, bit for bit
+    sc = solver.Scenario(name="diss_128", grid=Grid(128), t_final=4.0,
+                         p_list=(2.0,), g=NONLINEARITIES["arctan"](),
+                         a=verify._localized_damping(), initial=verify._moderate_data())
+    short = solver.run_simulation(sc)
+    ladder = verify._arctan_ladder(128)["traj"]
+    assert ladder.scenario.t_final == 8.0
+    rows = window_rows(ladder.times, (0.0, 4.0))
+    assert rows == slice(0, len(short.times))
+    assert ladder.times[rows].tobytes() == short.times.tobytes()
+    for key in ("E_p2", "dEdt_p2"):
+        assert ladder.diagnostics[key][rows].tobytes() == short.diagnostics[key].tobytes()
 
 
 def _loaded_by(modules):

@@ -19,7 +19,8 @@ from wavelab.solver import (
     MONOTONICITY_SLACK, RECORD_BLOCK_VALUES, EnergyMonotonicityError,
     InitialData, NewtonError, Scenario, ThetaBoundError, ThetaField,
     _damping_substep_nodal, _implicit_damping_update, damped_support,
-    run_auxiliary, run_derivative_system, run_family, run_simulation, step,
+    run_auxiliary, run_auxiliary_rerun, run_derivative_system, run_family,
+    run_simulation, step,
     theta_from_run, transport_shift,
 )
 
@@ -73,6 +74,8 @@ class TestTransport:
 
 class TestImplicitDamping:
     def test_linear_closed_form(self):
+        # runs take a linear g's closed form in the substep; Newton, given
+        # one, meets it to roundoff
         u = _implicit_damping_update(np.array([1.0]), np.array([0.1]),
                                      identity_damping())
         assert u[0] == pytest.approx(1.0 / 1.1, rel=1e-15)
@@ -110,10 +113,10 @@ class TestImplicitDamping:
 
 
 def _reference_update(u_old, c, g):
-    """_implicit_damping_update as written with np.clip, ndarray.all, np.all
-    and an upfront copy of u_old; the kernel must match it bit for bit."""
-    if g.linear_slope is not None:
-        return u_old / (1.0 + c * g.linear_slope)
+    """_implicit_damping_update as written with np.clip, ndarray.all, np.all,
+    np.asarray around g and an upfront copy of u_old; the kernel must match
+    it bit for bit. A linear g is solved by Newton here too: the closed form
+    is the substep's (_substep_args)."""
     u = u_old.copy()
     tol = solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
     converged = False
@@ -164,8 +167,9 @@ def _reference_bisect(u_old, c, g, tol):
 
 
 def _reference_slice_substep(state, c, support, g=None):
-    """_damping_substep_nodal as written with a zero delta array and the
-    full-array rho + d, xi - d."""
+    """_damping_substep_nodal as written with a zero delta array, the
+    full-array rho + d, xi - d and, for g = None, the coefficient c of
+    u / (1 + c)."""
     u = 0.5 * (state.rho[..., support] - state.xi[..., support])
     u_new = u / (1.0 + c) if g is None else _reference_update(u, c, g)
     d = np.zeros_like(state.rho)
@@ -254,7 +258,8 @@ class TestKernelMatchesReference:
         xi[..., support] -= u_old
         state = RiemannState(rho=rho, xi=xi, t=0.0)
         gs = [None if g is None else _counted(g, counts) for counts in (calls, ref_calls)]
-        got = _outcome(_damping_substep_nodal, state, c, support, gs[0])
+        coef = 1.0 + c if g is None else c  # the closed form takes its denominator
+        got = _outcome(_damping_substep_nodal, state, coef, support, gs[0])
         ref = _outcome(_reference_slice_substep, state, c, support, gs[1])
         assert got[0] == ref[0]
         if got[0] == "ok":
@@ -263,6 +268,13 @@ class TestKernelMatchesReference:
                 _assert_bitwise(new[..., support], old[..., support])
             assert got[1].t == ref[1].t
         assert calls == ref_calls
+        if got[0] == "ok":
+            # in place: the same bits, written into the state's own arrays
+            own = RiemannState(rho=rho.copy(), xi=xi.copy(), t=0.0)
+            out = _damping_substep_nodal(own, coef, support, g, in_place=True)
+            assert out is own
+            _assert_bitwise(own.rho, got[1].rho)
+            _assert_bitwise(own.xi, got[1].xi)
 
     def test_stiff_example_reaches_bisection(self, monkeypatch):
         rows = []
@@ -325,14 +337,47 @@ class TestInputsNotWritten:
         _assert_bitwise(rho, kept[0])
         _assert_bitwise(xi, kept[1])
 
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("g", ["arctan", "identity"])
+    def test_step(self, rows, splitting, g):
+        # only the second strang substep damps in place, on transport's
+        # output; a first substep in place would write the caller's state
+        sc = _scenario(n=16, g=GS[g](), splitting=splitting)
+        rng = np.random.default_rng(5)
+        rho, xi = _read_only(rng.normal(size=(*rows, sc.grid.n_nodes)),
+                             rng.normal(size=(*rows, sc.grid.n_nodes)))
+        kept = rho.copy(), xi.copy()
+        out = step(RiemannState(rho=rho, xi=xi, t=0.0), sc, sc.a_nodes,
+                   support=sc.support)
+        assert not np.shares_memory(out.rho, rho) and not np.shares_memory(out.xi, xi)
+        _assert_bitwise(rho, kept[0])
+        _assert_bitwise(xi, kept[1])
+
 
 def _reference_substep(state, c, g):
     """The damping substep on every node, with c given on the whole grid;
-    g = None is the closed-form linear update u / (1 + c)."""
+    g = None is the closed-form linear update u / (1 + c), and a linear g
+    the closed form u / (1 + c slope)."""
     u = 0.5 * (state.rho - state.xi)
-    u_new = u / (1.0 + c) if g is None else _implicit_damping_update(u, c, g)
+    if g is None:
+        u_new = u / (1.0 + c)
+    elif g.linear_slope is not None:
+        u_new = u / (1.0 + c * g.linear_slope)
+    else:
+        u_new = _implicit_damping_update(u, c, g)
     d = u_new - u
     return RiemannState(rho=state.rho + d, xi=state.xi - d, t=state.t)
+
+
+def _substep_args(c, g):
+    """(coef, g) as _damping_substep_nodal takes the coefficient c with g: a
+    linear g and g = None in the closed form, with its denominator."""
+    if g is None:
+        return 1.0 + c, None
+    if g.linear_slope is not None:
+        return 1.0 + c * g.linear_slope, None
+    return c, g
 
 
 def _reference_step(state, sc):
@@ -385,10 +430,34 @@ class TestRestrictedKernel:
     def test_step_matches_full_grid_reference(self, profile, g, splitting):
         sc = _scenario(g=GS[g](), a=PROFILES[profile], splitting=splitting)
         state = _random_state(sc.grid.n_cells)
-        out = step(state, sc)
         ref = _reference_step(state, sc)
-        np.testing.assert_array_equal(out.rho, ref.rho)
-        np.testing.assert_array_equal(out.xi, ref.xi)
+        # the scenario's cached coefficient, and one built from another array
+        for out in (step(state, sc), step(state, sc, np.array(sc.a_nodes))):
+            np.testing.assert_array_equal(out.rho, ref.rho)
+            np.testing.assert_array_equal(out.xi, ref.xi)
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_linear_g_of_any_slope_matches_the_reference(self, splitting):
+        # slope 2.5: the denominator 1 + c slope is built once per run, with
+        # the multiplication by the slope the closed form always had
+        g = Nonlinearity(lambda s: 2.5 * s,
+                         lambda s: np.full_like(np.asarray(s, dtype=float), 2.5),
+                         "linear", linear_slope=2.5)
+        sc = _scenario(n=32, t_final=0.5, g=g, splitting=splitting)
+        state = _random_state(sc.grid.n_cells)
+        ref = _reference_step(state, sc)
+        for out in (step(state, sc, sc.a_nodes, support=sc.support),
+                    step(state, sc, np.array(sc.a_nodes))):
+            _assert_bitwise(out.rho, ref.rho)
+            _assert_bitwise(out.xi, ref.xi)
+        family = _family(sc, (1.0, 4.0))
+        _, (rho, xi) = run_kept(run_family, family)
+        for b, row in enumerate(family):
+            s = row.initial.riemann(row.grid)
+            for k in range(row.n_steps):
+                s = _reference_step(s, row)
+                _assert_bitwise(rho[k + 1, b], s.rho)
+                _assert_bitwise(xi[k + 1, b], s.xi)
 
     @pytest.mark.parametrize("g", sorted(GS) + ["linear"])
     @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -400,7 +469,8 @@ class TestRestrictedKernel:
         nl = None if g == "linear" else GS[g]()
         state = _random_state(grid.n_cells)
         support = damped_support(a_nodes)
-        out = _damping_substep_nodal(state, c[support], support, nl)
+        coef, substep_g = _substep_args(c[support], nl)
+        out = _damping_substep_nodal(state, coef, support, substep_g)
         ref = _reference_substep(state, c, nl)
         np.testing.assert_array_equal(out.rho, ref.rho)
         np.testing.assert_array_equal(out.xi, ref.xi)
@@ -557,6 +627,20 @@ class TestScenarioGridValues:
         with pytest.raises(ValueError, match="read-only"):
             sc.a_nodes[0] = 1.0
 
+    @pytest.mark.parametrize("splitting, h", [("strang", 0.5), ("lie", 1.0)])
+    def test_substep_coef_is_built_once_read_only(self, splitting, h):
+        # h a on the support for a nonlinear g; 1 + (h a) slope for a linear g
+        sc = _scenario(splitting=splitting)
+        assert sc.substep_lengths == (h * sc.dt,) * (2 if splitting == "strang" else 1)
+        c = h * sc.dt * sc.a_nodes[sc.support]
+        assert sc.substep_coef is sc.substep_coef
+        _assert_bitwise(sc.substep_coef, c)
+        with pytest.raises(ValueError, match="read-only"):
+            sc.substep_coef[0] = 1.0
+        linear = replace(sc, g=identity_damping())
+        _assert_bitwise(linear.substep_coef, 1.0 + c * 1.0)
+        assert not linear.substep_coef.flags.writeable
+
     @pytest.mark.parametrize("p_list", [(2.0, 2.0000001), (1.5, 2.0, 2.0)])
     def test_exponents_sharing_a_diagnostics_key_rejected(self, p_list):
         with pytest.raises(ValueError, match="share 'E_p2'"):
@@ -569,6 +653,11 @@ class TestScenarioGridValues:
         moved = replace(sc, a=other)
         np.testing.assert_array_equal(moved.a_nodes, other.value(sc.grid.nodes))
         assert moved.support == slice(0, 33)
+        # and its own coefficient table, from its own a and splitting
+        assert sc.substep_coef.shape != (33,)
+        _assert_bitwise(moved.substep_coef, 0.5 * sc.dt * moved.a_nodes)
+        lie = replace(moved, splitting="lie")
+        _assert_bitwise(lie.substep_coef, sc.dt * moved.a_nodes)
 
 
 def _logged_theta(log):
@@ -598,7 +687,7 @@ def _auxiliary_ref(sc, theta):
 
     def damp(s, dt_sub, t_mid):
         c = dt_sub * a_damped * theta(t_mid, xs)[support]
-        return _damping_substep_nodal(s, c, support)
+        return _damping_substep_nodal(s, 1.0 + c, support)
 
     s = sc.initial.riemann(grid)
     theta(s.t, xs)
@@ -800,38 +889,64 @@ class TestDerivativeSystem:
 
 class TestSplitKernel:
     """The traced benchmark run counts calls of solver.transport_shift and
-    solver.step, so every run must reach them through the module bindings."""
+    solver.step, so every run must reach them through the module bindings.
+    It counts a step's active nodes once per array identity of its third
+    positional argument, so every step gets scenario.a_nodes itself there:
+    step(s, sc) would make it sample a(x) again on every step."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = Counter()
+        calls, step_args = Counter(), []
         for name in ("transport_shift", "step", "_damping_substep_nodal"):
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args, **kwargs)
+                if _name != "step":
+                    return _fn(*args, **kwargs)
+                before = calls["transport_shift"]
+                out = _fn(*args, **kwargs)
+                step_args.append((args, calls["transport_shift"] - before))
+                return out
             monkeypatch.setattr(solver, name, counted)
-        return calls
+        return calls, step_args
 
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
     def test_runs_call_the_module_bindings(self, monkeypatch, splitting):
         sc = _scenario(n=32, t_final=0.5, splitting=splitting, record_every=4)
         n = sc.n_steps
         substeps = 2 * n if splitting == "strang" else n
-        calls = self._count(monkeypatch)
+        calls, step_args = self._count(monkeypatch)
+
+        def each_step_passes(a_nodes):
+            # a_nodes itself as the third positional argument, and one
+            # transport_shift inside every step
+            assert len(step_args) == n
+            for args, transports in step_args:
+                assert len(args) > 2 and args[2] is a_nodes
+                assert transports == 1
+            step_args.clear()
+            calls.clear()
+
         run_simulation(sc)
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
-        calls.clear()
+        each_step_passes(sc.a_nodes)
         run_auxiliary(sc, ThetaField(lambda t, x: np.ones_like(x), (1.0, 1.0)))
         assert calls == {"transport_shift": n, "_damping_substep_nodal": substeps}
         calls.clear()
         run_derivative_system(sc)
         assert calls == {"transport_shift": 2 * n, "step": n,
                          "_damping_substep_nodal": 2 * substeps}
-        calls.clear()
-        run_family(_family(sc, (1.0, 2.0, 4.0)))
+        each_step_passes(sc.a_nodes)
+        family = _family(sc, (1.0, 2.0, 4.0))
+        run_family(family)
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
+        each_step_passes(family[0].a_nodes)
+        dense = replace(sc, record_every=1)
+        run_auxiliary_rerun(dense)
+        assert calls == {"transport_shift": 2 * n, "step": n,
+                         "_damping_substep_nodal": 2 * substeps}
+        each_step_passes(dense.a_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +1069,11 @@ def _derivative_system_ref(sc):
         # looked up on the module, as step does, so that tests can patch it
         substep = solver._damping_substep_nodal
         if sc.splitting == "strang":
-            w_state = substep(w_state, 0.5 * dt * theta_n, support)
+            w_state = substep(w_state, 1.0 + 0.5 * dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
-            w_state = substep(w_state, 0.5 * dt * theta_np1, support)
+            w_state = substep(w_state, 1.0 + 0.5 * dt * theta_np1, support)
         else:
-            w_state = substep(w_state, dt * theta_n, support)
+            w_state = substep(w_state, 1.0 + dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
         theta_n = theta_np1
         if _recorded(sc, n):
@@ -1019,13 +1134,14 @@ def _block_len(sc):
 
 def _pumping_substep(t_bad, t_fail=None):
     """The damping substep with its update reversed and amplified from t_bad
-    on, so the energy rises; from t_fail on it raises NewtonError instead."""
+    on, so the energy rises; from t_fail on it raises NewtonError instead.
+    It never damps in place: the pumped update reads the state it was given."""
     real = solver._damping_substep_nodal
 
-    def substep(state, c, support, g=None):
+    def substep(state, coef, support, g=None, in_place=False):
         if t_fail is not None and state.t >= t_fail:
             raise NewtonError(f"injected failure at t = {state.t}")
-        out = real(state, c, support, g)
+        out = real(state, coef, support, g)
         if state.t < t_bad:
             return out
         return RiemannState(rho=state.rho + 2.0 * (state.rho - out.rho),
@@ -1285,11 +1401,11 @@ class TestRecordBuffers:
 
 def _pumping_rows(starts):
     """_pumping_substep for the rows of a family: row b is pumped from
-    t = starts[b] on."""
+    t = starts[b] on; it never damps in place either."""
     real = solver._damping_substep_nodal
 
-    def substep(state, c, support, g=None):
-        out = real(state, c, support, g)
+    def substep(state, coef, support, g=None, in_place=False):
+        out = real(state, coef, support, g)
         rows = [b for b, t_bad in starts.items() if state.t >= t_bad]
         rho, xi = out.rho.copy(), out.xi.copy()
         rho[rows] = state.rho[rows] + 2.0 * (state.rho[rows] - out.rho[rows])
