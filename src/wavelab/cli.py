@@ -26,9 +26,7 @@ from .core import (
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
 from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, window_rows
-from .experiments import (
-    EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window, sweep_fit_window,
-)
+from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
@@ -233,6 +231,16 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     def profile(text: str) -> Profile:
         return parse_profile(text).scaled(amplitude)
 
+    def scalings(text: str) -> tuple[float, ...]:
+        alphas = _parse_floats(text)
+        rows = [f"{name}_a{alpha:g}" for alpha in alphas]
+        if not alphas or len(set(rows)) < len(rows):
+            raise ConfigError(f"needs one or more alphas naming distinct rows, "
+                              f"got [{', '.join(rows)}]")
+        if co_integrate_w:
+            raise ConfigError("co_integrate_w = true has no family form for the rows")
+        return alphas
+
     grid = value("n_cells", lambda text: Grid(int(text)))
     t_final = value("t_final", _finite)
     p_list = value("p_list", exponents)
@@ -260,12 +268,13 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         with _scenario_key(name, "epsilons"):
             make_localization((a.omega[0], 1.0), epsilons, grid)
 
+    co_integrate_w = value("co_integrate_w", _parse_bool)
     spec = ScenarioSpec(
         scenario=scenario,
         fit_window=value("fit_window", lambda text: _parse_floats(text, 2)),
-        alphas=value("alphas", _parse_floats) or (), epsilons=epsilons,
+        alphas=value("alphas", scalings) or (), epsilons=epsilons,
         window=value("window", lambda text: _parse_floats(text, 2)),
-        co_integrate_w=value("co_integrate_w", _parse_bool), raw=dict(raw))
+        co_integrate_w=co_integrate_w, raw=dict(raw))
 
     # each window, its default (experiments) resolved, must fit the run,
     # t_final rounded to whole steps, and hold the records its consumer needs:
@@ -278,9 +287,9 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         if held < need:
             raise ConfigError(f"{what} holds {held} record(s); the {consumer} at least {need}")
 
-    fit = sweep_fit_window(spec) if kind == "semi_global_sweep" else spec.fit_window
+    fit = spec.fit_window
     if fit is not None:
-        what = f"{'' if spec.fit_window else 'the default '}({fit[0]:g}, {fit[1]:g})"
+        what = f"({fit[0]:g}, {fit[1]:g})"
         with _scenario_key(name, "fit_window"):
             if not fit[0] < fit[1]:
                 raise ConfigError(f"{what} needs t_lo < t_hi")
@@ -404,14 +413,14 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _jobs(text: str) -> int:
-    """--jobs N: a whole number of worker processes, N >= 1."""
+def _count(text: str) -> int:
+    """A whole number >= 1, as --jobs (worker processes) and --k (a mode) take."""
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(f"N must be a whole number >= 1, got '{text}'")
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got '{text}'")
     return n
 
 
@@ -425,14 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("suite_file", type=Path)
     p_run.add_argument("--out", default=None, help="output directory "
                        "(WAVELAB_OUT env var takes precedence)")
-    p_run.add_argument("--jobs", type=_jobs, default=1, metavar="N")
+    p_run.add_argument("--jobs", type=_count, default=1, metavar="N")
 
     sub.add_parser("verify", help="run the built-in acceptance suite")
 
     p_or = sub.add_parser("oracle", help="evaluate a reference oracle")
     p_or.add_argument("case", choices=["modal"])
-    p_or.add_argument("--a0", type=float, default=0.5)
-    p_or.add_argument("--k", type=int, default=1)
+    p_or.add_argument("--a0", type=_finite, default=0.5)
+    p_or.add_argument("--k", type=_count, default=1)
     return parser
 
 

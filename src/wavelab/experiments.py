@@ -10,10 +10,10 @@ import numpy as np
 
 from . import multipliers as _mult
 from .core import make_localization, nu_ratio
-from .energy import build_energy_report, energy_p_nodal, observability_ratio
+from .energy import build_energy_report, energy_p, observability_ratio
 from .solver import (
-    Scenario, run_auxiliary_rerun, run_derivative_system, run_family,
-    run_simulation,
+    Scenario, Trajectory, run_auxiliary_rerun, run_derivative_system,
+    run_family, run_simulation,
 )
 
 
@@ -32,29 +32,47 @@ class ScenarioSpec:
     raw: dict[str, str] | None = None
 
 
+def _decay_summary(spec: ScenarioSpec, traj: Trajectory) -> dict:
+    """traj's "fits" on spec.fit_window and "observability_ratio" on spec.window, per p."""
+    summary: dict = {"fits": {}}
+    fit_window = spec.fit_window
+    for p in spec.scenario.p_list if fit_window else ():
+        try:
+            fit = build_energy_report(traj, p, fit_window).fit
+            entry = {"fitted_rate": fit.rate, "r2": fit.r2, "window": list(fit_window)}
+        except ValueError as exc:  # too few records above the fit floor
+            entry = {"window": list(fit_window), "error": str(exc)}
+        summary["fits"][f"{p:g}"] = entry
+    if spec.window is not None:
+        summary["observability_ratio"] = {
+            f"{p:g}": observability_ratio(traj, p, spec.window) for p in spec.scenario.p_list}
+    return summary
+
+
 def run_one_simulation(spec: ScenarioSpec) -> dict:
+    """The run's _decay_summary and energies. With alphas, one row per alpha
+    instead, the data scaled by alpha and all rows run as one family: each
+    row has its _decay_summary and the strong-norm proxy
+    c_p = (p E_p(w)(0))^(1/p) per p, and no energies are written."""
     sc = spec.scenario
+    head = {"name": sc.name, "t_final": sc.t_final_actual, "n_cells": sc.grid.n_cells}
+    if spec.alphas:
+        family = [replace(sc, name=f"{sc.name}_a{alpha:g}",
+                          initial=sc.initial.scaled(alpha)) for alpha in spec.alphas]
+        a_nodes = family[0].a_nodes  # every row's, sampled once
+        rows = []
+        for alpha, traj in zip(spec.alphas, run_family(family)):
+            w0 = traj.scenario.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
+            c_p = {f"{p:g}": (p * energy_p(w0, p, sc.grid)) ** (1.0 / p) for p in sc.p_list}
+            rows.append({"alpha": alpha, **_decay_summary(spec, traj), "c_p": c_p})
+        return {"summary": {**head, "rows": rows}, "traj": None, "w_traj": None}
     if spec.co_integrate_w:
         traj, w_traj = run_derivative_system(sc)
     else:
         traj = run_simulation(sc)
         w_traj = None
-    summary: dict = {"name": sc.name, "t_final": sc.t_final_actual,
-                     "n_cells": sc.grid.n_cells, "fits": {}}
-    for p in sc.p_list:
-        try:
-            fit = build_energy_report(traj, p, spec.fit_window).fit
-        except ValueError as exc:  # too few records above the fit floor
-            summary["fits"][f"{p:g}"] = {"window": list(spec.fit_window),
-                                         "error": str(exc)}
-            continue
-        if fit is not None:
-            summary["fits"][f"{p:g}"] = {"fitted_rate": fit.rate, "r2": fit.r2,
-                                         "window": list(fit.window)}
-    if spec.window is not None:
-        summary["observability_ratio"] = {
-            f"{p:g}": observability_ratio(traj, p, spec.window) for p in sc.p_list}
-    return {"summary": summary, "traj": traj, "w_traj": w_traj}
+    return {"summary": {**head, **_decay_summary(spec, traj)},
+            "traj": traj, "w_traj": w_traj}
 
 
 def run_aux_equivalence(spec: ScenarioSpec) -> dict:
@@ -79,43 +97,6 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
         "nu_bounds": [nu1, nu2],
         "theta_inside_nu_bounds": bool(nu1 - 1e-12 <= th1 and th2 <= nu2 + 1e-12),
     }, "traj": traj_nl, "w_traj": None}
-
-
-def sweep_fit_window(spec: ScenarioSpec) -> tuple[float, float]:
-    """The sweep's fit window: spec.fit_window, by default 2 to 0.9 t_final."""
-    return spec.fit_window or (2.0, spec.scenario.t_final * 0.9)
-
-
-def run_semi_global_sweep(spec: ScenarioSpec) -> dict:
-    """Scale the initial data by each alpha (default 1, 4, 16), fit the decay
-    rate on a fixed window (sweep_fit_window), and report
-    (alpha, strong-norm proxy c_p, rate) per exponent. The nonzero alphas
-    run as one family (run_family)."""
-    base = spec.scenario
-    alphas = spec.alphas or (1.0, 4.0, 16.0)
-    fit_window = sweep_fit_window(spec)
-    family = [replace(base, name=f"{base.name}_a{alpha:g}",
-                      initial=base.initial.scaled(alpha))
-              for alpha in alphas if alpha != 0.0]
-    runs = iter(run_family(family))
-    entries = []
-    for alpha in alphas:
-        if alpha == 0.0:
-            entries.append({"alpha": 0.0, "degenerate": True})
-            continue
-        traj = next(runs)
-        sc = traj.scenario
-        w0 = sc.initial.derivative_system_data(sc.grid, sc.a_nodes, sc.g)
-        entry: dict = {"alpha": alpha, "degenerate": False, "rates": {}}
-        for p in sc.p_list:
-            rep = build_energy_report(traj, p, fit_window)
-            c_p = (p * energy_p_nodal(w0.rho, w0.xi, p, sc.grid.dx)) ** (1.0 / p)
-            entry["rates"][f"{p:g}"] = {"rate": rep.fit.rate, "r2": rep.fit.r2,
-                                        "c_p": c_p}
-        entries.append(entry)
-    return {"summary": {"name": base.name, "alphas": list(alphas),
-                        "entries": entries},
-            "traj": None, "w_traj": None}
 
 
 def multiplier_window(spec: ScenarioSpec) -> tuple[float, float]:
@@ -146,11 +127,9 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
 EXPERIMENTS: dict[str, Callable[[ScenarioSpec], dict]] = {
     "simulate": run_one_simulation,
     "aux_equivalence": run_aux_equivalence,
-    "semi_global_sweep": run_semi_global_sweep,
     "multiplier_report": run_one_multiplier_report,
 }
 #: the ScenarioSpec extras, suite keys of the same name, that the runner of
 #: each kind reads; every kind reads its Scenario
-SPEC_KEYS = {"simulate": ("fit_window", "window", "co_integrate_w"),
-             "aux_equivalence": (), "semi_global_sweep": ("fit_window", "alphas"),
-             "multiplier_report": ("window", "epsilons")}
+SPEC_KEYS = {"simulate": ("fit_window", "window", "co_integrate_w", "alphas"),
+             "aux_equivalence": (), "multiplier_report": ("window", "epsilons")}

@@ -26,7 +26,7 @@ from .energy import (
     build_energy_report, energy_p, modified_energy_functional,
     observability_ratio, phi_functional, sobolev_bound_check, window_rows,
 )
-from .experiments import ScenarioSpec, run_aux_equivalence, run_semi_global_sweep
+from .experiments import ScenarioSpec, run_aux_equivalence, run_one_simulation
 from .multipliers import elliptic_solve
 from .oracle import dalembert_riemann, modal_rate
 from .solver import (
@@ -197,9 +197,9 @@ def check_semi_global_dependence() -> CheckResult:
         base = Scenario(name=f"sweep_{g_name}", grid=Grid(128), t_final=30.0,
                         p_list=(2.0,), g=NONLINEARITIES[g_name](),
                         a=_localized_damping(), initial=_moderate_data())
-        # the sweep's default alphas, 1, 4 and 16
-        rep = run_semi_global_sweep(ScenarioSpec(base, fit_window=(5.0, 30.0)))["summary"]
-        return [entry["rates"]["2"]["rate"] for entry in rep["entries"]]
+        rep = run_one_simulation(ScenarioSpec(base, fit_window=(5.0, 30.0),
+                                              alphas=(1.0, 4.0, 16.0)))["summary"]
+        return [row["fits"]["2"].get("fitted_rate", np.nan) for row in rep["rows"]]
 
     sat = sweep("saturating")
     lin = sweep("identity")

@@ -18,9 +18,8 @@ from wavelab.solver import run_derivative_system, run_simulation
 
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
-#: need 3; the sweep reads alphas
-BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report",
-                   "alphas = nan": "semi_global_sweep"}
+#: need 3
+BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report"}
 
 #: a good value of each key that some kinds read and the others refuse
 SPEC_VALUES = {"fit_window": "0.5, 2", "window": "0, 1", "co_integrate_w": "true",
@@ -131,7 +130,7 @@ class TestSuiteParsing:
             parse_suite(GOOD_SUITE.replace("g = arctan", "g = nonmonotone"))
 
     def test_inactive_damping_rejected_for_stability_kinds(self):
-        text = GOOD_SUITE.replace("kind = simulate", "kind = semi_global_sweep")
+        text = _as_kind(GOOD_SUITE, "aux_equivalence")
         text = text.replace("a = smooth_indicator(0.7, 1, 2, 0.05)", "a = zero")
         with pytest.raises(HypothesisViolation):
             parse_suite(text)
@@ -187,6 +186,9 @@ class TestMainEndToEnd:
         ("p_list =", "p_list"),
         ("amplitude = nan", "amplitude"),
         ("alphas = nan", "alphas"),
+        ("alphas =", "alphas"),
+        ("alphas = 1, 1.0000001", "alphas"),
+        ("alphas = 1, 2\nco_integrate_w = true", "alphas"),
         ("fit_window = nan, 1", "fit_window"),
         ("a = constant(nan)", "a"),
         ("t_final = nan", "t_final"),
@@ -212,31 +214,6 @@ class TestMainEndToEnd:
         assert (err.startswith(f"config error: scenario 'demo': key '{key}': ")
                 or err.startswith(f"config error: scenario 'demo': {key} must be"))
         assert not (tmp_path / "o").exists()
-
-    def test_empty_default_sweep_fit_window_is_a_config_error(self, tmp_path, capsys):
-        # without fit_window the sweep fits on (2, 0.9 t_final), which is
-        # empty for t_final = 2
-        text = GOOD_SUITE.replace("kind = simulate", "kind = semi_global_sweep")
-        suite_file = tmp_path / "bad.ini"
-        suite_file.write_text(text.replace("fit_window = 0.5, 2\n", ""))
-        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err == ("config error: scenario 'demo': key 'fit_window': "
-                       "the default (2, 1.8) needs t_lo < t_hi\n")
-        assert not (tmp_path / "o").exists()
-        parse_suite(text)  # an explicit fit_window replaces the default
-
-    def test_default_sweep_fit_window_needs_ten_records(self, tmp_path, capsys):
-        # records every 0.5 put 4 of them in the default window (2, 3.6)
-        text = (GOOD_SUITE.replace("kind = simulate", "kind = semi_global_sweep")
-                .replace("t_final = 2", "t_final = 4").replace("fit_window = 0.5, 2\n", ""))
-        suite_file = tmp_path / "bad.ini"
-        suite_file.write_text(text + "record_every = 32\n")
-        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err == ("config error: scenario 'demo': key 'fit_window': the default "
-                       "(2, 3.6) holds 4 record(s); the decay fit needs at least 10\n")
-        parse_suite(text + "record_every = 8\n")  # 13 records in the window
 
     def test_default_multiplier_window_needs_three_records(self, tmp_path, capsys):
         # without window the multiplier terms integrate over (0, t_final),
@@ -360,7 +337,7 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("usage: wavelab run ")
         assert err.endswith("wavelab run: error: argument --jobs: "
-                            f"N must be a whole number >= 1, got '{jobs}'\n")
+                            f"must be a whole number >= 1, got '{jobs}'\n")
         assert not (tmp_path / "o").exists()
 
     def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):
@@ -404,6 +381,22 @@ class TestMainEndToEnd:
         assert main(["oracle", "modal", "--a0", "10", "--k", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["energy_rate"] == pytest.approx(2.22043816171871)
+
+    @pytest.mark.parametrize("flag, value, why", [
+        ("--k", "0", "must be a whole number >= 1, got '0'"),
+        ("--k", "-3", "must be a whole number >= 1, got '-3'"),
+        ("--k", "1.5", "must be a whole number >= 1, got '1.5'"),
+        ("--a0", "nan", "invalid _finite value: 'nan'"),
+        ("--a0", "-inf", "invalid _finite value: '-inf'"),
+        ("--a0", "abc", "invalid _finite value: 'abc'"),
+    ])
+    def test_bad_oracle_input_is_a_usage_error(self, capsys, flag, value, why):
+        with pytest.raises(SystemExit) as exited:
+            main(["oracle", "modal", f"{flag}={value}"])
+        assert exited.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: wavelab oracle ")
+        assert err.endswith(f"wavelab oracle: error: argument {flag}: {why}\n")
 
 
 #: values that are not a number, not finite, empty, negative, garbage or a

@@ -19,7 +19,7 @@ import wavelab
 from wavelab import experiments, solver, verify
 from wavelab.cli import main, parse_suite
 from wavelab.core import NONLINEARITIES, Grid
-from wavelab.energy import window_rows
+from wavelab.energy import decay_fit, observability_ratio, window_rows
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.solver import run_family
 
@@ -28,19 +28,20 @@ from kept import run_kept
 SCENARIO = {"n_cells": "32", "t_final": "4", "p_list": "1.5, 2", "g": "arctan",
             "a": "smooth_indicator(0.7, 1, 2, 0.05)", "amplitude": "0.5"}
 
-#: the keys each kind adds to SCENARIO; the sweep runs on its defaults
+#: the keys each case adds to SCENARIO: a case is an experiment kind, or
+#: simulate_alphas, simulate with one row per alpha
 EXTRA = {
     "simulate": {"co_integrate_w": "true", "fit_window": "1, 4", "window": "0, 2"},
+    "simulate_alphas": {"alphas": "1, 4, 16", "fit_window": "1, 4", "window": "0, 2"},
     "aux_equivalence": {},
-    "semi_global_sweep": {},
     "multiplier_report": {"epsilons": "0.15, 0.1, 0.05"},
 }
 
 
-def _suite(kind, *scenarios):
-    """Suite text with one [scenario NAME] section per (NAME, keys), the
-    keys given over those of SCENARIO."""
-    text = f"[suite]\nkind = {kind}\n"
+def _suite(case, *scenarios):
+    """Suite text of the case's kind with one [scenario NAME] section per
+    (NAME, keys), the keys given over those of SCENARIO."""
+    text = f"[suite]\nkind = {case.removesuffix('_alphas')}\n"
     for name, keys in scenarios:
         text += f"\n[scenario {name}]\n" + "".join(
             f"{key} = {value}\n" for key, value in {**SCENARIO, **keys}.items())
@@ -77,12 +78,16 @@ def _check_aux(summary, csv_header):
     assert summary["theta_inside_nu_bounds"] is True
 
 
-def _check_sweep(summary, csv_header):
+def _check_rows(summary, csv_header):
     assert csv_header is None
-    assert summary["alphas"] == [1.0, 4.0, 16.0]
-    for entry in summary["entries"]:
-        assert set(entry["rates"]) == {"1.5", "2"}
-        assert all(set(r) == {"rate", "r2", "c_p"} for r in entry["rates"].values())
+    assert list(summary) == ["name", "t_final", "n_cells", "rows"]
+    assert [row["alpha"] for row in summary["rows"]] == [1.0, 4.0, 16.0]
+    for row in summary["rows"]:
+        assert list(row) == ["alpha", "fits", "observability_ratio", "c_p"]
+        assert set(row["fits"]) == set(row["observability_ratio"]) == {"1.5", "2"}
+        assert all(fit["fitted_rate"] > 0.0 for fit in row["fits"].values())
+    c_2 = [row["c_p"]["2"] for row in summary["rows"]]
+    assert c_2[1] == pytest.approx(4 * c_2[0]) and c_2[2] == pytest.approx(16 * c_2[0])
 
 
 def _check_multiplier(summary, csv_header):
@@ -94,7 +99,7 @@ def _check_multiplier(summary, csv_header):
 @pytest.mark.parametrize("kind, files, check", [
     ("simulate", ["energies_one.csv", "summary_one.json"], _check_simulate),
     ("aux_equivalence", ["energies_one.csv", "summary_one.json"], _check_aux),
-    ("semi_global_sweep", ["summary_one.json"], _check_sweep),
+    ("simulate_alphas", ["summary_one.json"], _check_rows),
     ("multiplier_report", ["energies_one.csv", "summary_one.json"],
      _check_multiplier),
 ])
@@ -110,12 +115,12 @@ def test_every_kind_runs_end_to_end(tmp_path, kind, files, check):
 
 
 @pytest.mark.parametrize("kind, samplings", [
-    ("simulate", 1), ("aux_equivalence", 1), ("semi_global_sweep", 3),
+    ("simulate", 1), ("aux_equivalence", 1), ("simulate_alphas", 1),
     ("multiplier_report", 1),
 ])
 def test_each_scenario_samples_a_once(kind, samplings):
-    # Scenario.a_nodes samples a(x) once per scenario; the sweep runs one
-    # scaled scenario per alpha (1, 4, 16)
+    # Scenario.a_nodes samples a(x) once per scenario; the alphas rows, one
+    # scaled scenario per alpha, run as one family and read its samples
     spec = parse_suite(_suite(kind, ("one", EXTRA[kind]))).scenarios[0]
     a = spec.scenario.a
     calls = []
@@ -125,7 +130,7 @@ def test_each_scenario_samples_a_once(kind, samplings):
         return a.value(x)
 
     counted = replace(spec.scenario, a=replace(a, value=value))
-    EXPERIMENTS[kind](replace(spec, scenario=counted))
+    EXPERIMENTS[kind.removesuffix("_alphas")](replace(spec, scenario=counted))
     assert len(calls) == samplings
 
 
@@ -304,9 +309,8 @@ def test_numpy_is_the_only_third_party_import():
     assert third_party == {"numpy", "wavelab"}
 
 
-def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
-    spec = parse_suite(_suite("semi_global_sweep",
-                              ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
+def test_alphas_rows_run_as_one_family(monkeypatch):
+    spec = parse_suite(_suite("simulate", ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
     families = []
 
     def spy(scenarios):
@@ -314,10 +318,55 @@ def test_sweep_runs_its_nonzero_alphas_as_one_family(monkeypatch):
         return run_family(scenarios)
 
     monkeypatch.setattr(experiments, "run_family", spy)
-    summary = EXPERIMENTS["semi_global_sweep"](spec)["summary"]
-    assert families == [["one_a1", "one_a4"]]
-    assert [entry["degenerate"] for entry in summary["entries"]] == [False, True, False]
-    assert [entry["alpha"] for entry in summary["entries"]] == [1.0, 0.0, 4.0]
+    monkeypatch.setattr(experiments, "run_simulation", None)  # no row runs alone
+    result = EXPERIMENTS["simulate"](spec)
+    assert families == [["one_a1", "one_a0", "one_a4"]]
+    assert [row["alpha"] for row in result["summary"]["rows"]] == [1.0, 0.0, 4.0]
+    assert result["traj"] is None and result["w_traj"] is None
+
+
+def test_each_row_fits_as_its_scenario_alone():
+    # a row's fits and ratios are bitwise those of its scaled scenario run
+    # by run_simulation
+    spec = parse_suite(_suite("simulate_alphas", ("one", EXTRA["simulate_alphas"]))
+                       ).scenarios[0]
+    rows = EXPERIMENTS["simulate"](spec)["summary"]["rows"]
+    for alpha, row in zip(spec.alphas, rows):
+        sc = spec.scenario
+        alone = replace(sc, name=f"one_a{alpha:g}", initial=sc.initial.scaled(alpha))
+        traj = solver.run_simulation(alone)
+        for p in sc.p_list:
+            fit = decay_fit(traj.times, traj.energy_series(p), spec.fit_window)
+            assert row["fits"][f"{p:g}"] == {"fitted_rate": fit.rate, "r2": fit.r2,
+                                             "window": [1.0, 4.0]}
+            assert row["observability_ratio"][f"{p:g}"] == \
+                observability_ratio(traj, p, spec.window)
+
+
+def test_a_fully_decayed_fit_window_is_an_error_entry_per_row(tmp_path):
+    # E_p falls below the fit floor before t = 20 in every row: each row
+    # reports its fits as missing, and the scenario still exits 0
+    keys = {"n_cells": "64", "t_final": "30", "p_list": "2", "a": "constant(10)",
+            "amplitude": "1", "fit_window": "20, 30", "alphas": "1, 4, 16"}
+    code, out = _run(tmp_path, _suite("simulate", ("s", keys)))
+    assert code == 0
+    assert sorted(_files(out)) == ["summary_s.json"]
+    rows = json.loads((out / "summary_s.json").read_text())["rows"]
+    assert [row["fits"] for row in rows] == [{"2": {"window": [20.0, 30.0], "error": (
+        "decay_fit needs >= 10 points above the floor in (20.0, 30.0), got 0")}}] * 3
+
+
+def test_a_zero_alpha_row_takes_the_common_path(tmp_path):
+    # zero data: no record lies above the fit floor, and c_p is 0
+    code, out = _run(tmp_path, _suite("simulate", ("s", {"alphas": "1, 0",
+                                                          "fit_window": "1, 4"})))
+    assert code == 0
+    one, zero = json.loads((out / "summary_s.json").read_text())["rows"]
+    assert all(fit["fitted_rate"] > 0.0 for fit in one["fits"].values())
+    assert all(c_p > 0.0 for c_p in one["c_p"].values())
+    assert zero["alpha"] == 0.0
+    assert all("error" in fit for fit in zero["fits"].values())
+    assert zero["c_p"] == {"1.5": 0.0, "2": 0.0}
 
 
 def _aux_spec(n_cells, t_final, splitting="strang", p_list="1.5, 2"):
