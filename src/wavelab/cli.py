@@ -30,7 +30,6 @@ from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
-KINDS = (*EXPERIMENTS, "verify")
 #: experiment kinds that invoke the stability theory, which needs 1 < p < inf:
 #: every experiment but plain simulation
 STABILITY_KINDS = tuple(kind for kind in EXPERIMENTS if kind != "simulate")
@@ -175,7 +174,7 @@ def parse_suite(config_text: str) -> ExperimentSuite:
             raise ConfigError(f"[suite] section: unknown key '{key}' "
                               f"(allowed: {', '.join(sorted(_SUITE_KEYS))})")
     kind = suite_sec.get("kind", "simulate")
-    if kind not in KINDS:
+    if kind not in EXPERIMENTS:
         raise ConfigError(f"key 'kind': unknown experiment kind '{kind}'")
     output_dir = suite_sec.get("output_dir", "out")
 
@@ -191,7 +190,7 @@ def parse_suite(config_text: str) -> ExperimentSuite:
             raise ConfigError(f"duplicate scenario name '{name}'")
         names.add(name)
         specs.append(_parse_scenario(name, dict(cp[section]), kind))
-    if not specs and kind != "verify":
+    if not specs:
         raise ConfigError("no [scenario NAME] sections found")
     return ExperimentSuite(kind=kind, scenarios=tuple(specs),
                            output_dir=output_dir)
@@ -201,7 +200,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     for key in raw:  # [DEFAULT] keys included
         if key not in _SCENARIO_KEYS:
             raise ConfigError(f"scenario '{name}': unknown key '{key}'")
-        if key not in _RUN_KEYS and key not in SPEC_KEYS.get(kind, ()):
+        if key not in _RUN_KEYS and key not in SPEC_KEYS[kind]:
             raise ConfigError(f"scenario '{name}': key '{key}' is not read by "
                               f"experiment kind '{kind}'")
     stability = kind in STABILITY_KINDS
@@ -387,9 +386,6 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
               jobs: int = 1) -> int:
     """Run every scenario, write reports, return a process exit code: 0 iff
     all enabled assertions passed, else 1, or 3 if a scenario raised an error."""
-    if suite.kind == "verify":
-        from .verify import run_all
-        return _outcome("verify", lambda: 0 if all(r.passed for r in run_all()) else 1)
     out = output_dir or suite.output_dir
     # scenarios hold closures, so workers get the raw key=value form and
     # re-parse it; each worker writes its own reports
@@ -461,7 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         out = os.environ.get("WAVELAB_OUT") or args.out
         return run_suite(suite, output_dir=out, jobs=args.jobs)
     if args.command == "verify":
-        return run_suite(ExperimentSuite(kind="verify", scenarios=()))
+        from .verify import run_all
+        return _outcome("verify", lambda: 0 if all(r.passed for r in run_all()) else 1)
     if args.command == "oracle":
         from .oracle import modal_rate
         lp, lm, rate = modal_rate(args.a0, args.k)

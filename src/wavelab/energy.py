@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    Array, DampingProfile, Grid, Nonlinearity, RiemannState,
-    modified_big_g, modified_g, signed_power,
+    Array, Grid, RiemannState, modified_big_g, modified_g, signed_power,
 )
 
 
@@ -49,30 +48,17 @@ def energy_p(state: RiemannState, p: float, grid: Grid) -> float:
     return energy_p_nodal(state.rho, state.xi, p, grid.dx)
 
 
-def dissipation_rate_nodal(rho: Array, xi: Array, ag: Array, p: float,
-                           dx: float):
-    """dE_p/dt from nodal data, with ag = -a(x) g(z_t) at the nodes."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    integrand = ag * (signed_power(rho, p - 1.0) - signed_power(xi, p - 1.0))
-    return trapezoid(integrand, dx)
-
-
-def dissipation_rate(state: RiemannState, p: float, a: DampingProfile,
-                     g: Nonlinearity, grid: Grid) -> float:
-    """dE_p/dt = -int a(x) g((rho-xi)/2) (|rho|^(p-1) sgn rho - |xi|^(p-1) sgn xi) dx.
+def dissipation_rate(rho: Array, xi: Array, ag: Array, p: float, dx: float):
+    """dE_p/dt = -int a(x) g((rho-xi)/2) (|rho|^(p-1) sgn rho - |xi|^(p-1) sgn xi) dx,
+    from nodal data with ag = -a(x) g(z_t) at the nodes.
 
     Pointwise nonpositive for monotone g; for p = 1 the sgn selection of
     signed_power applies.
     """
-    return dissipation_rate_nodal(state.rho, state.xi, _damping_term(state, a, g, grid),
-                                  p, grid.dx)
-
-
-def _damping_term(state: RiemannState, a: DampingProfile, g: Nonlinearity,
-                  grid: Grid) -> Array:
-    """-a(x) g(z_t) at the nodes."""
-    return -np.asarray(a.value(grid.nodes)) * np.asarray(g.value(state.z_t))
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    integrand = ag * (signed_power(rho, p - 1.0) - signed_power(xi, p - 1.0))
+    return trapezoid(integrand, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,6 @@ def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
     return out
 
 
-def _space_int(integrand: Array, dx: float, mask: Array | None = None) -> Array:
-    if mask is not None:
-        integrand = integrand * mask[None, :]
-    return np.trapezoid(integrand, dx=dx, axis=1)
-
-
 def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slice,
                      ext: slice) -> list[dict[str, Array]]:
     """Per p of stream.p_list, the space integrals of the window records
@@ -132,22 +126,22 @@ def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slic
         f_rho, f_xi = f(rho), f(xi)
         big_sum = big_f(rho) + big_f(xi)
         out.append({
-            "E": _space_int((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx),
+            "E": trapezoid((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx),
             # first set of multipliers (x psi f)
-            "S1": _space_int(st.one_minus[None, :] * big_sum, dx, st.q1_mask),
-            "S3": _space_int(np.abs(atheta * st.xpsi[None, :]) * np.abs(f_rho + f_xi)
-                             * np.abs(diff), dx),
-            "S4": _space_int(big_sum, dx, st.q1_mask),
+            "S1": trapezoid(st.one_minus[None, :] * big_sum * st.q1_mask, dx),
+            "S3": trapezoid(np.abs(atheta * st.xpsi[None, :]) * np.abs(f_rho + f_xi)
+                            * np.abs(diff), dx),
+            "S4": trapezoid(big_sum * st.q1_mask, dx),
             # second set (phi f' y)
-            "T1": _space_int(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)), dx, st.q2_mask),
-            "T3": _space_int(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff),
-                             dx, st.q2_mask),
-            "T4": _space_int(np.abs(st.triple.phi_nodes[None, :] * diff * (f_rho - f_xi)),
-                             dx),
-            "T5": _space_int(np.abs(y) ** p, dx, st.q2_mask),
+            "T1": trapezoid(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)) * st.q2_mask, dx),
+            "T3": trapezoid(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff)
+                            * st.q2_mask, dx),
+            "T4": trapezoid(np.abs(st.triple.phi_nodes[None, :] * diff * (f_rho - f_xi)),
+                            dx),
+            "T5": trapezoid(np.abs(y) ** p * st.q2_mask, dx),
             # third multiplier (elliptic v)
-            "V2": _space_int(np.abs(v_t) * np.abs(diff), dx),
-            "V3": _space_int(np.abs(v[inner] * atheta * diff), dx),
+            "V2": trapezoid(np.abs(v_t) * np.abs(diff), dx),
+            "V3": trapezoid(np.abs(v[inner] * atheta * diff), dx),
         })
     return out
 
@@ -222,8 +216,8 @@ class MultiplierStream:
             int_energy = time_int(series["E"])
             energy_at_s = float(series["E"][0])
             big_diff = big_f(rho) - big_f(xi)
-            bracket = _space_int((f(rho) - f(xi)) * z, dx)
-            bracket_v = _space_int(
+            bracket = trapezoid((f(rho) - f(xi)) * z, dx)
+            bracket_v = trapezoid(
                 elliptic_solve(self.triple.beta_nodes[None, :] * f(z), grid)
                 * (rho - xi), dx)
 

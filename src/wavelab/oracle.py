@@ -57,16 +57,22 @@ def dalembert_riemann(z0_prime: Callable, z1: Callable, t: float, x):
 
 def modal_rate(a0: float, k: int) -> tuple[complex, complex, float]:
     """Roots of lambda^2 + a0 lambda + (k pi)^2 = 0 and the E_2 decay rate
-    of mode k of the globally damped string, energy_rate = -2 max Re lambda."""
+    of mode k of the globally damped string, energy_rate = -2 max Re lambda.
+
+    Real roots (|a0| >= 2 k pi) are found without squaring a0, which
+    overflows past about 1e154: the root of larger magnitude from the
+    discriminant scaled by a0 / 2, the other by Vieta as (k pi)^2 over it,
+    which also avoids the cancellation in -a0 + sqrt(disc)."""
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
-    w2 = (k * np.pi) ** 2
-    disc = a0 * a0 - 4.0 * w2
-    if disc < 0.0:
-        root = complex(-a0 / 2.0, np.sqrt(-disc) / 2.0)
+    w = k * np.pi
+    w2 = w ** 2
+    if abs(a0) < 2.0 * w:
+        root = complex(-a0 / 2.0, np.sqrt(4.0 * w2 - a0 * a0) / 2.0)
         lam_plus, lam_minus = root, root.conjugate()
     else:
-        lam_plus = complex((-a0 + np.sqrt(disc)) / 2.0)
-        lam_minus = complex((-a0 - np.sqrt(disc)) / 2.0)
+        half = a0 / 2.0
+        big = float(-half * (1.0 + np.sqrt((1.0 - w / half) * (1.0 + w / half))))
+        lam_minus, lam_plus = map(complex, sorted((big, w2 / big)))
     energy_rate = -2.0 * max(lam_plus.real, lam_minus.real)
     return lam_plus, lam_minus, energy_rate

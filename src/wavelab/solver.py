@@ -126,8 +126,9 @@ class Scenario:
 
     @property
     def record_times(self) -> Array:
-        """The record times, known before a run: dt summed once per step from
-        0.0, in step order as a run's t accumulates, so bit for bit its times."""
+        """The record times, known before a run and the times it records:
+        dt summed once per step from 0.0, in step order, as a state's t
+        accumulates through transport_shift."""
         return np.cumsum(np.append(0.0, np.full(self.n_steps, self.dt)))[self.record_steps]
 
     @functools.cached_property
@@ -335,18 +336,15 @@ def _split_step(state: RiemannState, scenario: Scenario, support: slice,
 
 
 def step(state: RiemannState, scenario: Scenario,
-         a_nodes: Array | None = None, *,
-         support: slice | None = None) -> RiemannState:
+         a_nodes: Array | None = None) -> RiemannState:
     """One full step of the nonlinear problem. a_nodes defaults to
-    scenario.a_nodes and support to damped_support(a_nodes). Given
-    scenario.a_nodes itself, as run drivers pass it, the step damps with the
-    table scenario.substep_coef; other arrays build their coefficient."""
-    if a_nodes is None:
-        a_nodes = scenario.a_nodes
-    if a_nodes is scenario.a_nodes and support in (None, scenario.support):
+    scenario.a_nodes. Given scenario.a_nodes itself, as run drivers pass it,
+    the step damps with the table scenario.substep_coef on scenario.support;
+    other arrays build their coefficient on their damped_support."""
+    if a_nodes is None or a_nodes is scenario.a_nodes:
         support, coef = scenario.support, scenario.substep_coef
     else:
-        support = damped_support(a_nodes) if support is None else support
+        support = damped_support(a_nodes)
         coef = _substep_coef(a_nodes[support], scenario.substep_lengths[0], scenario.g)
     g = None if scenario.g.linear_slope is not None else scenario.g
     return _split_step(state, scenario, support, (coef, coef), g)
@@ -389,7 +387,7 @@ def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
     diag: dict[str, Array] = {}
     for p in scenario.p_list:
         diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
-        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate_nodal(rho, xi, ag, p, dx)
+        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate(rho, xi, ag, p, dx)
     diag["max_zt"] = np.max(np.abs(z_t), axis=-1)
     return diag
 
@@ -438,8 +436,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
                  diagnose: Callable[..., tuple[dict[str, Array], ...]],
                  consume: Callable[..., None] | None = None
                  ) -> tuple[Array, tuple[dict[str, Array], ...]]:
-    """Step `state` (anything with a time `t`) to t_final, recording it at
-    scenario.record_steps, and guard every energy of every record.
+    """Step `state` to t_final, recording it at scenario.record_steps, and
+    guard every energy of every record.
 
     capture(state) gives the arrays a record's diagnostics need, (n_nodes,)
     or (B, n_nodes) for a family. Each is written once, as a row of a reused
@@ -448,14 +446,15 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     and returns one dict of per-record diagnostics per guarded trajectory.
     consume(records, *rows) gets each guarded block's slice of record indices
     and its rows, views that the next block overwrites: the only way a caller
-    sees the states. Returns (times, diagnostics).
+    sees the states. Returns (times, diagnostics), times being
+    scenario.record_times.
     """
     rows = capture(state)
     steps = scenario.record_steps.tolist()  # read once per run
+    times = scenario.record_times
     n_records = len(steps)
     block_len = min(_block_len(rows[0].size), n_records)
     buffers = tuple(np.empty((block_len, *row.shape)) for row in rows)
-    times = np.empty(n_records)
     blocks: list[tuple[dict[str, Array], ...]] = []
     taken = done = 0  # records written; records diagnosed and guarded
 
@@ -471,21 +470,20 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
         if consume is not None:
             consume(slice(lo, taken), *block)
 
-    def write(rows: tuple[Array, ...], t: float) -> None:
+    def write(rows: tuple[Array, ...]) -> None:
         nonlocal taken
         for buf, row in zip(buffers, rows):
             buf[taken - done] = row
-        times[taken] = t
         taken += 1
         if taken - done == block_len:
             flush()
 
     try:
-        write(rows, state.t)
+        write(rows)
         for n in range(1, steps[-1] + 1):
             state = advance(state)
             if n == steps[taken]:
-                write(capture(state), state.t)
+                write(capture(state))
     finally:
         # the last block, or the records taken before a failure: those are
         # guarded first, so an earlier energy rise stays the run's first error
@@ -552,7 +550,7 @@ def run_family(scenarios: Sequence[Scenario],
                          xi=np.stack([s.xi for s in starts]), t=0.0) if stacked else starts[0]
 
     def advance(s: RiemannState) -> RiemannState:
-        return step(s, head, head.a_nodes, support=head.support)
+        return step(s, head, head.a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
         return (_base_diagnostics(rho, xi, head),)
@@ -612,10 +610,6 @@ class _PairedState:
     w: RiemannState
     theta: Array
 
-    @property
-    def t(self) -> float:
-        return self.base.t
-
 
 def run_derivative_system(scenario: Scenario,
                           consume: Callable[..., None] | None = None
@@ -642,7 +636,7 @@ def run_derivative_system(scenario: Scenario,
         return a_damped * np.asarray(g.derivative(zt))
 
     def advance(s: _PairedState) -> _PairedState:
-        base = step(s.base, scenario, a_nodes, support=support)
+        base = step(s.base, scenario, a_nodes)
         theta_np1 = theta(base)
         w = _split_step(s.w, scenario, support, [
             1.0 + h * th for h, th in zip(scenario.substep_lengths, (s.theta, theta_np1))])
@@ -717,7 +711,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     lo = 0  # the block's first record
 
     def advance(s: RiemannState) -> RiemannState:
-        return step(s, scenario, a_nodes, support=support)
+        return step(s, scenario, a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
         nonlocal aux, carried, lo

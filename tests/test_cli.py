@@ -6,13 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavelab.core import HypothesisViolation, make_localization
 from wavelab.cli import (
-    KINDS, ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
+    ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
     parse_nonlinearity, parse_profile, parse_suite, write_energy_csv,
 )
 from wavelab.energy import (
     FIT_MIN_POINTS, RATIO_MIN_RECORDS, decay_fit, observability_ratio,
 )
-from wavelab.experiments import SPEC_KEYS
+from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.multipliers import MIN_RECORDS, MultiplierStream
 from wavelab.solver import run_derivative_system, run_simulation
 
@@ -92,7 +92,7 @@ class TestSuiteParsing:
         with pytest.raises(ConfigError, match="unknown key 'outptu_dir'"):
             parse_suite(text)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", EXPERIMENTS)
     def test_a_key_the_kind_never_reads_is_refused(self, kind):
         # in the scenario or in [DEFAULT]; the kinds that read it accept it
         base = (f"[suite]\nkind = {kind}\n\n[scenario demo]\nn_cells = 64\n"
@@ -100,7 +100,7 @@ class TestSuiteParsing:
         assert set(SPEC_VALUES) == set().union(*SPEC_KEYS.values())
         for key, value in SPEC_VALUES.items():
             for text in (base + f"{key} = {value}\n", f"[DEFAULT]\n{key} = {value}\n" + base):
-                if key in SPEC_KEYS.get(kind, ()):
+                if key in SPEC_KEYS[kind]:
                     assert parse_suite(text).scenarios[0].scenario.name == "demo"
                     continue
                 with pytest.raises(ConfigError, match=(
@@ -170,10 +170,18 @@ class TestMainEndToEnd:
         assert (env_out / "summary_demo.json").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_parse_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, bad, message", [
+        ("g = arctan", "g = mystery",
+         "scenario 'demo': key 'g': unknown nonlinearity 'mystery' (available: "),
+        # `wavelab verify` is the one verify entry; as a suite kind it is unknown
+        ("kind = simulate", "kind = verify", "key 'kind': unknown experiment kind 'verify'\n"),
+    ], ids=["unknown-g", "verify-kind"])
+    def test_parse_error_exit_code(self, tmp_path, capsys, line, bad, message):
         suite_file = tmp_path / "bad.ini"
-        suite_file.write_text(GOOD_SUITE.replace("g = arctan", "g = mystery"))
-        assert main(["run", str(suite_file)]) == 2
+        suite_file.write_text(GOOD_SUITE.replace(line, bad))
+        assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, key", [
         ("n_cells = abc", "n_cells"),
@@ -408,7 +416,7 @@ FUZZ_TOKENS = ["nan", "inf", "-inf", "", "-1", "0", "0.5", "1", "2", "16", "abc"
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(KINDS),
+@given(kind=st.sampled_from(tuple(EXPERIMENTS)),
        keys=st.dictionaries(st.sampled_from(sorted(_SCENARIO_KEYS)),
                             st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1,
                                      max_size=3).map(", ".join)))

@@ -6,9 +6,9 @@ from wavelab.core import (
     signed_power, sine_profile, zero_function,
 )
 from wavelab.energy import (
-    ConvexFunctional, decay_fit, dissipation_rate, dissipation_rate_nodal,
-    energy_p, energy_p_nodal, lp_norm, modified_energy_functional,
-    observability_ratio, phi_functional, sobolev_bound_check, w1p_norm,
+    ConvexFunctional, decay_fit, dissipation_rate, energy_p, energy_p_nodal,
+    lp_norm, modified_energy_functional, observability_ratio, phi_functional,
+    sobolev_bound_check, w1p_norm,
 )
 from wavelab.solver import InitialData, Scenario, run_derivative_system
 
@@ -43,29 +43,20 @@ class TestDissipation:
         # is -int 1 * g(1) * (rho - xi) = -2
         g = Grid(64)
         state = RiemannState(rho=np.ones(65), xi=-np.ones(65), t=0.0)
-        rate = dissipation_rate(state, 2.0, constant_profile(1.0),
-                                identity_damping(), g)
+        ag = -constant_profile(1.0).value(g.nodes) * identity_damping().value(state.z_t)
+        rate = dissipation_rate(state.rho, state.xi, ag, 2.0, g.dx)
         assert rate == pytest.approx(-2.0, rel=1e-14)
 
     def test_nonpositive_for_monotone_g(self):
         g = Grid(64)
         rng = np.random.default_rng(7)
+        a, nl = constant_profile(1.0).value(g.nodes), arctan_damping()
         for _ in range(20):
             state = RiemannState(rho=rng.normal(size=65), xi=rng.normal(size=65),
                                  t=0.0)
+            ag = -a * nl.value(state.z_t)
             for p in (1.0, 1.5, 2.0, 4.0):
-                assert dissipation_rate(state, p, constant_profile(1.0),
-                                        arctan_damping(), g) <= 1e-14
-
-    def test_nodal_forms_match_wrappers_bitwise(self):
-        g = Grid(64)
-        rng = np.random.default_rng(4)
-        state = RiemannState(rho=rng.normal(size=65), xi=rng.normal(size=65), t=0.0)
-        a, nl = constant_profile(1.5), arctan_damping()
-        ag = -a.value(g.nodes) * nl.value(state.z_t)
-        for p in (1.0, 1.5, 2.0, 4.0):
-            assert dissipation_rate_nodal(state.rho, state.xi, ag, p, g.dx) == \
-                dissipation_rate(state, p, a, nl, g)
+                assert dissipation_rate(state.rho, state.xi, ag, p, g.dx) <= 1e-14
 
 
 def _power_integrand(p):
@@ -213,7 +204,7 @@ class TestStackedDiagnostics:
         dx = 1.0 / n
         cases = {
             "energy": (energy_p_nodal, lambda r, x, a: (r, x, p, dx)),
-            "dissipation": (dissipation_rate_nodal, lambda r, x, a: (r, x, a, p, dx)),
+            "dissipation": (dissipation_rate, lambda r, x, a: (r, x, a, p, dx)),
             "lp": (lp_norm, lambda r, x, a: (r, p, dx)),
             "w1p": (w1p_norm, lambda r, x, a: (r, x, p, dx)),
         }

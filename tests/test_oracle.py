@@ -121,6 +121,23 @@ class TestModalRate:
                 resid = lam * lam + a0 * lam + (k * np.pi) ** 2
                 assert abs(resid) <= 1e-9
 
+    @pytest.mark.parametrize("a0", [1e155, 1e200])
+    def test_large_a0_gives_a_finite_rate(self, a0):
+        # a0 * a0 overflows here; the slow root is about -(k pi)^2 / a0
+        lp, lm, rate = modal_rate(a0, 1)
+        assert all(np.isfinite(v) for v in (lp.real, lm.real, rate))
+        assert rate == pytest.approx(2.0 * np.pi ** 2 / a0, rel=1e-14)
+
+    @pytest.mark.parametrize("a0", [1e3, 1e200])
+    def test_real_roots_solve_characteristic_polynomial_to_roundoff(self, a0):
+        # lam (lam + a0) + (k pi)^2 does not overflow; the residual is taken
+        # relative to a0 |lam|, the size of the terms that cancel in it
+        for k in (1, 3):
+            for lam in modal_rate(a0, k)[:2]:
+                assert lam.imag == 0.0
+                resid = lam.real * (lam.real + a0) + (k * np.pi) ** 2
+                assert abs(resid) / a0 / abs(lam.real) <= 1e-14
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             modal_rate(1.0, 0)

@@ -348,8 +348,7 @@ class TestInputsNotWritten:
         rho, xi = _read_only(rng.normal(size=(*rows, sc.grid.n_nodes)),
                              rng.normal(size=(*rows, sc.grid.n_nodes)))
         kept = rho.copy(), xi.copy()
-        out = step(RiemannState(rho=rho, xi=xi, t=0.0), sc, sc.a_nodes,
-                   support=sc.support)
+        out = step(RiemannState(rho=rho, xi=xi, t=0.0), sc, sc.a_nodes)
         assert not np.shares_memory(out.rho, rho) and not np.shares_memory(out.xi, xi)
         _assert_bitwise(rho, kept[0])
         _assert_bitwise(xi, kept[1])
@@ -446,7 +445,7 @@ class TestRestrictedKernel:
         sc = _scenario(n=32, t_final=0.5, g=g, splitting=splitting)
         state = _random_state(sc.grid.n_cells)
         ref = _reference_step(state, sc)
-        for out in (step(state, sc, sc.a_nodes, support=sc.support),
+        for out in (step(state, sc, sc.a_nodes),
                     step(state, sc, np.array(sc.a_nodes))):
             _assert_bitwise(out.rho, ref.rho)
             _assert_bitwise(out.xi, ref.xi)
@@ -1064,7 +1063,7 @@ def _derivative_system_ref(sc):
     times, base_states, w_states = [0.0], [base], [w_state]
     theta_n = theta(base)
     for n in range(sc.n_steps):
-        base = step(base, sc, a_nodes, support=support)
+        base = step(base, sc, a_nodes)
         theta_np1 = theta(base)
         # looked up on the module, as step does, so that tests can patch it
         substep = solver._damping_substep_nodal
@@ -1196,16 +1195,30 @@ def _drivers(sc, family):
 
 
 class TestRecordBlocks:
-    @pytest.mark.parametrize("n, record_every", [
-        (256, 1), (100, 1), (96, 3), (130, 7), (50, 4)])
-    def test_record_times_are_the_run_times(self, n, record_every):
-        # known before the run, bit for bit, where dt = 1/100 accumulates
-        # unevenly too
+    @pytest.mark.parametrize("n, record_every", [(100, 1), (96, 3)])
+    def test_record_times_are_the_stepped_times(self, n, record_every):
+        # the record loop reports Scenario.record_times; a hand-stepped run's
+        # states accumulate t through transport_shift, and run_auxiliary
+        # samples theta at that t: the two agree bit for bit, where dt = 1/100
+        # and 1/96 accumulate unevenly
         sc = _scenario(n=n, t_final=2.0, record_every=record_every)
-        times = run_simulation(sc).times
-        assert sc.record_times.tobytes() == times.tobytes()
-        base, _ = run_derivative_system(sc)
-        assert base.times.tobytes() == times.tobytes()
+        dense = replace(sc, record_every=1)  # the rerun records every step
+        family = _family(sc, (1.0, 4.0))
+        theta = _smooth_theta()
+        _, (base, _), (w, _) = _derivative_system_ref(sc)
+        cases = [  # (scenario, hand-stepped record states, trajectories)
+            (sc, [_simulation_states_ref(sc)], [run_simulation(sc)]),
+            (sc, [_simulation_states_ref(row) for row in family], run_family(family)),
+            (sc, [_auxiliary_ref(sc, theta)], [run_auxiliary(sc, theta)]),
+            (sc, [base, w], run_derivative_system(sc)),
+            (dense, [_simulation_states_ref(dense)], run_auxiliary_rerun(dense)),
+        ]
+        for scenario, hand, trajs in cases:
+            times = scenario.record_times
+            for states in hand:
+                _assert_bitwise([s.t for s in states], times)
+            for traj in trajs:
+                _assert_bitwise(traj.times, times)
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_consumer_gets_each_guarded_block_once_in_order(self, driver,
