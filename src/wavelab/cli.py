@@ -410,7 +410,7 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
 # ---------------------------------------------------------------------------
 
 def _count(text: str) -> int:
-    """A whole number >= 1, as --jobs (worker processes) and --k (a mode) take."""
+    """A whole number >= 1, as --jobs (worker processes) takes."""
     try:
         n = int(text)
     except ValueError:
@@ -418,6 +418,19 @@ def _count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got '{text}'")
     return n
+
+
+def _mode(text: str) -> int:
+    """A _count that modal_rate takes as its mode k: (k pi)^2 a finite float."""
+    from .oracle import modal_rate
+    k = _count(text)
+    try:
+        modal_rate(0.0, k)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 1 whose (k pi)^2 is a finite float, "
+            f"got '{text}'") from None
+    return k
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -437,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="evaluate a reference oracle")
     p_or.add_argument("case", choices=["modal"])
     p_or.add_argument("--a0", type=_finite, default=0.5)
-    p_or.add_argument("--k", type=_count, default=1)
+    p_or.add_argument("--k", type=_mode, default=1)
     return parser
 
 

@@ -44,8 +44,12 @@ def _decay_summary(spec: ScenarioSpec, traj: Trajectory) -> dict:
             entry = {"window": list(fit_window), "error": str(exc)}
         summary["fits"][f"{p:g}"] = entry
     if spec.window is not None:
-        summary["observability_ratio"] = {
-            f"{p:g}": observability_ratio(traj, p, spec.window) for p in spec.scenario.p_list}
+        summary["observability_ratio"] = ratios = {}
+        for p in spec.scenario.p_list:
+            try:
+                ratios[f"{p:g}"] = observability_ratio(traj, p, spec.window)
+            except ValueError as exc:  # E_p(S) = 0: zero data
+                ratios[f"{p:g}"] = {"window": list(spec.window), "error": str(exc)}
     return summary
 
 

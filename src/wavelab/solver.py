@@ -193,20 +193,61 @@ class Trajectory:
 # Substeps
 # ---------------------------------------------------------------------------
 
-def transport_shift(state: RiemannState, grid: Grid) -> RiemannState:
+class _Track:
+    """A run's state, stepped in place. rho and xi are windows of n_nodes
+    nodes in buffers of twice the grid's length: shift() moves the rho
+    window one node right and the xi window one node left, and every
+    n_nodes shifts copies both windows back to the ends of their buffers,
+    rho's to the start and xi's to the end. The damping substep writes the
+    windows in place. Built from a RiemannState, whose arrays it copies once."""
+
+    __slots__ = ("rho", "xi", "t", "_rho_buf", "_xi_buf", "_shifts")
+
+    def __init__(self, state: RiemannState) -> None:
+        n = state.rho.shape[-1]
+        self._rho_buf = np.empty((*state.rho.shape[:-1], 2 * n))
+        self._xi_buf = np.empty(self._rho_buf.shape)
+        self._rho_buf[..., :n] = state.rho
+        self._xi_buf[..., n:] = state.xi
+        self._shifts = 0  # since the windows were last at the ends
+        self.rho, self.xi = self._rho_buf[..., :n], self._xi_buf[..., n:]
+        self.t = state.t
+
+    def shift(self, dx: float) -> None:
+        """transport_shift in place: rho_i <- rho_{i+1} and xi_i <- xi_{i-1}
+        as a move of the windows, then the two wall values."""
+        n = self.rho.shape[-1]
+        k = self._shifts = self._shifts + 1
+        self.rho, self.xi = self._rho_buf[..., k:k + n], self._xi_buf[..., n - k:2 * n - k]
+        self.xi[..., 0] = self.rho[..., 0]
+        self.rho[..., -1] = self.xi[..., -1]
+        if k == n:  # the windows reached the far ends: copy them back
+            self._rho_buf[..., :n] = self.rho
+            self._xi_buf[..., n:] = self.xi
+            self._shifts = 0
+            self.rho, self.xi = self._rho_buf[..., :n], self._xi_buf[..., n:]
+        self.t = self.t + dx
+
+    def state(self) -> RiemannState:
+        return RiemannState(rho=self.rho, xi=self.xi, t=self.t)
+
+
+def _as_track(state: RiemannState | _Track) -> _Track:
+    return state if isinstance(state, _Track) else _Track(state)
+
+
+def transport_shift(state: RiemannState | _Track, grid: Grid) -> RiemannState | _Track:
     """One exact advection step of size dt = dx, then wall reflection.
 
     rho moves left (rho_i <- rho_{i+1}), xi moves right (xi_i <- xi_{i-1});
     the incoming characteristics are closed by xi(0) <- rho(0), rho(N) <- xi(N).
-    Every row of a (B, n_nodes) state shifts the same way.
+    Every row of a (B, n_nodes) state shifts the same way. A _Track shifts
+    in place, as an index shift of its windows, and is returned; a
+    RiemannState is copied once into a fresh _Track and never written.
     """
-    rho_new = np.empty(state.rho.shape)
-    xi_new = np.empty(state.xi.shape)
-    rho_new[..., :-1] = state.rho[..., 1:]
-    xi_new[..., 1:] = state.xi[..., :-1]
-    xi_new[..., 0] = rho_new[..., 0]
-    rho_new[..., -1] = xi_new[..., -1]
-    return RiemannState(rho=rho_new, xi=xi_new, t=state.t + grid.dx)
+    track = _as_track(state)
+    track.shift(grid.dx)
+    return track if track is state else track.state()
 
 
 def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
@@ -293,61 +334,59 @@ def _substep_coef(a_damped: Array, h: float, g: Nonlinearity) -> Array:
     return coef
 
 
-def _damping_substep_nodal(state: RiemannState, coef: Array, support: slice,
-                           g: Nonlinearity | None = None,
-                           in_place: bool = False) -> RiemannState:
+def _damping_substep_nodal(state: RiemannState | _Track, coef: Array, support: slice,
+                           g: Nonlinearity | None = None) -> RiemannState | _Track:
     """Backward-Euler damping substep on the slice `support` of the last
-    axis, with coef given on that slice. z_x = (rho + xi)/2 is untouched; only
-    u = z_t relaxes: g solves u + coef g(u) = u_old; g = None is the closed
-    form of a linear coefficient, u <- u / coef, coef the denominator 1 + c.
+    axis, with coef given on that slice, in place. z_x = (rho + xi)/2 is
+    untouched; only u = z_t relaxes: g solves u + coef g(u) = u_old; g = None
+    is the closed form of a linear coefficient, u <- u / coef, coef the
+    denominator 1 + c.
 
-    Copies of rho and xi (with in_place, the state's own arrays, returned)
-    are updated on the slice only, by rho + d and xi - d with d = u_new - u:
-    the same operations, node for node, as on the whole grid, where c = 0
-    off the slice adds d = 0.0, which only turns a -0.0 into +0.0.
+    The state's own rho and xi are updated on the slice only, by rho + d and
+    xi - d with d = u_new - u, and the state is returned: the same
+    operations, node for node, as on the whole grid, where c = 0 off the
+    slice adds d = 0.0, which only turns a -0.0 into +0.0.
     """
-    u = 0.5 * (state.rho[..., support] - state.xi[..., support])
+    r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
+    u = 0.5 * (r - x)
     u_new = u / coef if g is None else _implicit_damping_update(u, coef, g)
     d = u_new - u
-    if not in_place:
-        state = RiemannState(rho=state.rho.copy(), xi=state.xi.copy(), t=state.t)
-    r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
     np.add(r, d, out=r)
     np.subtract(x, d, out=x)
     return state
 
 
-def _split_step(state: RiemannState, scenario: Scenario, support: slice,
-                coefs: Sequence[Array], g: Nonlinearity | None = None
-                ) -> RiemannState:
-    """One step of the splitting: strang = damp(dt/2) o transport o damp(dt/2);
-    lie = transport o damp(dt).
+def _split_step(track: _Track, scenario: Scenario, support: slice,
+                coefs: Sequence[Array], g: Nonlinearity | None = None) -> _Track:
+    """One step of the splitting, in place on track: strang = damp(dt/2) o
+    transport o damp(dt/2); lie = transport o damp(dt).
 
     coefs holds each damping substep's coefficient on `support`, with g as
-    _damping_substep_nodal takes them: lie reads one, strang two. Strang's
-    second substep damps transport_shift's fresh output in place; the first
-    copies, so the caller's state is never written.
+    _damping_substep_nodal takes them: lie reads one, strang two.
     """
-    state = _damping_substep_nodal(state, coefs[0], support, g)
-    state = transport_shift(state, scenario.grid)
+    _damping_substep_nodal(track, coefs[0], support, g)
+    transport_shift(track, scenario.grid)
     if scenario.splitting == "strang":
-        state = _damping_substep_nodal(state, coefs[1], support, g, in_place=True)
-    return state
+        _damping_substep_nodal(track, coefs[1], support, g)
+    return track
 
 
-def step(state: RiemannState, scenario: Scenario,
-         a_nodes: Array | None = None) -> RiemannState:
-    """One full step of the nonlinear problem. a_nodes defaults to
-    scenario.a_nodes. Given scenario.a_nodes itself, as run drivers pass it,
-    the step damps with the table scenario.substep_coef on scenario.support;
-    other arrays build their coefficient on their damped_support."""
+def step(state: RiemannState | _Track, scenario: Scenario,
+         a_nodes: Array | None = None) -> RiemannState | _Track:
+    """One full step of the nonlinear problem. A run driver's _Track steps
+    in place and is returned; a RiemannState is copied once into a fresh
+    _Track and never written. a_nodes defaults to scenario.a_nodes. Given
+    scenario.a_nodes itself, as run drivers pass it, the step damps with
+    the table scenario.substep_coef on scenario.support; other arrays build
+    their coefficient on their damped_support."""
     if a_nodes is None or a_nodes is scenario.a_nodes:
         support, coef = scenario.support, scenario.substep_coef
     else:
         support = damped_support(a_nodes)
         coef = _substep_coef(a_nodes[support], scenario.substep_lengths[0], scenario.g)
     g = None if scenario.g.linear_slope is not None else scenario.g
-    return _split_step(state, scenario, support, (coef, coef), g)
+    track = _split_step(_as_track(state), scenario, support, (coef, coef), g)
+    return track if track is state else track.state()
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +585,11 @@ def run_family(scenarios: Sequence[Scenario],
                 f"{', '.join(FAMILY_FIELDS)}")
     starts = [sc.initial.riemann(head.grid) for sc in scenarios]
     stacked = len(scenarios) > 1
-    state = RiemannState(rho=np.stack([s.rho for s in starts]),
-                         xi=np.stack([s.xi for s in starts]), t=0.0) if stacked else starts[0]
+    track = _Track(RiemannState(rho=np.stack([s.rho for s in starts]),
+                                xi=np.stack([s.xi for s in starts]), t=0.0)
+                   if stacked else starts[0])
 
-    def advance(s: RiemannState) -> RiemannState:
+    def advance(s: _Track) -> _Track:
         return step(s, head, head.a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
@@ -557,7 +597,7 @@ def run_family(scenarios: Sequence[Scenario],
 
     try:
         times, (diag,) = _record_loop(
-            head, state, advance, lambda s: (s.rho, s.xi), diagnose, consume)
+            head, track, advance, lambda s: (s.rho, s.xi), diagnose, consume)
     except (EnergyMonotonicityError, NewtonError) as err:
         if not hasattr(err, "row"):
             raise
@@ -584,31 +624,21 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     xs = grid.nodes
     support = scenario.support
     a_damped = scenario.a_nodes[support]
-    state = scenario.initial.riemann(grid)
+    track = _Track(scenario.initial.riemann(grid))
 
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
         return (_base_diagnostics(rho, xi, scenario, th),)
 
-    def advance(s: RiemannState) -> RiemannState:
+    def advance(s: _Track) -> _Track:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
         return _split_step(s, scenario, support, [
             1.0 + h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
             for k, h in enumerate(scenario.substep_lengths)])
 
     times, (diag,) = _record_loop(
-        scenario, state, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
+        scenario, track, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
         consume)
     return Trajectory(times=times, diagnostics=diag, scenario=scenario)
-
-
-@dataclass(frozen=True)
-class _PairedState:
-    """The base state and the w = z_t state of a co-integrated run, with
-    a g'(z_t) of the base on the damped slice (the next step's theta_n)."""
-
-    base: RiemannState
-    w: RiemannState
-    theta: Array
 
 
 def run_derivative_system(scenario: Scenario,
@@ -630,20 +660,26 @@ def run_derivative_system(scenario: Scenario,
     a_nodes, support = scenario.a_nodes, scenario.support
     a_damped = a_nodes[support]
 
-    def theta(bs: RiemannState) -> Array:
+    def theta(bs: _Track) -> Array:
         # a g'(z_t) on the damped slice; zero elsewhere
         zt = 0.5 * (bs.rho[support] - bs.xi[support])
         return a_damped * np.asarray(g.derivative(zt))
 
-    def advance(s: _PairedState) -> _PairedState:
-        base = step(s.base, scenario, a_nodes)
-        theta_np1 = theta(base)
-        w = _split_step(s.w, scenario, support, [
-            1.0 + h * th for h, th in zip(scenario.substep_lengths, (s.theta, theta_np1))])
-        return _PairedState(base, w, theta_np1)
+    base = _Track(scenario.initial.riemann(grid))
+    w = _Track(scenario.initial.derivative_system_data(grid, a_nodes, g))
+    theta_n = theta(base)  # the next step's first theta
 
-    def capture(s: _PairedState) -> tuple[Array, ...]:
-        return s.base.rho, s.base.xi, s.w.rho, s.w.xi
+    def advance(pair: tuple[_Track, _Track]) -> tuple[_Track, _Track]:
+        nonlocal theta_n
+        step(base, scenario, a_nodes)
+        theta_np1 = theta(base)
+        _split_step(w, scenario, support, [
+            1.0 + h * th for h, th in zip(scenario.substep_lengths, (theta_n, theta_np1))])
+        theta_n = theta_np1
+        return pair
+
+    def capture(pair: tuple[_Track, _Track]) -> tuple[Array, ...]:
+        return base.rho, base.xi, w.rho, w.xi
 
     def diagnose(rho: Array, xi: Array, w_rho: Array, w_xi: Array
                  ) -> tuple[dict[str, Array], dict[str, Array]]:
@@ -658,11 +694,8 @@ def run_derivative_system(scenario: Scenario,
         w_diag["max_zt"] = np.max(np.abs(zt), axis=-1)
         return _base_diagnostics(rho, xi, scenario), w_diag
 
-    base = scenario.initial.riemann(grid)
-    w_state = scenario.initial.derivative_system_data(grid, a_nodes, g)
     times, (base_diag, w_diag) = _record_loop(
-        scenario, _PairedState(base, w_state, theta(base)), advance, capture,
-        diagnose, consume)
+        scenario, (base, w), advance, capture, diagnose, consume)
     return (Trajectory(times=times, diagnostics=base_diag, scenario=scenario),
             Trajectory(times=times, diagnostics=w_diag, scenario=scenario))
 
@@ -706,15 +739,15 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     ha = scenario.substep_lengths[0] * a_nodes[support]  # h a on the damped slice
     strang = scenario.splitting == "strang"
     start = scenario.initial.riemann(scenario.grid)
-    aux = start  # the rerun's latest record: lo - 1, or 0 before the first block
+    aux = _Track(start)  # the rerun's latest record: lo - 1, or 0 before the first block
     carried: Array | None = None  # 1 + c of nu_half of record lo - 1
     lo = 0  # the block's first record
 
-    def advance(s: RiemannState) -> RiemannState:
+    def advance(s: _Track) -> _Track:
         return step(s, scenario, a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
-        nonlocal aux, carried, lo
+        nonlocal carried, lo
         nu_records, nu_half = _nu_block(rho, xi, scenario.n_steps - lo, scenario)
         den_records = 1.0 + ha * nu_records[:, support]
         den_half = 1.0 + ha * nu_half[:, support]
@@ -723,7 +756,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
             if lo + i:  # record 0 is the initial state
                 half = carried if i == 0 else den_half[i - 1]
                 dens = (half, den_next) if strang else (den_next,)
-                aux = _split_step(aux, scenario, support, dens)
+                _split_step(aux, scenario, support, dens)
             aux_rho[i], aux_xi[i] = aux.rho, aux.xi
         carried = den_half[-1] if len(den_half) == len(rho) else None
         lo += len(rho)
@@ -738,7 +771,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
         return _base_diagnostics(rho, xi, scenario), aux_diag
 
     times, (diag, aux_diag) = _record_loop(
-        scenario, start, advance, lambda s: (s.rho, s.xi), diagnose)
+        scenario, _Track(start), advance, lambda s: (s.rho, s.xi), diagnose)
     return (Trajectory(times=times, diagnostics=diag, scenario=scenario),
             Trajectory(times=times, diagnostics=aux_diag, scenario=scenario))
 

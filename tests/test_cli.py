@@ -394,6 +394,10 @@ class TestMainEndToEnd:
         ("--k", "0", "must be a whole number >= 1, got '0'"),
         ("--k", "-3", "must be a whole number >= 1, got '-3'"),
         ("--k", "1.5", "must be a whole number >= 1, got '1.5'"),
+        ("--k", "1" + "0" * 160, "must be a whole number >= 1 whose (k pi)^2 is a "
+                                 f"finite float, got '1{'0' * 160}'"),
+        ("--k", "1" + "0" * 400, "must be a whole number >= 1 whose (k pi)^2 is a "
+                                 f"finite float, got '1{'0' * 400}'"),
         ("--a0", "nan", "invalid _finite value: 'nan'"),
         ("--a0", "-inf", "invalid _finite value: '-inf'"),
         ("--a0", "abc", "invalid _finite value: 'abc'"),

@@ -168,16 +168,25 @@ def test_scenario_without_keys_still_runs_in_parallel(tmp_path, monkeypatch):
     assert _files(parallel) == _files(serial)
 
 
+def _failing_ratio(monkeypatch):
+    """observability_ratio raising an error that no summary catches, so a
+    scenario with a window ends in a scenario error after its run passed
+    the guard; --jobs workers are forked and inherit it."""
+    def ratio(traj, p, window):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(experiments, "observability_ratio", ratio)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_scenario_error_does_not_end_the_suite(tmp_path, capsys, jobs):
-    # zero data: the run passes its guard, and observability_ratio, after
-    # it, raises a ValueError on E_p(0) = 0
-    text = _suite("simulate", ("bad", {"amplitude": "0", "window": "0, 1"}),
+def test_scenario_error_does_not_end_the_suite(tmp_path, capsys, monkeypatch, jobs):
+    _failing_ratio(monkeypatch)
+    text = _suite("simulate", ("bad", {"window": "0, 1"}),
                   ("good", {"fit_window": "1, 4"}))
     code, out = _run(tmp_path, text, "--jobs", jobs)
     assert code == 3
     err = capsys.readouterr().err
-    assert err == "ERROR bad: ValueError: E_p(0.0) = 0.0 is not positive\n"
+    assert err == "ERROR bad: RuntimeError: injected failure\n"
     assert sorted(_files(out)) == ["energies_good.csv", "summary_good.json"]
 
 
@@ -187,14 +196,15 @@ def test_failures_and_errors_are_reported_per_scenario(tmp_path, capsys,
     # undamped scenario never changes a node in it and passes
     monkeypatch.setattr(solver, "_implicit_damping_update",
                         lambda u_old, c, g: u_old * (1.0 + c))
+    _failing_ratio(monkeypatch)
     text = _suite("simulate", ("pumped", {}),
-                  ("bad", {"a": "zero", "amplitude": "0", "window": "0, 1"}),
+                  ("bad", {"a": "zero", "window": "0, 1"}),
                   ("good", {"a": "zero"}))
     code, out = _run(tmp_path, text)
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("FAIL pumped: E_p")
-    assert err[1] == "ERROR bad: ValueError: E_p(0.0) = 0.0 is not positive"
+    assert err[1] == "ERROR bad: RuntimeError: injected failure"
     assert len(err) == 2
     assert sorted(_files(out)) == ["energies_good.csv", "summary_good.json"]
 
@@ -362,6 +372,30 @@ def test_a_zero_alpha_row_takes_the_common_path(tmp_path):
     assert zero["alpha"] == 0.0
     assert all("error" in fit for fit in zero["fits"].values())
     assert zero["c_p"] == {"1.5": 0.0, "2": 0.0}
+
+
+ZERO_RATIO = {"window": [0.0, 1.0], "error": "E_p(0.0) = 0.0 is not positive"}
+
+
+def test_zero_data_under_a_window_is_an_error_entry(tmp_path):
+    # E_p(0) = 0 leaves the observability ratio undefined: the alpha = 0 row
+    # reports it per p, as a failed fit, and the alpha = 1 row its numbers
+    keys = {"t_final": "2", "window": "0, 1", "alphas": "1, 0"}
+    code, out = _run(tmp_path, _suite("simulate", ("s", keys)))
+    assert code == 0
+    one, zero = json.loads((out / "summary_s.json").read_text())["rows"]
+    assert all(isinstance(ratio, float) and ratio > 0.0
+               for ratio in one["observability_ratio"].values())
+    assert zero["observability_ratio"] == {"1.5": ZERO_RATIO, "2": ZERO_RATIO}
+
+
+def test_zero_amplitude_under_a_window_is_an_error_entry(tmp_path):
+    keys = {"t_final": "2", "window": "0, 1", "amplitude": "0"}
+    code, out = _run(tmp_path, _suite("simulate", ("s", keys)))
+    assert code == 0
+    assert sorted(_files(out)) == ["energies_s.csv", "summary_s.json"]
+    summary = json.loads((out / "summary_s.json").read_text())
+    assert summary["observability_ratio"] == {"1.5": ZERO_RATIO, "2": ZERO_RATIO}
 
 
 def _aux_spec(n_cells, t_final, splitting="strang", p_list="1.5, 2"):

@@ -141,3 +141,12 @@ class TestModalRate:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             modal_rate(1.0, 0)
+
+    @pytest.mark.parametrize("zeros", [160, 400])
+    def test_mode_past_the_float_range_rejected(self, zeros):
+        # (k pi)^2 overflows at 10^160, and k pi itself at 10^400
+        k = 10 ** zeros
+        with pytest.raises(ValueError, match=r"\(k pi\)\^2 is not a finite float$"):
+            modal_rate(1.0, k)
+        _, _, rate = modal_rate(1.0, 10 ** 150)
+        assert rate == 1.0

@@ -37,6 +37,12 @@ def _scenario(n=64, t_final=2.0, g=None, a=None, p_list=(2.0,), amp=0.5,
         splitting=splitting, record_every=record_every)
 
 
+def _copied(state):
+    """state with copies of its arrays: the damping substep writes the state
+    it is given, so a reference that keeps a state damps a copy of it."""
+    return RiemannState(rho=state.rho.copy(), xi=state.xi.copy(), t=state.t)
+
+
 def _family(sc, alphas):
     """The rows of sc with its initial data scaled by each alpha."""
     return [replace(sc, name=f"{sc.name}_a{alpha:g}", initial=sc.initial.scaled(alpha))
@@ -259,22 +265,17 @@ class TestKernelMatchesReference:
         state = RiemannState(rho=rho, xi=xi, t=0.0)
         gs = [None if g is None else _counted(g, counts) for counts in (calls, ref_calls)]
         coef = 1.0 + c if g is None else c  # the closed form takes its denominator
-        got = _outcome(_damping_substep_nodal, state, coef, support, gs[0])
+        # the reference first: the substep writes the state's own arrays
         ref = _outcome(_reference_slice_substep, state, c, support, gs[1])
+        got = _outcome(_damping_substep_nodal, state, coef, support, gs[0])
         assert got[0] == ref[0]
         if got[0] == "ok":
+            assert got[1] is state
             for new, old in ((got[1].rho, ref[1].rho), (got[1].xi, ref[1].xi)):
                 assert np.array_equal(new, old)
                 _assert_bitwise(new[..., support], old[..., support])
             assert got[1].t == ref[1].t
         assert calls == ref_calls
-        if got[0] == "ok":
-            # in place: the same bits, written into the state's own arrays
-            own = RiemannState(rho=rho.copy(), xi=xi.copy(), t=0.0)
-            out = _damping_substep_nodal(own, coef, support, g, in_place=True)
-            assert out is own
-            _assert_bitwise(own.rho, got[1].rho)
-            _assert_bitwise(own.xi, got[1].xi)
 
     def test_stiff_example_reaches_bisection(self, monkeypatch):
         rows = []
@@ -298,7 +299,9 @@ def _read_only(*arrays):
 
 class TestInputsNotWritten:
     """The kernel reads its inputs in place (no defensive copies), so it must
-    never write them; read-only inputs make any write raise."""
+    never write them; read-only inputs make any write raise. The public step
+    and transport_shift copy a RiemannState once and never write it; the
+    damping substep writes the support slice of the state it is given."""
 
     @pytest.mark.parametrize("g, max_iter, bisects", [
         (cubic_damping(), solver.NEWTON_MAX_ITER, False),
@@ -331,18 +334,24 @@ class TestInputsNotWritten:
                              rng.normal(size=(*rows, grid.n_nodes)))
         kept = rho.copy(), xi.copy()
         state = RiemannState(rho=rho, xi=xi, t=0.0)
-        support = slice(4, 12)
-        _damping_substep_nodal(state, np.full(8, 0.3), support, g)
-        transport_shift(state, grid)
+        out = transport_shift(state, grid)
+        assert not np.shares_memory(out.rho, rho) and not np.shares_memory(out.xi, xi)
         _assert_bitwise(rho, kept[0])
         _assert_bitwise(xi, kept[1])
+        # the substep damps in place, on the support slice only
+        support = slice(4, 12)
+        own = _copied(state)
+        assert _damping_substep_nodal(own, np.full(8, 0.3), support, g) is own
+        for new, old in ((own.rho, rho), (own.xi, xi)):
+            _assert_bitwise(new[..., :4], old[..., :4])
+            _assert_bitwise(new[..., 12:], old[..., 12:])
+            assert not np.array_equal(new[..., support], old[..., support])
 
     @pytest.mark.parametrize("rows", [(), (3,)])
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
     @pytest.mark.parametrize("g", ["arctan", "identity"])
     def test_step(self, rows, splitting, g):
-        # only the second strang substep damps in place, on transport's
-        # output; a first substep in place would write the caller's state
+        # step copies the caller's state once into a _Track and damps that
         sc = _scenario(n=16, g=GS[g](), splitting=splitting)
         rng = np.random.default_rng(5)
         rho, xi = _read_only(rng.normal(size=(*rows, sc.grid.n_nodes)),
@@ -469,8 +478,8 @@ class TestRestrictedKernel:
         state = _random_state(grid.n_cells)
         support = damped_support(a_nodes)
         coef, substep_g = _substep_args(c[support], nl)
+        ref = _reference_substep(state, c, nl)  # first: the substep damps in place
         out = _damping_substep_nodal(state, coef, support, substep_g)
-        ref = _reference_substep(state, c, nl)
         np.testing.assert_array_equal(out.rho, ref.rho)
         np.testing.assert_array_equal(out.xi, ref.xi)
 
@@ -481,7 +490,7 @@ class TestRestrictedKernel:
         support = damped_support(a_nodes)
         state = _random_state(grid.n_cells)
         nl = None if g == "linear" else GS[g]()
-        out = _damping_substep_nodal(state, a_nodes[support], support, nl)
+        out = _damping_substep_nodal(_copied(state), a_nodes[support], support, nl)
         np.testing.assert_array_equal(out.rho, state.rho)
         np.testing.assert_array_equal(out.xi, state.xi)
 
@@ -504,14 +513,14 @@ class TestSubstepDissipativity:
         state = RiemannState(rho=rho, xi=xi, t=0.0)
         e0 = energy_p(state, p, g)
         for nl in (arctan_damping(), cubic_damping(), saturating_damping()):
-            out = _half_substep(state, g, constant_profile(2.0), nl)
+            out = _half_substep(_copied(state), g, constant_profile(2.0), nl)
             assert energy_p(out, p, g) <= e0 + 1e-12 * max(1.0, e0)
 
     def test_zx_untouched(self):
         g = Grid(8)
         state = RiemannState(rho=np.linspace(-1, 1, 9),
                              xi=np.linspace(1, -1, 9), t=0.0)
-        out = _half_substep(state, g, constant_profile(1.0), arctan_damping())
+        out = _half_substep(_copied(state), g, constant_profile(1.0), arctan_damping())
         np.testing.assert_array_equal(out.z_x, state.z_x)
 
 
@@ -686,7 +695,7 @@ def _auxiliary_ref(sc, theta):
 
     def damp(s, dt_sub, t_mid):
         c = dt_sub * a_damped * theta(t_mid, xs)[support]
-        return _damping_substep_nodal(s, 1.0 + c, support)
+        return _damping_substep_nodal(_copied(s), 1.0 + c, support)
 
     s = sc.initial.riemann(grid)
     theta(s.t, xs)
@@ -1068,11 +1077,11 @@ def _derivative_system_ref(sc):
         # looked up on the module, as step does, so that tests can patch it
         substep = solver._damping_substep_nodal
         if sc.splitting == "strang":
-            w_state = substep(w_state, 1.0 + 0.5 * dt * theta_n, support)
+            w_state = substep(_copied(w_state), 1.0 + 0.5 * dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
             w_state = substep(w_state, 1.0 + 0.5 * dt * theta_np1, support)
         else:
-            w_state = substep(w_state, 1.0 + dt * theta_n, support)
+            w_state = substep(_copied(w_state), 1.0 + dt * theta_n, support)
             w_state = transport_shift(w_state, grid)
         theta_n = theta_np1
         if _recorded(sc, n):
@@ -1134,17 +1143,20 @@ def _block_len(sc):
 def _pumping_substep(t_bad, t_fail=None):
     """The damping substep with its update reversed and amplified from t_bad
     on, so the energy rises; from t_fail on it raises NewtonError instead.
-    It never damps in place: the pumped update reads the state it was given."""
+    It pumps in place, as the substep damps, from the values it copies
+    before calling the real substep."""
     real = solver._damping_substep_nodal
 
-    def substep(state, coef, support, g=None, in_place=False):
+    def substep(state, coef, support, g=None):
         if t_fail is not None and state.t >= t_fail:
             raise NewtonError(f"injected failure at t = {state.t}")
-        out = real(state, coef, support, g)
         if state.t < t_bad:
-            return out
-        return RiemannState(rho=state.rho + 2.0 * (state.rho - out.rho),
-                            xi=state.xi + 2.0 * (state.xi - out.xi), t=state.t)
+            return real(state, coef, support, g)
+        rho, xi = state.rho.copy(), state.xi.copy()
+        real(state, coef, support, g)
+        state.rho[...] = rho + 2.0 * (rho - state.rho)
+        state.xi[...] = xi + 2.0 * (xi - state.xi)
+        return state
 
     return substep
 
@@ -1412,18 +1424,80 @@ class TestRecordBuffers:
                 _assert_bitwise(ref_traj.diagnostics[key], series)
 
 
+# N = 16, T = 5: 80 steps on 17 nodes, so a run's _Track copies its windows
+# back to the ends of their buffers 4 times, after steps 17, 34, 51 and 68
+RECENTER_N, RECENTER_T = 16, 5.0
+
+
+class TestTrackRecentering:
+    """A run's _Track shifts its windows along buffers of twice the grid's
+    length and copies them back every n_nodes shifts; states on either side
+    of each copy are the chains of pure step and transport_shift calls."""
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_shifted_track_is_the_chain_of_pure_shifts(self, rows, k, offset):
+        grid = Grid(RECENTER_N)
+        rng = np.random.default_rng(k)
+        state = RiemannState(rho=rng.normal(size=(*rows, grid.n_nodes)),
+                             xi=rng.normal(size=(*rows, grid.n_nodes)), t=0.0)
+        track = solver._Track(state)
+        for _ in range(k * grid.n_nodes + offset):
+            assert transport_shift(track, grid) is track
+            state = transport_shift(state, grid)
+        _assert_bitwise(track.rho, state.rho)
+        _assert_bitwise(track.xi, state.xi)
+        assert track.t == state.t
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("alphas", [(1.0,), (0.25, 1.0, 4.0)])
+    def test_recorded_rows_are_the_pure_chains(self, splitting, alphas):
+        # every driver's rows, a family of B = 1 and B = 3 among them, are
+        # the hand-stepped states of _drivers, record by record
+        sc = _scenario(n=RECENTER_N, t_final=RECENTER_T, splitting=splitting)
+        assert sc.n_steps // sc.grid.n_nodes == 4
+        _, run, rows = _drivers(sc, _family(sc, alphas))
+        for driver in DRIVERS:
+            kept = KeptStates(len(sc.record_steps))
+            run[driver](kept)
+            for got, ref in zip(kept.rows, rows[driver], strict=True):
+                _assert_bitwise(got, ref)
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_auxiliary_rerun_is_the_hand_written_loops(self, splitting):
+        # the rerun hands out no states: its records' energies and
+        # discrepancy are those of the hand-stepped nonlinear states and of
+        # the hand-written auxiliary loop with their recorded theta
+        sc = _scenario(n=RECENTER_N, t_final=RECENTER_T, splitting=splitting)
+        states = _simulation_states_ref(sc)
+        rho = np.array([s.rho for s in states])
+        xi = np.array([s.xi for s in states])
+        theta = theta_from_run(sc, rho, xi)
+        aux_states = _auxiliary_ref(sc, theta)
+        aux_rho = np.array([s.rho for s in aux_states])
+        aux_xi = np.array([s.xi for s in aux_states])
+        nl, aux = run_auxiliary_rerun(sc)
+        _assert_records(nl.diagnostics, [_base_diag_ref(s, sc, sc.a_nodes) for s in states])
+        aux_records = [_aux_diag_ref(s, sc, theta) for s in aux_states]
+        _assert_records({k: aux.diagnostics[k] for k in aux_records[0]}, aux_records)
+        _assert_bitwise(aux.diagnostics["discrepancy"],
+                        np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
+                                   np.max(np.abs(xi - aux_xi), axis=1)))
+
+
 def _pumping_rows(starts):
     """_pumping_substep for the rows of a family: row b is pumped from
-    t = starts[b] on; it never damps in place either."""
+    t = starts[b] on, in place as well."""
     real = solver._damping_substep_nodal
 
-    def substep(state, coef, support, g=None, in_place=False):
-        out = real(state, coef, support, g)
+    def substep(state, coef, support, g=None):
         rows = [b for b, t_bad in starts.items() if state.t >= t_bad]
-        rho, xi = out.rho.copy(), out.xi.copy()
-        rho[rows] = state.rho[rows] + 2.0 * (state.rho[rows] - out.rho[rows])
-        xi[rows] = state.xi[rows] + 2.0 * (state.xi[rows] - out.xi[rows])
-        return RiemannState(rho=rho, xi=xi, t=state.t)
+        rho, xi = state.rho[rows], state.xi[rows]  # copies: fancy indexing
+        real(state, coef, support, g)
+        state.rho[rows] = rho + 2.0 * (rho - state.rho[rows])
+        state.xi[rows] = xi + 2.0 * (xi - state.xi[rows])
+        return state
 
     return substep
 
