@@ -10,7 +10,7 @@ import numpy as np
 
 from . import multipliers as _mult
 from .core import make_localization, nu_ratio
-from .energy import build_energy_report, energy_p, observability_ratio
+from .energy import decay_fit, energy_p, observability_ratio
 from .solver import (
     Scenario, Trajectory, run_auxiliary_rerun, run_derivative_system,
     run_family, run_simulation,
@@ -38,7 +38,7 @@ def _decay_summary(spec: ScenarioSpec, traj: Trajectory) -> dict:
     fit_window = spec.fit_window
     for p in spec.scenario.p_list if fit_window else ():
         try:
-            fit = build_energy_report(traj, p, fit_window).fit
+            fit = decay_fit(traj.times, traj.energy_series(p), fit_window)
             entry = {"fitted_rate": fit.rate, "r2": fit.r2, "window": list(fit_window)}
         except ValueError as exc:  # too few records above the fit floor
             entry = {"window": list(fit_window), "error": str(exc)}
@@ -57,7 +57,8 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
     """The run's _decay_summary and energies. With alphas, one row per alpha
     instead, the data scaled by alpha and all rows run as one family: each
     row has its _decay_summary and the strong-norm proxy
-    c_p = (p E_p(w)(0))^(1/p) per p, and no energies are written."""
+    c_p = (p E_p(w)(0))^(1/p) per p, and no energies are written, so the
+    rows record no dissipation rates."""
     sc = spec.scenario
     head = {"name": sc.name, "t_final": sc.t_final_actual, "n_cells": sc.grid.n_cells}
     if spec.alphas:
@@ -65,7 +66,7 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
                           initial=sc.initial.scaled(alpha)) for alpha in spec.alphas]
         a_nodes = family[0].a_nodes  # every row's, sampled once
         rows = []
-        for alpha, traj in zip(spec.alphas, run_family(family)):
+        for alpha, traj in zip(spec.alphas, run_family(family, rates=False)):
             w0 = traj.scenario.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
             c_p = {f"{p:g}": (p * energy_p(w0, p, sc.grid)) ** (1.0 / p) for p in sc.p_list}
             rows.append({"alpha": alpha, **_decay_summary(spec, traj), "c_p": c_p})

@@ -62,8 +62,10 @@ def modal_rate(a0: float, k: int) -> tuple[complex, complex, float]:
     Real roots (|a0| >= 2 k pi) are found without squaring a0, which
     overflows past about 1e154: the root of larger magnitude from the
     discriminant scaled by a0 / 2, the other by Vieta as (k pi)^2 over it,
-    which also avoids the cancellation in -a0 + sqrt(disc). A k whose
-    (k pi)^2 is not a finite float is a ValueError."""
+    which also avoids the cancellation in -a0 + sqrt(disc). Complex roots
+    take the same unsquared form, k pi sqrt((1 - a0/(2 k pi))(1 + a0/(2 k pi))),
+    as their imaginary part, which stays finite where 4 (k pi)^2 overflows.
+    A k whose (k pi)^2 is not a finite float is a ValueError."""
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
     try:
@@ -74,7 +76,8 @@ def modal_rate(a0: float, k: int) -> tuple[complex, complex, float]:
     if not np.isfinite(w2):
         raise ValueError(f"mode index {k}: (k pi)^2 is not a finite float")
     if abs(a0) < 2.0 * w:
-        root = complex(-a0 / 2.0, np.sqrt(4.0 * w2 - a0 * a0) / 2.0)
+        omega = w * np.sqrt((1.0 - a0 / (2.0 * w)) * (1.0 + a0 / (2.0 * w)))
+        root = complex(-a0 / 2.0, omega)
         lam_plus, lam_minus = root, root.conjugate()
     else:
         half = a0 / 2.0

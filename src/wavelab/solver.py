@@ -415,18 +415,22 @@ def record_blocks(n_records: int, n_nodes: int) -> Iterator[slice]:
 
 
 def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
-                      th: Array | None = None) -> dict[str, Array]:
+                      th: Array | None = None, *, rates: bool = True) -> dict[str, Array]:
     """E_p, dE_p/dt and max |z_t| of stacked states, one row per record.
-    The damping term is -a g(z_t), or -a th z_t with the auxiliary problem's th."""
+    The damping term is -a g(z_t), or -a th z_t with the auxiliary problem's th.
+    rates=False leaves out every dE_p/dt and the damping term, g included;
+    the other keys keep their order and bits."""
     dx = scenario.grid.dx
     a_nodes = scenario.a_nodes
     z_t = 0.5 * (rho - xi)
-    ag = (-a_nodes * np.asarray(scenario.g.value(z_t)) if th is None
-          else -a_nodes * th * z_t)
+    if rates:
+        ag = (-a_nodes * np.asarray(scenario.g.value(z_t)) if th is None
+              else -a_nodes * th * z_t)
     diag: dict[str, Array] = {}
     for p in scenario.p_list:
         diag[f"E_p{p:g}"] = _energy.energy_p_nodal(rho, xi, p, dx)
-        diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate(rho, xi, ag, p, dx)
+        if rates:
+            diag[f"dEdt_p{p:g}"] = _energy.dissipation_rate(rho, xi, ag, p, dx)
     diag["max_zt"] = np.max(np.abs(z_t), axis=-1)
     return diag
 
@@ -538,11 +542,12 @@ def _row(diag: dict[str, Array], i: int) -> dict[str, Array]:
 
 
 def run_simulation(scenario: Scenario,
-                   consume: Callable[..., None] | None = None) -> Trajectory:
+                   consume: Callable[..., None] | None = None, *,
+                   rates: bool = True) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
     asserting E_p monotonicity (for every p simultaneously) at each record;
-    consume as in run_family."""
-    return run_family([scenario], consume)[0]
+    consume and rates as in run_family."""
+    return run_family([scenario], consume, rates=rates)[0]
 
 
 #: the Scenario fields every row of a family shares; a row has its own name
@@ -560,7 +565,8 @@ def _shares(sc: Scenario, head: Scenario, field: str) -> bool:
 
 
 def run_family(scenarios: Sequence[Scenario],
-               consume: Callable[..., None] | None = None) -> list[Trajectory]:
+               consume: Callable[..., None] | None = None, *,
+               rates: bool = True) -> list[Trajectory]:
     """run_simulation of each scenario, stepped together as the rows of one
     (B, n_nodes) state so that each numpy call serves every row.
 
@@ -571,7 +577,8 @@ def run_family(scenarios: Sequence[Scenario],
     names that row's scenario. consume(records, rho, xi) gets each guarded
     record block of rows, (records, n_nodes) or (records, B, n_nodes), as
     _record_loop hands it out. One scenario steps as a 1-d state, as
-    run_simulation does.
+    run_simulation does. rates=False records no dEdt_p keys
+    (_base_diagnostics), for a caller that reads none.
     """
     if not scenarios:
         return []
@@ -593,7 +600,7 @@ def run_family(scenarios: Sequence[Scenario],
         return step(s, head, head.a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, head),)
+        return (_base_diagnostics(rho, xi, head, rates=rates),)
 
     try:
         times, (diag,) = _record_loop(
@@ -642,8 +649,8 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
 
 
 def run_derivative_system(scenario: Scenario,
-                          consume: Callable[..., None] | None = None
-                          ) -> tuple[Trajectory, Trajectory]:
+                          consume: Callable[..., None] | None = None, *,
+                          rates: bool = True) -> tuple[Trajectory, Trajectory]:
     """Co-integrate the nonlinear run and the w = z_t system.
 
     Differentiating the PDE in time gives w_tt - w_xx + a(x) g'(w) w_t = 0,
@@ -652,7 +659,8 @@ def run_derivative_system(scenario: Scenario,
     symmetric over the step). Records E_p(w) and the W^{1,p} norm of z_t,
     and asserts monotonicity of the base E_p and of E_p(w) at each record.
     consume(records, rho, xi, w_rho, w_xi) gets each guarded record block, as
-    _record_loop hands it out. Returns (base trajectory, w trajectory).
+    _record_loop hands it out. rates applies to the base run, as in
+    run_family. Returns (base trajectory, w trajectory).
     """
     grid = scenario.grid
     dx = grid.dx
@@ -692,7 +700,7 @@ def run_derivative_system(scenario: Scenario,
             w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
             w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
         w_diag["max_zt"] = np.max(np.abs(zt), axis=-1)
-        return _base_diagnostics(rho, xi, scenario), w_diag
+        return _base_diagnostics(rho, xi, scenario, rates=rates), w_diag
 
     times, (base_diag, w_diag) = _record_loop(
         scenario, (base, w), advance, capture, diagnose, consume)
@@ -727,10 +735,10 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     (strang), or with nu_records[n + 1] alone (lie); record k reads
     nu_records[k]. The rerun's state and the last record's nu_half row
     cross a block edge. Both runs are guarded, as in run_derivative_system.
-    The rerun's diagnostics add, per record, "discrepancy" (max |rho -
-    rho_aux| and |xi - xi_aux| over the nodes) and "theta_min" and
-    "theta_max" of nu at the record and its half step. Returns (nonlinear,
-    auxiliary) trajectories.
+    The rerun records no dissipation rates: its diagnostics are E_p and
+    max_zt and, per record, "discrepancy" (max |rho - rho_aux| and |xi -
+    xi_aux| over the nodes) and "theta_min" and "theta_max" of nu at the
+    record and its half step. Returns (nonlinear, auxiliary) trajectories.
     """
     if scenario.record_every != 1:
         raise ValueError("run_auxiliary_rerun needs dense records: record_every = 1")
@@ -760,7 +768,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
             aux_rho[i], aux_xi[i] = aux.rho, aux.xi
         carried = den_half[-1] if len(den_half) == len(rho) else None
         lo += len(rho)
-        aux_diag = _base_diagnostics(aux_rho, aux_xi, scenario, nu_records)
+        aux_diag = _base_diagnostics(aux_rho, aux_xi, scenario, rates=False)
         aux_diag["discrepancy"] = np.maximum(np.max(np.abs(rho - aux_rho), axis=-1),
                                              np.max(np.abs(xi - aux_xi), axis=-1))
         th_min, th_max = np.min(nu_records, axis=-1), np.max(nu_records, axis=-1)

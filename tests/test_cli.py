@@ -390,6 +390,15 @@ class TestMainEndToEnd:
         payload = json.loads(capsys.readouterr().out)
         assert payload["energy_rate"] == pytest.approx(2.22043816171871)
 
+    def test_oracle_mode_whose_four_w2_overflows_prints_finite_json(self, capsys):
+        # json.loads accepts Infinity, so every number is checked
+        assert main(["oracle", "modal", "--a0", "0.5", "--k", "3" + "0" * 153]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        nums = [*payload["lambda_plus"], *payload["lambda_minus"], payload["energy_rate"]]
+        assert all(np.isfinite(v) for v in nums)
+        assert payload["lambda_plus"][1] == pytest.approx(9.42477796076938e153, rel=1e-14)
+        assert payload["energy_rate"] == 0.5
+
     @pytest.mark.parametrize("flag, value, why", [
         ("--k", "0", "must be a whole number >= 1, got '0'"),
         ("--k", "-3", "must be a whole number >= 1, got '-3'"),

@@ -252,7 +252,7 @@ def test_monotonicity_check_allows_the_solver_slack(monkeypatch, factor, passed)
         def energy_series(self, p):
             return np.array([e0, e0 + rise, e0])
 
-    monkeypatch.setattr(verify, "run_simulation", lambda sc: Run())
+    monkeypatch.setattr(verify, "run_simulation", lambda sc, rates=True: Run())
     result = verify.check_energy_monotonicity()
     assert result.passed == passed
     beyond = rise - solver.MONOTONICITY_SLACK * e0
@@ -318,9 +318,9 @@ def test_alphas_rows_run_as_one_family(monkeypatch):
     spec = parse_suite(_suite("simulate", ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
     families = []
 
-    def spy(scenarios):
+    def spy(scenarios, rates=True):
         families.append([sc.name for sc in scenarios])
-        return run_family(scenarios)
+        return run_family(scenarios, rates=rates)
 
     monkeypatch.setattr(experiments, "run_family", spy)
     monkeypatch.setattr(experiments, "run_simulation", None)  # no row runs alone
@@ -444,15 +444,23 @@ def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splittin
     assert summary["theta_inside_nu_bounds"] is True
 
     nl_pass, aux_pass = solver.run_auxiliary_rerun(nl.scenario)
+    # the nonlinear run keeps its dissipation rates: check 4 and the
+    # energies CSV read them
+    assert [f"dEdt_p{p:g}" for p in spec.scenario.p_list] == [
+        key for key in nl.diagnostics if key.startswith("dEdt_p")]
     for got in (res["traj"], nl_pass):
         _assert_bitwise(got.times, nl.times)
         assert list(got.diagnostics) == list(nl.diagnostics)
         for key, series in nl.diagnostics.items():
             _assert_bitwise(got.diagnostics[key], series)
-    assert list(aux_pass.diagnostics) == [*aux.diagnostics, "discrepancy",
+    # the rerun records every key of run_auxiliary but its dissipation rates
+    kept_keys = [key for key in aux.diagnostics if not key.startswith("dEdt_p")]
+    assert len(kept_keys) < len(aux.diagnostics)
+    assert not [key for key in aux_pass.diagnostics if key.startswith("dEdt_p")]
+    assert list(aux_pass.diagnostics) == [*kept_keys, "discrepancy",
                                           "theta_min", "theta_max"]
-    for key, series in aux.diagnostics.items():
-        _assert_bitwise(aux_pass.diagnostics[key], series)
+    for key in kept_keys:
+        _assert_bitwise(aux_pass.diagnostics[key], aux.diagnostics[key])
     _assert_bitwise(aux_pass.diagnostics["discrepancy"],
                     np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
                                np.max(np.abs(xi - aux_xi), axis=1)))
@@ -530,13 +538,17 @@ def test_spec_keys_are_what_each_runner_reads(kind):
                                    "modified_energy"])
 def test_state_checks_keep_no_states(check, monkeypatch):
     # they read the states block by block as the run hands them out
+    # and, reading no dE_p/dt, they record none
     run = solver.run_simulation
     consumers = []
+    rates_asked = []
 
-    def spy(sc, consume=None):
+    def spy(sc, consume=None, rates=True):
         consumers.append(consume)
-        return run(sc, consume)
+        rates_asked.append(rates)
+        return run(sc, consume, rates=rates)
 
     monkeypatch.setattr(verify, "run_simulation", spy)
     assert getattr(verify, f"check_{check}")().passed
     assert len(consumers) == 1 and consumers[0] is not None
+    assert rates_asked == [False]

@@ -138,6 +138,16 @@ class TestModalRate:
                 resid = lam.real * (lam.real + a0) + (k * np.pi) ** 2
                 assert abs(resid) / a0 / abs(lam.real) <= 1e-14
 
+    @pytest.mark.parametrize("k", [3 * 10 ** 153, 4 * 10 ** 153])
+    def test_mode_whose_four_w2_overflows_has_a_finite_frequency(self, k):
+        # (k pi)^2 is finite but 4 (k pi)^2 is not: the imaginary part is
+        # still about k pi, and the rate a0
+        assert np.isfinite((k * np.pi) ** 2) and not np.isfinite(4.0 * (k * np.pi) ** 2)
+        lp, lm, rate = modal_rate(0.5, k)
+        assert lp.imag == pytest.approx(k * np.pi, rel=1e-15)
+        assert lm == lp.conjugate() and lp.real == -0.25
+        assert rate == 0.5
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             modal_rate(1.0, 0)

@@ -1424,6 +1424,66 @@ class TestRecordBuffers:
                 _assert_bitwise(ref_traj.diagnostics[key], series)
 
 
+#: each driver that takes rates, as run(scenario, rates) -> its trajectories;
+#: a family's rows scale the scenario's data by 1, 0.25 and 4
+RATE_DRIVERS = {
+    "simulation": lambda sc, rates: [run_simulation(sc, rates=rates)],
+    "family2": lambda sc, rates: run_family(_family(sc, (1.0, 0.25)), rates=rates),
+    "family3": lambda sc, rates: run_family(_family(sc, (1.0, 0.25, 4.0)), rates=rates),
+    "derivative_system": lambda sc, rates: list(run_derivative_system(sc, rates=rates)),
+}
+
+
+class TestRates:
+    """rates=False records no dE_p/dt; every other key keeps its order and
+    bits."""
+
+    @pytest.mark.parametrize("driver", sorted(RATE_DRIVERS))
+    @given(sc=_admissible_scenarios())
+    @settings(max_examples=25, deadline=None)
+    def test_rates_off_drops_exactly_the_rates(self, driver, sc):
+        # both splittings, p = 1 in every p_list; the w run of the
+        # derivative system has no rates to drop, so its keys are all kept
+        with_rates = RATE_DRIVERS[driver](sc, True)
+        without = RATE_DRIVERS[driver](sc, False)
+        rate_keys = {f"dEdt_p{p:g}" for p in sc.p_list}
+        assert len(with_rates) == len(without)
+        for j, (full, lean) in enumerate(zip(with_rates, without)):
+            _assert_bitwise(lean.times, full.times)
+            kept = [k for k in full.diagnostics if k not in rate_keys]
+            assert list(lean.diagnostics) == kept
+            dropped = set(full.diagnostics) - set(kept)
+            w_run = driver == "derivative_system" and j == 1
+            assert dropped == (set() if w_run else rate_keys)
+            for key in kept:
+                _assert_bitwise(lean.diagnostics[key], full.diagnostics[key])
+
+    @pytest.mark.parametrize("driver", sorted(RATE_DRIVERS))
+    def test_rates_off_evaluates_no_dissipation_term(self, driver, monkeypatch):
+        # no dissipation_rate call, and g only in the stepping: the record
+        # blocks' g evaluations are gone
+        sc = _scenario(n=32, t_final=1.0, p_list=ALL_P)
+        nodes = Counter()
+        value = sc.g.value
+
+        def counted(s):
+            nodes["g"] += np.size(s)
+            return value(s)
+
+        sc = replace(sc, g=replace(sc.g, value=counted))
+        full = RATE_DRIVERS[driver](sc, True)
+        g_with, nodes["g"] = nodes["g"], 0
+
+        def refused(*args):
+            raise AssertionError("dissipation_rate called with rates=False")
+
+        monkeypatch.setattr(solver._energy, "dissipation_rate", refused)
+        lean = RATE_DRIVERS[driver](sc, False)
+        rows = len(full) if driver.startswith("family") else 1
+        assert g_with - nodes["g"] == len(sc.record_steps) * rows * sc.grid.n_nodes
+        assert len(lean) == len(full)
+
+
 # N = 16, T = 5: 80 steps on 17 nodes, so a run's _Track copies its windows
 # back to the ends of their buffers 4 times, after steps 17, 34, 51 and 68
 RECENTER_N, RECENTER_T = 16, 5.0
@@ -1479,7 +1539,12 @@ class TestTrackRecentering:
         aux_xi = np.array([s.xi for s in aux_states])
         nl, aux = run_auxiliary_rerun(sc)
         _assert_records(nl.diagnostics, [_base_diag_ref(s, sc, sc.a_nodes) for s in states])
-        aux_records = [_aux_diag_ref(s, sc, theta) for s in aux_states]
+        # the rerun records no dissipation rates: every other key is the loop's
+        aux_records = [{k: v for k, v in _aux_diag_ref(s, sc, theta).items()
+                        if not k.startswith("dEdt_p")} for s in aux_states]
+        assert not [k for k in aux.diagnostics if k.startswith("dEdt_p")]
+        assert list(aux.diagnostics) == [*aux_records[0], "discrepancy",
+                                         "theta_min", "theta_max"]
         _assert_records({k: aux.diagnostics[k] for k in aux_records[0]}, aux_records)
         _assert_bitwise(aux.diagnostics["discrepancy"],
                         np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
