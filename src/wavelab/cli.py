@@ -25,7 +25,7 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
-from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, window_rows
+from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, energy_p, window_rows
 from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
@@ -275,6 +275,23 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
         window=value("window", lambda text: _parse_floats(text, 2)),
         co_integrate_w=co_integrate_w, raw=dict(raw))
 
+    # the guard stops a run whose E_p(0) is not finite at t = 0: refuse it
+    # here instead, the alphas rows at their largest |alpha|; the w = z_t
+    # system's E_p(w)(0) is guarded too, and each row's c_p reads it
+    key, data = "amplitude", initial
+    if spec.alphas:
+        key, data = "alphas", initial.scaled(max(spec.alphas, key=abs))
+    with np.errstate(all="ignore"):
+        states = {"E_p": data.riemann(grid)}
+        if co_integrate_w or spec.alphas:
+            states["E_pw"] = data.derivative_system_data(grid, scenario.a_nodes, g)
+        for label, state in states.items():
+            for p in p_list:
+                if not np.isfinite(energy_p(state, p, grid)):
+                    raise ConfigError(
+                        f"scenario '{name}': key '{key}': {label}{p:g}(0) is not "
+                        f"finite at p = {p:g}: the initial data are too large")
+
     # each window, its default (experiments) resolved, must fit the run,
     # t_final rounded to whole steps, and hold the records its consumer needs:
     # window_rows counts them on the record times as it picks them in a run
@@ -393,7 +410,8 @@ def run_suite(suite: ExperimentSuite, output_dir: str | None = None,
                 and all(spec.raw is not None for spec in suite.scenarios))
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(suite.scenarios))) as pool:
             futures = [pool.submit(_run_raw, suite.kind, spec.scenario.name,
                                    spec.raw, out)
                        for spec in suite.scenarios]

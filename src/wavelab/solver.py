@@ -257,26 +257,32 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     lies between 0 and u_old: safeguarded Newton from u_old, with a bisection
     fallback (a linear g takes the substep's closed form, _substep_coef).
 
+    Newton takes at most NEWTON_MAX_ITER updates; 0 means none, and the
+    fallback starts from u_old. The first two updates are taken untested,
+    since almost no solve passes before them, the first with its residual
+    c g(u_old); the residual test follows every later update.
+
     u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
     stops iterating once all of its nodes pass, and falls back to bisection
-    on its own, so every row takes exactly the iterations of its solve alone.
+    on its own, so every row takes exactly the updates of its solve alone.
     """
     u = u_old  # only rebound below, never written, until the bisection fallback
     tol = NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
+    resid = c * g.value(u_old)  # u_old + c g(u_old) - u_old, in one pass
     converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        resid = u + c * g.value(u) - u_old
-        ok = np.abs(resid) <= tol
-        if np.count_nonzero(ok) == ok.size:
-            converged = True
-            break
+    for k in range(NEWTON_MAX_ITER):
+        if k >= 2:
+            ok = np.abs(resid) <= tol
+            if np.count_nonzero(ok) == ok.size:
+                converged = True
+                break
         du = resid / (1.0 + c * g.derivative(u))
-        if u.ndim > 1 and len(u) > 1:
+        if k >= 2 and u.ndim > 1 and len(u) > 1:
             # u - 0.0 is u: a converged row stays put
             du[np.count_nonzero(ok, axis=-1) == ok.shape[-1]] = 0.0
         u = u - du
-    if not converged:
         resid = u + c * g.value(u) - u_old
+    if not converged:
         bad = np.abs(resid) > tol
         u = u.copy()  # written below, and still u_old if no iteration ran
         c = np.broadcast_to(c, u.shape)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +348,64 @@ class TestMainEndToEnd:
         assert err.startswith("usage: wavelab run ")
         assert err.endswith("wavelab run: error: argument --jobs: "
                             f"must be a whole number >= 1, got '{jobs}'\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    def test_jobs_is_capped_at_the_scenario_count(self, tmp_path, monkeypatch, jobs, workers):
+        # a forked pool starts max_workers processes at its first submit;
+        # this one records max_workers and runs each scenario in this process
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = simulate\n" + "".join(
+            f"[scenario s{i}]\nn_cells = 16\nt_final = 1\n" for i in range(3)))
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert pools == [workers]
+        assert len(list(out.iterdir())) == 6
+
+    @pytest.mark.parametrize("kind, lines, key, energy", [
+        ("simulate", "amplitude = 1e150\np_list = 2, 4", "amplitude", "E_p4"),
+        ("aux_equivalence", "amplitude = 1e150\np_list = 2, 4", "amplitude", "E_p4"),
+        ("multiplier_report", "amplitude = 1e150\np_list = 2, 4", "amplitude", "E_p4"),
+        # the rows at their largest |alpha|, and E_p(w)(0), which c_p reads
+        ("simulate", "alphas = 1, -1e150\np_list = 2, 4", "alphas", "E_p4"),
+        ("simulate", "alphas = 1, 4e153", "alphas", "E_pw2"),
+        # w(0) = z1, w_t(0) = z0'' - a g(z1): E_p(w)(0) overflows first
+        ("simulate", "amplitude = 1e60\np_list = 2\ng = cubic\nz1 = sine(1)\n"
+                     "co_integrate_w = true", "amplitude", "E_pw2"),
+    ], ids=["simulate", "aux_equivalence", "multiplier_report", "alphas", "alphas-c_p",
+            "co_integrate_w"])
+    def test_initial_energy_that_is_not_finite_is_a_config_error(
+            self, tmp_path, capsys, kind, lines, key, energy):
+        keys = {line.partition(" =")[0] for line in lines.splitlines()}
+        text = "".join(ln + "\n" for ln in GOOD_SUITE.splitlines()
+                       if ln.partition(" =")[0] not in keys) + lines + "\n"
+        suite_file = tmp_path / "big.ini"
+        suite_file.write_text(_as_kind(text, kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
+        p = energy.removeprefix("E_pw").removeprefix("E_p")
+        assert capsys.readouterr().err == (
+            f"config error: scenario 'demo': key '{key}': {energy}(0) is not finite "
+            f"at p = {p}: the initial data are too large\n")
         assert not (tmp_path / "o").exists()
 
     def test_bad_number_in_profile_spec_exit_code(self, tmp_path, capsys):

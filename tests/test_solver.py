@@ -11,7 +11,7 @@ from wavelab.core import (
     Grid, RiemannState, arctan_damping, bump_profile, constant_profile,
     cubic_damping, identity_damping, indicator_profile, nonmonotone_example,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
-    zero_function, zero_profile, Nonlinearity, nu_ratio,
+    zero_function, zero_profile, NONLINEARITIES, Nonlinearity, nu_ratio,
 )
 from wavelab import solver
 from wavelab.energy import energy_p
@@ -120,14 +120,18 @@ class TestImplicitDamping:
 
 def _reference_update(u_old, c, g):
     """_implicit_damping_update as written with np.clip, ndarray.all, np.all,
-    np.asarray around g and an upfront copy of u_old; the kernel must match
-    it bit for bit. A linear g is solved by Newton here too: the closed form
-    is the substep's (_substep_args)."""
+    np.asarray around g, an upfront copy of u_old and its two untested
+    opening updates unrolled; the kernel must match it bit for bit. A linear
+    g is solved by Newton here too: the closed form is the substep's
+    (_substep_args)."""
     u = u_old.copy()
     tol = solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
-    converged = False
-    for _ in range(solver.NEWTON_MAX_ITER):
+    resid = c * np.asarray(g.value(u))
+    for _ in range(min(2, solver.NEWTON_MAX_ITER)):
+        u = u - resid / (1.0 + c * np.asarray(g.derivative(u)))
         resid = u + c * np.asarray(g.value(u)) - u_old
+    converged = False
+    for _ in range(solver.NEWTON_MAX_ITER - 2):
         ok = np.abs(resid) <= tol
         if ok.all():
             converged = True
@@ -136,8 +140,8 @@ def _reference_update(u_old, c, g):
         if u.ndim > 1 and len(u) > 1:
             du[ok.all(axis=-1)] = 0.0
         u = u - du
-    if not converged:
         resid = u + c * np.asarray(g.value(u)) - u_old
+    if not converged:
         bad = np.abs(resid) > tol
         c = np.broadcast_to(c, u.shape)
         for row in np.ndindex(u.shape[:-1]):
@@ -289,6 +293,87 @@ class TestKernelMatchesReference:
         u_old, c, name = STIFF
         _implicit_damping_update(u_old, c, KERNEL_GS[name]())
         assert rows
+
+
+class TestNewtonUpdates:
+    """Newton takes its first two updates untested and tests the residual
+    after every later one, row by row; NEWTON_MAX_ITER bounds the updates."""
+
+    @pytest.mark.parametrize("u_old", [
+        np.array([0.3, -0.5, 0.0, 2.0]),
+        np.array([[0.3, -0.5, 0.0, 2.0], [1e-3, -0.2, 0.7, -0.0], [0.1, 0.1, -1.5, 0.4]]),
+    ], ids=["1-d", "3 rows"])
+    def test_a_solve_that_passes_after_two_updates(self, u_old):
+        calls = Counter()
+        u = _implicit_damping_update(u_old, np.full(4, 0.01), _counted(arctan_damping(), calls))
+        assert calls == {"value": 3, "derivative": 2}
+        resid = u + 0.01 * np.arctan(u) - u_old
+        assert np.all(np.abs(resid) <= solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old)))
+
+    def test_no_update_without_iterations(self, monkeypatch):
+        # c = 0 passes at u_old itself; the others go to bisection as they are
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 0)
+        bisected = []
+        real = solver._bisect_damping
+
+        def bisect(u_old, c, g, tol):
+            bisected.append(u_old.copy())
+            return real(u_old, c, g, tol)
+
+        monkeypatch.setattr(solver, "_bisect_damping", bisect)
+        u_old, c = np.array([0.7, -2.0, 0.4]), np.array([0.0, 3.0, 3.0])
+        calls = Counter()
+        u = _implicit_damping_update(u_old, c, _counted(cubic_damping(), calls))
+        assert calls["derivative"] == 0
+        assert len(bisected) == 1
+        _assert_bitwise(bisected[0], u_old[1:])
+        _assert_bitwise(u[:1], u_old[:1])
+
+    def test_rows_that_need_more_updates_equal_their_solves_alone(self):
+        # the cubic's rows alone take 2, 6 and 12 updates
+        u_old = np.array([[1e-3, -1e-3, 2e-3], [1.0, -0.5, 0.7], [50.0, -30.0, 10.0]])
+        c = np.full(3, 3.0)
+        calls = Counter()
+        got = _implicit_damping_update(u_old, c, _counted(cubic_damping(), calls))
+        solo_calls = []
+        for row, u_row in zip(got, u_old, strict=True):
+            solo_calls.append(Counter())
+            _assert_bitwise(row, _implicit_damping_update(
+                u_row, c, _counted(cubic_damping(), solo_calls[-1])))
+        assert [n["derivative"] for n in solo_calls] == [2, 6, 12]
+        assert calls == max(solo_calls, key=lambda n: n["value"])
+
+
+#: the shipped g the parser admits: nonmonotone fails H2
+SHIPPED_GS = {name: make for name, make in NONLINEARITIES.items() if name != "nonmonotone"}
+
+
+@st.composite
+def _solve_cases(draw):
+    """(u_old, c, g name): u_old in [-50, 50] of shape (m,) or (B, m), c in
+    [0, 10] or 1e6 of shape (m,) or u_old's."""
+    m = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from([(m,), (2, m), (3, m)]))
+    u_old = draw(arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+    c = draw(arrays(float, draw(st.sampled_from([(m,), shape])), elements=COEF))
+    return u_old, c, draw(st.sampled_from(sorted(SHIPPED_GS)))
+
+
+@given(case=_solve_cases())
+@example(case=STIFF)
+@settings(max_examples=200, deadline=None)
+def test_newton_nodes_meet_the_tolerance_and_every_node_its_bracket(case):
+    u_old, c, name = case
+    g = SHIPPED_GS[name]()
+    with pytest.MonkeyPatch.context() as mp:
+        # a bisected node comes back nan
+        mp.setattr(solver, "_bisect_damping", lambda u_old, c, g, tol: np.full(u_old.shape, np.nan))
+        newton = ~np.isnan(_implicit_damping_update(u_old, c, g))
+    u = _implicit_damping_update(u_old, c, g)
+    tol = solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
+    resid = u + c * g.value(u) - u_old
+    assert np.all(np.abs(resid[newton]) <= tol[newton])
+    assert np.all((np.minimum(0.0, u_old) <= u) & (u <= np.maximum(0.0, u_old)))
 
 
 def _read_only(*arrays):
