@@ -11,6 +11,7 @@ bitwise equal to its run alone.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -402,8 +403,22 @@ def step(state: RiemannState | _Track, scenario: Scenario,
 #: node values per block of recorded states that are evaluated together, by
 #: the record loop's diagnostics, its block consumers and every pass over
 #: stacked states: a run on n_nodes nodes takes max(1, RECORD_BLOCK_VALUES
-#: // n_nodes) records per block
+#: // n_nodes) records per block; _keep_block_heap keeps their heap mapped
 RECORD_BLOCK_VALUES = 2 ** 14
+
+
+# Block arrays are 128 KiB, glibc's default top pad, and several are live in
+# each block's diagnostics: a 4 MiB pad keeps them from faulting back in.
+@functools.cache
+def _keep_block_heap() -> None:
+    """Set glibc's M_TOP_PAD once per process; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-2, 4 << 20)  # M_TOP_PAD
 
 
 def _block_len(values_per_record: int) -> int:
@@ -498,6 +513,7 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     sees the states. Returns (times, diagnostics), times being
     scenario.record_times.
     """
+    _keep_block_heap()
     rows = capture(state)
     steps = scenario.record_steps.tolist()  # read once per run
     times = scenario.record_times

@@ -1,6 +1,12 @@
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1507,6 +1513,84 @@ class TestRecordBuffers:
             assert list(traj.diagnostics) == list(ref_traj.diagnostics)
             for key, series in traj.diagnostics.items():
                 _assert_bitwise(ref_traj.diagnostics[key], series)
+
+
+#: prints the minor page faults of one dense N = 512 arctan run to T = argv[1]
+#: in a fresh interpreter
+_FAULT_PROBE = """
+import resource, sys
+from wavelab.core import Grid, arctan_damping, sine_profile, smooth_indicator_profile, zero_function
+from wavelab.solver import InitialData, Scenario, run_simulation
+sc = Scenario(name="faults", grid=Grid(512), t_final=float(sys.argv[1]), p_list=(1.5, 2.0, 4.0),
+              g=arctan_damping(), a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
+              initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_simulation(sc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def _run_faults(t_final):
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(t_final)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return int(run.stdout)
+
+
+class TestBlockHeap:
+    """The record loop keeps a heap pad for its block temporaries, so a
+    block's arrays are not trimmed and faulted back in by the next block."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_blocks_do_not_fault_their_temporaries_back_in(self):
+        blocks = {}
+        for t_final in (1.0, 4.0):
+            sc = _scenario(n=512, t_final=t_final, p_list=(1.5, 2.0, 4.0))
+            blocks[t_final] = len(list(solver.record_blocks(len(sc.record_steps),
+                                                            sc.grid.n_nodes)))
+        assert blocks == {1.0: 17, 4.0: 67}
+        extra = _run_faults(4.0) - _run_faults(1.0)
+        assert extra / (blocks[4.0] - blocks[1.0]) <= 5
+
+    @pytest.mark.parametrize("error", [None, TypeError, OSError])
+    def test_no_mallopt_is_a_no_op(self, monkeypatch, error):
+        # a C library without mallopt, or none that CDLL(None) can open
+        def cdll(name):
+            if error is not None:
+                raise error(name)
+            return SimpleNamespace()
+
+        monkeypatch.setattr(solver.ctypes, "CDLL", cdll)
+        assert solver._keep_block_heap.__wrapped__() is None
+
+    def test_top_pad_is_set_once_per_process(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(solver.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        solver._keep_block_heap.__wrapped__()
+        assert calls == [(-2, 4 << 20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        calls.clear()
+        solver._keep_block_heap.cache_clear()
+        try:
+            run_simulation(_scenario(n=16, t_final=0.5))
+            run_simulation(_scenario(n=16, t_final=0.5))
+        finally:
+            solver._keep_block_heap.cache_clear()  # the next run sets the real pad
+        assert calls == [(-2, 4 << 20)]
 
 
 #: each driver that takes rates, as run(scenario, rates) -> its trajectories;
