@@ -13,6 +13,13 @@ import numpy as np
 
 Array = np.ndarray
 
+# The step path's constants, read-only 0-d float64 arrays: numpy 2 converts a
+# Python-float operand on every call, and a 0-d array gives the same bits sooner.
+ZERO, HALF, ONE, THREE = (np.array(v) for v in (0.0, 0.5, 1.0, 3.0))
+for _const in (ZERO, HALF, ONE, THREE):
+    _const.setflags(write=False)
+del _const
+
 
 class HypothesisViolation(ValueError):
     """A damping profile or nonlinearity fails one of the standing hypotheses."""
@@ -169,16 +176,16 @@ def identity_damping() -> Nonlinearity:
 
 
 def arctan_damping() -> Nonlinearity:
-    return Nonlinearity(np.arctan, lambda s: 1.0 / (1.0 + np.square(s)), "arctan")
+    return Nonlinearity(np.arctan, lambda s: ONE / (ONE + np.square(s)), "arctan")
 
 
 def cubic_damping() -> Nonlinearity:
-    return Nonlinearity(lambda s: s + s * s * s, lambda s: 1.0 + 3.0 * np.square(s), "cubic")
+    return Nonlinearity(lambda s: s + s * s * s, lambda s: ONE + THREE * np.square(s), "cubic")
 
 
 def saturating_damping() -> Nonlinearity:
-    return Nonlinearity(lambda s: s / (1.0 + np.abs(s)),
-                        lambda s: 1.0 / (1.0 + np.abs(s)) ** 2, "saturating")
+    return Nonlinearity(lambda s: s / (ONE + np.abs(s)),
+                        lambda s: ONE / np.square(ONE + np.abs(s)), "saturating")
 
 
 def nonmonotone_example() -> Nonlinearity:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import energy as _energy
 from .core import (
-    Array, DampingProfile, Grid, Nonlinearity, Profile, RiemannState, nu_ratio,
+    HALF, ONE, ZERO, Array, DampingProfile, Grid, Nonlinearity, Profile, RiemannState,
+    nu_ratio,
 )
 
 NEWTON_MAX_ITER = 50
@@ -261,29 +262,42 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     Newton takes at most NEWTON_MAX_ITER updates; 0 means none, and the
     fallback starts from u_old. The first two updates are taken untested,
     since almost no solve passes before them, the first with its residual
-    c g(u_old); the residual test follows every later update.
+    c g(u_old); the residual test follows every later update. A node passes
+    when |resid| <= NEWTON_TOL max(1, |u_old|); that bound is >= NEWTON_TOL,
+    so the test compares with NEWTON_TOL first and builds the per-node bound
+    only when some node fails there, or for the fallback.
 
     u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
     stops iterating once all of its nodes pass, and falls back to bisection
     on its own, so every row takes exactly the updates of its solve alone.
     """
     u = u_old  # only rebound below, never written, until the bisection fallback
-    tol = NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
+    abs_tol = np.array(NEWTON_TOL)  # read per call, so that a test can patch it
+    tol = None  # abs_tol max(1, |u_old|), built when first needed
     resid = c * g.value(u_old)  # u_old + c g(u_old) - u_old, in one pass
     converged = False
     for k in range(NEWTON_MAX_ITER):
         if k >= 2:
-            ok = np.abs(resid) <= tol
-            if np.count_nonzero(ok) == ok.size:
+            abs_resid = np.abs(resid)
+            ok = abs_resid <= abs_tol
+            passed = np.count_nonzero(ok) == ok.size
+            if not passed:  # the nodes that fail here may pass their own bound
+                if tol is None:
+                    tol = abs_tol * np.maximum(ONE, np.abs(u_old))
+                ok = abs_resid <= tol
+                passed = np.count_nonzero(ok) == ok.size
+            if passed:
                 converged = True
                 break
-        du = resid / (1.0 + c * g.derivative(u))
+        du = resid / (ONE + c * g.derivative(u))
         if k >= 2 and u.ndim > 1 and len(u) > 1:
             # u - 0.0 is u: a converged row stays put
-            du[np.count_nonzero(ok, axis=-1) == ok.shape[-1]] = 0.0
+            du[np.logical_and.reduce(ok, axis=-1)] = 0.0
         u = u - du
         resid = u + c * g.value(u) - u_old
     if not converged:
+        if tol is None:
+            tol = abs_tol * np.maximum(ONE, np.abs(u_old))
         bad = np.abs(resid) > tol
         u = u.copy()  # written below, and still u_old if no iteration ran
         c = np.broadcast_to(c, u.shape)
@@ -298,7 +312,7 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
                     err.row = row[0]
                 raise
     # clamp against roundoff overshoot: the root lies between 0 and u_old
-    return np.minimum(np.maximum(u, np.minimum(0.0, u_old)), np.maximum(0.0, u_old))
+    return np.minimum(np.maximum(u, np.minimum(ZERO, u_old)), np.maximum(ZERO, u_old))
 
 
 def _bisect_damping(u_old: Array, c: Array, g: Nonlinearity, tol: Array) -> Array:
@@ -355,7 +369,7 @@ def _damping_substep_nodal(state: RiemannState | _Track, coef: Array, support: s
     slice adds d = 0.0, which only turns a -0.0 into +0.0.
     """
     r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
-    u = 0.5 * (r - x)
+    u = HALF * (r - x)
     u_new = u / coef if g is None else _implicit_damping_update(u, coef, g)
     d = u_new - u
     np.add(r, d, out=r)
@@ -652,7 +666,8 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
         raise ValueError("recorded theta field is bound to the run's grid")
     xs = grid.nodes
     support = scenario.support
-    a_damped = scenario.a_nodes[support]
+    # h a on the damped slice per substep: h a theta is (h a) theta, bit for bit
+    has = [h * scenario.a_nodes[support] for h in scenario.substep_lengths]
     track = _Track(scenario.initial.riemann(grid))
 
     def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
@@ -661,8 +676,8 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     def advance(s: _Track) -> _Track:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
         return _split_step(s, scenario, support, [
-            1.0 + h * a_damped * theta(s.t + (k + 0.5) * h, xs)[support]
-            for k, h in enumerate(scenario.substep_lengths)])
+            ONE + ha * theta(s.t + (k + 0.5) * h, xs)[support]
+            for k, (h, ha) in enumerate(zip(scenario.substep_lengths, has))])
 
     times, (diag,) = _record_loop(
         scenario, track, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
@@ -689,10 +704,11 @@ def run_derivative_system(scenario: Scenario,
     g = scenario.g
     a_nodes, support = scenario.a_nodes, scenario.support
     a_damped = a_nodes[support]
+    hs = [np.array(h) for h in scenario.substep_lengths]
 
     def theta(bs: _Track) -> Array:
         # a g'(z_t) on the damped slice; zero elsewhere
-        zt = 0.5 * (bs.rho[support] - bs.xi[support])
+        zt = HALF * (bs.rho[support] - bs.xi[support])
         return a_damped * np.asarray(g.derivative(zt))
 
     base = _Track(scenario.initial.riemann(grid))
@@ -704,7 +720,7 @@ def run_derivative_system(scenario: Scenario,
         step(base, scenario, a_nodes)
         theta_np1 = theta(base)
         _split_step(w, scenario, support, [
-            1.0 + h * th for h, th in zip(scenario.substep_lengths, (theta_n, theta_np1))])
+            ONE + h * th for h, th in zip(hs, (theta_n, theta_np1))])
         theta_n = theta_np1
         return pair
 

@@ -118,6 +118,40 @@ class TestNonlinearities:
         assert saturating_damping().linear_slope is None
 
 
+#: g and g' of the shipped nonlinearities as written with Python-float
+#: constants, before the step path's 0-d array constants
+PYTHON_FLOAT_FORMS = {
+    "identity": (lambda s: s, lambda s: np.ones_like(np.asarray(s, dtype=float))),
+    "arctan": (np.arctan, lambda s: 1.0 / (1.0 + np.square(s))),
+    "cubic": (lambda s: s + s * s * s, lambda s: 1.0 + 3.0 * np.square(s)),
+    "saturating": (lambda s: s / (1.0 + np.abs(s)), lambda s: 1.0 / (1.0 + np.abs(s)) ** 2),
+}
+#: signed zeros, subnormals, the ends of the normal range, +-1e150 (the
+#: cubic overflows), infinities and NaN
+G_LATTICE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-8, -0.5, 1.0,
+                      -3.0, 7.25, 1e150, -1e150, 1.7e308, np.inf, -np.inf, np.nan])
+
+
+def _assert_same_bits(got, ref):
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_FLOAT_FORMS))
+def test_shipped_g_equal_their_python_float_forms(name):
+    g = NONLINEARITIES[name]()
+    with np.errstate(all="ignore"):
+        for new, old in zip((g.value, g.derivative), PYTHON_FLOAT_FORMS[name]):
+            for s in (G_LATTICE, G_LATTICE.reshape(1, -1).repeat(3, axis=0) * [[1.0], [-2.0], [0.5]],
+                      *map(np.array, G_LATTICE)):  # 1-d, (B, m) and 0-d
+                _assert_same_bits(new(s), old(s))
+            # Nonlinearity.validate and nu_ratio evaluate np.array(0.0) and Python floats
+            for s in (np.array(0.0), 0.0, -0.0, 0.75, -2.0):
+                _assert_same_bits(new(s), old(s))
+
+
 class TestDampingProfiles:
     def test_indicator_values(self):
         a = indicator_profile(0.7, 1.0, 2.0)

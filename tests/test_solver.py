@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavelab.core import (
-    Grid, RiemannState, arctan_damping, bump_profile, constant_profile,
+    ONE, Grid, RiemannState, arctan_damping, bump_profile, constant_profile,
     cubic_damping, identity_damping, indicator_profile, nonmonotone_example,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
     zero_function, zero_profile, NONLINEARITIES, Nonlinearity, nu_ratio,
@@ -348,6 +348,164 @@ class TestNewtonUpdates:
                 u_row, c, _counted(cubic_damping(), solo_calls[-1])))
         assert [n["derivative"] for n in solo_calls] == [2, 6, 12]
         assert calls == max(solo_calls, key=lambda n: n["value"])
+
+
+class _Recorded(np.ndarray):
+    """An ndarray that logs every numpy call it takes part in, as (name,
+    inputs) in _Recorded.log, and passes the recording on to its results."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        name = ufunc.__name__ if method == "__call__" else f"{ufunc.__name__}.{method}"
+        _Recorded.log.append((name, inputs))
+        plain = [x.view(np.ndarray) if isinstance(x, _Recorded) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Recorded) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Recorded.log.append((func.__name__, args))
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def _logged(solve, *args):
+    """solve(*args) with every array in args, a RiemannState's too, viewed as
+    _Recorded: (the result, with plain arrays, and the log of numpy calls)."""
+    def view(x):
+        if isinstance(x, RiemannState):
+            return RiemannState(rho=view(x.rho), xi=view(x.xi), t=x.t)
+        return x.view(_Recorded) if isinstance(x, np.ndarray) else x
+
+    _Recorded.log = []
+    out = solve(*map(view, args))
+    if isinstance(out, RiemannState):
+        out = RiemannState(rho=out.rho.view(np.ndarray), xi=out.xi.view(np.ndarray), t=out.t)
+    else:
+        out = out.view(np.ndarray)
+    return out, _Recorded.log
+
+
+def _no_bisection(u_old, c, g, tol):
+    raise AssertionError("the solve fell back to bisection")
+
+
+def _third_residual(u_old, c, g):
+    """The residual the Newton solve tests first, after its two untested updates."""
+    u, resid = u_old, c * g.value(u_old)
+    for _ in range(2):
+        u = u - resid / (1.0 + c * g.derivative(u))
+        resid = u + c * g.value(u) - u_old
+    return resid
+
+
+#: (u_old, c) of an arctan solve whose third residual, 3.6e-14, passes its
+#: per-node bound 7e-14 and not NEWTON_TOL
+PER_NODE = (np.array([7.0]), np.array([0.12]))
+
+
+class TestHotPathOperands:
+    """Every numpy call of a damping substep takes array operands, the
+    constants included (core's 0-d ZERO, HALF, ONE, THREE): numpy 2 converts
+    a Python or numpy scalar operand on every call. The call count of a solve
+    that passes at its third residual is pinned."""
+
+    @pytest.mark.parametrize("name", ["arctan", "cubic", "saturating", "linear"])
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["1-d", "3 rows"])
+    def test_no_scalar_operand(self, monkeypatch, name, rows):
+        monkeypatch.setattr(solver, "_bisect_damping", _no_bisection)
+        g = KERNEL_GS[name]()
+        # rows of sizes 1e-3, 1 and 50 stop at different updates; 7 with
+        # c = 0.12 passes its per-node bound only
+        family = np.array([[1e-3, -2e-3, 0.0, 5e-4],
+                           [0.3, -0.5, 0.7, 7.0],
+                           [50.0, -30.0, 10.0, -0.0]])
+        u_old = family if rows else family[1]
+        c = np.array([0.5, 1.0, 3.0, 0.12])
+        rho = np.zeros((*rows, 8))
+        xi = rho.copy()
+        rho[..., 2:6] += u_old
+        xi[..., 2:6] -= u_old
+        coef = 1.0 + c if g is None else c
+        ref = _reference_slice_substep(RiemannState(rho=rho, xi=xi, t=0.0), c,
+                                       slice(2, 6), g)
+        got, log = _logged(_damping_substep_nodal, RiemannState(rho=rho, xi=xi, t=0.0),
+                           coef, slice(2, 6), g)
+        _assert_bitwise(got.rho, ref.rho)
+        _assert_bitwise(got.xi, ref.xi)
+        assert log
+        scalars = [(call, x) for call, inputs in log for x in inputs
+                   if isinstance(x, (int, float, np.generic))]
+        assert scalars == []
+
+    def test_calls_of_a_solve_that_passes_at_its_third_residual(self):
+        # the parent of the lazy tolerance and the 0-d constants made 39
+        u_old, c = np.array([0.3, -0.5, 0.0, 2.0]), np.full(4, 0.01)
+        calls = Counter()
+        state = RiemannState(rho=u_old.copy(), xi=-u_old, t=0.0)
+        _, log = _logged(_damping_substep_nodal, state, c, slice(None),
+                         _counted(arctan_damping(), calls))
+        assert calls == {"value": 3, "derivative": 2}
+        assert len(log) == 36
+
+
+class TestLazyTolerance:
+    """The residual test compares with NEWTON_TOL first and builds the
+    per-node bound NEWTON_TOL max(1, |u_old|) only for a node that fails
+    there, or for the bisection fallback: the decisions are the reference's."""
+
+    def test_a_node_passes_its_own_bound_without_bisection(self, monkeypatch):
+        u_old, c = PER_NODE
+        g = arctan_damping()
+        assert solver.NEWTON_TOL < abs(_third_residual(u_old, c, g)[0]) <= solver.NEWTON_TOL * 7.0
+        monkeypatch.setattr(solver, "_bisect_damping", _no_bisection)
+        got, log = _logged(_implicit_damping_update, u_old, c, g)
+        # the per-node bound was built: maximum(ONE, |u_old|), the clamp's take ZERO
+        assert [inputs for name, inputs in log if name == "maximum" and inputs[0] is ONE]
+        _assert_bitwise(got, _reference_update(u_old, c, g))
+        calls = Counter()
+        _implicit_damping_update(u_old, c, _counted(g, calls))
+        assert calls == {"value": 3, "derivative": 2}
+
+    def test_family_of_an_absolute_and_a_per_node_row(self):
+        # row 0 takes 5 updates and passes NEWTON_TOL; row 1 passes its
+        # per-node bound at the third residual and must stay put after it
+        g = arctan_damping()
+        u_old = np.array([[5.0], PER_NODE[0]])
+        c = np.array([[3.0], PER_NODE[1]])
+        got = _implicit_damping_update(u_old, c, g)
+        _assert_bitwise(got, _reference_update(u_old, c, g))
+        solo = [Counter(), Counter()]
+        for row, counts in enumerate(solo):
+            alone = _implicit_damping_update(u_old[row], c[row], _counted(g, counts))
+            _assert_bitwise(got[row], alone)
+        assert [n["value"] for n in solo] == [6, 3]
+        resid = got[0] + c[0] * g.value(got[0]) - u_old[0]
+        assert abs(resid[0]) <= solver.NEWTON_TOL
+        assert abs(_third_residual(u_old[1], c[1], g)[0]) > solver.NEWTON_TOL
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_bisection_gets_the_per_node_bound(self, monkeypatch, max_iter):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", max_iter)
+        received = []
+        real = solver._bisect_damping
+
+        def bisect(u_old, c, g, tol):
+            received.append((u_old.copy(), tol.copy()))
+            return real(u_old, c, g, tol)
+
+        monkeypatch.setattr(solver, "_bisect_damping", bisect)
+        g = arctan_damping()
+        u_old, c = np.array([7.0, -30.0, 0.4, 0.0]), np.array([0.12, 1e6, 2.0, 1.0])
+        _assert_bitwise(_implicit_damping_update(u_old, c, g), _reference_update(u_old, c, g))
+        (bisected, tol), = received
+        assert -30.0 in bisected
+        _assert_bitwise(tol, solver.NEWTON_TOL * np.maximum(1.0, np.abs(bisected)))
+        # after two updates u_old = 7 passes its per-node bound, not NEWTON_TOL
+        assert (7.0 in bisected) == (max_iter < 2)
 
 
 #: the shipped g the parser admits: nonmonotone fails H2
