@@ -139,7 +139,8 @@ H2_LATTICE = np.linspace(-10.0, 10.0, 401)
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A damping nonlinearity g with its derivative.
+    """A damping nonlinearity g with its derivative, each mapping an array
+    to an array of its shape.
 
     linear_slope is set when g is exactly linear (g(s) = slope * s); the
     implicit damping substep then uses the closed-form update, which also

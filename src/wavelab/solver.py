@@ -203,7 +203,7 @@ class _Track:
     rho's to the start and xi's to the end. The damping substep writes the
     windows in place. Built from a RiemannState, whose arrays it copies once."""
 
-    __slots__ = ("rho", "xi", "t", "_rho_buf", "_xi_buf", "_shifts")
+    __slots__ = ("rho", "xi", "t", "_rho_buf", "_xi_buf", "_shifts", "_flat")
 
     def __init__(self, state: RiemannState) -> None:
         n = state.rho.shape[-1]
@@ -212,6 +212,7 @@ class _Track:
         self._rho_buf[..., :n] = state.rho
         self._xi_buf[..., n:] = state.xi
         self._shifts = 0  # since the windows were last at the ends
+        self._flat = state.rho.ndim == 1  # one run: plain slices, no `...`
         self.rho, self.xi = self._rho_buf[..., :n], self._xi_buf[..., n:]
         self.t = state.t
 
@@ -220,9 +221,15 @@ class _Track:
         as a move of the windows, then the two wall values."""
         n = self.rho.shape[-1]
         k = self._shifts = self._shifts + 1
-        self.rho, self.xi = self._rho_buf[..., k:k + n], self._xi_buf[..., n - k:2 * n - k]
-        self.xi[..., 0] = self.rho[..., 0]
-        self.rho[..., -1] = self.xi[..., -1]
+        if self._flat:
+            rho, xi = self._rho_buf[k:k + n], self._xi_buf[n - k:2 * n - k]
+            xi[0] = rho[0]
+            rho[-1] = xi[-1]
+        else:
+            rho, xi = self._rho_buf[..., k:k + n], self._xi_buf[..., n - k:2 * n - k]
+            xi[..., 0] = rho[..., 0]
+            rho[..., -1] = xi[..., -1]
+        self.rho, self.xi = rho, xi
         if k == n:  # the windows reached the far ends: copy them back
             self._rho_buf[..., :n] = self.rho
             self._xi_buf[..., n:] = self.xi
@@ -234,10 +241,6 @@ class _Track:
         return RiemannState(rho=self.rho, xi=self.xi, t=self.t)
 
 
-def _as_track(state: RiemannState | _Track) -> _Track:
-    return state if isinstance(state, _Track) else _Track(state)
-
-
 def transport_shift(state: RiemannState | _Track, grid: Grid) -> RiemannState | _Track:
     """One exact advection step of size dt = dx, then wall reflection.
 
@@ -247,9 +250,12 @@ def transport_shift(state: RiemannState | _Track, grid: Grid) -> RiemannState | 
     in place, as an index shift of its windows, and is returned; a
     RiemannState is copied once into a fresh _Track and never written.
     """
-    track = _as_track(state)
+    if isinstance(state, _Track):
+        state.shift(grid.dx)
+        return state
+    track = _Track(state)
     track.shift(grid.dx)
-    return track if track is state else track.state()
+    return track.state()
 
 
 def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
@@ -270,36 +276,38 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
     stops iterating once all of its nodes pass, and falls back to bisection
     on its own, so every row takes exactly the updates of its solve alone.
+    The result is a fresh array; u_old, c and what g returns are never written.
     """
-    u = u_old  # only rebound below, never written, until the bisection fallback
-    abs_tol = np.array(NEWTON_TOL)  # read per call, so that a test can patch it
+    max_iter = NEWTON_MAX_ITER  # read per call, as NEWTON_TOL, so that a test can patch it
+    abs_tol = np.array(NEWTON_TOL)
     tol = None  # abs_tol max(1, |u_old|), built when first needed
+    u = u_old  # until the first update
     resid = c * g.value(u_old)  # u_old + c g(u_old) - u_old, in one pass
+    if max_iter >= 1:
+        u, resid = _newton_update(u, resid, u_old, c, g)
+    if max_iter >= 2:
+        u, resid = _newton_update(u, resid, u_old, c, g)
+    family = u_old.ndim > 1 and len(u_old) > 1
     converged = False
-    for k in range(NEWTON_MAX_ITER):
-        if k >= 2:
-            abs_resid = np.abs(resid)
-            ok = abs_resid <= abs_tol
+    for _ in range(max_iter - 2):
+        abs_resid = np.abs(resid)
+        ok = abs_resid <= abs_tol
+        passed = np.count_nonzero(ok) == ok.size
+        if not passed:  # the nodes that fail here may pass their own bound
+            if tol is None:
+                tol = abs_tol * np.maximum(ONE, np.abs(u_old))
+            ok = abs_resid <= tol
             passed = np.count_nonzero(ok) == ok.size
-            if not passed:  # the nodes that fail here may pass their own bound
-                if tol is None:
-                    tol = abs_tol * np.maximum(ONE, np.abs(u_old))
-                ok = abs_resid <= tol
-                passed = np.count_nonzero(ok) == ok.size
-            if passed:
-                converged = True
-                break
-        du = resid / (ONE + c * g.derivative(u))
-        if k >= 2 and u.ndim > 1 and len(u) > 1:
-            # u - 0.0 is u: a converged row stays put
-            du[np.logical_and.reduce(ok, axis=-1)] = 0.0
-        u = u - du
-        resid = u + c * g.value(u) - u_old
+        if passed:
+            converged = True
+            break
+        u, resid = _newton_update(u, resid, u_old, c, g,
+                                  np.logical_and.reduce(ok, axis=-1) if family else None)
     if not converged:
         if tol is None:
             tol = abs_tol * np.maximum(ONE, np.abs(u_old))
         bad = np.abs(resid) > tol
-        u = u.copy()  # written below, and still u_old if no iteration ran
+        u = u.copy()  # written below, and still u_old if no update ran
         c = np.broadcast_to(c, u.shape)
         for row in np.ndindex(u.shape[:-1]):  # a 1-d solve is the one row ()
             b = bad[row]
@@ -311,8 +319,30 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
                 if row:
                     err.row = row[0]
                 raise
-    # clamp against roundoff overshoot: the root lies between 0 and u_old
-    return np.minimum(np.maximum(u, np.minimum(ZERO, u_old)), np.maximum(ZERO, u_old))
+    # clamp against roundoff overshoot: the root lies between 0 and u_old;
+    # written into its lower bound
+    lo = np.minimum(ZERO, u_old)
+    np.maximum(u, lo, out=lo)
+    return np.minimum(lo, np.maximum(ZERO, u_old), out=lo)
+
+
+def _newton_update(u: Array, resid: Array, u_old: Array, c: Array, g: Nonlinearity,
+                   stop: Array | None = None) -> tuple[Array, Array]:
+    """One Newton update u - resid / (1 + c g'(u)) of u + c g(u) = u_old, and
+    its residual, in two fresh arrays; the rows flagged in stop stay put
+    (u - 0.0 is u). One array holds the denominator, then the step, then the
+    new u."""
+    # a ufunc's third positional argument is its output: that parses faster
+    # than out=, which np.maximum and np.minimum still need
+    du = c * g.derivative(u)
+    np.add(ONE, du, du)
+    np.divide(resid, du, du)
+    if stop is not None:
+        du[stop] = 0.0
+    u = np.subtract(u, du, du)
+    resid = c * g.value(u)
+    np.add(u, resid, resid)
+    return u, np.subtract(resid, u_old, resid)
 
 
 def _bisect_damping(u_old: Array, c: Array, g: Nonlinearity, tol: Array) -> Array:
@@ -366,14 +396,17 @@ def _damping_substep_nodal(state: RiemannState | _Track, coef: Array, support: s
     The state's own rho and xi are updated on the slice only, by rho + d and
     xi - d with d = u_new - u, and the state is returned: the same
     operations, node for node, as on the whole grid, where c = 0 off the
-    slice adds d = 0.0, which only turns a -0.0 into +0.0.
+    slice adds d = 0.0, which only turns a -0.0 into +0.0. u and d are the
+    substep's own arrays, written in place; coef is never written.
     """
-    r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
-    u = HALF * (r - x)
-    u_new = u / coef if g is None else _implicit_damping_update(u, coef, g)
-    d = u_new - u
-    np.add(r, d, out=r)
-    np.subtract(x, d, out=x)
+    at = support if state.rho.ndim == 1 else (..., support)
+    r, x = state.rho[at], state.xi[at]  # views: written in place
+    u = np.subtract(r, x)  # outputs are third arguments, as in _newton_update
+    np.multiply(HALF, u, u)
+    d = u / coef if g is None else _implicit_damping_update(u, coef, g)
+    np.subtract(d, u, d)
+    np.add(r, d, r)
+    np.subtract(x, d, x)
     return state
 
 
@@ -383,11 +416,14 @@ def _split_step(track: _Track, scenario: Scenario, support: slice,
     transport o damp(dt/2); lie = transport o damp(dt).
 
     coefs holds each damping substep's coefficient on `support`, with g as
-    _damping_substep_nodal takes them: lie reads one, strang two.
+    _damping_substep_nodal takes them: lie reads one, strang two. An empty
+    support takes no damping substep, which would write nothing.
     """
-    _damping_substep_nodal(track, coefs[0], support, g)
+    damped = support.stop > support.start
+    if damped:
+        _damping_substep_nodal(track, coefs[0], support, g)
     transport_shift(track, scenario.grid)
-    if scenario.splitting == "strang":
+    if damped and scenario.splitting == "strang":
         _damping_substep_nodal(track, coefs[1], support, g)
     return track
 
@@ -406,8 +442,9 @@ def step(state: RiemannState | _Track, scenario: Scenario,
         support = damped_support(a_nodes)
         coef = _substep_coef(a_nodes[support], scenario.substep_lengths[0], scenario.g)
     g = None if scenario.g.linear_slope is not None else scenario.g
-    track = _split_step(_as_track(state), scenario, support, (coef, coef), g)
-    return track if track is state else track.state()
+    if isinstance(state, _Track):
+        return _split_step(state, scenario, support, (coef, coef), g)
+    return _split_step(_Track(state), scenario, support, (coef, coef), g).state()
 
 
 # ---------------------------------------------------------------------------
@@ -704,24 +741,24 @@ def run_derivative_system(scenario: Scenario,
     g = scenario.g
     a_nodes, support = scenario.a_nodes, scenario.support
     a_damped = a_nodes[support]
-    hs = [np.array(h) for h in scenario.substep_lengths]
+    h = np.array(scenario.substep_lengths[0])  # every substep's length
 
-    def theta(bs: _Track) -> Array:
-        # a g'(z_t) on the damped slice; zero elsewhere
+    def denominator(bs: _Track) -> Array:
+        # 1 + h theta with theta = a g'(z_t) on the damped slice; zero elsewhere
         zt = HALF * (bs.rho[support] - bs.xi[support])
-        return a_damped * np.asarray(g.derivative(zt))
+        return ONE + h * (a_damped * np.asarray(g.derivative(zt)))
 
     base = _Track(scenario.initial.riemann(grid))
     w = _Track(scenario.initial.derivative_system_data(grid, a_nodes, g))
-    theta_n = theta(base)  # the next step's first theta
+    den_n = denominator(base)  # the next step's first denominator
 
     def advance(pair: tuple[_Track, _Track]) -> tuple[_Track, _Track]:
-        nonlocal theta_n
+        # strang damps with theta at t_n, then t_{n+1}; lie with theta at t_n
+        nonlocal den_n
         step(base, scenario, a_nodes)
-        theta_np1 = theta(base)
-        _split_step(w, scenario, support, [
-            ONE + h * th for h, th in zip(hs, (theta_n, theta_np1))])
-        theta_n = theta_np1
+        den_np1 = denominator(base)
+        _split_step(w, scenario, support, (den_n, den_np1))
+        den_n = den_np1
         return pair
 
     def capture(pair: tuple[_Track, _Track]) -> tuple[Array, ...]:

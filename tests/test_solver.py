@@ -612,6 +612,77 @@ class TestInputsNotWritten:
         _assert_bitwise(xi, kept[1])
 
 
+#: NEWTON_MAX_ITER of the buffer tests: none, one and two untested updates,
+#: and the default; the first three send the stiff nodes to bisection
+MAX_ITERS = pytest.mark.parametrize("max_iter", [0, 1, 2, solver.NEWTON_MAX_ITER],
+                                    ids=["0", "1", "2", "default"])
+
+
+class TestSolveBuffers:
+    """The damping solve writes only arrays it made: the substep's u and d,
+    and the solve's own buffers. Its result is a fresh array, also when
+    g.value returns its argument (the identity, through Newton here), and
+    u_old and coef, read-only here, are never written."""
+
+    U_OLD = np.array([[50.0, -0.7, 0.0, 7.0], [1e-3, -30.0, 0.4, -0.0], [2.0, 0.0, -5.0, 0.3]])
+    C = np.array([1e6, 2.0, 1e6, 0.12])  # 1e6: arctan's 50 falls back to bisection
+
+    @staticmethod
+    def _spy_bisection(monkeypatch):
+        bisected = []
+        real = solver._bisect_damping
+        monkeypatch.setattr(solver, "_bisect_damping",
+                            lambda *args: bisected.append(1) or real(*args))
+        return bisected
+
+    @MAX_ITERS
+    @pytest.mark.parametrize("rows", [False, True], ids=["1-d", "3 rows"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_GS))
+    def test_implicit_update(self, monkeypatch, name, rows, max_iter):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", max_iter)
+        bisected = self._spy_bisection(monkeypatch)
+        g = SHIPPED_GS[name]()
+        u_old, c = _read_only(self.U_OLD.copy() if rows else self.U_OLD[0].copy(), self.C.copy())
+        got = _implicit_damping_update(u_old, c, g)
+        assert not np.shares_memory(got, u_old) and not np.shares_memory(got, c)
+        _assert_bitwise(got, _reference_update(u_old, c, g))
+        if max_iter == 0 or name == "arctan":
+            assert bisected
+
+    @MAX_ITERS
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["1-d", "3 rows"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_GS) + ["linear"])
+    def test_substep(self, monkeypatch, name, rows, max_iter):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", max_iter)
+        bisected = self._spy_bisection(monkeypatch)
+        solved = []
+        real = solver._implicit_damping_update
+
+        def solve(u_old, c, g):  # the substep's u, read-only from here on
+            u_old.setflags(write=False)
+            got = real(u_old, c, g)
+            solved.append(not np.shares_memory(got, u_old))
+            return got
+
+        monkeypatch.setattr(solver, "_implicit_damping_update", solve)
+        g = KERNEL_GS[name]()
+        u_old = self.U_OLD if rows else self.U_OLD[0]
+        rho = np.zeros((*rows, 8))
+        xi = rho.copy()
+        rho[..., 2:6] += u_old
+        xi[..., 2:6] -= u_old
+        coef, = _read_only(1.0 + self.C if g is None else self.C.copy())
+        ref = _reference_slice_substep(RiemannState(rho=rho, xi=xi, t=0.0), self.C,
+                                       slice(2, 6), g)
+        state = RiemannState(rho=rho.copy(), xi=xi.copy(), t=0.0)
+        assert _damping_substep_nodal(state, coef, slice(2, 6), g) is state
+        _assert_bitwise(state.rho, ref.rho)
+        _assert_bitwise(state.xi, ref.xi)
+        assert solved == ([] if g is None else [True])
+        if g is not None and (max_iter == 0 or name == "arctan"):
+            assert bisected
+
+
 def _reference_substep(state, c, g):
     """The damping substep on every node, with c given on the whole grid;
     g = None is the closed-form linear update u / (1 + c), and a linear g
@@ -1204,6 +1275,35 @@ class TestSplitKernel:
         assert calls == {"transport_shift": 2 * n, "step": n,
                          "_damping_substep_nodal": 2 * substeps}
         each_step_passes(dense.a_nodes)
+
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("g", ["identity", "arctan"])
+    def test_empty_support_takes_no_damping_substep(self, monkeypatch, splitting, g):
+        # a(x) = 0 damps no node: every step is the transport alone
+        sc = _scenario(n=32, t_final=0.5, g=GS[g](), a=zero_profile(),
+                       splitting=splitting, record_every=3)
+        assert sc.support == slice(0, 0)
+        state = sc.initial.riemann(sc.grid)
+        undamped = [state]
+        for n in range(1, sc.n_steps + 1):
+            state = transport_shift(state, sc.grid)
+            if n in sc.record_steps:
+                undamped.append(state)
+        ref = [np.array([s.rho for s in undamped]), np.array([s.xi for s in undamped])]
+        ref_diag = solver._base_diagnostics(*ref, sc)
+        calls, _ = self._count(monkeypatch)
+        traj, rows = run_kept(run_simulation, sc)
+        assert calls == {"transport_shift": sc.n_steps, "step": sc.n_steps}
+        for got, want in zip(rows, ref, strict=True):
+            _assert_bitwise(got, want)
+        assert list(traj.diagnostics) == list(ref_diag)
+        for key, series in ref_diag.items():
+            _assert_bitwise(traj.diagnostics[key], series)
+        calls.clear()
+        _, (rho, xi, *_) = run_kept(run_derivative_system, sc)
+        assert calls["_damping_substep_nodal"] == 0
+        _assert_bitwise(rho, ref[0])
+        _assert_bitwise(xi, ref[1])
 
 
 # ---------------------------------------------------------------------------
