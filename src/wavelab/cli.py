@@ -132,6 +132,17 @@ def _parse_floats(text: str, count: int | None = None) -> tuple[float, ...]:
     return vals
 
 
+def _grid(text: str) -> Grid:
+    """Grid(int(text)), refused when numpy cannot allocate its nodes."""
+    grid = Grid(int(text))
+    try:
+        grid.nodes
+    except (IndexError, MemoryError, ValueError) as exc:
+        raise ConfigError(f"{grid.n_nodes} nodes are more than numpy can "
+                          f"allocate ({exc})") from None
+    return grid
+
+
 def _parse_bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
@@ -186,6 +197,9 @@ def parse_suite(config_text: str) -> ExperimentSuite:
         if not section.startswith("scenario"):
             raise ConfigError(f"unknown section '[{section}]'")
         name = section[len("scenario"):].strip() or "run"
+        if "/" in name or "\\" in name:
+            raise ConfigError(f"scenario '{name}': the name must not contain '/' or "
+                              f"'\\', since it becomes part of the report file names")
         if name in names:
             raise ConfigError(f"duplicate scenario name '{name}'")
         names.add(name)
@@ -240,7 +254,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
             raise ConfigError("co_integrate_w = true has no family form for the rows")
         return alphas
 
-    grid = value("n_cells", lambda text: Grid(int(text)))
+    grid = value("n_cells", _grid)
     t_final = value("t_final", _finite)
     p_list = value("p_list", exponents)
     record_every = value("record_every", int)
@@ -295,8 +309,12 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     # each window, its default (experiments) resolved, must fit the run,
     # t_final rounded to whole steps, and hold the records its consumer needs:
     # window_rows counts them on the record times as it picks them in a run
-    t_end = scenario.t_final_actual
-    times = scenario.record_times
+    with _scenario_key(name, "t_final"):  # the schedule: n_steps + 1 times
+        try:
+            t_end, times = scenario.t_final_actual, scenario.record_times
+        except (MemoryError, OverflowError, ValueError) as exc:
+            raise ConfigError(f"{t_final:g} is more steps of dt = {scenario.dt:g} "
+                              f"than numpy can record ({exc})") from None
 
     def holds(what: str, window: tuple[float, float], need: int, consumer: str):
         held = len(times[window_rows(times, window)])

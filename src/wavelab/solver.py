@@ -265,10 +265,10 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     lies between 0 and u_old: safeguarded Newton from u_old, with a bisection
     fallback (a linear g takes the substep's closed form, _substep_coef).
 
-    Newton takes at most NEWTON_MAX_ITER updates; 0 means none, and the
-    fallback starts from u_old. The first two updates are taken untested,
+    Newton takes at most NEWTON_MAX_ITER updates, in one loop; 0 means none,
+    and the fallback starts from u_old. The first two updates are untested,
     since almost no solve passes before them, the first with its residual
-    c g(u_old); the residual test follows every later update. A node passes
+    c g(u_old); the residual is tested before each later one. A node passes
     when |resid| <= NEWTON_TOL max(1, |u_old|); that bound is >= NEWTON_TOL,
     so the test compares with NEWTON_TOL first and builds the per-node bound
     only when some node fails there, or for the fallback.
@@ -278,32 +278,36 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     on its own, so every row takes exactly the updates of its solve alone.
     The result is a fresh array; u_old, c and what g returns are never written.
     """
-    max_iter = NEWTON_MAX_ITER  # read per call, as NEWTON_TOL, so that a test can patch it
-    abs_tol = np.array(NEWTON_TOL)
+    abs_tol = np.array(NEWTON_TOL)  # read per call, as NEWTON_MAX_ITER: tests patch both
     tol = None  # abs_tol max(1, |u_old|), built when first needed
+    family = u_old.ndim > 1 and len(u_old) > 1
     u = u_old  # until the first update
     resid = c * g.value(u_old)  # u_old + c g(u_old) - u_old, in one pass
-    if max_iter >= 1:
-        u, resid = _newton_update(u, resid, u_old, c, g)
-    if max_iter >= 2:
-        u, resid = _newton_update(u, resid, u_old, c, g)
-    family = u_old.ndim > 1 and len(u_old) > 1
-    converged = False
-    for _ in range(max_iter - 2):
-        abs_resid = np.abs(resid)
-        ok = abs_resid <= abs_tol
-        passed = np.count_nonzero(ok) == ok.size
-        if not passed:  # the nodes that fail here may pass their own bound
-            if tol is None:
-                tol = abs_tol * np.maximum(ONE, np.abs(u_old))
-            ok = abs_resid <= tol
+    for k in range(NEWTON_MAX_ITER):
+        if k >= 2:
+            abs_resid = np.abs(resid)
+            ok = abs_resid <= abs_tol
             passed = np.count_nonzero(ok) == ok.size
-        if passed:
-            converged = True
-            break
-        u, resid = _newton_update(u, resid, u_old, c, g,
-                                  np.logical_and.reduce(ok, axis=-1) if family else None)
-    if not converged:
+            if not passed:  # the nodes that fail here may pass their own bound
+                if tol is None:
+                    tol = abs_tol * np.maximum(ONE, np.abs(u_old))
+                ok = abs_resid <= tol
+                passed = np.count_nonzero(ok) == ok.size
+            if passed:
+                break
+        # u - resid / (1 + c g'(u)): one array holds the denominator, then the
+        # step, then the new u, another the residual. A ufunc's third positional
+        # argument is its output, parsed faster than out= (np.maximum needs out=)
+        du = c * g.derivative(u)
+        np.add(ONE, du, du)
+        np.divide(resid, du, du)
+        if family and k >= 2:  # the rows that passed stay put: u - 0.0 is u
+            du[np.logical_and.reduce(ok, axis=-1)] = 0.0
+        u = np.subtract(u, du, du)
+        resid = c * g.value(u)
+        np.add(u, resid, resid)
+        np.subtract(resid, u_old, resid)
+    else:  # no pass within NEWTON_MAX_ITER updates: bisect the nodes still failing
         if tol is None:
             tol = abs_tol * np.maximum(ONE, np.abs(u_old))
         bad = np.abs(resid) > tol
@@ -324,25 +328,6 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     lo = np.minimum(ZERO, u_old)
     np.maximum(u, lo, out=lo)
     return np.minimum(lo, np.maximum(ZERO, u_old), out=lo)
-
-
-def _newton_update(u: Array, resid: Array, u_old: Array, c: Array, g: Nonlinearity,
-                   stop: Array | None = None) -> tuple[Array, Array]:
-    """One Newton update u - resid / (1 + c g'(u)) of u + c g(u) = u_old, and
-    its residual, in two fresh arrays; the rows flagged in stop stay put
-    (u - 0.0 is u). One array holds the denominator, then the step, then the
-    new u."""
-    # a ufunc's third positional argument is its output: that parses faster
-    # than out=, which np.maximum and np.minimum still need
-    du = c * g.derivative(u)
-    np.add(ONE, du, du)
-    np.divide(resid, du, du)
-    if stop is not None:
-        du[stop] = 0.0
-    u = np.subtract(u, du, du)
-    resid = c * g.value(u)
-    np.add(u, resid, resid)
-    return u, np.subtract(resid, u_old, resid)
 
 
 def _bisect_damping(u_old: Array, c: Array, g: Nonlinearity, tol: Array) -> Array:
@@ -399,9 +384,8 @@ def _damping_substep_nodal(state: RiemannState | _Track, coef: Array, support: s
     slice adds d = 0.0, which only turns a -0.0 into +0.0. u and d are the
     substep's own arrays, written in place; coef is never written.
     """
-    at = support if state.rho.ndim == 1 else (..., support)
-    r, x = state.rho[at], state.xi[at]  # views: written in place
-    u = np.subtract(r, x)  # outputs are third arguments, as in _newton_update
+    r, x = state.rho[..., support], state.xi[..., support]  # views: written in place
+    u = np.subtract(r, x)  # outputs are third arguments, as in the Newton update
     np.multiply(HALF, u, u)
     d = u / coef if g is None else _implicit_damping_update(u, coef, g)
     np.subtract(d, u, d)

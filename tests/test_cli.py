@@ -177,7 +177,11 @@ class TestMainEndToEnd:
          "scenario 'demo': key 'g': unknown nonlinearity 'mystery' (available: "),
         # `wavelab verify` is the one verify entry; as a suite kind it is unknown
         ("kind = simulate", "kind = verify", "key 'kind': unknown experiment kind 'verify'\n"),
-    ], ids=["unknown-g", "verify-kind"])
+        # a scenario name becomes part of its report file names
+        *(("[scenario demo]", f"[scenario {name}]", f"scenario '{name}': the name must "
+           f"not contain '/' or '\\', since it becomes part of the report file names\n")
+          for name in ["a/b", "a\\b", "/abs"]),
+    ], ids=["unknown-g", "verify-kind", "slash", "backslash", "absolute"])
     def test_parse_error_exit_code(self, tmp_path, capsys, line, bad, message):
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(GOOD_SUITE.replace(line, bad))
@@ -212,6 +216,13 @@ class TestMainEndToEnd:
         ("fit_window = 50, 60", "fit_window"),
         ("fit_window = 0.5, 0.6", "fit_window"),
         ("window = 0, 0.01", "window"),
+        # sizes numpy refuses outright, past any machine's address space; a
+        # sparse schedule still sums dt once per step
+        ("n_cells = 100000000000000000", "n_cells"),
+        ("n_cells = 100000000000000000000", "n_cells"),
+        ("t_final = 1e300", "t_final"),
+        ("t_final = 1e15\nrecord_every = 1000000000000", "t_final"),
+        ("t_final = 1.7e308", "t_final"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, line, key):
         lines = [ln for ln in GOOD_SUITE.splitlines() if not ln.startswith(f"{key} =")]

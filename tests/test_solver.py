@@ -487,7 +487,8 @@ class TestLazyTolerance:
         assert abs(resid[0]) <= solver.NEWTON_TOL
         assert abs(_third_residual(u_old[1], c[1], g)[0]) > solver.NEWTON_TOL
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    # 3: one tested update, then the fallback
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
     def test_bisection_gets_the_per_node_bound(self, monkeypatch, max_iter):
         monkeypatch.setattr(solver, "NEWTON_MAX_ITER", max_iter)
         received = []
