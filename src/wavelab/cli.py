@@ -309,7 +309,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     # each window, its default (experiments) resolved, must fit the run,
     # t_final rounded to whole steps, and hold the records its consumer needs:
     # window_rows counts them on the record times as it picks them in a run
-    with _scenario_key(name, "t_final"):  # the schedule: n_steps + 1 times
+    with _scenario_key(name, "t_final"):  # one pass over the steps, under MAX_STEPS
         try:
             t_end, times = scenario.t_final_actual, scenario.record_times
         except (MemoryError, OverflowError, ValueError) as exc:

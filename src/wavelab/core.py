@@ -205,17 +205,12 @@ NONLINEARITIES: dict[str, Callable[[], Nonlinearity]] = {
 
 
 def nu_ratio(x, g: Nonlinearity):
-    """The ratio nu(x) = g(x)/x, continued by g'(0) at x = 0."""
+    """The ratio nu(x) = g(x)/x, continued by g'(0) at x = 0; a float for
+    a 0-d x. g is evaluated at every node, zeros included."""
     x = np.asarray(x, dtype=float)
     gp0 = float(np.asarray(g.derivative(np.array(0.0))))
-    if x.ndim == 0:
-        if x == 0.0:
-            return gp0
-        return float(np.asarray(g.value(x))) / float(x)
-    out = np.full(x.shape, gp0)
-    nz = x != 0.0
-    out[nz] = np.asarray(g.value(x[nz])) / x[nz]
-    return out
+    out = np.divide(g.value(x), x, out=np.full(x.shape, gp0), where=x != 0.0)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,7 @@ def smooth_indicator_profile(b: float, c: float, a0: float,
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        s = np.clip((x - b) / ramp, 0.0, 1.0)
+        s = np.clip(x - b, 0.0, ramp) / ramp  # clipped first: a tiny ramp cannot overflow
         out = a0 * 0.5 * (1.0 - np.cos(np.pi * s))
         return np.where((x >= b) & (x <= c), out, 0.0)
 
@@ -357,6 +352,9 @@ def make_localization(omega: tuple[float, float],
         raise ValueError(
             f"epsilons must satisfy 0 < e2 < e1 < e0 < 1 - b, got {epsilons}")
     q0, q1, q2 = b + e0, b + e1, b + e2
+    if not b < q2 < q1 < q0:  # each ramp divides by its width
+        raise ValueError(f"epsilons {epsilons} give cutoffs b + e that are not distinct "
+                         f"floats at b = {b:g}")
 
     def psi(x):
         return _ramp(x, q1, q0, 1.0, 0.0)
@@ -429,6 +427,8 @@ def bump_profile(center: float = 0.5, width: float = 0.1,
     """sin(pi x) * Gaussian envelope; vanishes exactly at both walls."""
     if not width > 0.0:
         raise ValueError(f"bump width must be > 0, got {width:g}")
+    if width > 1e154:  # width ** 2 below raises past the float range
+        raise ValueError(f"bump width must be <= 1e154, got {width:g}")
     def parts(x):
         x = np.asarray(x, dtype=float)
         s = np.sin(np.pi * x)

@@ -20,7 +20,7 @@ from .core import (
     Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_big_g,
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
-from .energy import trapezoid, window_rows
+from .energy import energy_p_nodal, trapezoid, window_rows
 from .solver import Scenario
 
 #: the Young parameters eta of the second-set table
@@ -126,7 +126,7 @@ def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slic
         f_rho, f_xi = f(rho), f(xi)
         big_sum = big_f(rho) + big_f(xi)
         out.append({
-            "E": trapezoid((np.abs(rho) ** p + np.abs(xi) ** p) / p, dx),
+            "E": energy_p_nodal(rho, xi, p, dx),
             # first set of multipliers (x psi f)
             "S1": trapezoid(st.one_minus[None, :] * big_sum * st.q1_mask, dx),
             "S3": trapezoid(np.abs(atheta * st.xpsi[None, :]) * np.abs(f_rho + f_xi)

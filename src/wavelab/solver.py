@@ -27,6 +27,11 @@ from .core import (
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-14  # on the residual, scaled by max(1, |u_old|) per node
 MONOTONICITY_SLACK = 1e-12
+#: the most steps a scenario may take: Scenario.record_times passes over
+#: every step at about 4 ns each, so 2^30 steps keep that pass to a few seconds
+MAX_STEPS = 2 ** 30
+#: steps per cumsum of that pass
+CLOCK_CHUNK = 2 ** 16
 
 
 class EnergyMonotonicityError(RuntimeError):
@@ -130,8 +135,26 @@ class Scenario:
     def record_times(self) -> Array:
         """The record times, known before a run and the times it records:
         dt summed once per step from 0.0, in step order, as a state's t
-        accumulates through transport_shift."""
-        return np.cumsum(np.append(0.0, np.full(self.n_steps, self.dt)))[self.record_steps]
+        accumulates through transport_shift.
+
+        One pass over the steps in chunks of CLOCK_CHUNK, each a cumsum that
+        starts from the last time of the chunk before and keeps only its
+        record steps' times: the sums of one global cumsum, in O(records)
+        memory. ValueError above MAX_STEPS steps."""
+        n_steps = self.n_steps
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"{n_steps:.3g} steps, past the cap of "
+                             f"MAX_STEPS = {MAX_STEPS} steps per run")
+        steps = self.record_steps
+        times = np.empty(len(steps))
+        chunk = np.full(min(n_steps, CLOCK_CHUNK) + 1, self.dt)  # [t, dt, dt, ...]
+        chunk[0] = 0.0
+        for lo in range(0, n_steps, CLOCK_CHUNK):
+            clock = np.cumsum(chunk[:min(n_steps - lo, CLOCK_CHUNK) + 1])  # steps lo, ...
+            i, j = np.searchsorted(steps, (lo, lo + len(clock)))
+            times[i:j] = clock[steps[i:j] - lo]
+            chunk[0] = clock[-1]
+        return times
 
     @functools.cached_property
     def a_nodes(self) -> Array:
@@ -271,7 +294,10 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     c g(u_old); the residual is tested before each later one. A node passes
     when |resid| <= NEWTON_TOL max(1, |u_old|); that bound is >= NEWTON_TOL,
     so the test compares with NEWTON_TOL first and builds the per-node bound
-    only when some node fails there, or for the fallback.
+    only when some node fails there, or for the fallback. From the third
+    update on, which only a solve that fails its first test reaches, each
+    iterate is clipped into the root's bracket [min(0, u_old), max(0, u_old)]:
+    for a bounded g at large c, Newton overshoots that bracket and diverges.
 
     u_old may hold rows (B, m), with c of shape (m,) or (B, m). Each row
     stops iterating once all of its nodes pass, and falls back to bisection
@@ -280,6 +306,7 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
     """
     abs_tol = np.array(NEWTON_TOL)  # read per call, as NEWTON_MAX_ITER: tests patch both
     tol = None  # abs_tol max(1, |u_old|), built when first needed
+    lo, hi = np.minimum(ZERO, u_old), np.maximum(ZERO, u_old)  # the root's bracket
     family = u_old.ndim > 1 and len(u_old) > 1
     u = u_old  # until the first update
     resid = c * g.value(u_old)  # u_old + c g(u_old) - u_old, in one pass
@@ -304,6 +331,9 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
         if family and k >= 2:  # the rows that passed stay put: u - 0.0 is u
             du[np.logical_and.reduce(ok, axis=-1)] = 0.0
         u = np.subtract(u, du, du)
+        if k >= 2:
+            np.maximum(u, lo, out=u)
+            np.minimum(u, hi, out=u)
         resid = c * g.value(u)
         np.add(u, resid, resid)
         np.subtract(resid, u_old, resid)
@@ -323,11 +353,9 @@ def _implicit_damping_update(u_old: Array, c: Array, g: Nonlinearity) -> Array:
                 if row:
                     err.row = row[0]
                 raise
-    # clamp against roundoff overshoot: the root lies between 0 and u_old;
-    # written into its lower bound
-    lo = np.minimum(ZERO, u_old)
+    # clamp against roundoff overshoot, written into the bracket's lower bound
     np.maximum(u, lo, out=lo)
-    return np.minimum(lo, np.maximum(ZERO, u_old), out=lo)
+    return np.minimum(lo, hi, out=lo)
 
 
 def _bisect_damping(u_old: Array, c: Array, g: Nonlinearity, tol: Array) -> Array:
@@ -750,6 +778,7 @@ def run_derivative_system(scenario: Scenario,
 
     def diagnose(rho: Array, xi: Array, w_rho: Array, w_xi: Array
                  ) -> tuple[dict[str, Array], dict[str, Array]]:
+        base_diag = _base_diagnostics(rho, xi, scenario, rates=rates)
         zt = 0.5 * (rho - xi)
         zt_x = 0.5 * (w_rho + w_xi)  # w_x with w = z_t
         w_diag: dict[str, Array] = {}
@@ -758,8 +787,8 @@ def run_derivative_system(scenario: Scenario,
             w_diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
             w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
             w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
-        w_diag["max_zt"] = np.max(np.abs(zt), axis=-1)
-        return _base_diagnostics(rho, xi, scenario, rates=rates), w_diag
+        w_diag["max_zt"] = base_diag["max_zt"]  # sup |z_t| of the base run
+        return base_diag, w_diag
 
     times, (base_diag, w_diag) = _record_loop(
         scenario, (base, w), advance, capture, diagnose, consume)

@@ -1,14 +1,17 @@
 import concurrent.futures
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavelab.core import HypothesisViolation, make_localization
+from wavelab.core import (
+    DAMPING_PROFILES, NONLINEARITIES, PROFILES, HypothesisViolation, make_localization,
+)
 from wavelab.cli import (
-    ConfigError, ExperimentSuite, _SCENARIO_KEYS, main, parse_damping,
+    ConfigError, ExperimentSuite, _RUN_KEYS, _SCENARIO_KEYS, main, parse_damping,
     parse_nonlinearity, parse_profile, parse_suite, write_energy_csv,
 )
 from wavelab.energy import (
@@ -21,7 +24,8 @@ from wavelab.solver import run_derivative_system, run_simulation
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
 #: need 3
-BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report"}
+BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report",
+                   "epsilons = 3e-308, 2e-308, 1e-308": "multiplier_report"}
 
 #: a good value of each key that some kinds read and the others refuse
 SPEC_VALUES = {"fit_window": "0.5, 2", "window": "0, 1", "co_integrate_w": "true",
@@ -143,6 +147,21 @@ class TestSuiteParsing:
         with pytest.raises(ValueError):
             parse_suite(text.replace("fit_window = 0.5, 2", ""))
 
+    def test_long_sparse_schedule_parses_in_little_memory(self):
+        # 4,096,000 steps, 1,001 records: the record clock keeps the records'
+        # times only (one array of all step times would be 33 MB)
+        text = ("[suite]\nkind = simulate\n[scenario long]\nn_cells = 4096\n"
+                "t_final = 1000\nrecord_every = 4096\n")
+        parse_suite(text)  # imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            sc = parse_suite(text).scenarios[0].scenario
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sc.n_steps == 4_096_000 and len(sc.record_steps) == 1001
+        assert peak < 5e6
+
     def test_missing_suite_section(self):
         with pytest.raises(ConfigError, match="suite"):
             parse_suite("[scenario x]\ng = arctan\n")
@@ -212,12 +231,16 @@ class TestMainEndToEnd:
         ("p_list = 2, 2", "p_list"),
         ("z0 = bump(width=0)", "z0"),
         ("z0 = bump(width=-0.1)", "z0"),
+        ("z0 = bump(width=1e308)", "z0"),  # its width ** 2 is past the float range
         ("window = 0, 100", "window"),
         ("fit_window = 50, 60", "fit_window"),
         ("fit_window = 0.5, 0.6", "fit_window"),
         ("window = 0, 0.01", "window"),
+        # ordered, but b + e rounds to one cutoff: each ramp would divide by 0
+        ("epsilons = 3e-308, 2e-308, 1e-308", "epsilons"),
         # sizes numpy refuses outright, past any machine's address space; a
-        # sparse schedule still sums dt once per step
+        # sparse schedule still passes over every step, so these t_final are
+        # past the record clock's MAX_STEPS
         ("n_cells = 100000000000000000", "n_cells"),
         ("n_cells = 100000000000000000000", "n_cells"),
         ("t_final = 1e300", "t_final"),
@@ -491,28 +514,105 @@ class TestMainEndToEnd:
         assert err.endswith(f"wavelab oracle: error: argument {flag}: {why}\n")
 
 
-#: values that are not a number, not finite, empty, negative, garbage or a
-#: malformed or out-of-range profile call
-FUZZ_TOKENS = ["nan", "inf", "-inf", "", "-1", "0", "0.5", "1", "2", "16", "abc",
-               "constant(nan)", "constant(-1)", "constant(", "indicator(0.7, 1)",
-               "smooth_indicator(0.7, 1, 2, 0)", "sine(nan)", "sine(2, k=1)",
-               "bump(width=0)", "mystery(1)", "arctan", "true", "maybe"]
+#: adversarial numbers: not finite, zero, negative, at the float range's
+#: edges, empty, garbage, non-ASCII digits (float() reads '٣' and '２') and a
+#: few plain values
+ADVERSARIAL = ["nan", "NaN", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e308", "-1e308",
+               "1e-308", "5e-324", "", "abc", "٣", "２", "½", "0.05", "0.5", "1", "2", "4"]
+#: sizes: small values, and those numpy refuses outright (as in
+#: test_bad_value_is_a_config_error), so that no suite allocates more than a
+#: few MB; the non-numbers allocate nothing
+SIZES = {"n_cells": ["4", "16", "64", "100000000000000000", "100000000000000000000",
+                     "nan", "", "-1", "0", "abc", "1e308", "٣"],
+         "t_final": ["0.25", "1", "2", "1e300", "1.7e308", "1e15",
+                     "nan", "inf", "", "-1", "0", "abc", "5e-324", "1e-308", "٣"],
+         "record_every": ["1", "3", "64", "1000000000000", "nan", "", "-1", "0", "1e308"]}
+#: a good value of each other key, so that most texts reach the later checks
+GOOD = {"p_list": ["2", "1.5, 2", "1, 4"], "amplitude": ["0.5", "1", "1e150"],
+        "splitting": ["strang", "lie"], "g": ["arctan", "cubic", "saturating", "identity"],
+        "a": ["smooth_indicator(0.7, 1, 2, 0.05)", "indicator(0.5, 1, 1)", "constant(1)",
+              "zero"],
+        "z0": ["sine(1)", "bump(0.5, 0.1)", "zero"], "z1": ["sine(2)", "zero"],
+        "fit_window": ["0.5, 2", "0, 1", "0.1, 0.2"], "window": ["0, 1", "0.5, 2"],
+        "epsilons": ["0.15, 0.1, 0.05"], "alphas": ["1, 2", "0, 1", "-1, 1"],
+        "co_integrate_w": ["true", "false"]}
+#: the call specs of g, a, z0 and z1: every shipped name, and one that is not
+CALLEES = sorted({*NONLINEARITIES, *DAMPING_PROFILES, *PROFILES, "mystery"})
+#: section and directory names: plain, non-ASCII and, less often, empty or
+#: path-like
+NAMES = ["demo", "s2", "ρ-run", "日本語", "..", "C:x", "~"] * 3 + ["", " ", "a/b", "a\\b", "/abs"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(tuple(EXPERIMENTS)),
-       keys=st.dictionaries(st.sampled_from(sorted(_SCENARIO_KEYS)),
-                            st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1,
-                                     max_size=3).map(", ".join)))
-@example(kind="simulate", keys={"a": "smooth_indicator(0.7, 1, 2, 0)"})
-def test_parse_suite_raises_only_config_errors(kind, keys):
-    text = f"[suite]\nkind = {kind}\n\n[scenario fuzz]\n" + "".join(
-        f"{key} = {value}\n" for key, value in keys.items())
-    try:
-        suite = parse_suite(text)
-    except ConfigError:
-        return
+@st.composite
+def _calls(draw):
+    """`name`, `name(args)` or a malformed call, with adversarial arguments."""
+    name = draw(st.sampled_from(CALLEES))
+    args = draw(st.lists(st.sampled_from(ADVERSARIAL), max_size=4))
+    if draw(st.booleans()) and args:
+        args[-1] = draw(st.sampled_from(["k", "width", "ramp", "center", "x"])) + "=" + args[-1]
+    form = draw(st.sampled_from(["{n}", "{n}({a})", "{n}({a})", "{n}({a}", "{n}(({a}))"]))
+    return form.format(n=name, a=", ".join(args))
+
+
+def _values(key):
+    if key in SIZES:
+        return st.sampled_from(SIZES[key])
+    bad = (_calls() if key in ("g", "a", "z0", "z1")
+           else st.lists(st.sampled_from(ADVERSARIAL), max_size=4).map(", ".join))
+    return st.sampled_from(GOOD.get(key, ["?"])) | bad
+
+
+@st.composite
+def _suite_texts(draw):
+    """Suite text of every kind, [suite] key and scenario key, with good and
+    adversarial values, names and sections: a [DEFAULT], an unknown section,
+    a missing [suite], a duplicate section, keys that no kind or not this
+    kind reads."""
+    kind = draw(st.sampled_from([*EXPERIMENTS] * 6 + ["verify", "", "simulaté"]))
+    lines = []
+    if draw(st.integers(0, 19)):
+        lines.append("[suite]")
+        if draw(st.integers(0, 9)):
+            lines.append(f"kind = {kind}")
+        if draw(st.booleans()):
+            lines.append(f"output_dir = {draw(st.sampled_from(NAMES))}")
+        if not draw(st.integers(0, 19)):
+            lines.append("cfl = 0.5")
+    read = sorted(_RUN_KEYS.union(SPEC_KEYS.get(kind, ())))
+    keys = st.sampled_from(read * 20 + sorted(_SCENARIO_KEYS) + ["n_cell", "ρ"])
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    if not draw(st.integers(0, 19)):
+        names.append(names[0])
+    sections = [f"scenario {name}" for name in names]
+    if not draw(st.integers(0, 9)):
+        sections.insert(0, draw(st.sampled_from(["DEFAULT", "other"])))
+    for section in sections:
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(keys, max_size=8, unique=True)):
+            lines.append(f"{key} = {draw(_values(key))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_suite_texts())
+@example(text="[suite]\nkind = simulate\n[scenario fuzz]\n"
+              "a = smooth_indicator(0.7, 1, 2, 0)\n")
+@example(text="[suite]\nkind = multiplier_report\n[scenario s]\nn_cells = 16\n"
+              "epsilons = 3e-308, 2e-308, 1e-308\n")
+@example(text="[suite]\n[scenario s]\nn_cells = 16\na = smooth_indicator(0.5, 1, 2, 5e-324)\n")
+@example(text="[suite]\n[scenario s]\nn_cells = 16\nz0 = bump(0.5, 1e154)\n"
+              "co_integrate_w = true\n")
+def test_parse_suite_raises_only_config_errors(text):
+    # parse_suite alone, total: a suite or a ConfigError, no other exception
+    # and no warning, for any text of its schema
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            suite = parse_suite(text)
+        except ConfigError:
+            return
     assert isinstance(suite, ExperimentSuite)
+    assert suite.scenarios
 
 
 @settings(max_examples=40, deadline=None)

@@ -152,6 +152,28 @@ def test_shipped_g_equal_their_python_float_forms(name):
                 _assert_same_bits(new(s), old(s))
 
 
+def _nu_reference(x, g):
+    """nu_ratio as a gather of the nonzero nodes and a scatter of g(x)/x."""
+    out = np.full(x.shape, float(g.derivative(np.array(0.0))))
+    nz = x != 0.0
+    out[nz] = g.value(x[nz]) / x[nz]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_FLOAT_FORMS))
+def test_nu_ratio_is_the_gather_of_the_nonzero_nodes(name):
+    # one masked divide, bit for bit, on a record block with signed zeros;
+    # a 0-d x gives a float
+    g = NONLINEARITIES[name]()
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(31, 513)) * rng.choice([1e-8, 1.0, 50.0], size=(31, 1))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    _assert_same_bits(nu_ratio(x, g), _nu_reference(x, g))
+    for v in (0.0, -0.0, 1e-300, 0.3, -7.25):
+        _assert_same_bits(nu_ratio(v, g), float(_nu_reference(np.array([v]), g)[0]))
+
+
 class TestDampingProfiles:
     def test_indicator_values(self):
         a = indicator_profile(0.7, 1.0, 2.0)

@@ -115,13 +115,25 @@ class TestImplicitDamping:
             assert u * u0 >= 0.0
 
     def test_stiff_coefficient_converges(self):
-        # large c: Newton still converges for the cubic here (arctan and
-        # saturating g fall back to bisection at these values)
+        # large c: Newton converges for the cubic here (arctan and saturating
+        # g take bracket-clipped updates at these values)
         u_old = np.array([50.0])
         c = np.array([1e6])
         u = _implicit_damping_update(u_old, c, cubic_damping())
         resid = u + c * (u + u ** 3) - u_old
         assert abs(resid[0]) <= 1e-12 * 50.0
+
+    @pytest.mark.parametrize("c", [10.0, 100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("g", [arctan_damping(), saturating_damping()],
+                             ids=["arctan", "saturating"])
+    def test_stiff_bounded_g_converges_without_bisection(self, monkeypatch, g, c):
+        # unclipped, Newton diverges for these g at large c and bisects
+        monkeypatch.setattr(solver, "_bisect_damping", _no_bisection)
+        u_old = np.concatenate([np.linspace(-50.0, 50.0, 199), [0.0, -0.0, 1e-9]])
+        u = _implicit_damping_update(u_old, np.full(u_old.size, c), g)
+        resid = u + c * g.value(u) - u_old
+        assert np.all(np.abs(resid) <= solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old)))
+        assert np.all((np.minimum(0.0, u_old) <= u) & (u <= np.maximum(0.0, u_old)))
 
 
 def _reference_update(u_old, c, g):
@@ -132,6 +144,7 @@ def _reference_update(u_old, c, g):
     (_substep_args)."""
     u = u_old.copy()
     tol = solver.NEWTON_TOL * np.maximum(1.0, np.abs(u_old))
+    lo, hi = np.minimum(0.0, u_old), np.maximum(0.0, u_old)
     resid = c * np.asarray(g.value(u))
     for _ in range(min(2, solver.NEWTON_MAX_ITER)):
         u = u - resid / (1.0 + c * np.asarray(g.derivative(u)))
@@ -145,7 +158,7 @@ def _reference_update(u_old, c, g):
         du = resid / (1.0 + c * np.asarray(g.derivative(u)))
         if u.ndim > 1 and len(u) > 1:
             du[ok.all(axis=-1)] = 0.0
-        u = u - du
+        u = np.clip(u - du, lo, hi)  # the tested updates stay in the bracket
         resid = u + c * np.asarray(g.value(u)) - u_old
     if not converged:
         bad = np.abs(resid) > tol
@@ -160,7 +173,7 @@ def _reference_update(u_old, c, g):
                 if row:
                     err.row = row[0]
                 raise
-    return np.clip(u, np.minimum(0.0, u_old), np.maximum(0.0, u_old))
+    return np.clip(u, lo, hi)
 
 
 def _reference_bisect(u_old, c, g, tol):
@@ -238,7 +251,7 @@ def _kernel_cases(draw):
 
 
 STIFF = (np.array([[50.0, -50.0, 0.5], [1e-3, 0.0, -0.0]]),
-         np.array([1e6, 1e6, 3.0]), "arctan")  # row 0 falls back to bisection
+         np.array([1e6, 1e6, 3.0]), "arctan")  # row 0 takes clipped updates
 
 
 class TestKernelMatchesReference:
@@ -288,6 +301,8 @@ class TestKernelMatchesReference:
         assert calls == ref_calls
 
     def test_stiff_example_reaches_bisection(self, monkeypatch):
+        # within two updates, which the bracket does not clip, row 0 fails
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 2)
         rows = []
         real = solver._bisect_damping
 
@@ -555,7 +570,9 @@ class TestInputsNotWritten:
 
     @pytest.mark.parametrize("g, max_iter, bisects", [
         (cubic_damping(), solver.NEWTON_MAX_ITER, False),
-        (arctan_damping(), solver.NEWTON_MAX_ITER, True),
+        (arctan_damping(), solver.NEWTON_MAX_ITER, False),
+        # two unclipped updates leave stiff arctan far from its root
+        (arctan_damping(), 2, True),
         # no Newton iteration: the fallback starts from u_old itself
         (cubic_damping(), 0, True),
         (saturating_damping(), 0, True),
@@ -614,7 +631,7 @@ class TestInputsNotWritten:
 
 
 #: NEWTON_MAX_ITER of the buffer tests: none, one and two untested updates,
-#: and the default; the first three send the stiff nodes to bisection
+#: and the default; the first three send stiff arctan nodes to bisection
 MAX_ITERS = pytest.mark.parametrize("max_iter", [0, 1, 2, solver.NEWTON_MAX_ITER],
                                     ids=["0", "1", "2", "default"])
 
@@ -626,7 +643,7 @@ class TestSolveBuffers:
     u_old and coef, read-only here, are never written."""
 
     U_OLD = np.array([[50.0, -0.7, 0.0, 7.0], [1e-3, -30.0, 0.4, -0.0], [2.0, 0.0, -5.0, 0.3]])
-    C = np.array([1e6, 2.0, 1e6, 0.12])  # 1e6: arctan's 50 falls back to bisection
+    C = np.array([1e6, 2.0, 1e6, 0.12])  # 1e6: arctan's 50 fails two updates
 
     @staticmethod
     def _spy_bisection(monkeypatch):
@@ -647,7 +664,7 @@ class TestSolveBuffers:
         got = _implicit_damping_update(u_old, c, g)
         assert not np.shares_memory(got, u_old) and not np.shares_memory(got, c)
         _assert_bitwise(got, _reference_update(u_old, c, g))
-        if max_iter == 0 or name == "arctan":
+        if max_iter == 0 or name == "arctan" and max_iter <= 2:
             assert bisected
 
     @MAX_ITERS
@@ -680,7 +697,7 @@ class TestSolveBuffers:
         _assert_bitwise(state.rho, ref.rho)
         _assert_bitwise(state.xi, ref.xi)
         assert solved == ([] if g is None else [True])
-        if g is not None and (max_iter == 0 or name == "arctan"):
+        if g is not None and (max_iter == 0 or name == "arctan" and max_iter <= 2):
             assert bisected
 
 
@@ -1581,6 +1598,31 @@ class TestRecordBlocks:
                 _assert_bitwise([s.t for s in states], times)
             for traj in trajs:
                 _assert_bitwise(traj.times, times)
+
+    @pytest.mark.parametrize("chunk, n, n_steps", [
+        (7, 96, 5), (7, 96, 7), (7, 3000, 7001),  # n_steps below, at and past a chunk
+        (1000, 3000, 7000), (1000, 777, 300_000),
+        (solver.CLOCK_CHUNK, 777, 300_000), (solver.CLOCK_CHUNK, 1000, 3 * 2 ** 16),
+        (solver.CLOCK_CHUNK, 256, 2 ** 16 + 1), (solver.CLOCK_CHUNK, 256, 2 ** 16 - 1),
+    ])
+    @pytest.mark.parametrize("record_every", [1, 3, 997, 2 ** 16])
+    def test_record_times_are_one_global_cumsum(self, monkeypatch, chunk, n, n_steps,
+                                                record_every):
+        # chunk by chunk, each cumsum starting from the last time of the one
+        # before, the record times are those of one cumsum over every step
+        monkeypatch.setattr(solver, "CLOCK_CHUNK", chunk)
+        sc = _scenario(n=n, t_final=n_steps / n, record_every=record_every)
+        assert sc.n_steps == n_steps
+        every_step = np.cumsum(np.append(0.0, np.full(n_steps, sc.dt)))
+        _assert_bitwise(sc.record_times, every_step[sc.record_steps])
+
+    def test_record_clock_refuses_more_than_max_steps(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_STEPS", 64)
+        assert len(_scenario(n=16, t_final=4.0).record_times) == 65
+        with pytest.raises(ValueError, match="65 steps, past the cap of MAX_STEPS = 64"):
+            _scenario(n=16, t_final=65 / 16).record_times
+        with pytest.raises(ValueError, match="past the cap"):  # before any step
+            run_simulation(_scenario(n=16, t_final=65 / 16))
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_consumer_gets_each_guarded_block_once_in_order(self, driver,
