@@ -25,7 +25,7 @@ from .core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, DampingProfile, Grid,
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
-from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, energy_p, window_rows
+from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, accept_window, energy_p, window_rows
 from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
@@ -306,43 +306,31 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                         f"scenario '{name}': key '{key}': {label}{p:g}(0) is not "
                         f"finite at p = {p:g}: the initial data are too large")
 
-    # each window, its default (experiments) resolved, must fit the run,
-    # t_final rounded to whole steps, and hold the records its consumer needs:
-    # window_rows counts them on the record times as it picks them in a run
+    # each window, its default (experiments) resolved, must fit the run and hold
+    # the records its consumer needs, counted on the record times as a run picks them
     with _scenario_key(name, "t_final"):  # one pass over the steps, under MAX_STEPS
         try:
-            t_end, times = scenario.t_final_actual, scenario.record_times
+            times = scenario.record_times
         except (MemoryError, OverflowError, ValueError) as exc:
             raise ConfigError(f"{t_final:g} is more steps of dt = {scenario.dt:g} "
                               f"than numpy can record ({exc})") from None
-
-    def holds(what: str, window: tuple[float, float], need: int, consumer: str):
-        held = len(times[window_rows(times, window)])
-        if held < need:
-            raise ConfigError(f"{what} holds {held} record(s); the {consumer} at least {need}")
-
     fit = spec.fit_window
-    if fit is not None:
+    if fit is not None:  # a fit window may run past the final time
         what = f"({fit[0]:g}, {fit[1]:g})"
         with _scenario_key(name, "fit_window"):
             if not fit[0] < fit[1]:
                 raise ConfigError(f"{what} needs t_lo < t_hi")
-            if fit[0] >= t_end:
-                raise ConfigError(f"{what} starts at or after the final time {t_end:g}")
-            holds(what, fit, FIT_MIN_POINTS, "decay fit needs")
+            held = len(times[window_rows(times, fit)])
+            if held < FIT_MIN_POINTS:
+                raise ConfigError(f"{what} holds {held} record(s); the decay fit needs "
+                                  f"at least {FIT_MIN_POINTS}")
     with _scenario_key(name, "window"):
-        if spec.window is not None:
-            s, t = spec.window
-            if not 0 <= s < t:
-                raise ConfigError("must be 'S, T' with 0 <= S < T")
-            if t > t_end + 1e-12:  # the tolerance of the window's consumers
-                raise ConfigError(f"T = {t:g} is past the final time {t_end:g}")
         if kind == "multiplier_report":
-            s, t = multiplier_window(spec)
-            holds(f"{'' if spec.window else 'the default '}({s:g}, {t:g})", (s, t),
-                  MIN_RECORDS, "multiplier terms need")
+            accept_window(times, scenario.t_final_actual, multiplier_window(spec),
+                          MIN_RECORDS, "multiplier terms need", default=not spec.window)
         elif spec.window is not None:  # simulate's observability ratio
-            holds(f"({s:g}, {t:g})", (s, t), RATIO_MIN_RECORDS, "observability ratio needs")
+            accept_window(times, scenario.t_final_actual, spec.window, RATIO_MIN_RECORDS,
+                          "observability ratio needs")
     return spec
 
 

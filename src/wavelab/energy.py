@@ -157,11 +157,29 @@ RATIO_MIN_RECORDS = 2
 
 def window_rows(times: Array, window: tuple[float, float]) -> slice:
     """The rows of the increasing `times` inside `window`, ends within 1e-12,
-    as a slice: the rule by which the parser counts a window's records on the record
-    times and decay_fit, MultiplierStream and observability_ratio pick them."""
+    as a slice: the rule by which decay_fit and accept_window pick a window's records."""
     lo, hi = window
     return slice(int(np.searchsorted(times, lo - 1e-12, side="left")),
                  int(np.searchsorted(times, hi + 1e-12, side="right")))
+
+
+def accept_window(times: Array, t_end: float, window: tuple[float, float], need: int,
+                  consumer: str, *, default: bool = False) -> slice:
+    """window_rows(times, window) if `window` fits the run of record times `times`
+    and final time t_end = n dt: 0 <= S < T <= max(t_end, times[-1]) + 1e-12, and `need`
+    records or more for `consumer`; else ValueError (`default`: S, T were not given).
+    The one rule by which the parser, observability_ratio and MultiplierStream accept it."""
+    s, t = window
+    if not 0 <= s < t:
+        raise ValueError("must be 'S, T' with 0 <= S < T")
+    end = max(t_end, times[-1])
+    if t > end + 1e-12:
+        raise ValueError(f"T = {t:g} is past the final time {end:g}")
+    rows = window_rows(times, window)
+    if rows.stop - rows.start < need:
+        raise ValueError(f"{'the default ' if default else ''}({s:g}, {t:g}) holds "
+                         f"{rows.stop - rows.start} record(s); the {consumer} at least {need}")
+    return rows
 
 
 def decay_fit(times: Array, energies: Array, window: tuple[float, float]) -> DecayFit:
@@ -209,17 +227,12 @@ def build_energy_report(traj, p: float,
 
 
 def observability_ratio(traj, p: float, window: tuple[float, float]) -> float:
-    """int_S^T E_p dt / E_p(S) over the records inside `window` (window_rows),
+    """int_S^T E_p dt / E_p(S) over the records inside `window` (accept_window),
     S and T the first and last of them: the empirical constant of the
     observability estimate, bounded by T - S since the energy is non-increasing."""
     times, energies = traj.times, traj.diagnostics[f"E_p{p:g}"]
-    s, t = window
-    if not 0.0 <= s < t <= times[-1] + 1e-12:
-        raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
-    rows = window_rows(times, window)
-    if len(times[rows]) < RATIO_MIN_RECORDS:
-        raise ValueError(f"window {window} holds {len(times[rows])} record(s); the "
-                         f"observability ratio needs at least {RATIO_MIN_RECORDS}")
+    rows = accept_window(times, traj.scenario.t_final_actual, window, RATIO_MIN_RECORDS,
+                         "observability ratio needs")
     e_s = energies[rows.start]
     if e_s <= 0.0:
         raise ValueError(f"E_p({times[rows.start]}) = {e_s} is not positive")

@@ -20,7 +20,7 @@ from .core import (
     Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_big_g,
     modified_fg_prime, modified_g, nu_ratio, signed_power,
 )
-from .energy import energy_p_nodal, trapezoid, window_rows
+from .energy import accept_window, energy_p_nodal, trapezoid
 from .solver import Scenario
 
 #: the Young parameters eta of the second-set table
@@ -148,8 +148,8 @@ def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slic
 
 class MultiplierStream:
     """A block consumer of a run (run_simulation's consume) whose reports()
-    are S1..S4, T1..T5, V1..V3 on the records inside `window` (window_rows of
-    scenario.record_times), one MultiplierReport per p of p_list. A window
+    are S1..S4, T1..T5, V1..V3 on the records inside `window` (accept_window
+    of scenario.record_times), one MultiplierReport per p of p_list. A window
     record goes to multiplier_terms once v is known on both its neighbours:
     a block's last record waits for the next block. The stream copies the
     records the next call needs, at most two (the last of them, at the end,
@@ -158,14 +158,9 @@ class MultiplierStream:
 
     def __init__(self, scenario: Scenario, window: tuple[float, float],
                  triple: LocalizationTriple, p_list: Sequence[float]):
-        times = scenario.record_times
-        s, t = window
-        if s < times[0] - 1e-12 or t > times[-1] + 1e-12 or s >= t:
-            raise ValueError(f"window {window} outside trajectory [0, {times[-1]}]")
-        self.rows = window_rows(times, window)
-        self.times = times[self.rows]
-        if len(self.times) < MIN_RECORDS:
-            raise ValueError(f"window {window} contains too few records")
+        self.rows = accept_window(scenario.record_times, scenario.t_final_actual, window,
+                                  MIN_RECORDS, "multiplier terms need")
+        self.times = scenario.record_times[self.rows]
         self.scenario, self.window, self.triple = scenario, window, triple
         self.p_list = tuple(p_list)
         self.regimes = [_regime_functions(p) for p in self.p_list]

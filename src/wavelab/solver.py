@@ -125,17 +125,20 @@ class Scenario:
         # t_final rounded to a whole number of steps; reported with the run
         return self.n_steps * self.dt
 
-    @property
+    @functools.cached_property
     def record_steps(self) -> Array:
         """The record schedule: the steps a run records, every record_every-th
-        from 0 and the final one, in increasing order."""
-        return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
+        from 0 and the final one, in increasing order. Built once, read-only."""
+        steps = np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
+        steps.setflags(write=False)
+        return steps
 
-    @property
+    @functools.cached_property
     def record_times(self) -> Array:
         """The record times, known before a run and the times it records:
         dt summed once per step from 0.0, in step order, as a state's t
-        accumulates through transport_shift.
+        accumulates through transport_shift. Built once, read-only: the
+        parser, the run and its consumers share the one array.
 
         One pass over the steps in chunks of CLOCK_CHUNK, each a cumsum that
         starts from the last time of the chunk before and keeps only its
@@ -154,6 +157,7 @@ class Scenario:
             i, j = np.searchsorted(steps, (lo, lo + len(clock)))
             times[i:j] = clock[steps[i:j] - lo]
             chunk[0] = clock[-1]
+        times.setflags(write=False)
         return times
 
     @functools.cached_property
@@ -696,9 +700,7 @@ def run_family(scenarios: Sequence[Scenario],
         raise type(err)(f"{scenarios[err.row].name}: {err}") from err
     if not stacked:
         return [Trajectory(times=times, diagnostics=diag, scenario=head)]
-    return [Trajectory(times=times.copy(),
-                       diagnostics={k: v[:, b].copy() for k, v in diag.items()},
-                       scenario=sc)
+    return [Trajectory(times, {k: v[:, b].copy() for k, v in diag.items()}, sc)
             for b, sc in enumerate(scenarios)]
 
 

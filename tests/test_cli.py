@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import tracemalloc
 import warnings
@@ -12,14 +13,14 @@ from wavelab.core import (
 )
 from wavelab.cli import (
     ConfigError, ExperimentSuite, _RUN_KEYS, _SCENARIO_KEYS, main, parse_damping,
-    parse_nonlinearity, parse_profile, parse_suite, write_energy_csv,
+    parse_nonlinearity, parse_profile, parse_suite, run_suite, write_energy_csv,
 )
 from wavelab.energy import (
     FIT_MIN_POINTS, RATIO_MIN_RECORDS, decay_fit, observability_ratio,
 )
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.multipliers import MIN_RECORDS, MultiplierStream
-from wavelab.solver import run_derivative_system, run_simulation
+from wavelab.solver import Scenario, run_derivative_system, run_simulation
 
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
@@ -315,6 +316,33 @@ class TestMainEndToEnd:
         for p in ("1.5", "2"):
             assert summary["fits"][p]["window"] == [0.1, 0.19]
             assert summary["fits"][p]["fitted_rate"] > 0.0
+
+    def test_default_multiplier_window_on_a_clock_short_of_n_dt(self, tmp_path, capsys):
+        # at n_cells = 40, t_final = 50 the record clock ends at
+        # 49.99999999999823, 1.8e-12 short of n dt = 50, the default window's
+        # T: the parser and MultiplierStream accept it by one rule
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = multiplier_report\n\n[scenario s]\n"
+                              "n_cells = 40\nt_final = 50\n")
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary_s.json").read_text())
+        assert summary["window"] == [0.0, 50.0]
+        assert set(summary["multiplier_tables"]) == {"1.5", "2", "4"}
+
+    def test_observability_window_to_n_dt_on_a_clock_short_of_it(self, tmp_path, capsys):
+        # the same clock: a window ending at n dt = 50 is accepted by the
+        # parser and gives each p a ratio, not an "error" entry
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
+                              "n_cells = 40\nt_final = 50\nwindow = 40, 50\n")
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        ratios = json.loads((out / "summary_s.json").read_text())["observability_ratio"]
+        assert set(ratios) == {"1.5", "2", "4"}
+        assert all(isinstance(r, float) and 0.0 < r <= 10.0 for r in ratios.values())
 
     def test_fit_window_past_full_decay_keeps_the_reports(self, tmp_path, capsys):
         # E_p falls below the fit floor long before t = 50: the parser cannot
@@ -616,30 +644,44 @@ def test_parse_suite_raises_only_config_errors(text):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_cells=st.integers(50, 300).filter(lambda n: n & (n - 1)),
+@given(n_cells=st.integers(50, 300).filter(lambda n: n & (n - 1)), t_final=st.just(1.0),
        record_every=st.integers(1, 4),
        consumer=st.sampled_from(["decay_fit", "observability_ratio", "multiplier_terms"]),
-       data=st.data())
-def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, consumer,
-                                                       data):
+       lo=st.integers(0, 2 ** 20))
+# record clocks that drift each way past the 1e-12 tolerance: n dt runs
+# 1.8e-12 past the last record time at n_cells = 40, t_final = 50, and the
+# last record time 1.4e-11 past n dt at n_cells = 100, t_final = 100
+@example(n_cells=40, t_final=50.0, record_every=20, consumer="decay_fit", lo=0)
+@example(n_cells=40, t_final=50.0, record_every=1, consumer="observability_ratio", lo=7)
+@example(n_cells=40, t_final=50.0, record_every=3, consumer="multiplier_terms", lo=11)
+@example(n_cells=100, t_final=100.0, record_every=1000, consumer="decay_fit", lo=0)
+@example(n_cells=100, t_final=100.0, record_every=100, consumer="observability_ratio", lo=3)
+@example(n_cells=100, t_final=100.0, record_every=100, consumer="multiplier_terms", lo=5)
+def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_every,
+                                                       consumer, lo):
     # windows whose ends lie on record times, as the run accumulates them and
     # as n dt, holding one record fewer than their consumer needs, as many
-    # and one more: the parser counts on the schedule what the consumer picks
-    # from the run (one record of the ratio's 2 is the point window (t, t))
+    # and one more, and windows ending at the run's end: the parser counts on
+    # the schedule what the consumer picks from the run (one record of the
+    # ratio's 2 is the point window (t, t)); a window holds the records
+    # within 1e-12 of it
     kind = "multiplier_report" if consumer == "multiplier_terms" else "simulate"
     key = "fit_window" if consumer == "decay_fit" else "window"
     text = (f"[suite]\nkind = {kind}\n\n[scenario w]\nn_cells = {n_cells}\n"
-            f"t_final = 1\np_list = 2\nrecord_every = {record_every}\ng = arctan\n"
-            "a = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
+            f"t_final = {t_final!r}\np_list = 2\nrecord_every = {record_every}\n"
+            "g = arctan\na = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
     sc = parse_suite(text).scenarios[0].scenario
     traj = run_simulation(sc)
     triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     need = {"decay_fit": FIT_MIN_POINTS, "observability_ratio": RATIO_MIN_RECORDS,
             "multiplier_terms": MIN_RECORDS}[consumer]
-    lo = data.draw(st.integers(0, len(traj.times) - need - 1))
+    last = len(traj.times) - 1
+    lo %= last - need + 1
+    spans = [(lo, hi) for hi in range(lo + need - 2, lo + need + 1)]
+    spans += [(max(last - n, 0), last) for n in range(need - 2, need + 1)]
     for times in (traj.times, sc.record_steps * sc.dt):
-        for hi in range(lo + need - 2, lo + need + 1):
-            window = (float(times[lo]), float(times[hi]))
+        for lo_, hi in spans:
+            window = (float(times[lo_]), float(times[hi]))
             try:
                 parse_suite(text + f"{key} = {window[0]!r}, {window[1]!r}\n")
                 accepted = True
@@ -655,7 +697,39 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, record_every, co
                 consumed = True
             except ValueError:
                 consumed = False
-            assert accepted == consumed == (hi - lo + 1 >= need), window
+            held = np.count_nonzero((traj.times >= window[0] - 1e-12)
+                                    & (traj.times <= window[1] + 1e-12))
+            assert accepted == consumed == (held >= need), window
+
+
+@pytest.mark.parametrize("kind, window", [("simulate", "1, 4"),
+                                          ("multiplier_report", "1, 4"),
+                                          ("multiplier_report", None)])
+def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window):
+    # the record clock is one pass over the steps: parsing, the window's
+    # consumer and the record loop share the one read-only array it builds
+    passes = []
+    clock = Scenario.__dict__["record_times"].func
+
+    def counted(sc):
+        passes.append(sc.name)
+        return clock(sc)
+
+    counted_clock = functools.cached_property(counted)
+    counted_clock.__set_name__(Scenario, "record_times")
+    monkeypatch.setattr(Scenario, "record_times", counted_clock)
+    text = (f"[suite]\nkind = {kind}\n\n[scenario s]\nn_cells = 40\nt_final = 5\n"
+            + (f"window = {window}\n" if window else ""))
+    suite = parse_suite(text)
+    sc = suite.scenarios[0].scenario
+    assert passes == ["s"]
+    assert sc.record_times is sc.record_times and sc.record_steps is sc.record_steps
+    for schedule in (sc.record_times, sc.record_steps):
+        assert not schedule.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            schedule[0] = 1
+    assert run_suite(suite, str(tmp_path / "o")) == 0
+    assert passes == ["s"]
 
 
 def _write_energy_csv_per_row(path, traj, w_traj=None):

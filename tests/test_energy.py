@@ -144,6 +144,9 @@ class TestObservability:
         class T:
             times = np.linspace(0, 20, 801)
             diagnostics = {"E_p2": np.exp(-rate * times)}
+
+            class scenario:  # the run's final time n dt, which accept_window reads
+                t_final_actual = 20.0
         return T()
 
     def test_exponential_gives_uniform_ratio(self):
@@ -158,15 +161,15 @@ class TestObservability:
         assert observability_ratio(traj, 2.0, (0.0, 10.0)) <= 10.0
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^must be 'S, T' with 0 <= S < T$"):
             observability_ratio(self._synthetic(), 2.0, (15.0, 5.0))
 
     def test_window_between_two_records_rejected(self):
         # records 0.025 apart: (5.001, 5.002) holds none of them, and
         # (5.001, 5.06) the two at 5.025 and 5.05
         traj = self._synthetic()
-        with pytest.raises(ValueError, match=r"window \(5.001, 5.002\) holds 0 "
-                           r"record\(s\); the observability ratio needs at least 2"):
+        with pytest.raises(ValueError, match=r"^\(5.001, 5.002\) holds 0 "
+                           r"record\(s\); the observability ratio needs at least 2$"):
             observability_ratio(traj, 2.0, (5.001, 5.002))
         assert observability_ratio(traj, 2.0, (5.001, 5.06)) > 0.0
 
