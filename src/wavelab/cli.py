@@ -308,7 +308,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 
     # each window, its default (experiments) resolved, must fit the run and hold
     # the records its consumer needs, counted on the record times as a run picks them
-    with _scenario_key(name, "t_final"):  # one pass over the steps, under MAX_STEPS
+    with _scenario_key(name, "t_final"):  # at most MAX_STEPS steps
         try:
             times = scenario.record_times
         except (MemoryError, OverflowError, ValueError) as exc:
@@ -326,11 +326,10 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
                                   f"at least {FIT_MIN_POINTS}")
     with _scenario_key(name, "window"):
         if kind == "multiplier_report":
-            accept_window(times, scenario.t_final_actual, multiplier_window(spec),
-                          MIN_RECORDS, "multiplier terms need", default=not spec.window)
+            accept_window(times, multiplier_window(spec), MIN_RECORDS,
+                          "multiplier terms need", default=not spec.window)
         elif spec.window is not None:  # simulate's observability ratio
-            accept_window(times, scenario.t_final_actual, spec.window, RATIO_MIN_RECORDS,
-                          "observability ratio needs")
+            accept_window(times, spec.window, RATIO_MIN_RECORDS, "observability ratio needs")
     return spec
 
 

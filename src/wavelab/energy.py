@@ -163,18 +163,17 @@ def window_rows(times: Array, window: tuple[float, float]) -> slice:
                  int(np.searchsorted(times, hi + 1e-12, side="right")))
 
 
-def accept_window(times: Array, t_end: float, window: tuple[float, float], need: int,
+def accept_window(times: Array, window: tuple[float, float], need: int,
                   consumer: str, *, default: bool = False) -> slice:
-    """window_rows(times, window) if `window` fits the run of record times `times`
-    and final time t_end = n dt: 0 <= S < T <= max(t_end, times[-1]) + 1e-12, and `need`
+    """window_rows(times, window) if `window` fits the run of record times `times`,
+    the last at the final time n dt: 0 <= S < T <= times[-1] + 1e-12, and `need`
     records or more for `consumer`; else ValueError (`default`: S, T were not given).
     The one rule by which the parser, observability_ratio and MultiplierStream accept it."""
     s, t = window
     if not 0 <= s < t:
         raise ValueError("must be 'S, T' with 0 <= S < T")
-    end = max(t_end, times[-1])
-    if t > end + 1e-12:
-        raise ValueError(f"T = {t:g} is past the final time {end:g}")
+    if t > times[-1] + 1e-12:
+        raise ValueError(f"T = {t:g} is past the final time {times[-1]:g}")
     rows = window_rows(times, window)
     if rows.stop - rows.start < need:
         raise ValueError(f"{'the default ' if default else ''}({s:g}, {t:g}) holds "
@@ -231,8 +230,7 @@ def observability_ratio(traj, p: float, window: tuple[float, float]) -> float:
     S and T the first and last of them: the empirical constant of the
     observability estimate, bounded by T - S since the energy is non-increasing."""
     times, energies = traj.times, traj.diagnostics[f"E_p{p:g}"]
-    rows = accept_window(times, traj.scenario.t_final_actual, window, RATIO_MIN_RECORDS,
-                         "observability ratio needs")
+    rows = accept_window(times, window, RATIO_MIN_RECORDS, "observability ratio needs")
     e_s = energies[rows.start]
     if e_s <= 0.0:
         raise ValueError(f"E_p({times[rows.start]}) = {e_s} is not positive")

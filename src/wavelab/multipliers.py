@@ -158,8 +158,8 @@ class MultiplierStream:
 
     def __init__(self, scenario: Scenario, window: tuple[float, float],
                  triple: LocalizationTriple, p_list: Sequence[float]):
-        self.rows = accept_window(scenario.record_times, scenario.t_final_actual, window,
-                                  MIN_RECORDS, "multiplier terms need")
+        self.rows = accept_window(scenario.record_times, window, MIN_RECORDS,
+                                  "multiplier terms need")
         self.times = scenario.record_times[self.rows]
         self.scenario, self.window, self.triple = scenario, window, triple
         self.p_list = tuple(p_list)

@@ -27,11 +27,8 @@ from .core import (
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-14  # on the residual, scaled by max(1, |u_old|) per node
 MONOTONICITY_SLACK = 1e-12
-#: the most steps a scenario may take: Scenario.record_times passes over
-#: every step at about 4 ns each, so 2^30 steps keep that pass to a few seconds
+#: the most steps a scenario may take, checked when Scenario.record_times is built
 MAX_STEPS = 2 ** 30
-#: steps per cumsum of that pass
-CLOCK_CHUNK = 2 ** 16
 
 
 class EnergyMonotonicityError(RuntimeError):
@@ -136,27 +133,13 @@ class Scenario:
     @functools.cached_property
     def record_times(self) -> Array:
         """The record times, known before a run and the times it records:
-        dt summed once per step from 0.0, in step order, as a state's t
-        accumulates through transport_shift. Built once, read-only: the
-        parser, the run and its consumers share the one array.
-
-        One pass over the steps in chunks of CLOCK_CHUNK, each a cumsum that
-        starts from the last time of the chunk before and keeps only its
-        record steps' times: the sums of one global cumsum, in O(records)
-        memory. ValueError above MAX_STEPS steps."""
-        n_steps = self.n_steps
-        if n_steps > MAX_STEPS:
-            raise ValueError(f"{n_steps:.3g} steps, past the cap of "
+        record k at record_steps[k] * dt, so the final record at n dt. Built
+        once, read-only: the parser, the run and its consumers share the one
+        array. ValueError above MAX_STEPS steps."""
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"{self.n_steps:.3g} steps, past the cap of "
                              f"MAX_STEPS = {MAX_STEPS} steps per run")
-        steps = self.record_steps
-        times = np.empty(len(steps))
-        chunk = np.full(min(n_steps, CLOCK_CHUNK) + 1, self.dt)  # [t, dt, dt, ...]
-        chunk[0] = 0.0
-        for lo in range(0, n_steps, CLOCK_CHUNK):
-            clock = np.cumsum(chunk[:min(n_steps - lo, CLOCK_CHUNK) + 1])  # steps lo, ...
-            i, j = np.searchsorted(steps, (lo, lo + len(clock)))
-            times[i:j] = clock[steps[i:j] - lo]
-            chunk[0] = clock[-1]
+        times = self.record_steps * self.dt
         times.setflags(write=False)
         return times
 
@@ -578,7 +561,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     consume(records, *rows) gets each guarded block's slice of record indices
     and its rows, views that the next block overwrites: the only way a caller
     sees the states. Returns (times, diagnostics), times being
-    scenario.record_times.
+    scenario.record_times: record k at record_steps[k] * dt, read from no state
+    (a state's t accumulates dx, which off powers of two ends ulps away).
     """
     _keep_block_heap()
     rows = capture(state)

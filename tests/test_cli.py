@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wavelab import experiments
 from wavelab.core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, HypothesisViolation, make_localization,
 )
@@ -303,9 +304,8 @@ class TestMainEndToEnd:
         parse_suite(text + "record_every = 1\n")
 
     def test_fit_window_on_a_grid_that_is_not_a_power_of_two(self, tmp_path, capsys):
-        # dt = 0.01 puts 10 records in (0.1, 0.19); the run's accumulated
-        # times miss the window's ends by a few ulps, which the fit forgives
-        # as the parser does
+        # dt = 0.01 puts 10 records in (0.1, 0.19), at k dt; a window end a
+        # few ulps off a record time is forgiven by the fit as by the parser
         suite_file = tmp_path / "suite.ini"
         suite_file.write_text(GOOD_SUITE.replace("n_cells = 64", "n_cells = 100")
                               .replace("fit_window = 0.5, 2", "fit_window = 0.1, 0.19"))
@@ -318,9 +318,9 @@ class TestMainEndToEnd:
             assert summary["fits"][p]["fitted_rate"] > 0.0
 
     def test_default_multiplier_window_on_a_clock_short_of_n_dt(self, tmp_path, capsys):
-        # at n_cells = 40, t_final = 50 the record clock ends at
-        # 49.99999999999823, 1.8e-12 short of n dt = 50, the default window's
-        # T: the parser and MultiplierStream accept it by one rule
+        # at n_cells = 40, t_final = 50 a running sum of dt = 1/40 would end
+        # 1.8e-12 short of n dt = 50, the default window's T; the last record
+        # is at n dt, and the parser and MultiplierStream accept it by one rule
         suite_file = tmp_path / "suite.ini"
         suite_file.write_text("[suite]\nkind = multiplier_report\n\n[scenario s]\n"
                               "n_cells = 40\nt_final = 50\n")
@@ -331,8 +331,29 @@ class TestMainEndToEnd:
         assert summary["window"] == [0.0, 50.0]
         assert set(summary["multiplier_tables"]) == {"1.5", "2", "4"}
 
+    def test_default_multiplier_window_holds_the_final_record(self, monkeypatch):
+        # at n_cells = 100, t_final = 100 a running sum of dt = 1/100 would end
+        # 1.4e-11 past n dt = 100 and the default window (0, 100) would drop
+        # the last record; record k is at k dt, so it integrates all 11
+        text = ("[suite]\nkind = multiplier_report\n\n[scenario s]\n"
+                "n_cells = 100\nt_final = 100\nrecord_every = 1000\n")
+        streams = []
+
+        def kept_stream(*args):
+            streams.append(MultiplierStream(*args))
+            return streams[-1]
+
+        monkeypatch.setattr(experiments._mult, "MultiplierStream", kept_stream)
+        result = EXPERIMENTS["multiplier_report"](parse_suite(text).scenarios[0])
+        traj, (stream,) = result["traj"], streams
+        assert len(traj.times) == len(stream.times) == 11
+        assert stream.times[-1] == traj.times[-1] == 100.0
+        for p, table in result["summary"]["multiplier_tables"].items():
+            energies = traj.diagnostics[f"E_p{p}"]
+            assert table["int_energy"] == float(np.trapezoid(energies, traj.times))
+
     def test_observability_window_to_n_dt_on_a_clock_short_of_it(self, tmp_path, capsys):
-        # the same clock: a window ending at n dt = 50 is accepted by the
+        # the same run: a window ending at n dt = 50 is accepted by the
         # parser and gives each p a ratio, not an "error" entry
         suite_file = tmp_path / "suite.ini"
         suite_file.write_text("[suite]\nkind = simulate\n\n[scenario s]\n"
@@ -648,9 +669,9 @@ def test_parse_suite_raises_only_config_errors(text):
        record_every=st.integers(1, 4),
        consumer=st.sampled_from(["decay_fit", "observability_ratio", "multiplier_terms"]),
        lo=st.integers(0, 2 ** 20))
-# record clocks that drift each way past the 1e-12 tolerance: n dt runs
-# 1.8e-12 past the last record time at n_cells = 40, t_final = 50, and the
-# last record time 1.4e-11 past n dt at n_cells = 100, t_final = 100
+# grids where a running sum of dt would drift each way past the 1e-12
+# tolerance: 1.8e-12 short of n dt at n_cells = 40, t_final = 50, and 1.4e-11
+# past it at n_cells = 100, t_final = 100; record k is at k dt
 @example(n_cells=40, t_final=50.0, record_every=20, consumer="decay_fit", lo=0)
 @example(n_cells=40, t_final=50.0, record_every=1, consumer="observability_ratio", lo=7)
 @example(n_cells=40, t_final=50.0, record_every=3, consumer="multiplier_terms", lo=11)
@@ -659,12 +680,11 @@ def test_parse_suite_raises_only_config_errors(text):
 @example(n_cells=100, t_final=100.0, record_every=100, consumer="multiplier_terms", lo=5)
 def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_every,
                                                        consumer, lo):
-    # windows whose ends lie on record times, as the run accumulates them and
-    # as n dt, holding one record fewer than their consumer needs, as many
-    # and one more, and windows ending at the run's end: the parser counts on
-    # the schedule what the consumer picks from the run (one record of the
-    # ratio's 2 is the point window (t, t)); a window holds the records
-    # within 1e-12 of it
+    # windows whose ends lie on record times, k dt (the last n dt), holding
+    # one record fewer than their consumer needs, as many and one more, and
+    # windows ending at the run's end: the parser counts on the schedule what
+    # the consumer picks from the run (one record of the ratio's 2 is the
+    # point window (t, t)); a window holds the records within 1e-12 of it
     kind = "multiplier_report" if consumer == "multiplier_terms" else "simulate"
     key = "fit_window" if consumer == "decay_fit" else "window"
     text = (f"[suite]\nkind = {kind}\n\n[scenario w]\nn_cells = {n_cells}\n"
@@ -679,35 +699,36 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_
     lo %= last - need + 1
     spans = [(lo, hi) for hi in range(lo + need - 2, lo + need + 1)]
     spans += [(max(last - n, 0), last) for n in range(need - 2, need + 1)]
-    for times in (traj.times, sc.record_steps * sc.dt):
-        for lo_, hi in spans:
-            window = (float(times[lo_]), float(times[hi]))
-            try:
-                parse_suite(text + f"{key} = {window[0]!r}, {window[1]!r}\n")
-                accepted = True
-            except ConfigError:
-                accepted = False
-            try:
-                if consumer == "decay_fit":
-                    decay_fit(traj.times, traj.energy_series(2.0), window)
-                elif consumer == "observability_ratio":
-                    observability_ratio(traj, 2.0, window)
-                else:
-                    MultiplierStream(sc, window, triple, [2.0])
-                consumed = True
-            except ValueError:
-                consumed = False
-            held = np.count_nonzero((traj.times >= window[0] - 1e-12)
-                                    & (traj.times <= window[1] + 1e-12))
-            assert accepted == consumed == (held >= need), window
+    times = traj.times
+    np.testing.assert_array_equal(times, sc.record_steps * sc.dt)
+    for lo_, hi in spans:
+        window = (float(times[lo_]), float(times[hi]))
+        try:
+            parse_suite(text + f"{key} = {window[0]!r}, {window[1]!r}\n")
+            accepted = True
+        except ConfigError:
+            accepted = False
+        try:
+            if consumer == "decay_fit":
+                decay_fit(traj.times, traj.energy_series(2.0), window)
+            elif consumer == "observability_ratio":
+                observability_ratio(traj, 2.0, window)
+            else:
+                MultiplierStream(sc, window, triple, [2.0])
+            consumed = True
+        except ValueError:
+            consumed = False
+        held = np.count_nonzero((traj.times >= window[0] - 1e-12)
+                                & (traj.times <= window[1] + 1e-12))
+        assert accepted == consumed == (held >= need), window
 
 
 @pytest.mark.parametrize("kind, window", [("simulate", "1, 4"),
                                           ("multiplier_report", "1, 4"),
                                           ("multiplier_report", None)])
 def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window):
-    # the record clock is one pass over the steps: parsing, the window's
-    # consumer and the record loop share the one read-only array it builds
+    # the record clock is built once: parsing, the window's consumer and
+    # the record loop share the one read-only array
     passes = []
     clock = Scenario.__dict__["record_times"].func
 

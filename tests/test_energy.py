@@ -144,9 +144,6 @@ class TestObservability:
         class T:
             times = np.linspace(0, 20, 801)
             diagnostics = {"E_p2": np.exp(-rate * times)}
-
-            class scenario:  # the run's final time n dt, which accept_window reads
-                t_final_actual = 20.0
         return T()
 
     def test_exponential_gives_uniform_ratio(self):

@@ -350,7 +350,7 @@ class TestMultiplierTerms:
 STREAM_CASES = {
     # 257 records in blocks of 127: the window starts and ends inside blocks
     "mid-run": (128, 1, (0.5, 1.5), None),
-    # dt = 0.01 accumulates unevenly: np.gradient's non-uniform formula
+    # k dt = k / 100 rounds unevenly: np.gradient's non-uniform formula
     "N=100": (100, 1, (0.0, 2.0), None),
     # records 32, 33 | 34 across a block edge
     "MIN_RECORDS": (64, 1, (0.5, 0.5 + 2 / 64), 2),

@@ -1542,7 +1542,7 @@ DRIVERS = ("simulation", "family", "auxiliary", "derivative_system")
 
 
 def _drivers(sc, family):
-    """The record times of sc's hand-stepped run, and two tables keyed by
+    """sc's record times, record_steps * dt, and two tables keyed by
     DRIVERS: each driver as run(consume) -> its trajectories, and the rows
     its consumer gets, stacked from the hand-stepped states. They are (rho,
     xi); a family of B > 1 rows stacks them along axis 1, the auxiliary run
@@ -1570,16 +1570,16 @@ def _drivers(sc, family):
         "auxiliary": [*stack(aux), np.array([theta(s.t, sc.grid.nodes) for s in aux])],
         "derivative_system": [*stack(base), *stack(w)],
     }
-    return np.array([s.t for s in states]), run, rows
+    return sc.record_steps * sc.dt, run, rows
 
 
 class TestRecordBlocks:
-    @pytest.mark.parametrize("n, record_every", [(100, 1), (96, 3)])
+    @pytest.mark.parametrize("n, record_every", [(100, 1), (96, 3), (128, 3)])
     def test_record_times_are_the_stepped_times(self, n, record_every):
-        # the record loop reports Scenario.record_times; a hand-stepped run's
-        # states accumulate t through transport_shift, and run_auxiliary
-        # samples theta at that t: the two agree bit for bit, where dt = 1/100
-        # and 1/96 accumulate unevenly
+        # every driver reports record k at record_steps[k] * dt. A hand-stepped
+        # run's states accumulate t through transport_shift, and run_auxiliary
+        # samples theta at that t: on a power-of-two grid the two agree bit
+        # for bit; where dt = 1/100 and 1/96 they may differ by ulps
         sc = _scenario(n=n, t_final=2.0, record_every=record_every)
         dense = replace(sc, record_every=1)  # the rerun records every step
         family = _family(sc, (1.0, 4.0))
@@ -1593,28 +1593,30 @@ class TestRecordBlocks:
             (dense, [_simulation_states_ref(dense)], run_auxiliary_rerun(dense)),
         ]
         for scenario, hand, trajs in cases:
-            times = scenario.record_times
-            for states in hand:
-                _assert_bitwise([s.t for s in states], times)
+            times = scenario.record_steps * scenario.dt
+            if n & (n - 1) == 0:
+                for states in hand:
+                    _assert_bitwise([s.t for s in states], times)
             for traj in trajs:
                 _assert_bitwise(traj.times, times)
 
-    @pytest.mark.parametrize("chunk, n, n_steps", [
-        (7, 96, 5), (7, 96, 7), (7, 3000, 7001),  # n_steps below, at and past a chunk
-        (1000, 3000, 7000), (1000, 777, 300_000),
-        (solver.CLOCK_CHUNK, 777, 300_000), (solver.CLOCK_CHUNK, 1000, 3 * 2 ** 16),
-        (solver.CLOCK_CHUNK, 256, 2 ** 16 + 1), (solver.CLOCK_CHUNK, 256, 2 ** 16 - 1),
+    @pytest.mark.parametrize("n, n_steps", [
+        (96, 5), (96, 4800), (3000, 7001), (3000, 7000), (777, 300_000), (100, 10_000),
+        (40, 2000), (1000, 3 * 2 ** 16), (256, 2 ** 16 + 1), (256, 2 ** 16 - 1),
     ])
     @pytest.mark.parametrize("record_every", [1, 3, 997, 2 ** 16])
-    def test_record_times_are_one_global_cumsum(self, monkeypatch, chunk, n, n_steps,
-                                                record_every):
-        # chunk by chunk, each cumsum starting from the last time of the one
-        # before, the record times are those of one cumsum over every step
-        monkeypatch.setattr(solver, "CLOCK_CHUNK", chunk)
+    def test_record_times_are_the_step_times_dt(self, n, n_steps, record_every):
+        # record k is at record_steps[k] * dt, one multiply each, so the last
+        # record is at n dt bit for bit, where a running sum of dt = 1/n can
+        # end ulps off it (1.8e-12 short at n = 40, n_steps = 2000); where dt
+        # is a power of two, the running sum is the record times too
         sc = _scenario(n=n, t_final=n_steps / n, record_every=record_every)
         assert sc.n_steps == n_steps
-        every_step = np.cumsum(np.append(0.0, np.full(n_steps, sc.dt)))
-        _assert_bitwise(sc.record_times, every_step[sc.record_steps])
+        _assert_bitwise(sc.record_times, sc.record_steps * sc.dt)
+        assert sc.record_times[-1] == sc.t_final_actual
+        if n & (n - 1) == 0:
+            every_step = np.cumsum(np.append(0.0, np.full(n_steps, sc.dt)))
+            _assert_bitwise(sc.record_times, every_step[sc.record_steps])
 
     def test_record_clock_refuses_more_than_max_steps(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_STEPS", 64)
