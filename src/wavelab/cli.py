@@ -26,7 +26,7 @@ from .core import (
     HypothesisViolation, Nonlinearity, Profile, make_localization,
 )
 from .energy import FIT_MIN_POINTS, RATIO_MIN_RECORDS, accept_window, energy_p, window_rows
-from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, multiplier_window
+from .experiments import EXPERIMENTS, SPEC_KEYS, ScenarioSpec, alpha_rows, multiplier_window
 from .multipliers import MIN_RECORDS
 from .solver import EnergyMonotonicityError, InitialData, Scenario, Trajectory
 
@@ -246,10 +246,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 
     def scalings(text: str) -> tuple[float, ...]:
         alphas = _parse_floats(text)
-        rows = [f"{name}_a{alpha:g}" for alpha in alphas]
-        if not alphas or len(set(rows)) < len(rows):
-            raise ConfigError(f"needs one or more alphas naming distinct rows, "
-                              f"got [{', '.join(rows)}]")
+        alpha_rows(scenario, alphas)  # refuses repeated row names
         if co_integrate_w:
             raise ConfigError("co_integrate_w = true has no family form for the rows")
         return alphas

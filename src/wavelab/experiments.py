@@ -3,8 +3,8 @@ A runner takes a ScenarioSpec and returns {"summary": JSON-ready dict,
 "traj": Trajectory or None, "w_traj": w = z_t Trajectory or None}."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from . import multipliers as _mult
 from .core import make_localization, nu_ratio
 from .energy import decay_fit, energy_p, observability_ratio
 from .solver import (
-    Scenario, Trajectory, run_auxiliary_rerun, run_derivative_system,
+    InitialData, Scenario, Trajectory, run_auxiliary_rerun, run_derivative_system,
     run_family, run_simulation,
 )
 
@@ -53,6 +53,16 @@ def _decay_summary(spec: ScenarioSpec, traj: Trajectory) -> dict:
     return summary
 
 
+def alpha_rows(scenario: Scenario, alphas: Sequence[float]) -> dict[str, InitialData]:
+    """run_family's rows for alphas: name_a<alpha> -> the data scaled by alpha.
+    ValueError unless the alphas name one or more distinct rows."""
+    names = [f"{scenario.name}_a{alpha:g}" for alpha in alphas]
+    if not alphas or len(set(names)) < len(names):
+        raise ValueError(f"needs one or more alphas naming distinct rows, "
+                         f"got [{', '.join(names)}]")
+    return {name: scenario.initial.scaled(alpha) for name, alpha in zip(names, alphas)}
+
+
 def run_one_simulation(spec: ScenarioSpec) -> dict:
     """The run's _decay_summary and energies. With alphas, one row per alpha
     instead, the data scaled by alpha and all rows run as one family: each
@@ -62,12 +72,10 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
     sc = spec.scenario
     head = {"name": sc.name, "t_final": sc.t_final_actual, "n_cells": sc.grid.n_cells}
     if spec.alphas:
-        family = [replace(sc, name=f"{sc.name}_a{alpha:g}",
-                          initial=sc.initial.scaled(alpha)) for alpha in spec.alphas]
-        a_nodes = family[0].a_nodes  # every row's, sampled once
+        family = run_family(sc, alpha_rows(sc, spec.alphas), rates=False)
         rows = []
-        for alpha, traj in zip(spec.alphas, run_family(family, rates=False)):
-            w0 = traj.scenario.initial.derivative_system_data(sc.grid, a_nodes, sc.g)
+        for alpha, traj in zip(spec.alphas, family):
+            w0 = traj.scenario.initial.derivative_system_data(sc.grid, sc.a_nodes, sc.g)
             c_p = {f"{p:g}": (p * energy_p(w0, p, sc.grid)) ** (1.0 / p) for p in sc.p_list}
             rows.append({"alpha": alpha, **_decay_summary(spec, traj), "c_p": c_p})
         return {"summary": {**head, "rows": rows}, "traj": None, "w_traj": None}

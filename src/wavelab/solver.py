@@ -5,16 +5,16 @@ part is an exact index shift and every dissipation statement about the
 damping is machine-checkable instead of being drowned in advection error.
 The damping substep is backward Euler, which is unconditionally dissipative:
 |u_new| <= |u_old| at every node whenever g is monotone with g(0) = 0.
-The substeps act along the last axis of the state, so a family of runs on one
-grid (run_family) steps as the rows of one (B, n_nodes) state, each row
-bitwise equal to its run alone.
+The substeps act along the last axis of the state, so a family of runs, one
+scenario from several initial data (run_family), steps as the rows of one
+(B, n_nodes) state, each row bitwise equal to its run alone.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class EnergyMonotonicityError(RuntimeError):
     construction, so this signals a bug (or an injected fault).
 
     Raised for row b of a family's (B, n_nodes) state, it carries row = b
-    until run_family names that row's scenario in the message."""
+    until run_family names that row in the message."""
 
 
 class NewtonError(RuntimeError):
@@ -618,72 +618,52 @@ def run_simulation(scenario: Scenario,
                    consume: Callable[..., None] | None = None, *,
                    rates: bool = True) -> Trajectory:
     """Integrate the nonlinear problem to t_final, recording diagnostics and
-    asserting E_p monotonicity (for every p simultaneously) at each record;
-    consume and rates as in run_family."""
-    return run_family([scenario], consume, rates=rates)[0]
+    asserting E_p monotonicity (for every p simultaneously) at each record:
+    run_family's one row, scenario's own, consume and rates as there."""
+    return run_family(scenario, {scenario.name: scenario.initial}, consume, rates=rates)[0]
 
 
-#: the Scenario fields every row of a family shares; a row has its own name
-#: and initial data (a by its samples, see _shares)
-FAMILY_FIELDS = ("grid", "g", "a", "splitting", "t_final", "record_every", "p_list")
-
-
-def _shares(sc: Scenario, head: Scenario, field: str) -> bool:
-    """Whether sc may be a row of head's family in `field`. A DampingProfile
-    holds closures, so two equal profiles built apart compare unequal; a
-    family's stepping and diagnostics read a only through a_nodes."""
-    if getattr(sc, field) == getattr(head, field):
-        return True
-    return field == "a" and np.array_equal(sc.a_nodes, head.a_nodes)
-
-
-def run_family(scenarios: Sequence[Scenario],
+def run_family(scenario: Scenario, rows: Mapping[str, InitialData],
                consume: Callable[..., None] | None = None, *,
                rates: bool = True) -> list[Trajectory]:
-    """run_simulation of each scenario, stepped together as the rows of one
+    """scenario run from each row's initial data, the rows stepped as one
     (B, n_nodes) state so that each numpy call serves every row.
 
-    The scenarios must share FAMILY_FIELDS (ValueError otherwise). Each
-    returned trajectory is bitwise equal to run_simulation of its scenario,
-    and each row is guarded on its own: the first energy rise in (time, row)
-    order raises, and an EnergyMonotonicityError or NewtonError of a row
-    names that row's scenario. consume(records, rho, xi) gets each guarded
-    record block of rows, (records, n_nodes) or (records, B, n_nodes), as
-    _record_loop hands it out. One scenario steps as a 1-d state, as
-    run_simulation does. rates=False records no dEdt_p keys
-    (_base_diagnostics), for a caller that reads none.
-    """
-    if not scenarios:
+    rows maps each row's name to its initial data; every other field is
+    scenario's. A row's trajectory carries replace(scenario, name=name,
+    initial=initial), or scenario itself for its own name and data, and is
+    bitwise run_simulation of that scenario. Each row is guarded on its own:
+    the first energy rise in (time, row) order raises, and for B > 1 its
+    error, or a NewtonError, starts with "<row name>: ". consume(records, rho,
+    xi) gets each guarded block of rows, (records, [B,] n_nodes). One row
+    steps as a 1-d state, and no rows return []. rates=False records no
+    dEdt_p keys (_base_diagnostics), for a caller that reads none."""
+    if not rows:
         return []
-    head = scenarios[0]
-    for sc in scenarios[1:]:
-        differ = [f for f in FAMILY_FIELDS if not _shares(sc, head, f)]
-        if differ:
-            raise ValueError(
-                f"scenario '{sc.name}' differs from '{head.name}' in "
-                f"{', '.join(differ)}; the rows of a family share "
-                f"{', '.join(FAMILY_FIELDS)}")
-    starts = [sc.initial.riemann(head.grid) for sc in scenarios]
-    stacked = len(scenarios) > 1
+    scenarios = [scenario if (name, initial) == (scenario.name, scenario.initial)
+                 else replace(scenario, name=name, initial=initial)
+                 for name, initial in rows.items()]
+    starts = [initial.riemann(scenario.grid) for initial in rows.values()]
+    stacked = len(starts) > 1
     track = _Track(RiemannState(rho=np.stack([s.rho for s in starts]),
                                 xi=np.stack([s.xi for s in starts]), t=0.0)
                    if stacked else starts[0])
 
     def advance(s: _Track) -> _Track:
-        return step(s, head, head.a_nodes)
+        return step(s, scenario, scenario.a_nodes)
 
     def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, head, rates=rates),)
+        return (_base_diagnostics(rho, xi, scenario, rates=rates),)
 
     try:
         times, (diag,) = _record_loop(
-            head, track, advance, lambda s: (s.rho, s.xi), diagnose, consume)
+            scenario, track, advance, lambda s: (s.rho, s.xi), diagnose, consume)
     except (EnergyMonotonicityError, NewtonError) as err:
         if not hasattr(err, "row"):
             raise
         raise type(err)(f"{scenarios[err.row].name}: {err}") from err
     if not stacked:
-        return [Trajectory(times=times, diagnostics=diag, scenario=head)]
+        return [Trajectory(times=times, diagnostics=diag, scenario=scenarios[0])]
     return [Trajectory(times, {k: v[:, b].copy() for k, v in diag.items()}, sc)
             for b, sc in enumerate(scenarios)]
 

@@ -20,11 +20,9 @@ class KeptStates:
 
 
 def run_kept(run, scenario, *args):
-    """run(scenario, *args, consume=...) with a KeptStates consumer; scenario
-    may be a list, the rows of run_family. Returns run's result and the kept
-    rows: (rho, xi), (rho, xi, th) for run_auxiliary and (rho, xi, w_rho,
-    w_xi) for run_derivative_system; (n_records, B, n_nodes) each for a
-    family of B > 1 rows."""
-    head = scenario[0] if isinstance(scenario, list) else scenario
-    kept = KeptStates(len(head.record_steps))
+    """run(scenario, *args, consume=...) with a KeptStates consumer. Returns
+    run's result and the kept rows: (rho, xi), (rho, xi, th) for
+    run_auxiliary and (rho, xi, w_rho, w_xi) for run_derivative_system;
+    (n_records, B, n_nodes) each for run_family of B > 1 rows."""
+    kept = KeptStates(len(scenario.record_steps))
     return run(scenario, *args, consume=kept), kept.rows

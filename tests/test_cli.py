@@ -723,12 +723,14 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_
         assert accepted == consumed == (held >= need), window
 
 
-@pytest.mark.parametrize("kind, window", [("simulate", "1, 4"),
-                                          ("multiplier_report", "1, 4"),
-                                          ("multiplier_report", None)])
-def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window):
+@pytest.mark.parametrize("kind, window, alphas", [("simulate", "1, 4", None),
+                                                  ("multiplier_report", "1, 4", None),
+                                                  ("multiplier_report", None, None),
+                                                  ("simulate", None, "1, 2")])
+def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window, alphas):
     # the record clock is built once: parsing, the window's consumer and
-    # the record loop share the one read-only array
+    # the record loop share the one read-only array, and an alphas family
+    # runs the parsed scenario itself
     passes = []
     clock = Scenario.__dict__["record_times"].func
 
@@ -740,7 +742,8 @@ def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window):
     counted_clock.__set_name__(Scenario, "record_times")
     monkeypatch.setattr(Scenario, "record_times", counted_clock)
     text = (f"[suite]\nkind = {kind}\n\n[scenario s]\nn_cells = 40\nt_final = 5\n"
-            + (f"window = {window}\n" if window else ""))
+            + (f"window = {window}\n" if window else "")
+            + (f"alphas = {alphas}\n" if alphas else ""))
     suite = parse_suite(text)
     sc = suite.scenarios[0].scenario
     assert passes == ["s"]

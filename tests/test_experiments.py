@@ -17,7 +17,7 @@ import pytest
 
 import wavelab
 from wavelab import experiments, solver, verify
-from wavelab.cli import main, parse_suite
+from wavelab.cli import ConfigError, main, parse_suite
 from wavelab.core import NONLINEARITIES, Grid
 from wavelab.energy import decay_fit, observability_ratio, window_rows
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
@@ -318,16 +318,31 @@ def test_alphas_rows_run_as_one_family(monkeypatch):
     spec = parse_suite(_suite("simulate", ("one", {"alphas": "1, 0, 4"}))).scenarios[0]
     families = []
 
-    def spy(scenarios, rates=True):
-        families.append([sc.name for sc in scenarios])
-        return run_family(scenarios, rates=rates)
+    def spy(scenario, rows, rates=True):
+        families.append((scenario, list(rows)))
+        return run_family(scenario, rows, rates=rates)
 
     monkeypatch.setattr(experiments, "run_family", spy)
     monkeypatch.setattr(experiments, "run_simulation", None)  # no row runs alone
     result = EXPERIMENTS["simulate"](spec)
-    assert families == [["one_a1", "one_a0", "one_a4"]]
+    (scenario, names), = families
+    assert scenario is spec.scenario  # the parsed scenario, its caches built
+    assert names == ["one_a1", "one_a0", "one_a4"]
     assert [row["alpha"] for row in result["summary"]["rows"]] == [1.0, 0.0, 4.0]
     assert result["traj"] is None and result["w_traj"] is None
+
+
+def test_alpha_rows_name_the_rows_the_parser_refuses():
+    # one home for the row names: the runner's rows, and the parser's
+    # message when two alphas name one row
+    sc = parse_suite(_suite("simulate", ("one", {}))).scenarios[0].scenario
+    rows = experiments.alpha_rows(sc, (1.0, 0.0, 4.0))
+    assert list(rows) == ["one_a1", "one_a0", "one_a4"]
+    assert rows["one_a1"] == sc.initial
+    with pytest.raises(ConfigError) as err:
+        parse_suite(_suite("simulate", ("one", {"alphas": "1, 1.0000001"})))
+    assert str(err.value) == ("scenario 'one': key 'alphas': needs one or more "
+                              "alphas naming distinct rows, got [one_a1, one_a1]")
 
 
 def test_each_row_fits_as_its_scenario_alone():

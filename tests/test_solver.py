@@ -50,9 +50,14 @@ def _copied(state):
 
 
 def _family(sc, alphas):
-    """The rows of sc with its initial data scaled by each alpha."""
-    return [replace(sc, name=f"{sc.name}_a{alpha:g}", initial=sc.initial.scaled(alpha))
-            for alpha in alphas]
+    """run_family's rows: row b, named sc.name_b, is sc's data scaled by
+    alphas[b] (an alpha may repeat)."""
+    return {f"{sc.name}_{b}": sc.initial.scaled(alpha) for b, alpha in enumerate(alphas)}
+
+
+def _solo(sc, rows):
+    """Each row of a family as a scenario of its own, to run alone."""
+    return [replace(sc, name=name, initial=initial) for name, initial in rows.items()]
 
 
 class TestTransport:
@@ -797,8 +802,8 @@ class TestRestrictedKernel:
             _assert_bitwise(out.rho, ref.rho)
             _assert_bitwise(out.xi, ref.xi)
         family = _family(sc, (1.0, 4.0))
-        _, (rho, xi) = run_kept(run_family, family)
-        for b, row in enumerate(family):
+        _, (rho, xi) = run_kept(run_family, sc, family)
+        for b, row in enumerate(_solo(sc, family)):
             s = row.initial.riemann(row.grid)
             for k in range(row.n_steps):
                 s = _reference_step(s, row)
@@ -1283,11 +1288,10 @@ class TestSplitKernel:
         assert calls == {"transport_shift": 2 * n, "step": n,
                          "_damping_substep_nodal": 2 * substeps}
         each_step_passes(sc.a_nodes)
-        family = _family(sc, (1.0, 2.0, 4.0))
-        run_family(family)
+        run_family(sc, _family(sc, (1.0, 2.0, 4.0)))
         assert calls == {"transport_shift": n, "step": n,
                          "_damping_substep_nodal": substeps}
-        each_step_passes(family[0].a_nodes)
+        each_step_passes(sc.a_nodes)
         dense = replace(sc, record_every=1)
         run_auxiliary_rerun(dense)
         assert calls == {"transport_shift": 2 * n, "step": n,
@@ -1545,9 +1549,9 @@ def _drivers(sc, family):
     """sc's record times, record_steps * dt, and two tables keyed by
     DRIVERS: each driver as run(consume) -> its trajectories, and the rows
     its consumer gets, stacked from the hand-stepped states. They are (rho,
-    xi); a family of B > 1 rows stacks them along axis 1, the auxiliary run
-    (with theta = _smooth_theta()) adds theta(t_k, x) and the derivative
-    system (w_rho, w_xi)."""
+    xi); the family, sc with the rows `family`, stacks B > 1 rows along
+    axis 1, the auxiliary run (with theta = _smooth_theta()) adds
+    theta(t_k, x) and the derivative system (w_rho, w_xi)."""
     theta = _smooth_theta()
 
     def stack(states):
@@ -1556,10 +1560,10 @@ def _drivers(sc, family):
     states = _simulation_states_ref(sc)
     aux = _auxiliary_ref(sc, theta)
     _, (base, _), (w, _) = _derivative_system_ref(sc)
-    solo = [stack(_simulation_states_ref(row)) for row in family]
+    solo = [stack(_simulation_states_ref(row)) for row in _solo(sc, family)]
     run = {
         "simulation": lambda consume: (run_simulation(sc, consume),),
-        "family": lambda consume: run_family(family, consume),
+        "family": lambda consume: run_family(sc, family, consume),
         "auxiliary": lambda consume: (run_auxiliary(sc, theta, consume),),
         "derivative_system": lambda consume: run_derivative_system(sc, consume),
     }
@@ -1587,7 +1591,8 @@ class TestRecordBlocks:
         _, (base, _), (w, _) = _derivative_system_ref(sc)
         cases = [  # (scenario, hand-stepped record states, trajectories)
             (sc, [_simulation_states_ref(sc)], [run_simulation(sc)]),
-            (sc, [_simulation_states_ref(row) for row in family], run_family(family)),
+            (sc, [_simulation_states_ref(row) for row in _solo(sc, family)],
+             run_family(sc, family)),
             (sc, [_auxiliary_ref(sc, theta)], [run_auxiliary(sc, theta)]),
             (sc, [base, w], run_derivative_system(sc)),
             (dense, [_simulation_states_ref(dense)], run_auxiliary_rerun(dense)),
@@ -1807,8 +1812,8 @@ class TestRecordBuffers:
         for got, ref in zip(kept.rows, rows[driver], strict=True):
             _assert_bitwise(got, ref)
         if driver == "family":
-            for traj, row in zip(trajs, family):
-                assert traj.scenario is row
+            for traj, row in zip(trajs, _solo(sc, family), strict=True):
+                assert traj.scenario == row
                 for key, series in run_simulation(row).diagnostics.items():
                     _assert_bitwise(traj.diagnostics[key], series)
         for traj, ref_traj in zip(trajs, one_block, strict=True):
@@ -1900,8 +1905,9 @@ class TestBlockHeap:
 #: a family's rows scale the scenario's data by 1, 0.25 and 4
 RATE_DRIVERS = {
     "simulation": lambda sc, rates: [run_simulation(sc, rates=rates)],
-    "family2": lambda sc, rates: run_family(_family(sc, (1.0, 0.25)), rates=rates),
-    "family3": lambda sc, rates: run_family(_family(sc, (1.0, 0.25, 4.0)), rates=rates),
+    "family2": lambda sc, rates: run_family(sc, _family(sc, (1.0, 0.25)), rates=rates),
+    "family3": lambda sc, rates: run_family(sc, _family(sc, (1.0, 0.25, 4.0)),
+                                            rates=rates),
     "derivative_system": lambda sc, rates: list(run_derivative_system(sc, rates=rates)),
 }
 
@@ -2039,17 +2045,17 @@ def _pumping_rows(starts):
     return substep
 
 
-def _family_kept(family):
+def _family_kept(sc, family):
     """run_family of B > 1 rows: each row's trajectory with its kept (rho, xi),
     as run_kept gives them for a solo run."""
-    trajs, (rho, xi) = run_kept(run_family, family)
+    trajs, (rho, xi) = run_kept(run_family, sc, family)
     return [(traj, (rho[:, b], xi[:, b])) for b, traj in enumerate(trajs)]
 
 
 def _assert_runs_equal(got, ref):
-    """got and ref are (trajectory, kept (rho, xi)) pairs."""
+    """got and ref are (trajectory, kept (rho, xi)) pairs of equal scenarios."""
     (got, got_states), (ref, ref_states) = got, ref
-    assert got.scenario is ref.scenario
+    assert got.scenario == ref.scenario
     _assert_bitwise(got.times, ref.times)
     for new, old in zip(got_states, ref_states, strict=True):
         _assert_bitwise(new, old)
@@ -2070,15 +2076,15 @@ class TestRunFamily:
         sat = saturating_damping()
         g = Nonlinearity(lambda s: calls.append(np.size(s)) or sat.value(s),
                          sat.derivative, sat.label)
-        family = _family(_scenario(n=32, t_final=1.0, g=g, a=constant_profile(20.0)),
-                         (0.01, 1.0, 16.0))
+        sc = _scenario(n=32, t_final=1.0, g=g, a=constant_profile(20.0))
+        family = _family(sc, (0.01, 1.0, 16.0))
         solo, solo_calls = [], []
-        for row in family:
+        for row in _solo(sc, family):
             calls.clear()
             solo.append(run_kept(run_simulation, row))
             solo_calls.append(len(calls))
         assert len(set(solo_calls)) > 1
-        for got, ref in zip(_family_kept(family), solo, strict=True):
+        for got, ref in zip(_family_kept(sc, family), solo, strict=True):
             _assert_runs_equal(got, ref)
 
     def test_one_row_in_the_bisection_fallback(self, monkeypatch):
@@ -2093,14 +2099,15 @@ class TestRunFamily:
             return real(u_old, c, g, tol)
 
         monkeypatch.setattr(solver, "_bisect_damping", bisect)
-        family = _family(_scenario(n=32, t_final=1.0, g=cubic_damping()), (1.0, 16.0))
+        sc = _scenario(n=32, t_final=1.0, g=cubic_damping())
+        family = _family(sc, (1.0, 16.0))
         solo = []
-        for row in family:
+        for b, row in enumerate(_solo(sc, family)):
             bisected.clear()
             solo.append(run_kept(run_simulation, row))
-            assert bool(bisected) == (row is family[1])
+            assert bool(bisected) == (b == 1)
         bisected.clear()
-        for got, ref in zip(_family_kept(family), solo, strict=True):
+        for got, ref in zip(_family_kept(sc, family), solo, strict=True):
             _assert_runs_equal(got, ref)
         assert bisected
 
@@ -2111,13 +2118,14 @@ class TestRunFamily:
             raise NewtonError("injected bisection failure")
 
         monkeypatch.setattr(solver, "_bisect_damping", bisect)
-        family = _family(_scenario(n=32, t_final=1.0, g=cubic_damping()), (1.0, 16.0))
+        sc = _scenario(n=32, t_final=1.0, g=cubic_damping())
+        family = _family(sc, (1.0, 16.0))
         with pytest.raises(NewtonError) as solo:
-            run_simulation(family[1])
+            run_simulation(_solo(sc, family)[1])
         assert str(solo.value) == "injected bisection failure"
         with pytest.raises(NewtonError) as got:
-            run_family(family)
-        assert str(got.value) == "t_a16: injected bisection failure"
+            run_family(sc, family)
+        assert str(got.value) == "t_1: injected bisection failure"
 
     @pytest.mark.parametrize("starts, named", [
         ({2: 40}, 2),         # one bad row
@@ -2131,32 +2139,22 @@ class TestRunFamily:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_damping_substep_nodal", _pumping_substep(t_bad[named]))
             with pytest.raises(EnergyMonotonicityError) as solo:
-                run_simulation(family[named])
+                run_simulation(_solo(sc, family)[named])
         monkeypatch.setattr(solver, "_damping_substep_nodal", _pumping_rows(t_bad))
         with pytest.raises(EnergyMonotonicityError) as got:
-            run_family(family)
-        assert str(got.value) == f"{family[named].name}: {solo.value}"
+            run_family(sc, family)
+        assert str(got.value) == f"{list(family)[named]}: {solo.value}"
 
-    def test_equal_profiles_built_apart_share_a_family(self):
-        # a DampingProfile holds closures, so two equal profiles compare
-        # unequal; the family compares their samples a_nodes
-        sc = replace(_scenario(n=32, t_final=1.0), name="a",
-                     a=smooth_indicator_profile(0.7, 1, 2, 0.05))
-        other = replace(sc, name="b", a=smooth_indicator_profile(0.7, 1, 2, 0.05),
-                        initial=sc.initial.scaled(4.0))
-        assert other.a != sc.a
-        family = [sc, other]
-        for got, row in zip(_family_kept(family), family, strict=True):
-            _assert_runs_equal(got, run_kept(run_simulation, row))
-        differs = replace(other, a=smooth_indicator_profile(0.6, 1, 2, 0.05))
-        with pytest.raises(ValueError, match="'b' differs from 'a' in a;"):
-            run_family([sc, differs])
-
-    @pytest.mark.parametrize("field, value", [
-        ("grid", Grid(32)), ("g", cubic_damping()), ("t_final", 1.5)])
-    def test_rows_must_share_the_run_fields(self, field, value):
-        sc = _scenario()
-        other = replace(sc, name="other", **{field: value})
-        with pytest.raises(ValueError, match=f"'other' differs from 't' in {field};"):
-            run_family([sc, other])
-        assert run_family([]) == []
+    @pytest.mark.parametrize("alphas", [(4.0,), (1.0, 4.0), (0.25, 1.0, 4.0)])
+    def test_rows_are_the_scenario_with_their_own_data(self, alphas):
+        # a family is one scenario plus each row's name and initial data, so
+        # every other field of a row's scenario is the scenario's own object
+        sc = _scenario(n=32, t_final=1.0)
+        family = _family(sc, alphas)
+        trajs = run_family(sc, family)
+        for traj, (name, initial) in zip(trajs, family.items(), strict=True):
+            assert traj.scenario.name == name and traj.scenario.initial is initial
+            for field in ("grid", "g", "a", "p_list", "splitting"):
+                assert getattr(traj.scenario, field) is getattr(sc, field)
+        assert run_simulation(sc).scenario is sc
+        assert run_family(sc, {}) == []
