@@ -13,9 +13,9 @@ from .core import (
 from .energy import (
     ConvexFunctional, DecayFit, EnergyReport, decay_fit, dissipation_rate,
     energy_p, modified_energy_functional, observability_ratio, phi_functional,
-    sobolev_bound_check, window_rows,
+    sobolev_margin, window_rows,
 )
-from .multipliers import MultiplierReport, MultiplierStream, elliptic_solve, multiplier_terms
+from .multipliers import MultiplierStream, elliptic_solve, multiplier_terms
 from .oracle import dalembert_riemann, modal_rate
 from .solver import (
     EnergyMonotonicityError, InitialData, Scenario, ThetaField, Trajectory,

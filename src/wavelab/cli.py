@@ -200,6 +200,14 @@ def parse_suite(config_text: str) -> ExperimentSuite:
         if "/" in name or "\\" in name:
             raise ConfigError(f"scenario '{name}': the name must not contain '/' or "
                               f"'\\', since it becomes part of the report file names")
+        try:  # summary_<name>.json must be a file name of at most 255 bytes
+            fits = "\0" not in name and len(os.fsencode(name)) <= 242
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            raise ConfigError(f"scenario {name!r}: the name must hold no NUL byte and at "
+                              f"most 242 bytes in the file-system encoding, since it "
+                              f"becomes part of the report file names")
         if name in names:
             raise ConfigError(f"duplicate scenario name '{name}'")
         names.add(name)
@@ -484,10 +492,15 @@ def main(argv: list[str] | None = None) -> int:
                 why = exc.strerror if isinstance(exc, OSError) else exc
                 raise ConfigError(f"cannot read '{args.suite_file}': {why}") from None
             suite = parse_suite(text)
+            out = os.environ.get("WAVELAB_OUT") or args.out or suite.output_dir
+            try:
+                Path(out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory '{out}': "
+                                  f"{exc.strerror}") from None
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        out = os.environ.get("WAVELAB_OUT") or args.out
         return run_suite(suite, output_dir=out, jobs=args.jobs)
     if args.command == "verify":
         from .verify import run_all

@@ -112,27 +112,15 @@ def w1p_norm(values: Array, derivative: Array, p: float, dx: float):
     return _root(trapezoid(np.abs(values) ** p + np.abs(derivative) ** p, dx), p)
 
 
-@dataclass(frozen=True)
-class SobolevCheck:
-    c_p: float
-    satisfied: bool
-    worst_margin: float  # min over records of c_p - ||z_t||_{W^{1,p}}
-    sup_zt: float
-
-
-def sobolev_bound_check(w_traj, p: float) -> SobolevCheck:
-    """Verify ||z_t(t)||_{W^{1,p}} <= c_p = (p E_p(w)(0))^{1/p} on a run of the
-    derivative system. The equivalence constant is realized as 1 in the
-    direction int |w_x|^p + |w_t|^p <= p E_p(w), which holds by convexity of
-    |.|^p applied to w_x = (u+v)/2, w_t = (u-v)/2.
+def sobolev_margin(w_traj, p: float) -> float:
+    """min over the records of c_p - ||z_t(t)||_{W^{1,p}}, c_p = (p E_p(w)(0))^{1/p},
+    on a run of the derivative system: the bound holds where it is >= 0. The
+    equivalence constant is realized as 1 in the direction int |w_x|^p +
+    |w_t|^p <= p E_p(w), which holds by convexity of |.|^p applied to
+    w_x = (u+v)/2, w_t = (u-v)/2.
     """
-    ew = w_traj.diagnostics[f"E_pw{p:g}"]
-    norms = w_traj.diagnostics[f"W1p_zt_p{p:g}"]
-    c_p = (p * ew[0]) ** (1.0 / p)
-    margin = float(np.min(c_p - norms))
-    sup_zt = float(np.max(w_traj.diagnostics["max_zt"]))
-    return SobolevCheck(c_p=c_p, satisfied=margin >= -1e-10,
-                        worst_margin=margin, sup_zt=sup_zt)
+    c_p = (p * w_traj.diagnostics[f"E_pw{p:g}"][0]) ** (1.0 / p)
+    return float(np.min(c_p - w_traj.diagnostics[f"W1p_zt_p{p:g}"]))
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,8 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     window = multiplier_window(spec)
     stream = _mult.MultiplierStream(sc, window, triple, sc.p_list)
     traj = run_simulation(sc, consume=stream)
-    tables = {}
-    for rep in stream.reports():
-        tables[f"{rep.p:g}"] = {
-            "regime": rep.regime, "terms": rep.terms,
-            "int_energy": rep.int_energy, "energy_at_s": rep.energy_at_s,
-            "chain_constants": rep.chain_constants,
-            "eta_table": {f"{k:g}": v for k, v in rep.eta_table.items()},
-        }
     return {"summary": {"name": sc.name, "window": list(window),
-                        "multiplier_tables": tables},
+                        "multiplier_tables": stream.reports()},
             "traj": traj, "w_traj": None}
 
 

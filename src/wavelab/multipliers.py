@@ -11,7 +11,6 @@ the bounded surrogate pair (g_mod, G_mod).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,21 +63,6 @@ def elliptic_solve(h: Array, grid: Grid) -> Array:
 # ---------------------------------------------------------------------------
 # Term evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiplierReport:
-    """All named terms over a window [S, T], plus left-hand sides and the
-    minimal empirical constants closing each estimate (per eta)."""
-
-    p: float
-    regime: str
-    window: tuple[float, float]
-    terms: dict[str, float]
-    int_energy: float       # int_S^T E_p dt
-    energy_at_s: float      # E_p(S)
-    chain_constants: dict[str, float]
-    eta_table: dict[float, dict[str, float]]
-
 
 def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
                      uniform: bool) -> Array:
@@ -149,7 +133,7 @@ def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slic
 class MultiplierStream:
     """A block consumer of a run (run_simulation's consume) whose reports()
     are S1..S4, T1..T5, V1..V3 on the records inside `window` (accept_window
-    of scenario.record_times), one MultiplierReport per p of p_list. A window
+    of scenario.record_times), one table per p of p_list. A window
     record goes to multiplier_terms once v is known on both its neighbours:
     a block's last record waits for the next block. The stream copies the
     records the next call needs, at most two (the last of them, at the end,
@@ -193,8 +177,11 @@ class MultiplierStream:
         keep = max(self.done - 1, 0) - ext.start
         self.held = (rho[keep:].copy(), xi[keep:].copy())
 
-    def reports(self) -> list[MultiplierReport]:
-        """The reports of the window, once the run has passed its end."""
+    def reports(self) -> dict[str, dict]:
+        """The summary's multiplier_tables, keyed f"{p:g}", once the run has
+        passed the window's end: per p its regime, terms, int_energy
+        (int_S^T E_p dt), energy_at_s (E_p(S)) and the minimal empirical
+        constants closing each estimate, the second set's per eta."""
         if self.done < len(self.times):
             raise ValueError(f"the run has not passed the window {self.window}")
         grid, dx = self.scenario.grid, self.scenario.grid.dx
@@ -204,7 +191,7 @@ class MultiplierStream:
         def time_int(series: Array) -> float:
             return float(np.trapezoid(series, self.times))
 
-        reports = []
+        tables = {}
         for j, (p, (f, _, big_f)) in enumerate(zip(self.p_list, self.regimes)):
             series = {key: np.concatenate([b[j][key] for b in self.blocks])
                       for key in self.blocks[0][j]}
@@ -238,16 +225,12 @@ class MultiplierStream:
                 "third_multiplier": t5 / max(int_energy + energy_at_s, 1e-300),
             }
             q = p / (p - 1.0)
-            eta_table: dict[float, dict[str, float]] = {}
-            for eta in ETAS:
-                eta_table[eta] = {
-                    "second_set": s4 / max(
-                        t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300),
-                }
-            chain["second_set_eta1"] = eta_table[1.0]["second_set"]
-
-            reports.append(MultiplierReport(
-                p=p, regime="p_geq_2" if p >= 2.0 else "p_in_1_2", window=self.window,
-                terms=terms, int_energy=int_energy, energy_at_s=energy_at_s,
-                chain_constants=chain, eta_table=eta_table))
-        return reports
+            eta_table = {f"{eta:g}": {"second_set": s4 / max(
+                t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300)}
+                for eta in ETAS}
+            chain["second_set_eta1"] = eta_table["1"]["second_set"]
+            tables[f"{p:g}"] = {
+                "regime": "p_geq_2" if p >= 2.0 else "p_in_1_2", "terms": terms,
+                "int_energy": int_energy, "energy_at_s": energy_at_s,
+                "chain_constants": chain, "eta_table": eta_table}
+        return tables

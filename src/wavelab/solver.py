@@ -753,7 +753,6 @@ def run_derivative_system(scenario: Scenario,
             w_diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
             w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
             w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
-        w_diag["max_zt"] = base_diag["max_zt"]  # sup |z_t| of the base run
         return base_diag, w_diag
 
     times, (base_diag, w_diag) = _record_loop(

@@ -25,7 +25,7 @@ from .core import (
 )
 from .energy import (
     decay_fit, energy_p, modified_energy_functional,
-    observability_ratio, phi_functional, sobolev_bound_check, window_rows,
+    observability_ratio, phi_functional, sobolev_margin, window_rows,
 )
 from .experiments import ScenarioSpec, run_aux_equivalence, run_one_simulation
 from .multipliers import elliptic_solve
@@ -236,15 +236,15 @@ def check_regularity_bound() -> CheckResult:
         sc = Scenario(name=f"reg_{g_name}", grid=Grid(256), t_final=10.0,
                       p_list=(1.5, 2.0, 4.0), g=NONLINEARITIES[g_name](), a=a,
                       initial=_moderate_data())
-        _, w_traj = run_derivative_system(sc, rates=False)
-        sup = w_traj.diagnostics["max_zt"]
+        traj, w_traj = run_derivative_system(sc, rates=False)
+        sup = traj.diagnostics["max_zt"]
         for p in sc.p_list:
             ew = w_traj.diagnostics[f"E_pw{p:g}"]
             embed = w_traj.diagnostics[f"Lp_zt_p{p:g}"] + \
                 w_traj.diagnostics[f"Lp_ztx_p{p:g}"]
             for label, viol in (
                     ("E_p(w) rise", float(np.max(ew - ew[0])) - 1e-10),
-                    ("W1p bound", -sobolev_bound_check(w_traj, p).worst_margin),
+                    ("W1p bound", -sobolev_margin(w_traj, p)),
                     ("sup embedding", float(np.max(sup - embed)))):
                 if viol > worst:
                     worst, worst_tag = viol, f"{label}, g={g_name}, p={p:g}"

@@ -202,13 +202,34 @@ class TestMainEndToEnd:
         *(("[scenario demo]", f"[scenario {name}]", f"scenario '{name}': the name must "
            f"not contain '/' or '\\', since it becomes part of the report file names\n")
           for name in ["a/b", "a\\b", "/abs"]),
-    ], ids=["unknown-g", "verify-kind", "slash", "backslash", "absolute"])
+        # summary_<name>.json must be a file name: no NUL, at most 255 bytes
+        *(("[scenario demo]", f"[scenario {name}]", f"scenario {name!r}: the name must "
+           f"hold no NUL byte and at most 242 bytes in the file-system encoding, since "
+           f"it becomes part of the report file names\n")
+          for name in ["a" * 243, "\u00e9" * 122, "a\0b"]),
+    ], ids=["unknown-g", "verify-kind", "slash", "backslash", "absolute",
+            "243-bytes", "122-chars-of-244-bytes", "nul"])
     def test_parse_error_exit_code(self, tmp_path, capsys, line, bad, message):
         suite_file = tmp_path / "bad.ini"
         suite_file.write_text(GOOD_SUITE.replace(line, bad))
         assert main(["run", str(suite_file), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "o").exists()
+
+    def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # under a file: refused before any scenario runs, so no work is lost
+        monkeypatch.delenv("WAVELAB_OUT", raising=False)
+        suite_file = tmp_path / "suite.ini"
+        scenario = GOOD_SUITE[GOOD_SUITE.index("[scenario demo]"):]
+        suite_file.write_text(GOOD_SUITE + scenario.replace("demo", "second"))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 2
+        # the one line on stderr: no scenario ran to print an ERROR line
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory '{out}': Not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "suite.ini"]
 
     @pytest.mark.parametrize("line, key", [
         ("n_cells = abc", "n_cells"),

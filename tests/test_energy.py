@@ -8,7 +8,7 @@ from wavelab.core import (
 from wavelab.energy import (
     ConvexFunctional, decay_fit, dissipation_rate, energy_p, energy_p_nodal,
     lp_norm, modified_energy_functional, observability_ratio, phi_functional,
-    sobolev_bound_check, w1p_norm,
+    sobolev_margin, w1p_norm,
 )
 from wavelab.solver import InitialData, Scenario, run_derivative_system
 
@@ -183,12 +183,13 @@ class TestSobolevCheck:
                       g=arctan_damping(), a=constant_profile(1.0),
                       initial=InitialData(
                           sine_profile(1, amplitude=0.5), zero_function()))
-        _, w = run_derivative_system(sc)
-        check = sobolev_bound_check(w, 2.0)
-        assert check.satisfied
-        assert check.worst_margin >= -1e-10
-        assert check.c_p > 0.0
-        assert check.sup_zt <= check.c_p  # the embedding at desk scale
+        traj, w = run_derivative_system(sc)
+        margin = sobolev_margin(w, 2.0)
+        c_p = (2.0 * w.diagnostics["E_pw2"][0]) ** 0.5
+        assert margin == float(np.min(c_p - w.diagnostics["W1p_zt_p2"]))
+        assert margin >= -1e-10
+        assert c_p > 0.0
+        assert np.max(traj.diagnostics["max_zt"]) <= c_p  # the embedding at desk scale
 
 
 class TestStackedDiagnostics:

@@ -534,6 +534,26 @@ def test_multiplier_report_keeps_no_states():
     assert peak < states
 
 
+def test_multiplier_tables_keep_their_key_order():
+    # summary_<name>.json follows dict order, and the benchmark's reference
+    # check compares key sets only: the layout of the report is pinned here
+    spec = parse_suite(_suite("multiplier_report", ("m", {
+        **EXTRA["multiplier_report"], "p_list": "1.5, 2, 4"}))).scenarios[0]
+    summary = experiments.run_one_multiplier_report(spec)["summary"]
+    assert list(summary) == ["name", "window", "multiplier_tables"]
+    tables = summary["multiplier_tables"]
+    assert list(tables) == ["1.5", "2", "4"]
+    for table in tables.values():
+        assert list(table) == ["regime", "terms", "int_energy", "energy_at_s",
+                               "chain_constants", "eta_table"]
+        assert list(table["terms"]) == ["S1", "S2", "S3", "S4", "T1", "T2", "T3",
+                                        "T4", "T5", "V1", "V2", "V3"]
+        assert list(table["chain_constants"]) == ["first_set", "third_multiplier",
+                                                  "second_set_eta1"]
+        assert list(table["eta_table"]) == ["0.25", "0.5", "1", "2"]
+        assert all(list(row) == ["second_set"] for row in table["eta_table"].values())
+
+
 @pytest.mark.parametrize("kind", EXPERIMENTS)
 def test_spec_keys_are_what_each_runner_reads(kind):
     # the parser refuses the others: a key no runner reads would be ignored

@@ -219,38 +219,39 @@ def localized_run(request):
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
         traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
-        assert set(rep.terms) == {"S1", "S2", "S3", "S4",
-                                  "T1", "T2", "T3", "T4", "T5",
-                                  "V1", "V2", "V3"}
-        for name, value in rep.terms.items():
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        assert set(rep["terms"]) == {"S1", "S2", "S3", "S4",
+                                     "T1", "T2", "T3", "T4", "T5",
+                                     "V1", "V2", "V3"}
+        for name, value in rep["terms"].items():
             assert np.isfinite(value) and value >= 0.0, name
 
     def test_regime_labels(self, localized_run):
         traj, states, triple = localized_run
-        reps = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0, 1.5])
-        assert [rep.p for rep in reps] == [2.0, 1.5]
-        assert [rep.regime for rep in reps] == ["p_geq_2", "p_in_1_2"]
+        tables = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0, 1.5])
+        assert list(tables) == ["2", "1.5"]
+        assert [rep["regime"] for rep in tables.values()] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
         traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
-        assert 0.0 < rep.chain_constants["first_set"] <= 6.0  # window length
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        assert 0.0 < rep["chain_constants"]["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
         traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
-        assert rep.terms["S4"] <= 2.0 * rep.int_energy + 1e-12
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        assert rep["terms"]["S4"] <= 2.0 * rep["int_energy"] + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
         traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0])
-        assert tuple(rep.eta_table) == ETAS
-        for eta, row in rep.eta_table.items():
+        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        assert list(rep["eta_table"]) == [f"{eta:g}" for eta in ETAS]
+        for eta, row in rep["eta_table"].items():
             assert row["second_set"] >= 0.0
-        assert rep.chain_constants["second_set_eta1"] == rep.eta_table[1.0]["second_set"]
+        assert (rep["chain_constants"]["second_set_eta1"]
+                == rep["eta_table"]["1"]["second_set"])
 
     def test_window_outside_run_rejected(self, localized_run):
         traj, _, triple = localized_run
@@ -280,14 +281,14 @@ class TestMultiplierTerms:
     def test_equals_per_record_reference(self, localized_run, p):
         traj, states, triple = localized_run
         window = (0.5, 5.0)
-        [rep] = _kept_terms(traj, states, window, triple, [p])
+        [rep] = _kept_terms(traj, states, window, triple, [p]).values()
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
             traj, states, triple, p, window)
-        assert rep.terms == terms
-        assert rep.int_energy == int_energy
-        assert rep.energy_at_s == energy_at_s
+        assert rep["terms"] == terms
+        assert rep["int_energy"] == int_energy
+        assert rep["energy_at_s"] == energy_at_s
         for key, value in chain.items():
-            assert rep.chain_constants[key] == value
+            assert rep["chain_constants"][key] == value
 
     @pytest.mark.parametrize("inside", [False, True], ids=["whole", "inside"])
     @pytest.mark.parametrize("block", [1, 2, 3])
@@ -308,12 +309,13 @@ class TestMultiplierTerms:
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
         assert _streamed_terms(traj.scenario, window, triple, p_list) == whole
         assert _kept_terms(traj, states, window, triple, p_list, block) == whole
-        for p, rep in zip(p_list, whole):
+        assert list(whole) == [f"{p:g}" for p in p_list]
+        for p, rep in zip(p_list, whole.values()):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
                 traj, states, triple, p, window)
-            assert (rep.p, rep.terms, rep.int_energy, rep.energy_at_s) == (
-                p, terms, int_energy, energy_at_s)
-            assert chain.items() <= rep.chain_constants.items()
+            assert (rep["terms"], rep["int_energy"], rep["energy_at_s"]) == (
+                terms, int_energy, energy_at_s)
+            assert chain.items() <= rep["chain_constants"].items()
 
     @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
     def test_peak_memory_does_not_grow_with_the_window(self, localized_run):
@@ -382,8 +384,8 @@ def test_streamed_terms_equal_the_kept_states_bitwise(case, law, monkeypatch):
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
     kept = _kept_terms(traj, states, window, triple, sc.p_list)
     assert _streamed_terms(sc, window, triple, sc.p_list) == kept
-    for p, rep in zip(sc.p_list, kept):
+    for p, rep in zip(sc.p_list, kept.values()):
         terms, int_energy, energy_at_s, _ = _multiplier_terms_per_record(
             traj, states, triple, p, window)
-        assert (rep.terms, rep.int_energy, rep.energy_at_s) == (
+        assert (rep["terms"], rep["int_energy"], rep["energy_at_s"]) == (
             terms, int_energy, energy_at_s)

@@ -1380,7 +1380,6 @@ def _w_diag_ref(bs, ws, sc):
             np.abs(zt) ** p + np.abs(zt_x) ** p, dx) ** (1.0 / p)
         diag[f"Lp_zt_p{p:g}"] = _trap_ref(np.abs(zt) ** p, dx) ** (1.0 / p)
         diag[f"Lp_ztx_p{p:g}"] = _trap_ref(np.abs(zt_x) ** p, dx) ** (1.0 / p)
-    diag["max_zt"] = float(np.max(np.abs(zt)))
     return diag
 
 
