@@ -6,14 +6,13 @@ from .core import (
     DampingProfile, Grid, HypothesisViolation, LocalizationTriple,
     Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
-    identity_damping, indicator_profile, make_localization, nu_ratio,
+    identity_damping, indicator_profile, make_localization, nu_ratio, regime,
     saturating_damping, signed_power,
     sine_profile, smooth_indicator_profile, zero_function, zero_profile,
 )
 from .energy import (
-    ConvexFunctional, DecayFit, EnergyReport, decay_fit, dissipation_rate,
-    energy_p, modified_energy_functional, observability_ratio, phi_functional,
-    sobolev_margin, window_rows,
+    DecayFit, EnergyReport, decay_fit, dissipation_rate, energy_p,
+    observability_ratio, phi_functional, sobolev_margin, window_rows,
 )
 from .multipliers import MultiplierStream, elliptic_solve, multiplier_terms
 from .oracle import dalembert_riemann, modal_rate

@@ -394,10 +394,10 @@ def _run_raw(kind: str, name: str, raw: dict[str, str], output_dir: str) -> None
 
 
 def _outcome(name: str, run: Callable[..., int | None], *args) -> int:
-    """Call run(*args) for scenario `name` and return its exit code: the code
-    run returned (0 for None), 1 when a guard or hypothesis failed (FAIL on
-    stderr), 3 when it raised anything else (ERROR on stderr, without a
-    traceback)."""
+    """Call run(*args) for scenario (or verify check) `name` and return its exit
+    code: the code run returned (0 for None), 1 when a guard or hypothesis
+    failed (FAIL on stderr), 3 when it raised anything else (ERROR on stderr,
+    without a traceback)."""
     try:
         code = run(*args)
     except (EnergyMonotonicityError, HypothesisViolation) as exc:
@@ -504,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_suite(suite, output_dir=out, jobs=args.jobs)
     if args.command == "verify":
         from .verify import run_all
-        return _outcome("verify", lambda: 0 if all(r.passed for r in run_all()) else 1)
+        return _outcome("verify", run_all)
     if args.command == "oracle":
         from .oracle import modal_rate
         lp, lm, rate = modal_rate(args.a0, args.k)

@@ -1,7 +1,7 @@
 """Domain types and pointwise building blocks.
 
 Grids, Riemann-invariant states, damping nonlinearities and profiles,
-signed powers, the modified (g, G) pair used for exponents in (1, 2),
+signed powers, each exponent's multiplier pair (regime),
 and the localization functions for the multiplier diagnostics.
 """
 from __future__ import annotations
@@ -100,33 +100,23 @@ def signed_power(s, r: float):
     return out if out.ndim else float(out)
 
 
-def _modified_arg(y, p: float) -> Array:
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    return np.asarray(y, dtype=float)
-
-
-def modified_g(y, p: float):
-    """The surrogate g(y) = sgn(y)[(|y|+1)^(p-1) - 1] replacing |.|^(p-1)
-    sgn when 1 < p < 2; g = G' for modified_big_g's G."""
-    y = _modified_arg(y, p)
-    out = np.sign(y) * ((np.abs(y) + 1.0) ** (p - 1.0) - 1.0)
-    return out if out.ndim else float(out)
-
-
-def modified_big_g(y, p: float):
-    """The surrogate G(y) = [(|y|+1)^p - 1]/p - |y| replacing |.|^p/p when
-    1 < p < 2; G is convex, G(0) = 0, G' = modified_g."""
-    ay = np.abs(_modified_arg(y, p))
-    out = ((ay + 1.0) ** p - 1.0) / p - ay
-    return out if out.ndim else float(out)
-
-
-def modified_fg_prime(y, p: float):
-    """Derivative of the modified g: (p-1)(|y|+1)^(p-2). Bounded on all of R."""
-    y = _modified_arg(y, p)
-    out = (p - 1.0) * (np.abs(y) + 1.0) ** (p - 2.0)
-    return out if out.ndim else float(out)
+def regime(p: float):
+    """(f, f', F) for the exponent p, the one place that picks the pair: for
+    p >= 2 the power pair f = |s|^(p-1) sgn s, F = |s|^p/p; for 1 < p < 2 the
+    bounded surrogate f = sgn(s)[(|s|+1)^(p-1) - 1], f' = (p-1)(|s|+1)^(p-2),
+    F = [(|s|+1)^p - 1]/p - |s|, convex with F(0) = 0 and F' = f."""
+    if p >= 2.0:
+        return (lambda s: signed_power(s, p - 1.0),
+                lambda s: (p - 1.0) * np.abs(s) ** (p - 2.0),
+                lambda s: np.abs(s) ** p / p)
+    if p > 1.0:
+        def big_f(s):
+            a = np.abs(s)
+            return ((a + 1.0) ** p - 1.0) / p - a
+        return (lambda s: np.sign(s) * ((np.abs(s) + 1.0) ** (p - 1.0) - 1.0),
+                lambda s: (p - 1.0) * (np.abs(s) + 1.0) ** (p - 2.0),
+                big_f)
+    raise ValueError(f"multiplier regime needs p > 1, got {p}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Scalar functionals of a run: p-energies, dissipation identities,
-convex Phi functionals, Sobolev-type bounds, decay-rate fitting and the
+"""Scalar functionals of a run: p-energies, dissipation identities, the Phi
+functional of a convex F, Sobolev-type bounds, decay-rate fitting and the
 empirical observability ratio.
 
 All integrals are composite trapezoid sums on the solver grid, consistent
@@ -14,9 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Array, Grid, RiemannState, modified_big_g, modified_g, signed_power,
-)
+from .core import Array, Grid, RiemannState, signed_power
 
 
 def trapezoid(values: Array, dx: float):
@@ -61,43 +59,10 @@ def dissipation_rate(rho: Array, xi: Array, ag: Array, p: float, dx: float):
     return trapezoid(integrand, dx)
 
 
-# ---------------------------------------------------------------------------
-# Convex functionals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvexFunctional:
-    """A C^1 convex integrand F with F(0) = 0 for the Phi functional."""
-
-    F: Callable[[Array], Array]
-    F_prime: Callable[[Array], Array]
-    label: str
-
-    def validate(self) -> None:
-        y = np.linspace(-5.0, 5.0, 501)
-        f0 = float(np.asarray(self.F(np.array(0.0))))
-        if abs(f0) > 1e-14:
-            raise ValueError(f"F({self.label}): F(0) = {f0} != 0")
-        fv = np.asarray(self.F(y))
-        if np.any(np.diff(fv, 2) < -1e-12):
-            raise ValueError(f"F({self.label}) fails the convexity lattice check")
-        h = 1e-6
-        fd = (np.asarray(self.F(y + h)) - np.asarray(self.F(y - h))) / (2 * h)
-        if np.max(np.abs(fd - np.asarray(self.F_prime(y)))) > 1e-5:
-            raise ValueError(f"F'({self.label}) does not match finite differences of F")
-
-
-def modified_energy_functional(p: float) -> ConvexFunctional:
-    """F = G from the (1,2) regime; Phi with this F is the modified energy."""
-    return ConvexFunctional(
-        F=lambda s: modified_big_g(s, p),
-        F_prime=lambda s: modified_g(s, p),
-        label=f"G_mod(p={p:g})")
-
-
-def phi_functional(rho: Array, xi: Array, F: ConvexFunctional, dx: float):
-    """Phi = int F(rho) + F(xi) dx; non-increasing along damped runs."""
-    return trapezoid(np.asarray(F.F(rho)) + np.asarray(F.F(xi)), dx)
+def phi_functional(rho: Array, xi: Array, F: Callable[[Array], Array], dx: float):
+    """Phi = int F(rho) + F(xi) dx for a convex F with F(0) = 0 (regime(p)[2]
+    gives the modified energy); non-increasing along damped runs."""
+    return trapezoid(F(rho) + F(xi), dx)
 
 
 # ---------------------------------------------------------------------------

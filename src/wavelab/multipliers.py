@@ -6,8 +6,8 @@ trapezoid quadrature. The terms carry unspecified analytic constants in
 the estimates; this module reports the minimal empirical constants that
 make each inequality true on the run's data.
 
-Regimes: p >= 2 uses (f, F) = (signed power p-1, |.|^p/p); 1 < p < 2 uses
-the bounded surrogate pair (g_mod, G_mod).
+Regimes: each p reads its (f, f', F) from core.regime, the power pair for
+p >= 2 and the bounded surrogate pair for 1 < p < 2.
 """
 from __future__ import annotations
 
@@ -15,10 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Array, Grid, LocalizationTriple, cumulative_trapezoid, modified_big_g,
-    modified_fg_prime, modified_g, nu_ratio, signed_power,
-)
+from .core import Array, Grid, LocalizationTriple, cumulative_trapezoid, nu_ratio, regime
 from .energy import accept_window, energy_p_nodal, trapezoid
 from .solver import Scenario
 
@@ -26,19 +23,6 @@ from .solver import Scenario
 ETAS = (0.25, 0.5, 1.0, 2.0)
 #: the fewest records of a window that MultiplierStream integrates over
 MIN_RECORDS = 3
-
-
-def _regime_functions(p: float):
-    """Return (f, f', F) for the exponent regime of p."""
-    if p >= 2.0:
-        return (lambda s: signed_power(s, p - 1.0),
-                lambda s: (p - 1.0) * np.abs(s) ** (p - 2.0),
-                lambda s: np.abs(s) ** p / p)
-    if p > 1.0:
-        return (lambda s: modified_g(s, p),
-                lambda s: modified_fg_prime(s, p),
-                lambda s: modified_big_g(s, p))
-    raise ValueError(f"multiplier regime needs p > 1, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +131,7 @@ class MultiplierStream:
         self.times = scenario.record_times[self.rows]
         self.scenario, self.window, self.triple = scenario, window, triple
         self.p_list = tuple(p_list)
-        self.regimes = [_regime_functions(p) for p in self.p_list]
+        self.regimes = [regime(p) for p in self.p_list]
         self.dts = np.diff(self.times)
         self.uniform = bool((self.dts == self.dts[0]).all())
         xs = scenario.grid.nodes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavelab import experiments
+from wavelab import experiments, verify
 from wavelab.core import (
     DAMPING_PROFILES, NONLINEARITIES, PROFILES, HypothesisViolation, make_localization,
 )
@@ -21,7 +21,9 @@ from wavelab.energy import (
 )
 from wavelab.experiments import EXPERIMENTS, SPEC_KEYS
 from wavelab.multipliers import MIN_RECORDS, MultiplierStream
-from wavelab.solver import Scenario, run_derivative_system, run_simulation
+from wavelab.solver import (
+    EnergyMonotonicityError, Scenario, run_derivative_system, run_simulation,
+)
 
 #: the experiment kind of each bad-value case that is not simulate: with
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
@@ -548,6 +550,29 @@ class TestMainEndToEnd:
         suite_file.write_text(GOOD_SUITE)
         code = main(["run", str(suite_file), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_verify_runs_every_check_past_one_that_raises(self, capsys, monkeypatch):
+        # a check that raises is reported as a scenario of `wavelab run` is,
+        # counts as not passed, and the checks after it still run
+        def passes():
+            return verify.CheckResult(1, "first", True, "fine")
+
+        def breaks():
+            raise RuntimeError("injected")
+
+        def pumps():
+            raise EnergyMonotonicityError("E_p rose")
+
+        def passes_too():
+            return verify.CheckResult(4, "last", True, "fine too")
+
+        monkeypatch.setattr(verify, "CHECKS", (passes, breaks, pumps, passes_too))
+        assert main(["verify"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["[ 1/4] PASS first: fine", "[ 4/4] PASS last: fine too",
+                                    "2/4 checks passed"]
+        assert err.splitlines() == ["ERROR breaks: RuntimeError: injected",
+                                    "FAIL pumps: E_p rose"]
 
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "modal", "--a0", "10", "--k", "1"]) == 0

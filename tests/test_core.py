@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wavelab.core import (
     Grid, HypothesisViolation, NONLINEARITIES, arctan_damping, bump_profile,
     constant_profile, cubic_damping, cumulative_trapezoid, identity_damping,
-    indicator_profile, make_localization, modified_big_g, modified_fg_prime,
-    modified_g, nonmonotone_example, nu_ratio,
+    indicator_profile, make_localization, nonmonotone_example, nu_ratio, regime,
     saturating_damping, signed_power, sine_profile, smooth_indicator_profile,
     zero_function,
 )
@@ -46,46 +45,61 @@ class TestSignedPower:
         assert a == pytest.approx(-b, abs=1e-12)
 
 
-class TestModifiedPair:
+REGIME_PS = [1.01, 1.5, 2.0, 4.0]
+
+
+class TestRegime:
     def test_frozen_value_at_one(self):
-        g1, G1 = modified_g(np.array(1.0), 1.5), modified_big_g(np.array(1.0), 1.5)
-        assert float(g1) == pytest.approx(0.41421356237309515, rel=1e-14)
-        assert float(G1) == pytest.approx(0.2189514164974602, rel=1e-13)
+        f, _, big_f = regime(1.5)
+        assert float(f(np.array(1.0))) == pytest.approx(0.41421356237309515, rel=1e-14)
+        assert float(big_f(np.array(1.0))) == pytest.approx(0.2189514164974602, rel=1e-13)
 
-    def test_vanishes_at_zero(self):
-        g0, G0 = modified_g(np.array(0.0), 1.5), modified_big_g(np.array(0.0), 1.5)
-        assert float(g0) == 0.0 and float(G0) == 0.0
+    @pytest.mark.parametrize("p", REGIME_PS)
+    def test_vanishes_at_zero(self, p):
+        f, _, big_f = regime(p)
+        assert float(f(np.array(0.0))) == 0.0 and float(big_f(np.array(0.0))) == 0.0
 
+    @pytest.mark.parametrize("p", REGIME_PS)
     @given(y=finite_floats)
     @settings(max_examples=50)
-    def test_derivative_consistency(self, y):
-        # G' = g, checked by central differences
-        p = 1.5
+    def test_derivative_consistency(self, p, y):
+        # F' = f and f' the derivative of f, checked by central differences
+        f, fprime, big_f = regime(p)
         h = 1e-6
-        gp = modified_g(np.array(y), p)
-        Gp = modified_big_g(np.array(y + h), p)
-        Gm = modified_big_g(np.array(y - h), p)
-        assert (float(Gp) - float(Gm)) / (2 * h) == pytest.approx(
-            float(gp), abs=1e-6, rel=1e-6)
+        up, down = np.array(y + h), np.array(y - h)
+        assert (float(big_f(up)) - float(big_f(down))) / (2 * h) == pytest.approx(
+            float(f(np.array(y))), abs=1e-6, rel=1e-6)
+        assert (float(f(up)) - float(f(down))) / (2 * h) == pytest.approx(
+            float(fprime(np.array(y))), abs=1e-6, rel=1e-6)
 
-    def test_prime_positive(self):
-        y = np.linspace(-10, 10, 101)
-        assert np.all(modified_fg_prime(y, 1.5) > 0)
+    @pytest.mark.parametrize("p", REGIME_PS)
+    def test_prime_nonnegative_and_integrand_convex(self, p):
+        _, fprime, big_f = regime(p)
+        slopes = fprime(np.linspace(-10, 10, 101))
+        assert np.all(slopes >= 0) and (p >= 2.0 or np.all(slopes > 0))
+        assert np.all(np.diff(big_f(np.linspace(-5.0, 5.0, 501)), 2) >= -1e-12)
 
-    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
-    def test_halves_equal_the_pair(self, p):
+    @pytest.mark.parametrize("p", [1.01, 1.25, 1.5, 1.75])
+    def test_halves_equal_the_surrogate(self, p):
         y = np.random.default_rng(2).normal(scale=3.0, size=257)
         ay = np.abs(y)
-        g_ref = np.sign(y) * ((ay + 1.0) ** (p - 1.0) - 1.0)
-        big_g_ref = ((ay + 1.0) ** p - 1.0) / p - ay
-        assert modified_g(y, p).tobytes() == g_ref.tobytes()
-        assert modified_big_g(y, p).tobytes() == big_g_ref.tobytes()
-        assert type(modified_g(0.5, p)) is float
-        assert type(modified_big_g(0.5, p)) is float
-        with pytest.raises(ValueError):
-            modified_g(y, 2.0)
-        with pytest.raises(ValueError):
-            modified_big_g(y, 1.0)
+        f, fprime, big_f = regime(p)
+        assert f(y).tobytes() == (np.sign(y) * ((ay + 1.0) ** (p - 1.0) - 1.0)).tobytes()
+        assert fprime(y).tobytes() == ((p - 1.0) * (ay + 1.0) ** (p - 2.0)).tobytes()
+        assert big_f(y).tobytes() == (((ay + 1.0) ** p - 1.0) / p - ay).tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_power_pair_from_two_on(self, p):
+        y = np.random.default_rng(3).normal(scale=3.0, size=257)
+        f, fprime, big_f = regime(p)
+        assert f(y).tobytes() == signed_power(y, p - 1.0).tobytes()
+        assert fprime(y).tobytes() == ((p - 1.0) * np.abs(y) ** (p - 2.0)).tobytes()
+        assert big_f(y).tobytes() == (np.abs(y) ** p / p).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, float("nan")])
+    def test_needs_p_above_one(self, p):
+        with pytest.raises(ValueError, match="p > 1"):
+            regime(p)
 
 
 class TestNonlinearities:

@@ -7,12 +7,10 @@ import pytest
 from wavelab import solver
 from wavelab.core import (
     NONLINEARITIES, Grid, cumulative_trapezoid, make_localization,
-    nu_ratio, sine_profile, smooth_indicator_profile, zero_function,
+    nu_ratio, regime, sine_profile, smooth_indicator_profile, zero_function,
 )
 from wavelab.energy import trapezoid, window_rows
-from wavelab.multipliers import (
-    ETAS, MIN_RECORDS, MultiplierStream, _regime_functions, elliptic_solve,
-)
+from wavelab.multipliers import ETAS, MIN_RECORDS, MultiplierStream, elliptic_solve
 from wavelab.solver import InitialData, Scenario, run_simulation
 
 from kept import run_kept
@@ -54,7 +52,7 @@ def _multiplier_terms_per_record(traj, states, triple, p, window):
     grid = traj.scenario.grid
     xs = grid.nodes
     dx = grid.dx
-    f, fprime, big_f = _regime_functions(p)
+    f, fprime, big_f = regime(p)
     idx = np.arange(len(traj.times))[window_rows(traj.times, window)]
     times = traj.times[idx]
     rho = np.stack([states[0][i] for i in idx])
@@ -158,7 +156,7 @@ class TestEllipticSolve:
         # nonnegative forcing f(y) >= 0 (beta = 1) gives v <= 0
         g = Grid(64)
         y = np.sin(np.pi * g.nodes)
-        v = elliptic_solve(_regime_functions(2.0)[0](y), g)
+        v = elliptic_solve(regime(2.0)[0](y), g)
         assert np.all(v <= 1e-15)
 
     def test_one_row_matches_reference(self):
@@ -179,7 +177,7 @@ class TestEllipticSolve:
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
-            _regime_functions(1.0)
+            regime(1.0)
 
 
 @pytest.fixture(scope="module",

@@ -867,6 +867,34 @@ class TestSubstepDissipativity:
         np.testing.assert_array_equal(out.z_x, state.z_x)
 
 
+class TestCheckerboardMode:
+    """Q_n = (-1)^n sum' (-1)^i z_x,i, the trapezoid sum (halves at i = 0 and
+    N) with z_x = (rho + xi)/2, is an invariant of the scheme: the damping
+    substep leaves z_x alone, and at the walls' compatibility rho = xi each
+    unit shift of transport flips the alternating sum's sign."""
+
+    @staticmethod
+    def _charge(state, n):
+        weights = (-1.0) ** np.arange(state.rho.size)
+        weights[[0, -1]] *= 0.5
+        return (-1.0) ** n * float(np.dot(weights, state.z_x))
+
+    @pytest.mark.parametrize("n_cells", [16, 64])
+    @pytest.mark.parametrize("a", ["smooth_indicator", "constant"])
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    @pytest.mark.parametrize("g", sorted(SHIPPED_GS))
+    def test_invariant_under_step(self, g, splitting, a, n_cells):
+        sc = _scenario(n=n_cells, t_final=4.0, g=SHIPPED_GS[g](), a=PROFILES[a],
+                       splitting=splitting)
+        state = _random_state(n_cells, seed=n_cells)
+        state.xi[[0, -1]] = state.rho[[0, -1]]  # wall-admissible
+        scale = float(np.mean(np.abs(state.rho) + np.abs(state.xi)))
+        q0 = self._charge(state, 0)
+        for n in range(1, 4 * n_cells + 1):
+            state = step(state, sc)
+            assert abs(self._charge(state, n) - q0) <= 1e-12 * scale, n
+
+
 _MONOTONE_G = (identity_damping, arctan_damping, cubic_damping, saturating_damping)
 
 
