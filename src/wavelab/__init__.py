@@ -3,8 +3,7 @@ z_tt - z_xx + a(x) g(z_t) = 0 on (0,1) with Dirichlet walls, integrated
 in Riemann-invariant form at unit CFL."""
 
 from .core import (
-    DampingProfile, Grid, HypothesisViolation, LocalizationTriple,
-    Nonlinearity, Profile, RiemannState,
+    DampingProfile, Grid, HypothesisViolation, Nonlinearity, Profile, RiemannState,
     arctan_damping, bump_profile, constant_profile, cubic_damping,
     identity_damping, indicator_profile, make_localization, nu_ratio, regime,
     saturating_damping, signed_power,

@@ -284,7 +284,7 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
     if kind == "multiplier_report":
         # fail early on a bad localization geometry
         with _scenario_key(name, "epsilons"):
-            make_localization((a.omega[0], 1.0), epsilons, grid)
+            make_localization(a.omega[0], epsilons, grid)
 
     co_integrate_w = value("co_integrate_w", _parse_bool)
     spec = ScenarioSpec(

@@ -2,12 +2,12 @@
 
 Grids, Riemann-invariant states, damping nonlinearities and profiles,
 signed powers, each exponent's multiplier pair (regime),
-and the localization functions for the multiplier diagnostics.
+and the localization weights of the multiplier diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -224,6 +224,9 @@ class DampingProfile:
             if c != 1.0:
                 raise HypothesisViolation(
                     f"a({self.label}): omega must touch x = 1 (got c = {c})")
+            if not b < c:
+                raise HypothesisViolation(
+                    f"a({self.label}): omega = ({b:g}, {c:g}) must be nonempty")
         xs = np.linspace(0.0, 1.0, 1001)
         av = np.asarray(self.value(xs))
         if np.any(av < 0.0):
@@ -294,7 +297,7 @@ def cumulative_trapezoid(h: Array, dx: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Localization triple
+# Localization weights
 # ---------------------------------------------------------------------------
 
 def _ramp(x: Array, x0: float, x1: float, y0: float, y1: float) -> Array:
@@ -303,40 +306,26 @@ def _ramp(x: Array, x0: float, x1: float, y0: float, y1: float) -> Array:
     return y0 + (y1 - y0) * s
 
 
-@dataclass(frozen=True)
-class LocalizationTriple:
-    """The nested cutoffs (psi, phi, beta) of the multiplier machinery,
-    sampled at the grid nodes.
+class Localization(NamedTuple):
+    """The nodal weights of the multiplier terms, cut off by the nested
+    Q0 = (q0, 1] subset Q1 = (q1, 1] subset Q2 = (q2, 1] subset omega = (b, 1):
+    psi falls 1 -> 0 across [q1, q0], phi rises 0 -> 1 across [q2, q1] and
+    beta rises 0 -> 1 across [b, q2]."""
 
-    Q0 = (q0, 1] subset Q1 = (q1, 1] subset Q2 = (q2, 1] subset omega = (b, 1).
-    psi falls 1 -> 0 across [q1, q0]; phi rises 0 -> 1 across [q2, q1];
-    beta rises 0 -> 1 across [b, q2]. xpsi_x is d/dx (x * psi), analytic.
-    """
-
-    xpsi_x: Callable[[Array], Array]
-    q0: tuple[float, float]
-    q1: tuple[float, float]
-    q2: tuple[float, float]
-    epsilons: tuple[float, float, float]
-    omega: tuple[float, float]
-    psi_nodes: Array = field(repr=False)
-    phi_nodes: Array = field(repr=False)
-    beta_nodes: Array = field(repr=False)
+    beta: Array
+    phi: Array
+    q1_mask: Array
+    q2_mask: Array
+    xpsi: Array  # x psi
+    one_minus: Array  # |1 - (x psi)'|, the derivative analytic
 
 
-def default_epsilons(b: float) -> tuple[float, float, float]:
-    """Evenly nested defaults leaving half of omega outside Q2."""
-    return tuple((1.0 - b) * (4 - i) / 8 for i in range(3))  # type: ignore[return-value]
-
-
-def make_localization(omega: tuple[float, float],
-                      epsilons: tuple[float, float, float] | None,
-                      grid: Grid) -> LocalizationTriple:
-    b, c = omega
-    if c != 1.0:
-        raise ValueError(f"omega must be of the form (b, 1), got {omega}")
+def make_localization(b: float, epsilons: tuple[float, float, float] | None,
+                      grid: Grid) -> Localization:
+    """The weights on grid of the cutoffs q = b + e; epsilons by default
+    evenly nested, leaving half of omega outside Q2."""
     if epsilons is None:
-        epsilons = default_epsilons(b)
+        epsilons = tuple((1.0 - b) * (4 - i) / 8 for i in range(3))  # type: ignore[assignment]
     e0, e1, e2 = epsilons
     if not 0.0 < e2 < e1 < e0 < 1.0 - b:
         raise ValueError(
@@ -345,30 +334,14 @@ def make_localization(omega: tuple[float, float],
     if not b < q2 < q1 < q0:  # each ramp divides by its width
         raise ValueError(f"epsilons {epsilons} give cutoffs b + e that are not distinct "
                          f"floats at b = {b:g}")
-
-    def psi(x):
-        return _ramp(x, q1, q0, 1.0, 0.0)
-
-    def phi(x):
-        return _ramp(x, q2, q1, 0.0, 1.0)
-
-    def beta(x):
-        return _ramp(x, b, q2, 0.0, 1.0)
-
-    def xpsi_x(x):
-        x = np.asarray(x, dtype=float)
-        # (x psi)_x = psi + x psi'; psi' = -1/(e0 - e1) on the ramp, else 0
-        on_ramp = (x > q1) & (x < q0)
-        return np.where(x <= q1, 1.0,
-                        np.where(on_ramp, psi(x) - x / (e0 - e1), 0.0))
-
     xs = grid.nodes
-    return LocalizationTriple(
-        xpsi_x=xpsi_x,
-        q0=(q0, 1.0), q1=(q1, 1.0), q2=(q2, 1.0),
-        epsilons=(e0, e1, e2), omega=omega,
-        psi_nodes=psi(xs), phi_nodes=phi(xs), beta_nodes=beta(xs),
-    )
+    psi = _ramp(xs, q1, q0, 1.0, 0.0)
+    # (x psi)' = psi + x psi'; psi' = -1/(e0 - e1) on the ramp, else 0
+    xpsi_x = np.where(xs <= q1, 1.0,
+                      np.where((xs > q1) & (xs < q0), psi - xs / (e0 - e1), 0.0))
+    return Localization(beta=_ramp(xs, b, q2, 0.0, 1.0), phi=_ramp(xs, q2, q1, 0.0, 1.0),
+                        q1_mask=xs > q1, q2_mask=xs > q2, xpsi=xs * psi,
+                        one_minus=np.abs(1.0 - xpsi_x))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import multipliers as _mult
-from .core import make_localization, nu_ratio
+from .core import nu_ratio
 from .energy import decay_fit, energy_p, observability_ratio
 from .solver import (
     InitialData, Scenario, Trajectory, run_auxiliary_rerun, run_derivative_system,
@@ -119,9 +119,8 @@ def multiplier_window(spec: ScenarioSpec) -> tuple[float, float]:
 
 def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     sc = spec.scenario
-    triple = make_localization((sc.a.omega[0], 1.0), spec.epsilons, sc.grid)
     window = multiplier_window(spec)
-    stream = _mult.MultiplierStream(sc, window, triple, sc.p_list)
+    stream = _mult.MultiplierStream(sc, window, spec.epsilons)
     traj = run_simulation(sc, consume=stream)
     return {"summary": {"name": sc.name, "window": list(window),
                         "multiplier_tables": stream.reports()},

@@ -11,11 +11,9 @@ p >= 2 and the bounded surrogate pair for 1 < p < 2.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .core import Array, Grid, LocalizationTriple, cumulative_trapezoid, nu_ratio, regime
+from .core import Array, Grid, cumulative_trapezoid, make_localization, nu_ratio, regime
 from .energy import accept_window, energy_p_nodal, trapezoid
 from .solver import Scenario
 
@@ -77,36 +75,35 @@ def _time_derivative(v: Array, rows: slice, ext: slice, dts: Array,
 
 def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slice,
                      ext: slice) -> list[dict[str, Array]]:
-    """Per p of stream.p_list, the space integrals of the window records
+    """Per p of the scenario's p_list, the space integrals of the window records
     `rows` from rho and xi on `ext`: `rows` and one halo record each side,
     clamped to the window. theta = nu(z_t), the linearizing coefficient;
     v is the elliptic multiplier on `ext`, v_t = np.gradient(v, stream.times)."""
-    st, sc, dx = stream, stream.scenario, stream.scenario.grid.dx
+    st, sc, w, dx = stream, stream.scenario, stream.weights, stream.scenario.grid.dx
     inner = slice(rows.start - ext.start, rows.stop - ext.start)
     z = cumulative_trapezoid(0.5 * (rho + xi), dx)
     rho, xi, y = rho[inner], xi[inner], z[inner]
     atheta = sc.a_nodes[None, :] * nu_ratio(0.5 * (rho - xi), sc.g)
     diff = rho - xi
     out = []
-    for p, (f, fprime, big_f) in zip(st.p_list, st.regimes):
-        v = elliptic_solve(st.triple.beta_nodes[None, :] * f(z), sc.grid)
+    for p, (f, fprime, big_f) in zip(sc.p_list, st.regimes):
+        v = elliptic_solve(w.beta[None, :] * f(z), sc.grid)
         v_t = _time_derivative(v, rows, ext, st.dts, st.uniform)
         f_rho, f_xi = f(rho), f(xi)
         big_sum = big_f(rho) + big_f(xi)
         out.append({
             "E": energy_p_nodal(rho, xi, p, dx),
             # first set of multipliers (x psi f)
-            "S1": trapezoid(st.one_minus[None, :] * big_sum * st.q1_mask, dx),
-            "S3": trapezoid(np.abs(atheta * st.xpsi[None, :]) * np.abs(f_rho + f_xi)
+            "S1": trapezoid(w.one_minus[None, :] * big_sum * w.q1_mask, dx),
+            "S3": trapezoid(np.abs(atheta * w.xpsi[None, :]) * np.abs(f_rho + f_xi)
                             * np.abs(diff), dx),
-            "S4": trapezoid(big_sum * st.q1_mask, dx),
+            "S4": trapezoid(big_sum * w.q1_mask, dx),
             # second set (phi f' y)
-            "T1": trapezoid(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)) * st.q2_mask, dx),
+            "T1": trapezoid(np.abs(y) * (np.abs(f_rho) + np.abs(f_xi)) * w.q2_mask, dx),
             "T3": trapezoid(np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff)
-                            * st.q2_mask, dx),
-            "T4": trapezoid(np.abs(st.triple.phi_nodes[None, :] * diff * (f_rho - f_xi)),
-                            dx),
-            "T5": trapezoid(np.abs(y) ** p * st.q2_mask, dx),
+                            * w.q2_mask, dx),
+            "T4": trapezoid(np.abs(w.phi[None, :] * diff * (f_rho - f_xi)), dx),
+            "T5": trapezoid(np.abs(y) ** p * w.q2_mask, dx),
             # third multiplier (elliptic v)
             "V2": trapezoid(np.abs(v_t) * np.abs(diff), dx),
             "V3": trapezoid(np.abs(v[inner] * atheta * diff), dx),
@@ -117,30 +114,28 @@ def multiplier_terms(stream: MultiplierStream, rho: Array, xi: Array, rows: slic
 class MultiplierStream:
     """A block consumer of a run (run_simulation's consume) whose reports()
     are S1..S4, T1..T5, V1..V3 on the records inside `window` (accept_window
-    of scenario.record_times), one table per p of p_list. A window
-    record goes to multiplier_terms once v is known on both its neighbours:
-    a block's last record waits for the next block. The stream copies the
+    of scenario.record_times), one table per p of scenario.p_list, with the
+    weights of make_localization on omega = (b, 1) (epsilons None: the
+    defaults). A window record goes to multiplier_terms once v is known on
+    both its neighbours: a block's last record waits for the next block. The stream copies the
     records the next call needs, at most two (the last of them, at the end,
     the window's last record), and the window's first record: S2, T2 and V1
     read those two alone. Dense records (record_every = 1) are advised."""
 
     def __init__(self, scenario: Scenario, window: tuple[float, float],
-                 triple: LocalizationTriple, p_list: Sequence[float]):
+                 epsilons: tuple[float, float, float] | None = None):
+        self.weights = make_localization(scenario.a.omega[0], epsilons, scenario.grid)
         self.rows = accept_window(scenario.record_times, window, MIN_RECORDS,
                                   "multiplier terms need")
         self.times = scenario.record_times[self.rows]
-        self.scenario, self.window, self.triple = scenario, window, triple
-        self.p_list = tuple(p_list)
-        self.regimes = [regime(p) for p in self.p_list]
+        self.scenario, self.window = scenario, window
+        self.regimes = [regime(p) for p in scenario.p_list]
         self.dts = np.diff(self.times)
         self.uniform = bool((self.dts == self.dts[0]).all())
-        xs = scenario.grid.nodes
-        self.q1_mask, self.q2_mask = xs > triple.q1[0], xs > triple.q2[0]
-        self.xpsi = xs * triple.psi_nodes
-        self.one_minus = np.abs(1.0 - triple.xpsi_x(xs))
         self.blocks: list[list[dict[str, Array]]] = []  # multiplier_terms of each call
         self.done = 0  # window records whose integrals are in blocks
-        self.held = (np.empty((0, len(xs))),) * 2  # rho, xi of records max(done - 1, 0) on
+        # rho, xi of records max(done - 1, 0) on
+        self.held = (np.empty((0, scenario.grid.n_nodes)),) * 2
         self.first: tuple[Array, Array] = ()  # rho, xi of the window's first record
 
     def __call__(self, records: slice, rho: Array, xi: Array) -> None:
@@ -176,7 +171,7 @@ class MultiplierStream:
             return float(np.trapezoid(series, self.times))
 
         tables = {}
-        for j, (p, (f, _, big_f)) in enumerate(zip(self.p_list, self.regimes)):
+        for j, (p, (f, _, big_f)) in enumerate(zip(self.scenario.p_list, self.regimes)):
             series = {key: np.concatenate([b[j][key] for b in self.blocks])
                       for key in self.blocks[0][j]}
             int_energy = time_int(series["E"])
@@ -184,14 +179,14 @@ class MultiplierStream:
             big_diff = big_f(rho) - big_f(xi)
             bracket = trapezoid((f(rho) - f(xi)) * z, dx)
             bracket_v = trapezoid(
-                elliptic_solve(self.triple.beta_nodes[None, :] * f(z), grid)
+                elliptic_solve(self.weights.beta[None, :] * f(z), grid)
                 * (rho - xi), dx)
 
             s4 = time_int(series["S4"])
             t5 = time_int(series["T5"])
             terms = {"S1": time_int(series["S1"]),
-                     "S2": trapezoid(np.abs(self.xpsi) * np.abs(big_diff[1] - big_diff[0]),
-                                     dx),
+                     "S2": trapezoid(np.abs(self.weights.xpsi)
+                                     * np.abs(big_diff[1] - big_diff[0]), dx),
                      "S3": 0.5 * time_int(series["S3"]),
                      "S4": s4,
                      "T1": time_int(series["T1"]),

@@ -12,8 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-Array = np.ndarray
-
 
 def _fold(y):
     """Map y to ([0, 1], sign) under the odd 2-periodic extension.
@@ -30,28 +28,18 @@ def _fold(y):
     return m, sign
 
 
-def odd_extension(f: Callable[[Array], Array], y):
-    """Evaluate the odd 2-periodic extension of f: [0,1] -> R at y."""
-    m, s = _fold(y)
-    return s * np.asarray(f(m))
-
-
-def even_extension(f: Callable[[Array], Array], y):
-    """Evaluate the even 2-periodic extension (e.g. the derivative of an
-    odd-extended function) at y."""
-    m, _ = _fold(y)
-    return np.asarray(f(m))
-
-
 def dalembert_riemann(z0_prime: Callable, z1: Callable, t: float, x):
     """Exact Riemann invariants (rho, xi) of the undamped problem.
 
     rho(t,x) = rr0(x+t), xi(t,x) = xx0(x-t) with rr0 = ž0' + ž1 and
-    xx0 = ž0' - ž1, the even/odd extensions of the initial invariants.
+    xx0 = ž0' - ž1, where ž0' is the even and ž1 the odd 2-periodic
+    extension of the initial data, each read at the fold of its argument.
     Exact at grid points under unit CFL for grid-sampled data.
     """
-    rho = even_extension(z0_prime, x + t) + odd_extension(z1, x + t)
-    xi = even_extension(z0_prime, x - t) - odd_extension(z1, x - t)
+    m, s = _fold(x + t)
+    rho = np.asarray(z0_prime(m)) + s * np.asarray(z1(m))
+    m, s = _fold(x - t)
+    xi = np.asarray(z0_prime(m)) - s * np.asarray(z1(m))
     return rho, xi
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavelab import experiments, verify
 from wavelab.core import (
-    DAMPING_PROFILES, NONLINEARITIES, PROFILES, HypothesisViolation, make_localization,
+    DAMPING_PROFILES, NONLINEARITIES, PROFILES, HypothesisViolation,
 )
 from wavelab.cli import (
     ConfigError, ExperimentSuite, _RUN_KEYS, _SCENARIO_KEYS, main, parse_damping,
@@ -29,7 +29,9 @@ from wavelab.solver import (
 #: dt = 1/64 the window (0, 0.01) holds one record, and the multiplier terms
 #: need 3
 BAD_VALUE_KINDS = {"window = 0, 0.01": "multiplier_report",
-                   "epsilons = 3e-308, 2e-308, 1e-308": "multiplier_report"}
+                   "epsilons = 3e-308, 2e-308, 1e-308": "multiplier_report",
+                   "a = indicator(1, 1, 2)": "aux_equivalence",
+                   "a = smooth_indicator(0.7, 1, 2, 0.3)": "multiplier_report"}
 
 #: a good value of each key that some kinds read and the others refuse
 SPEC_VALUES = {"fit_window": "0.5, 2", "window": "0, 1", "co_integrate_w": "true",
@@ -263,6 +265,9 @@ class TestMainEndToEnd:
         ("window = 0, 0.01", "window"),
         # ordered, but b + e rounds to one cutoff: each ramp would divide by 0
         ("epsilons = 3e-308, 2e-308, 1e-308", "epsilons"),
+        # H1 with omega = (1, 1): a is active at x = 1 alone, where z_t = 0
+        ("a = indicator(1, 1, 2)", "a"),
+        ("a = smooth_indicator(0.7, 1, 2, 0.3)", "a"),  # the ramp fills (b, c)
         # sizes numpy refuses outright, past any machine's address space; a
         # sparse schedule still passes over every step, so these t_final are
         # past the record clock's MAX_STEPS
@@ -738,7 +743,6 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_
             "g = arctan\na = smooth_indicator(0.7, 1, 2, 0.05)\namplitude = 0.5\n")
     sc = parse_suite(text).scenarios[0].scenario
     traj = run_simulation(sc)
-    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     need = {"decay_fit": FIT_MIN_POINTS, "observability_ratio": RATIO_MIN_RECORDS,
             "multiplier_terms": MIN_RECORDS}[consumer]
     last = len(traj.times) - 1
@@ -760,7 +764,7 @@ def test_parser_accepts_a_window_iff_its_consumer_does(n_cells, t_final, record_
             elif consumer == "observability_ratio":
                 observability_ratio(traj, 2.0, window)
             else:
-                MultiplierStream(sc, window, triple, [2.0])
+                MultiplierStream(sc, window)
             consumed = True
         except ValueError:
             consumed = False

@@ -215,6 +215,16 @@ class TestDampingProfiles:
         with pytest.raises(HypothesisViolation, match="a0 = nan"):
             indicator_profile(0.7, 1.0, float("nan")).validate(require_active=True)
 
+    @pytest.mark.parametrize("a", [indicator_profile(1.0, 1.0, 2.0),
+                                   smooth_indicator_profile(0.7, 1.0, 2.0, 0.3)],
+                             ids=["indicator", "smooth_indicator-ramp-fills-omega"])
+    def test_empty_active_interval_fails_active_requirement(self, a):
+        # omega = (1, 1): a is active at x = 1 alone, where z_t = 0
+        assert a.omega == (1.0, 1.0)
+        a.validate(require_active=False)
+        with pytest.raises(HypothesisViolation, match=r"omega = \(1, 1\) must be nonempty"):
+            a.validate(require_active=True)
+
 
 class TestProfiles:
     @pytest.mark.parametrize("width", [0.0, -0.1])
@@ -258,21 +268,84 @@ class TestStateConversions:
         assert abs(z[-1]) <= 1e-3  # z(1) = 0 at the wall
 
 
+def _closure_weights(b, epsilons, grid):
+    """Reference: the six weights from the closure-built psi, phi, beta and
+    (x psi)' of the cutoffs q = b + e, as the multiplier terms read them."""
+    if epsilons is None:
+        epsilons = tuple((1.0 - b) * (4 - i) / 8 for i in range(3))
+    e0, e1, e2 = epsilons
+    q0, q1, q2 = b + e0, b + e1, b + e2
+
+    def ramp(x, x0, x1, y0, y1):
+        s = np.clip((np.asarray(x, dtype=float) - x0) / (x1 - x0), 0.0, 1.0)
+        return y0 + (y1 - y0) * s
+
+    def psi(x):
+        return ramp(x, q1, q0, 1.0, 0.0)
+
+    def phi(x):
+        return ramp(x, q2, q1, 0.0, 1.0)
+
+    def beta(x):
+        return ramp(x, b, q2, 0.0, 1.0)
+
+    def xpsi_x(x):
+        x = np.asarray(x, dtype=float)
+        on_ramp = (x > q1) & (x < q0)
+        return np.where(x <= q1, 1.0,
+                        np.where(on_ramp, psi(x) - x / (e0 - e1), 0.0))
+
+    xs = grid.nodes
+    return {"beta": beta(xs), "phi": phi(xs), "q1_mask": xs > q1, "q2_mask": xs > q2,
+            "xpsi": xs * psi(xs), "one_minus": np.abs(1.0 - xpsi_x(xs))}
+
+
 class TestLocalization:
+    @pytest.mark.parametrize("epsilons", [None, (0.2, 0.12, 0.05)],
+                             ids=["default", "explicit"])
+    @pytest.mark.parametrize("a", [indicator_profile(0.7, 1.0, 2.0),
+                                   smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
+                                   constant_profile(1.0)],
+                             ids=["indicator", "smooth_indicator", "constant"])
+    @pytest.mark.parametrize("n_cells", [4, 64, 100, 4096])
+    def test_weights_equal_the_closure_forms(self, n_cells, a, epsilons):
+        g = Grid(n_cells)
+        w = make_localization(a.omega[0], epsilons, g)
+        ref = _closure_weights(a.omega[0], epsilons, g)
+        assert w._fields == tuple(ref)
+        for name, value in ref.items():
+            _assert_same_bits(getattr(w, name), value)
+
     def test_default_geometry(self):
         g = Grid(128)
-        triple = make_localization((0.7, 1.0), None, g)
         b = 0.7
-        assert b < triple.q2[0] < triple.q1[0] < triple.q0[0] < 1.0
-        psi = triple.psi_nodes
-        # psi = 1 up to q1, falls to 0 across [q1, q0]
-        assert psi[g.nodes <= triple.q1[0]].min() == pytest.approx(1.0)
-        assert psi[g.nodes >= triple.q0[0]].max() == 0.0
-        phi = triple.phi_nodes
-        assert phi[g.nodes <= triple.q2[0]].max() == 0.0
-        assert phi[g.nodes >= triple.q1[0]].min() == pytest.approx(1.0)
+        w = make_localization(b, None, g)
+        q0, q1, q2 = (b + (1.0 - b) * k / 8 for k in (4, 3, 2))
+        x = g.nodes
+        assert b < q2 < q1 < q0 < 1.0
+        np.testing.assert_array_equal(w.q1_mask, x > q1)
+        np.testing.assert_array_equal(w.q2_mask, x > q2)
+        # Q1 is inside Q2 and both hold nodes short of x = 1
+        assert w.q2_mask[w.q1_mask].all() and w.q2_mask.sum() > w.q1_mask.sum() > 1
+        # psi = 1 up to q1, falls to 0 across [q1, q0]; there (x psi)' = 1
+        assert (w.xpsi[x <= q1] == x[x <= q1]).all()
+        assert w.xpsi[x >= q0].max() == 0.0
+        assert (w.one_minus[x <= q1] == 0.0).all()
+        assert (np.diff(w.xpsi[x > q1] / x[x > q1]) <= 0.0).all()
+        # phi rises 0 -> 1 across [q2, q1], beta across [b, q2]
+        assert w.phi[x <= q2].max() == 0.0
+        assert w.phi[x >= q1].min() == pytest.approx(1.0)
+        assert w.beta[x <= b].max() == 0.0
+        assert w.beta[x >= q2].min() == pytest.approx(1.0)
+        assert (np.diff(w.phi) >= 0.0).all() and (np.diff(w.beta) >= 0.0).all()
 
     def test_bad_epsilon_order_rejected(self):
         g = Grid(128)
-        with pytest.raises(ValueError):
-            make_localization((0.7, 1.0), (0.05, 0.1, 0.2), g)
+        with pytest.raises(ValueError, match=r"^epsilons must satisfy 0 < e2 < e1 < e0 "
+                           r"< 1 - b, got \(0.05, 0.1, 0.2\)$"):
+            make_localization(0.7, (0.05, 0.1, 0.2), g)
+
+    def test_cutoffs_that_round_together_rejected(self):
+        with pytest.raises(ValueError, match=r"^epsilons \(3e-308, 2e-308, 1e-308\) give "
+                           r"cutoffs b \+ e that are not distinct floats at b = 0.7$"):
+            make_localization(0.7, (3e-308, 2e-308, 1e-308), Grid(128))

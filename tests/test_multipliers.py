@@ -26,26 +26,31 @@ def _elliptic_solve_1d(h, grid):
     return xs * cum_h - cum_sh - xs * (cum_h[-1] - cum_sh[-1])
 
 
-def _kept_terms(traj, states, window, triple, p_list, block=None):
+def _kept_terms(scenario, states, window, block=None):
     """The terms on a run's kept states (rho, xi): a MultiplierStream fed
     `block` records at a time, by default the whole run at once."""
     rho, xi = states
-    stream = MultiplierStream(traj.scenario, window, triple, p_list)
-    n_records = len(traj.times)
+    stream = MultiplierStream(scenario, window)
+    n_records = len(rho)
     for lo in range(0, n_records, block or n_records):
         rows = slice(lo, min(lo + (block or n_records), n_records))
         stream(rows, rho[rows], xi[rows])
     return stream.reports()
 
 
-def _streamed_terms(scenario, window, triple, p_list):
+def _streamed_terms(scenario, window):
     """The terms of a run that keeps no states, fed block by block."""
-    stream = MultiplierStream(scenario, window, triple, p_list)
+    stream = MultiplierStream(scenario, window)
     run_simulation(scenario, consume=stream)
     return stream.reports()
 
 
-def _multiplier_terms_per_record(traj, states, triple, p, window):
+def _only(traj, *p_list):
+    """traj's scenario with the exponents p_list."""
+    return replace(traj.scenario, p_list=p_list)
+
+
+def _multiplier_terms_per_record(traj, states, p, window):
     """Reference: the multiplier terms with the rows, theta = nu(z_t), z and the
     elliptic multiplier built one record at a time. Returns (terms, int_energy,
     energy_at_s, chain constants without the eta row)."""
@@ -60,10 +65,8 @@ def _multiplier_terms_per_record(traj, states, triple, p, window):
     a_nodes = np.asarray(traj.scenario.a.value(xs))
     theta_w = np.stack([nu_ratio(0.5 * (rho_k - xi_k), traj.scenario.g)
                         for rho_k, xi_k in zip(rho, xi)])
-    q1_mask = xs > triple.q1[0]
-    q2_mask = xs > triple.q2[0]
-    xpsi = xs * triple.psi_nodes
-    one_minus = np.abs(1.0 - triple.xpsi_x(xs))
+    w = make_localization(traj.scenario.a.omega[0], None, grid)
+    q1_mask, q2_mask, xpsi, one_minus = w.q1_mask, w.q2_mask, w.xpsi, w.one_minus
     y = np.stack([cumulative_trapezoid(0.5 * (rho_k + xi_k), dx)
                   for rho_k, xi_k in zip(rho, xi)])
     f_rho, f_xi = f(rho), f(xi)
@@ -85,7 +88,7 @@ def _multiplier_terms_per_record(traj, states, triple, p, window):
     s4 = time_int(space_int(big_rho + big_xi, q1_mask))
     t5 = time_int(space_int(np.abs(y) ** p, q2_mask))
     bracket = space_int((f_rho - f_xi) * y)
-    v = np.stack([_elliptic_solve_1d(triple.beta_nodes * f_yk, grid)
+    v = np.stack([_elliptic_solve_1d(w.beta * f_yk, grid)
                   for f_yk in f(y)])
     v_t = np.gradient(v, times, axis=0)
     bracket_v = space_int(v * diff)
@@ -101,7 +104,7 @@ def _multiplier_terms_per_record(traj, states, triple, p, window):
         "T3": time_int(space_int(
             np.abs((fprime(rho) + fprime(xi)) * y * atheta * diff), q2_mask)),
         "T4": time_int(space_int(
-            np.abs(triple.phi_nodes[None, :] * diff * (f_rho - f_xi)))),
+            np.abs(w.phi[None, :] * diff * (f_rho - f_xi)))),
         "T5": t5,
         "V1": abs(float(bracket_v[-1] - bracket_v[0])),
         "V2": time_int(space_int(np.abs(v_t) * np.abs(diff))),
@@ -197,8 +200,7 @@ def short_run(request):
     traj, states = run_kept(run_simulation, sc)
     steps = np.unique(np.diff(traj.times))
     assert len(steps) == (1 if record_every == 1 else 2)
-    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    return traj, states, triple
+    return traj, states
 
 
 @pytest.fixture(scope="module")
@@ -209,15 +211,13 @@ def localized_run(request):
                   g=NONLINEARITIES[getattr(request, "param", "arctan")](),
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()))
-    traj, states = run_kept(run_simulation, sc)
-    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
-    return traj, states, triple
+    return run_kept(run_simulation, sc)
 
 
 class TestMultiplierTerms:
     def test_all_terms_finite_and_nonnegative(self, localized_run):
-        traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        traj, states = localized_run
+        [rep] = _kept_terms(_only(traj, 2.0), states, (0.0, 6.0)).values()
         assert set(rep["terms"]) == {"S1", "S2", "S3", "S4",
                                      "T1", "T2", "T3", "T4", "T5",
                                      "V1", "V2", "V3"}
@@ -225,26 +225,26 @@ class TestMultiplierTerms:
             assert np.isfinite(value) and value >= 0.0, name
 
     def test_regime_labels(self, localized_run):
-        traj, states, triple = localized_run
-        tables = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0, 1.5])
+        traj, states = localized_run
+        tables = _kept_terms(_only(traj, 2.0, 1.5), states, (0.0, 6.0))
         assert list(tables) == ["2", "1.5"]
         assert [rep["regime"] for rep in tables.values()] == ["p_geq_2", "p_in_1_2"]
 
     def test_observability_chain_constant_bounded(self, localized_run):
         # int_S^T E_p dt <= C (E_p(S) + S4): the empirical C must stay modest
-        traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        traj, states = localized_run
+        [rep] = _kept_terms(_only(traj, 2.0), states, (0.0, 6.0)).values()
         assert 0.0 < rep["chain_constants"]["first_set"] <= 6.0  # window length
 
     def test_s4_bounded_by_full_energy_integral(self, localized_run):
         # S4 integrates the same density as E_p but only over Q1
-        traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        traj, states = localized_run
+        [rep] = _kept_terms(_only(traj, 2.0), states, (0.0, 6.0)).values()
         assert rep["terms"]["S4"] <= 2.0 * rep["int_energy"] + 1e-12
 
     def test_eta_table_tracks_young_inequality(self, localized_run):
-        traj, states, triple = localized_run
-        [rep] = _kept_terms(traj, states, (0.0, 6.0), triple, [2.0]).values()
+        traj, states = localized_run
+        [rep] = _kept_terms(_only(traj, 2.0), states, (0.0, 6.0)).values()
         assert list(rep["eta_table"]) == [f"{eta:g}" for eta in ETAS]
         for eta, row in rep["eta_table"].items():
             assert row["second_set"] >= 0.0
@@ -252,36 +252,36 @@ class TestMultiplierTerms:
                 == rep["eta_table"]["1"]["second_set"])
 
     def test_window_outside_run_rejected(self, localized_run):
-        traj, _, triple = localized_run
+        traj, _ = localized_run
         with pytest.raises(ValueError, match="^T = 60 is past the final time 6$"):
-            MultiplierStream(traj.scenario, (0.0, 60.0), triple, [2.0])
+            MultiplierStream(_only(traj, 2.0), (0.0, 60.0))
 
     def test_too_few_records_rejected_before_the_run(self, localized_run):
-        traj, _, triple = localized_run
+        traj, _ = localized_run
         dt = traj.scenario.dt
         with pytest.raises(ValueError, match=r"^\(0.0078125, 0.0195312\) holds 2 record\(s\); "
                            "the multiplier terms need at least 3$"):
-            MultiplierStream(traj.scenario, (dt, 2.5 * dt), triple, [2.0])
+            MultiplierStream(_only(traj, 2.0), (dt, 2.5 * dt))
 
     def test_reports_need_the_window_end(self, localized_run):
         # a run that stops short of the window's last record has no V1
-        traj, states, triple = localized_run
-        stream = MultiplierStream(traj.scenario, (0.5, 5.0), triple, [2.0])
+        traj, states = localized_run
+        stream = MultiplierStream(_only(traj, 2.0), (0.5, 5.0))
         rho, xi = states
         stream(slice(0, 600), rho[:600], xi[:600])
         with pytest.raises(ValueError, match="has not passed the window"):
             stream.reports()
         stream(slice(600, len(traj.times)), rho[600:], xi[600:])
-        assert stream.reports() == _kept_terms(traj, states, (0.5, 5.0), triple, [2.0])
+        assert stream.reports() == _kept_terms(_only(traj, 2.0), states, (0.5, 5.0))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("localized_run", ["arctan", "cubic"], indirect=True)
     def test_equals_per_record_reference(self, localized_run, p):
-        traj, states, triple = localized_run
+        traj, states = localized_run
         window = (0.5, 5.0)
-        [rep] = _kept_terms(traj, states, window, triple, [p]).values()
+        [rep] = _kept_terms(_only(traj, p), states, window).values()
         terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-            traj, states, triple, p, window)
+            traj, states, p, window)
         assert rep["terms"] == terms
         assert rep["int_energy"] == int_energy
         assert rep["energy_at_s"] == energy_at_s
@@ -295,22 +295,22 @@ class TestMultiplierTerms:
         # the run hands out blocks of 1, 2 and 3 records, the last one
         # partial; the kept states go in as one block. A window inside the
         # run has records on both sides that the halo of v_t must not read.
-        traj, states, triple = short_run
+        traj, states = short_run
         window = (0.2, 1.55) if inside else (0.0, float(traj.times[-1]))
         rows = window_rows(traj.times, window)
         n_records, n_nodes = rows.stop - rows.start, traj.scenario.grid.n_nodes
         assert (n_records < len(traj.times)) == inside
         assert n_records % 2 and n_records % 3
         assert solver.RECORD_BLOCK_VALUES // n_nodes >= n_records
-        p_list = traj.scenario.p_list
-        whole = _kept_terms(traj, states, window, triple, p_list)
+        sc = traj.scenario
+        whole = _kept_terms(sc, states, window)
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * n_nodes)
-        assert _streamed_terms(traj.scenario, window, triple, p_list) == whole
-        assert _kept_terms(traj, states, window, triple, p_list, block) == whole
-        assert list(whole) == [f"{p:g}" for p in p_list]
-        for p, rep in zip(p_list, whole.values()):
+        assert _streamed_terms(sc, window) == whole
+        assert _kept_terms(sc, states, window, block) == whole
+        assert list(whole) == [f"{p:g}" for p in sc.p_list]
+        for p, rep in zip(sc.p_list, whole.values()):
             terms, int_energy, energy_at_s, chain = _multiplier_terms_per_record(
-                traj, states, triple, p, window)
+                traj, states, p, window)
             assert (rep["terms"], rep["int_energy"], rep["energy_at_s"]) == (
                 terms, int_energy, energy_at_s)
             assert chain.items() <= rep["chain_constants"].items()
@@ -320,7 +320,7 @@ class TestMultiplierTerms:
         # every array of the terms is one record block long (plus the halo),
         # so a window three times longer adds no more than a few blocks and
         # the per-record series: the run keeps no states
-        traj, _, triple = localized_run
+        traj, _ = localized_run
         sc = traj.scenario
         block = ((solver.RECORD_BLOCK_VALUES // sc.grid.n_nodes + 2)
                  * sc.grid.n_nodes * 8)
@@ -328,7 +328,7 @@ class TestMultiplierTerms:
         for t in (2.0, 6.0):
             tracemalloc.start()
             try:
-                _streamed_terms(replace(sc, t_final=t), (0.0, t), triple, sc.p_list)
+                _streamed_terms(replace(sc, t_final=t), (0.0, t))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -336,7 +336,7 @@ class TestMultiplierTerms:
 
 
     def test_window_is_a_slice_of_the_kept_states(self, localized_run):
-        traj, _, _ = localized_run
+        traj, _ = localized_run
         times = traj.times
         for s, t in [(0.0, 6.0), (0.5, 5.0), (1.0 + 1e-13, 2.0 - 1e-13), (0.3, 0.33)]:
             ref = np.where((times >= s - 1e-12) & (times <= t + 1e-12))[0]
@@ -372,7 +372,6 @@ def test_streamed_terms_equal_the_kept_states_bitwise(case, law, monkeypatch):
                   a=smooth_indicator_profile(0.7, 1.0, 2.0, 0.05),
                   initial=InitialData(sine_profile(1, amplitude=0.5), zero_function()),
                   record_every=record_every)
-    triple = make_localization((sc.a.omega[0], 1.0), None, sc.grid)
     traj, states = run_kept(run_simulation, sc)
     rows = window_rows(traj.times, window)
     steps = np.unique(np.diff(traj.times[rows]))
@@ -380,10 +379,10 @@ def test_streamed_terms_equal_the_kept_states_bitwise(case, law, monkeypatch):
     assert (rows.stop - rows.start == MIN_RECORDS) == (case == "MIN_RECORDS")
     if block:
         monkeypatch.setattr(solver, "RECORD_BLOCK_VALUES", block * sc.grid.n_nodes)
-    kept = _kept_terms(traj, states, window, triple, sc.p_list)
-    assert _streamed_terms(sc, window, triple, sc.p_list) == kept
+    kept = _kept_terms(sc, states, window)
+    assert _streamed_terms(sc, window) == kept
     for p, rep in zip(sc.p_list, kept.values()):
         terms, int_energy, energy_at_s, _ = _multiplier_terms_per_record(
-            traj, states, triple, p, window)
+            traj, states, p, window)
         assert (rep["terms"], rep["int_energy"], rep["energy_at_s"]) == (
             terms, int_energy, energy_at_s)

@@ -4,9 +4,7 @@ import pytest
 from wavelab.core import (
     bump_profile, cumulative_trapezoid, sine_profile, zero_function,
 )
-from wavelab.oracle import (
-    _fold, dalembert_riemann, even_extension, modal_rate, odd_extension,
-)
+from wavelab.oracle import _fold, dalembert_riemann, modal_rate
 
 
 class TestFolding:
@@ -34,9 +32,15 @@ class TestFolding:
         np.testing.assert_array_equal(m, [0.375, 0.625, 0.375, 0.625])
 
     def test_extensions(self):
+        # the odd and the even extension of f at -0.5, by the fold and in
+        # d'Alembert's formula at t = 0: rho = z0' + z1, xi = z0' - z1
         f = lambda x: np.asarray(x) ** 2
-        assert odd_extension(f, np.array(-0.5)) == pytest.approx(-0.25)
-        assert even_extension(f, np.array(-0.5)) == pytest.approx(0.25)
+        zero = lambda x: np.zeros_like(np.asarray(x))
+        m, s = _fold(np.array(-0.5))
+        assert s * f(m) == pytest.approx(-0.25)
+        assert f(m) == pytest.approx(0.25)
+        assert dalembert_riemann(zero, f, 0.0, np.array(-0.5)) == pytest.approx((-0.25, 0.25))
+        assert dalembert_riemann(f, zero, 0.0, np.array(-0.5)) == pytest.approx((0.25, 0.25))
 
 
 class TestDalembert:
