@@ -342,15 +342,16 @@ def _parse_scenario(name: str, raw: dict[str, str], kind: str) -> ScenarioSpec:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def write_energy_csv(path: Path, traj: Trajectory,
-                     w_traj: Trajectory | None = None) -> None:
+def write_energy_csv(path: Path, traj: Trajectory) -> None:
+    """t, E_p and dEdt_p per p, max_zt, and W1p_zt of the first p when traj has it."""
     p_list = traj.scenario.p_list
     keys = [f"E_p{p:g}" for p in p_list] + [f"dEdt_p{p:g}" for p in p_list] + ["max_zt"]
     header = ["t", *keys]
-    columns = [traj.times, *(traj.diagnostics[key] for key in keys)]
-    if w_traj is not None:
+    w1p = f"W1p_zt_p{p_list[0]:g}"  # the w = z_t system's (run_derivative_system)
+    if w1p in traj.diagnostics:
+        keys.append(w1p)
         header.append("W1p_zt")
-        columns.append(w_traj.diagnostics[f"W1p_zt_p{p_list[0]:g}"])
+    columns = [traj.times, *(traj.diagnostics[key] for key in keys)]
     # tolist() gives Python floats, whose repr is the shortest round-trip decimal
     rows = np.column_stack(columns).tolist()
     with path.open("w") as fh:
@@ -369,7 +370,7 @@ def emit_reports(results: list[dict], output_dir: str) -> list[Path]:
         traj = res.get("traj")
         if traj is not None:
             csv_path = out / f"energies_{name}.csv"
-            write_energy_csv(csv_path, traj, res.get("w_traj"))
+            write_energy_csv(csv_path, traj)
             written.append(csv_path)
         json_path = out / f"summary_{name}.json"
         with json_path.open("w") as fh:

@@ -1,6 +1,6 @@
 """The experiment runners and EXPERIMENTS, the runner of each suite kind.
 A runner takes a ScenarioSpec and returns {"summary": JSON-ready dict,
-"traj": Trajectory or None, "w_traj": w = z_t Trajectory or None}."""
+"traj": Trajectory or None}."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -78,14 +78,9 @@ def run_one_simulation(spec: ScenarioSpec) -> dict:
             w0 = traj.scenario.initial.derivative_system_data(sc.grid, sc.a_nodes, sc.g)
             c_p = {f"{p:g}": (p * energy_p(w0, p, sc.grid)) ** (1.0 / p) for p in sc.p_list}
             rows.append({"alpha": alpha, **_decay_summary(spec, traj), "c_p": c_p})
-        return {"summary": {**head, "rows": rows}, "traj": None, "w_traj": None}
-    if spec.co_integrate_w:
-        traj, w_traj = run_derivative_system(sc)
-    else:
-        traj = run_simulation(sc)
-        w_traj = None
-    return {"summary": {**head, **_decay_summary(spec, traj)},
-            "traj": traj, "w_traj": w_traj}
+        return {"summary": {**head, "rows": rows}, "traj": None}
+    traj = run_derivative_system(sc) if spec.co_integrate_w else run_simulation(sc)
+    return {"summary": {**head, **_decay_summary(spec, traj)}, "traj": traj}
 
 
 def run_aux_equivalence(spec: ScenarioSpec) -> dict:
@@ -95,21 +90,21 @@ def run_aux_equivalence(spec: ScenarioSpec) -> dict:
     run one record block behind (run_auxiliary_rerun), and the summary
     reduces its per-record discrepancy and theta extremes; max and min are
     exact, so they equal the reductions over the whole stacked states."""
-    traj_nl, traj_aux = run_auxiliary_rerun(spec.scenario)
-    aux = traj_aux.diagnostics
-    m = float(np.max(traj_nl.diagnostics["max_zt"]))
+    traj = run_auxiliary_rerun(spec.scenario)
+    diag = traj.diagnostics
+    m = float(np.max(diag["max_zt"]))
     lattice = np.linspace(-m, m, 2001) if m > 0 else np.array([0.0])
     nu_vals = nu_ratio(lattice, spec.scenario.g)
     nu1, nu2 = float(np.min(nu_vals)), float(np.max(nu_vals))
-    th1, th2 = float(np.min(aux["theta_min"])), float(np.max(aux["theta_max"]))
+    th1, th2 = float(np.min(diag["theta_min"])), float(np.max(diag["theta_max"]))
     return {"summary": {
         "name": spec.scenario.name,
-        "max_discrepancy": float(np.max(aux["discrepancy"])),
+        "max_discrepancy": float(np.max(diag["discrepancy"])),
         "max_zt": m,
         "theta_bounds": [th1, th2],
         "nu_bounds": [nu1, nu2],
         "theta_inside_nu_bounds": bool(nu1 - 1e-12 <= th1 and th2 <= nu2 + 1e-12),
-    }, "traj": traj_nl, "w_traj": None}
+    }, "traj": traj}
 
 
 def multiplier_window(spec: ScenarioSpec) -> tuple[float, float]:
@@ -123,8 +118,7 @@ def run_one_multiplier_report(spec: ScenarioSpec) -> dict:
     stream = _mult.MultiplierStream(sc, window, spec.epsilons)
     traj = run_simulation(sc, consume=stream)
     return {"summary": {"name": sc.name, "window": list(window),
-                        "multiplier_tables": stream.reports()},
-            "traj": traj, "w_traj": None}
+                        "multiplier_tables": stream.reports()}, "traj": traj}
 
 
 #: the runner of each experiment kind a suite can name

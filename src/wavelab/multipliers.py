@@ -42,6 +42,18 @@ def elliptic_solve(h: Array, grid: Grid) -> Array:
     return a - xs * total
 
 
+def _young(term: float, eta: float, power: float) -> float:
+    """term eta^power of a Young split, term >= 0, as term / eta^-power for
+    power < 0: a zero term stays 0, and where eta^|power| leaves the float
+    range the result is 0.0 or +inf, never NaN."""
+    try:
+        return term and (term * eta ** power if power > 0 else term / eta ** -power)
+    except OverflowError:  # eta^|power| past the largest float
+        return np.inf if power > 0 else 0.0
+    except ZeroDivisionError:  # eta^-power underflows to 0.0
+        return np.inf
+
+
 # ---------------------------------------------------------------------------
 # Term evaluation
 # ---------------------------------------------------------------------------
@@ -205,7 +217,7 @@ class MultiplierStream:
             }
             q = p / (p - 1.0)
             eta_table = {f"{eta:g}": {"second_set": s4 / max(
-                t5 / eta ** p + eta ** q * int_energy + energy_at_s, 1e-300)}
+                _young(t5, eta, -p) + _young(int_energy, eta, q) + energy_at_s, 1e-300)}
                 for eta in ETAS}
             chain["second_set_eta1"] = eta_table["1"]["second_set"]
             tables[f"{p:g}"] = {

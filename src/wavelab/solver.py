@@ -190,8 +190,10 @@ class ThetaField:
 
 @dataclass
 class Trajectory:
-    """Record times and per-record diagnostics of one run. A run keeps no
-    states: a caller sees them through the drivers' block consumer."""
+    """Record times and per-record diagnostics of one run, one table with
+    the keys of any companion a driver co-integrates (run_derivative_system,
+    run_auxiliary_rerun). A run keeps no states: a caller sees them through
+    the drivers' block consumer."""
 
     times: Array
     diagnostics: dict[str, Array]
@@ -506,36 +508,33 @@ def _base_diagnostics(rho: Array, xi: Array, scenario: Scenario,
     return diag
 
 
-def _check_monotone(block: tuple[dict[str, Array], ...],
-                    first: list[dict[str, Array]], last: list[dict[str, Array]],
-                    times: Array) -> None:
-    """Raise at the first record of `block` whose energy is not finite or
-    rose above the record before it by more than MONOTONICITY_SLACK, relative
-    to the initial energy when that exceeds 1.
+def _check_monotone(diag: dict[str, Array], first: dict[str, Array],
+                    last: dict[str, Array], times: Array) -> None:
+    """Raise at the first record of a block whose energy, a key of diag that
+    starts with E_p, is not finite or rose above the record before it by more
+    than MONOTONICITY_SLACK, relative to the initial energy when that exceeds 1.
 
-    block holds one dict of per-record diagnostics per guarded trajectory,
-    each of shape (records,) or, for the rows of a family, (records, B);
-    first and last hold their initial record and the record before the block.
-    Records are screened in time order and, within one record, row by row,
-    trajectory by trajectory and key by key, so the error is the one a
-    record-by-record screen of each row alone raises first. The error for a
-    row of a family carries row = b.
+    diag holds the block's per-record diagnostics, each of shape (records,)
+    or, for the rows of a family, (records, B); first and last hold the
+    initial record and the record before the block. Records are screened in
+    time order and, within one record, row by row and key by key, so the
+    error is the one a record-by-record screen of each row alone raises
+    first. The error for a row of a family carries row = b.
     """
     hits = []
-    for j, diag in enumerate(block):
-        for key, energies in diag.items():
-            if not key.startswith("E_p"):
-                continue
-            slack = MONOTONICITY_SLACK * np.maximum(1.0, first[j][key])
-            before = np.concatenate(([last[j][key]], energies[:-1]))
-            rises = np.argwhere(~np.isfinite(energies) | (energies > before + slack))
-            if rises.size:
-                i, *row = rises[0].tolist()  # row: [] for one run, [b] in a family
-                at = (i, *row)
-                hits.append((i, row, j, key, float(before[at]), float(energies[at]),
-                             float(slack[tuple(row)]), float(first[j][key][tuple(row)])))
-    if hits:
-        i, row, j, key, prev, now, slack, e0 = min(hits, key=lambda hit: hit[:3])
+    for key, energies in diag.items():
+        if not key.startswith("E_p"):
+            continue
+        slack = MONOTONICITY_SLACK * np.maximum(1.0, first[key])
+        before = np.concatenate(([last[key]], energies[:-1]))
+        rises = np.argwhere(~np.isfinite(energies) | (energies > before + slack))
+        if rises.size:
+            i, *row = rises[0].tolist()  # row: [] for one run, [b] in a family
+            at = (i, *row)
+            hits.append((i, row, key, float(before[at]), float(energies[at]),
+                         float(slack[tuple(row)]), float(first[key][tuple(row)])))
+    if hits:  # min keeps the first of equal (record, row): key order
+        i, row, key, prev, now, slack, e0 = min(hits, key=lambda hit: hit[:2])
         change = "increased" if np.isfinite(now) else "is not finite"
         err = EnergyMonotonicityError(
             f"{key} {change} at t = {times[i]}: {prev} -> {now} "
@@ -547,9 +546,9 @@ def _check_monotone(block: tuple[dict[str, Array], ...],
 
 def _record_loop(scenario: Scenario, state, advance: Callable,
                  capture: Callable[..., tuple[Array, ...]],
-                 diagnose: Callable[..., tuple[dict[str, Array], ...]],
+                 diagnose: Callable[..., dict[str, Array]],
                  consume: Callable[..., None] | None = None
-                 ) -> tuple[Array, tuple[dict[str, Array], ...]]:
+                 ) -> tuple[Array, dict[str, Array]]:
     """Step `state` to t_final, recording it at scenario.record_steps, and
     guard every energy of every record.
 
@@ -557,7 +556,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     or (B, n_nodes) for a family. Each is written once, as a row of a reused
     buffer of max(1, RECORD_BLOCK_VALUES // size) records. diagnose receives
     each buffer's rows of a block, the records captured since its last call,
-    and returns one dict of per-record diagnostics per guarded trajectory.
+    and returns the run's one dict of per-record diagnostics, which the
+    guard screens (_check_monotone).
     consume(records, *rows) gets each guarded block's slice of record indices
     and its rows, views that the next block overwrites: the only way a caller
     sees the states. Returns (times, diagnostics), times being
@@ -571,7 +571,7 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
     n_records = len(steps)
     block_len = min(_block_len(rows[0].size), n_records)
     buffers = tuple(np.empty((block_len, *row.shape)) for row in rows)
-    blocks: list[tuple[dict[str, Array], ...]] = []
+    blocks: list[dict[str, Array]] = []
     taken = done = 0  # records written; records diagnosed and guarded
 
     def flush() -> None:
@@ -579,8 +579,8 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
         lo, done = done, taken  # set first: a block is guarded once, even if it raises
         block = tuple(buf[:taken - lo] for buf in buffers)
         diag = diagnose(*block)
-        first = [_row(d, 0) for d in (blocks[0] if blocks else diag)]
-        last = [_row(d, -1) for d in blocks[-1]] if blocks else first
+        first = {k: v[0] for k, v in (blocks[0] if blocks else diag).items()}
+        last = {k: v[-1] for k, v in blocks[-1].items()} if blocks else first
         _check_monotone(diag, first, last, times[lo:taken])
         blocks.append(diag)
         if consume is not None:
@@ -605,13 +605,7 @@ def _record_loop(scenario: Scenario, state, advance: Callable,
         # guarded first, so an earlier energy rise stays the run's first error
         if taken > done:
             flush()
-    diagnostics = tuple({k: np.concatenate([b[j][k] for b in blocks]) for k in d}
-                        for j, d in enumerate(blocks[0]))
-    return times, diagnostics
-
-
-def _row(diag: dict[str, Array], i: int) -> dict[str, Array]:
-    return {k: v[i] for k, v in diag.items()}
+    return times, {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
 
 
 def run_simulation(scenario: Scenario,
@@ -652,12 +646,10 @@ def run_family(scenario: Scenario, rows: Mapping[str, InitialData],
     def advance(s: _Track) -> _Track:
         return step(s, scenario, scenario.a_nodes)
 
-    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, scenario, rates=rates),)
-
     try:
-        times, (diag,) = _record_loop(
-            scenario, track, advance, lambda s: (s.rho, s.xi), diagnose, consume)
+        times, diag = _record_loop(
+            scenario, track, advance, lambda s: (s.rho, s.xi),
+            lambda rho, xi: _base_diagnostics(rho, xi, scenario, rates=rates), consume)
     except (EnergyMonotonicityError, NewtonError) as err:
         if not hasattr(err, "row"):
             raise
@@ -685,34 +677,32 @@ def run_auxiliary(scenario: Scenario, theta: ThetaField,
     has = [h * scenario.a_nodes[support] for h in scenario.substep_lengths]
     track = _Track(scenario.initial.riemann(grid))
 
-    def diagnose(rho: Array, xi: Array, th: Array) -> tuple[dict[str, Array]]:
-        return (_base_diagnostics(rho, xi, scenario, th),)
-
     def advance(s: _Track) -> _Track:
         # substep midpoints: t0 + dt/4 and t0 + 3dt/4 (strang), t0 + dt/2 (lie)
         return _split_step(s, scenario, support, [
             ONE + ha * theta(s.t + (k + 0.5) * h, xs)[support]
             for k, (h, ha) in enumerate(zip(scenario.substep_lengths, has))])
 
-    times, (diag,) = _record_loop(
-        scenario, track, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)), diagnose,
-        consume)
+    times, diag = _record_loop(
+        scenario, track, advance, lambda s: (s.rho, s.xi, theta(s.t, xs)),
+        lambda rho, xi, th: _base_diagnostics(rho, xi, scenario, th), consume)
     return Trajectory(times=times, diagnostics=diag, scenario=scenario)
 
 
 def run_derivative_system(scenario: Scenario,
                           consume: Callable[..., None] | None = None, *,
-                          rates: bool = True) -> tuple[Trajectory, Trajectory]:
+                          rates: bool = True) -> Trajectory:
     """Co-integrate the nonlinear run and the w = z_t system.
 
     Differentiating the PDE in time gives w_tt - w_xx + a(x) g'(w) w_t = 0,
     i.e. the auxiliary structure with coefficient g'(z_t) read from the base
     run (the first half-substep uses z_t at t_n, the second at t_{n+1};
-    symmetric over the step). Records E_p(w) and the W^{1,p} norm of z_t,
-    and asserts monotonicity of the base E_p and of E_p(w) at each record.
+    symmetric over the step). Returns one trajectory: the base run's keys,
+    then per p E_pw (E_p of w), W1p_zt_p, Lp_zt_p and Lp_ztx_p (the W^{1,p}
+    and L^p norms of z_t and of z_tx = w_x); the guard screens E_p and E_pw.
     consume(records, rho, xi, w_rho, w_xi) gets each guarded record block, as
     _record_loop hands it out. rates applies to the base run, as in
-    run_family. Returns (base trajectory, w trajectory).
+    run_family.
     """
     grid = scenario.grid
     dx = grid.dx
@@ -739,26 +729,20 @@ def run_derivative_system(scenario: Scenario,
         den_n = den_np1
         return pair
 
-    def capture(pair: tuple[_Track, _Track]) -> tuple[Array, ...]:
-        return base.rho, base.xi, w.rho, w.xi
-
-    def diagnose(rho: Array, xi: Array, w_rho: Array, w_xi: Array
-                 ) -> tuple[dict[str, Array], dict[str, Array]]:
-        base_diag = _base_diagnostics(rho, xi, scenario, rates=rates)
+    def diagnose(rho: Array, xi: Array, w_rho: Array, w_xi: Array) -> dict[str, Array]:
+        diag = _base_diagnostics(rho, xi, scenario, rates=rates)
         zt = 0.5 * (rho - xi)
         zt_x = 0.5 * (w_rho + w_xi)  # w_x with w = z_t
-        w_diag: dict[str, Array] = {}
         for p in scenario.p_list:
-            w_diag[f"E_pw{p:g}"] = _energy.energy_p_nodal(w_rho, w_xi, p, dx)
-            w_diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
-            w_diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
-            w_diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
-        return base_diag, w_diag
+            diag[f"E_pw{p:g}"] = _energy.energy_p_nodal(w_rho, w_xi, p, dx)
+            diag[f"W1p_zt_p{p:g}"] = _energy.w1p_norm(zt, zt_x, p, dx)
+            diag[f"Lp_zt_p{p:g}"] = _energy.lp_norm(zt, p, dx)
+            diag[f"Lp_ztx_p{p:g}"] = _energy.lp_norm(zt_x, p, dx)
+        return diag
 
-    times, (base_diag, w_diag) = _record_loop(
-        scenario, (base, w), advance, capture, diagnose, consume)
-    return (Trajectory(times=times, diagnostics=base_diag, scenario=scenario),
-            Trajectory(times=times, diagnostics=w_diag, scenario=scenario))
+    times, diag = _record_loop(scenario, (base, w), advance,
+                               lambda _: (base.rho, base.xi, w.rho, w.xi), diagnose, consume)
+    return Trajectory(times=times, diagnostics=diag, scenario=scenario)
 
 
 def _nu_block(rho: Array, xi: Array, n_half: int, scenario: Scenario
@@ -777,7 +761,7 @@ def _nu_block(rho: Array, xi: Array, n_half: int, scenario: Scenario
         left - 0.5 * scenario.dt * scenario.a_nodes * np.asarray(g.value(left)), g)
 
 
-def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
+def run_auxiliary_rerun(scenario: Scenario) -> Trajectory:
     """The nonlinear run and its auxiliary rerun with recorded theta, bit
     for bit as run_simulation, theta_from_run and run_auxiliary give them
     on the run's stacked states, with no state kept.
@@ -787,11 +771,11 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     last record. Step n damps with nu_half[n], then nu_records[n + 1]
     (strang), or with nu_records[n + 1] alone (lie); record k reads
     nu_records[k]. The rerun's state and the last record's nu_half row
-    cross a block edge. Both runs are guarded, as in run_derivative_system.
-    The rerun records no dissipation rates: its diagnostics are E_p and
-    max_zt and, per record, "discrepancy" (max |rho - rho_aux| and |xi -
-    xi_aux| over the nodes) and "theta_min" and "theta_max" of nu at the
-    record and its half step. Returns (nonlinear, auxiliary) trajectories.
+    cross a block edge. Returns one trajectory: the nonlinear run's keys,
+    then the rerun's E_py (E_p of the auxiliary solution y) per p, and per
+    record "discrepancy" (max |rho - rho_aux| and |xi - xi_aux| over the
+    nodes) and "theta_min" and "theta_max" of nu at the record and its half
+    step. The guard screens E_p and E_py, as in run_derivative_system.
     """
     if scenario.record_every != 1:
         raise ValueError("run_auxiliary_rerun needs dense records: record_every = 1")
@@ -807,7 +791,7 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
     def advance(s: _Track) -> _Track:
         return step(s, scenario, a_nodes)
 
-    def diagnose(rho: Array, xi: Array) -> tuple[dict[str, Array], dict[str, Array]]:
+    def diagnose(rho: Array, xi: Array) -> dict[str, Array]:
         nonlocal carried, lo
         nu_records, nu_half = _nu_block(rho, xi, scenario.n_steps - lo, scenario)
         den_records = 1.0 + ha * nu_records[:, support]
@@ -821,20 +805,21 @@ def run_auxiliary_rerun(scenario: Scenario) -> tuple[Trajectory, Trajectory]:
             aux_rho[i], aux_xi[i] = aux.rho, aux.xi
         carried = den_half[-1] if len(den_half) == len(rho) else None
         lo += len(rho)
-        aux_diag = _base_diagnostics(aux_rho, aux_xi, scenario, rates=False)
-        aux_diag["discrepancy"] = np.maximum(np.max(np.abs(rho - aux_rho), axis=-1),
-                                             np.max(np.abs(xi - aux_xi), axis=-1))
+        diag = _base_diagnostics(rho, xi, scenario)
+        for p in scenario.p_list:
+            diag[f"E_py{p:g}"] = _energy.energy_p_nodal(aux_rho, aux_xi, p, scenario.dt)
+        diag["discrepancy"] = np.maximum(np.max(np.abs(rho - aux_rho), axis=-1),
+                                         np.max(np.abs(xi - aux_xi), axis=-1))
         th_min, th_max = np.min(nu_records, axis=-1), np.max(nu_records, axis=-1)
         k = len(nu_half)
         np.minimum(th_min[:k], np.min(nu_half, axis=-1), out=th_min[:k])
         np.maximum(th_max[:k], np.max(nu_half, axis=-1), out=th_max[:k])
-        aux_diag["theta_min"], aux_diag["theta_max"] = th_min, th_max
-        return _base_diagnostics(rho, xi, scenario), aux_diag
+        diag["theta_min"], diag["theta_max"] = th_min, th_max
+        return diag
 
-    times, (diag, aux_diag) = _record_loop(
+    times, diag = _record_loop(
         scenario, _Track(start), advance, lambda s: (s.rho, s.xi), diagnose)
-    return (Trajectory(times=times, diagnostics=diag, scenario=scenario),
-            Trajectory(times=times, diagnostics=aux_diag, scenario=scenario))
+    return Trajectory(times=times, diagnostics=diag, scenario=scenario)
 
 
 def theta_from_run(scenario: Scenario, rho: Array, xi: Array) -> ThetaField:

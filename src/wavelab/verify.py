@@ -235,15 +235,15 @@ def check_regularity_bound() -> CheckResult:
         sc = Scenario(name=f"reg_{g_name}", grid=Grid(256), t_final=10.0,
                       p_list=(1.5, 2.0, 4.0), g=NONLINEARITIES[g_name](), a=a,
                       initial=_moderate_data())
-        traj, w_traj = run_derivative_system(sc, rates=False)
-        sup = traj.diagnostics["max_zt"]
+        traj = run_derivative_system(sc, rates=False)
+        diag = traj.diagnostics
+        sup = diag["max_zt"]
         for p in sc.p_list:
-            ew = w_traj.diagnostics[f"E_pw{p:g}"]
-            embed = w_traj.diagnostics[f"Lp_zt_p{p:g}"] + \
-                w_traj.diagnostics[f"Lp_ztx_p{p:g}"]
+            ew = diag[f"E_pw{p:g}"]
+            embed = diag[f"Lp_zt_p{p:g}"] + diag[f"Lp_ztx_p{p:g}"]
             for label, viol in (
                     ("E_p(w) rise", float(np.max(ew - ew[0])) - 1e-10),
-                    ("W1p bound", -sobolev_margin(w_traj, p)),
+                    ("W1p bound", -sobolev_margin(traj, p)),
                     ("sup embedding", float(np.max(sup - embed)))):
                 if viol > worst:
                     worst, worst_tag = viol, f"{label}, g={g_name}, p={p:g}"

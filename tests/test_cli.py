@@ -380,6 +380,33 @@ class TestMainEndToEnd:
             energies = traj.diagnostics[f"E_p{p}"]
             assert table["int_energy"] == float(np.trapezoid(energies, traj.times))
 
+    @pytest.mark.parametrize("amplitude", ["0.1", "0"])
+    def test_multiplier_constants_are_finite_at_extreme_p(self, tmp_path, capsys,
+                                                          amplitude):
+        # at p = 1.0005 the dual exponent q = p/(p - 1) is 2001, and 2^q is
+        # past the float range; at p = 540, 0.25^p is 0.0. A Young term with a
+        # zero factor is 0, and a constant over an infinite denominator 0.0
+        suite_file = tmp_path / "suite.ini"
+        suite_file.write_text("[suite]\nkind = multiplier_report\n\n[scenario s]\n"
+                              f"p_list = 1.0005, 540\namplitude = {amplitude}\n"
+                              "n_cells = 8\nt_final = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", str(suite_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the summary")
+
+        summary = json.loads((out / "summary_s.json").read_text(), parse_constant=refuse)
+        tables = summary["multiplier_tables"]
+        assert list(tables) == ["1.0005", "540"]
+        for table in tables.values():
+            assert list(table["eta_table"]) == ["0.25", "0.5", "1", "2"]
+            for entry in table["eta_table"].values():
+                assert 0.0 <= entry["second_set"] < np.inf
+        # eta^q int_energy is +inf at eta = 2 when the run has energy
+        assert tables["1.0005"]["eta_table"]["2"]["second_set"] == 0.0
+
     def test_observability_window_to_n_dt_on_a_clock_short_of_it(self, tmp_path, capsys):
         # the same run: a window ending at n dt = 50 is accepted by the
         # parser and gives each p a ratio, not an "error" entry
@@ -806,14 +833,15 @@ def test_record_schedule_is_built_once(tmp_path, monkeypatch, kind, window, alph
     assert passes == ["s"]
 
 
-def _write_energy_csv_per_row(path, traj, w_traj=None):
-    """Reference: the row-at-a-time writer, one repr(float(x)) per cell."""
+def _write_energy_csv_per_row(path, traj, with_w):
+    """Reference: the row-at-a-time writer, one repr(float(x)) per cell;
+    with_w adds the w = z_t system's W1p_zt column."""
     p_list = traj.scenario.p_list
     header = ["t"]
     header += [f"E_p{p:g}" for p in p_list]
     header += [f"dEdt_p{p:g}" for p in p_list]
     header.append("max_zt")
-    if w_traj is not None:
+    if with_w:
         header.append("W1p_zt")
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
@@ -822,19 +850,18 @@ def _write_energy_csv_per_row(path, traj, w_traj=None):
             row += [repr(float(traj.diagnostics[f"E_p{p:g}"][i])) for p in p_list]
             row += [repr(float(traj.diagnostics[f"dEdt_p{p:g}"][i])) for p in p_list]
             row.append(repr(float(traj.diagnostics["max_zt"][i])))
-            if w_traj is not None:
+            if with_w:
                 p0 = p_list[0]
-                row.append(repr(float(w_traj.diagnostics[f"W1p_zt_p{p0:g}"][i])))
+                row.append(repr(float(traj.diagnostics[f"W1p_zt_p{p0:g}"][i])))
             fh.write(",".join(row) + "\n")
 
 
 @pytest.mark.parametrize("with_w", [False, True])
 def test_energy_csv_matches_per_row_writer_bytewise(tmp_path, with_w):
     spec = parse_suite(GOOD_SUITE.replace("n_cells = 64", "n_cells = 32")).scenarios[0]
-    traj, w_traj = run_derivative_system(spec.scenario)
-    w_traj = w_traj if with_w else None
-    write_energy_csv(tmp_path / "new.csv", traj, w_traj)
-    _write_energy_csv_per_row(tmp_path / "ref.csv", traj, w_traj)
+    traj = (run_derivative_system if with_w else run_simulation)(spec.scenario)
+    write_energy_csv(tmp_path / "new.csv", traj)
+    _write_energy_csv_per_row(tmp_path / "ref.csv", traj, with_w)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert len(new.splitlines()) == 1 + len(traj.times)

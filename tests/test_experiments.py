@@ -331,7 +331,7 @@ def test_alphas_rows_run_as_one_family(monkeypatch):
     assert scenario is spec.scenario  # the parsed scenario, its caches built
     assert names == ["one_a1", "one_a0", "one_a4"]
     assert [row["alpha"] for row in result["summary"]["rows"]] == [1.0, 0.0, 4.0]
-    assert result["traj"] is None and result["w_traj"] is None
+    assert list(result) == ["summary", "traj"] and result["traj"] is None
 
 
 def test_alpha_rows_name_the_rows_the_parser_refuses():
@@ -460,25 +460,25 @@ def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splittin
     assert summary["max_zt"] == float(np.max(nl.diagnostics["max_zt"]))
     assert summary["theta_inside_nu_bounds"] is True
 
-    nl_pass, aux_pass = solver.run_auxiliary_rerun(nl.scenario)
+    rerun = solver.run_auxiliary_rerun(nl.scenario)
+    p_list = spec.scenario.p_list
     # the nonlinear run keeps its dissipation rates: check 4 and the
     # energies CSV read them
-    assert [f"dEdt_p{p:g}" for p in spec.scenario.p_list] == [
+    assert [f"dEdt_p{p:g}" for p in p_list] == [
         key for key in nl.diagnostics if key.startswith("dEdt_p")]
-    for got in (res["traj"], nl_pass):
+    # one table: the nonlinear run's keys, then the rerun's E_py, which is
+    # run_auxiliary's E_p, and no rates of the rerun
+    aux_keys = [f"E_py{p:g}" for p in p_list]
+    assert list(rerun.diagnostics) == [*nl.diagnostics, *aux_keys, "discrepancy",
+                                       "theta_min", "theta_max"]
+    for got in (res["traj"], rerun):
         _assert_bitwise(got.times, nl.times)
-        assert list(got.diagnostics) == list(nl.diagnostics)
+        assert list(got.diagnostics) == list(rerun.diagnostics)
         for key, series in nl.diagnostics.items():
             _assert_bitwise(got.diagnostics[key], series)
-    # the rerun records every key of run_auxiliary but its dissipation rates
-    kept_keys = [key for key in aux.diagnostics if not key.startswith("dEdt_p")]
-    assert len(kept_keys) < len(aux.diagnostics)
-    assert not [key for key in aux_pass.diagnostics if key.startswith("dEdt_p")]
-    assert list(aux_pass.diagnostics) == [*kept_keys, "discrepancy",
-                                          "theta_min", "theta_max"]
-    for key in kept_keys:
-        _assert_bitwise(aux_pass.diagnostics[key], aux.diagnostics[key])
-    _assert_bitwise(aux_pass.diagnostics["discrepancy"],
+        for p, key in zip(p_list, aux_keys):
+            _assert_bitwise(got.diagnostics[key], aux.diagnostics[f"E_p{p:g}"])
+    _assert_bitwise(rerun.diagnostics["discrepancy"],
                     np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
                                np.max(np.abs(xi - aux_xi), axis=1)))
     # theta of each record and of its half step, read from the field
@@ -488,7 +488,7 @@ def test_aux_equivalence_matches_the_pass_over_kept_states(monkeypatch, splittin
     for key, reduce in (("theta_min", np.minimum), ("theta_max", np.maximum)):
         per_record = reduce.reduce(records, axis=1)
         per_record[:-1] = reduce(per_record[:-1], reduce.reduce(halves, axis=1))
-        _assert_bitwise(aux_pass.diagnostics[key], per_record)
+        _assert_bitwise(rerun.diagnostics[key], per_record)
 
 
 def test_aux_equivalence_guards_the_rerun(monkeypatch):
@@ -497,7 +497,7 @@ def test_aux_equivalence_guards_the_rerun(monkeypatch):
     nu_ratio = solver.nu_ratio
     monkeypatch.setattr(solver, "nu_ratio", lambda x, g: -nu_ratio(x, g))
     solver.run_simulation(replace(spec.scenario, record_every=1))
-    with pytest.raises(solver.EnergyMonotonicityError, match="E_p1.5 increased"):
+    with pytest.raises(solver.EnergyMonotonicityError, match=r"^E_py1\.5 increased"):
         EXPERIMENTS["aux_equivalence"](spec)
 
 

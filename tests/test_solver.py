@@ -1208,7 +1208,7 @@ class TestAuxiliary:
 class TestDerivativeSystem:
     def test_w_tracks_time_derivative_of_base(self):
         sc = _scenario(n=128, t_final=2.0)
-        (base, _), (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
+        base, (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
         dt = sc.dt
         # centered finite difference of z_t vs the co-integrated w field
         zt = 0.5 * (rho - xi)
@@ -1221,9 +1221,9 @@ class TestDerivativeSystem:
 
     def test_w_energy_monotone(self):
         sc = _scenario(n=128, t_final=4.0, p_list=(1.5, 2.0))
-        _, w = run_derivative_system(sc)
+        traj = run_derivative_system(sc)
         for p in (1.5, 2.0):
-            ew = w.diagnostics[f"E_pw{p:g}"]
+            ew = traj.diagnostics[f"E_pw{p:g}"]
             assert np.all(ew <= ew[0] + 1e-10)
 
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
@@ -1592,7 +1592,7 @@ def _drivers(sc, family):
         "simulation": lambda consume: (run_simulation(sc, consume),),
         "family": lambda consume: run_family(sc, family, consume),
         "auxiliary": lambda consume: (run_auxiliary(sc, theta, consume),),
-        "derivative_system": lambda consume: run_derivative_system(sc, consume),
+        "derivative_system": lambda consume: (run_derivative_system(sc, consume),),
     }
     rows = {
         "simulation": stack(states),
@@ -1621,8 +1621,8 @@ class TestRecordBlocks:
             (sc, [_simulation_states_ref(row) for row in _solo(sc, family)],
              run_family(sc, family)),
             (sc, [_auxiliary_ref(sc, theta)], [run_auxiliary(sc, theta)]),
-            (sc, [base, w], run_derivative_system(sc)),
-            (dense, [_simulation_states_ref(dense)], run_auxiliary_rerun(dense)),
+            (sc, [base, w], [run_derivative_system(sc)]),
+            (dense, [_simulation_states_ref(dense)], [run_auxiliary_rerun(dense)]),
         ]
         for scenario, hand, trajs in cases:
             times = scenario.record_steps * scenario.dt
@@ -1729,15 +1729,15 @@ class TestRecordBlocks:
     @pytest.mark.parametrize("splitting", ["strang", "lie"])
     def test_derivative_system_matches_hand_rolled_loop(self, splitting, record_every):
         sc = _block_scenario(cubic_damping(), splitting, record_every)
-        (base, w), (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
+        traj, (rho, xi, w_rho, w_xi) = run_kept(run_derivative_system, sc)
         times, (base_states, base_records), (w_states, w_records) = \
             _derivative_system_ref(sc)
-        _assert_bitwise(base.times, times)
-        _assert_bitwise(w.times, times)
+        _assert_bitwise(traj.times, times)
         _assert_states(times, rho, xi, base_states)
         _assert_states(times, w_rho, w_xi, w_states)
-        _assert_records(base.diagnostics, base_records)
-        _assert_records(w.diagnostics, w_records)
+        # one table: the base run's keys, then the w = z_t system's
+        _assert_records(traj.diagnostics,
+                        [{**b, **w} for b, w in zip(base_records, w_records)])
 
     @pytest.mark.parametrize("where", ["mid_block", "first_of_block",
                                        "final_partial_block"])
@@ -1770,6 +1770,30 @@ class TestRecordBlocks:
         with pytest.raises(EnergyMonotonicityError) as got:
             run_derivative_system(sc)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("k_base, k_w", [(230, 210), (210, 230), (220, 220)])
+    def test_rises_of_base_and_w_in_one_block(self, monkeypatch, k_base, k_w):
+        # both energies rise late in the first block, which is guarded whole:
+        # the earlier record is raised, and at one record the base run's
+        # key, which comes first in the table
+        sc = _block_scenario(cubic_damping())
+        assert max(k_base, k_w) < _block_len(sc)
+        base = _pumping_substep((k_base - 0.5) * sc.dt)
+        w = _pumping_substep((k_w - 0.5) * sc.dt)
+
+        def substep(state, coef, support, g=None):
+            # the base run's substeps take the cubic g, the w system's none
+            return (w if g is None else base)(state, coef, support, g)
+
+        monkeypatch.setattr(solver, "_damping_substep_nodal", substep)
+        with pytest.raises(EnergyMonotonicityError) as ref:
+            _derivative_system_ref(sc)
+        with pytest.raises(EnergyMonotonicityError) as got:
+            run_derivative_system(sc)
+        assert str(got.value) == str(ref.value)
+        assert _violation_index(str(got.value), sc) == min(k_base, k_w)
+        key = str(got.value).split()[0]
+        assert key.startswith("E_p") and key.startswith("E_pw") == (k_w < k_base)
 
     def test_rise_before_a_failing_step_is_raised_first(self, monkeypatch):
         # the energy rises at record 100; a later step of the same block fails
@@ -1935,7 +1959,7 @@ RATE_DRIVERS = {
     "family2": lambda sc, rates: run_family(sc, _family(sc, (1.0, 0.25)), rates=rates),
     "family3": lambda sc, rates: run_family(sc, _family(sc, (1.0, 0.25, 4.0)),
                                             rates=rates),
-    "derivative_system": lambda sc, rates: list(run_derivative_system(sc, rates=rates)),
+    "derivative_system": lambda sc, rates: [run_derivative_system(sc, rates=rates)],
 }
 
 
@@ -1947,19 +1971,17 @@ class TestRates:
     @given(sc=_admissible_scenarios())
     @settings(max_examples=25, deadline=None)
     def test_rates_off_drops_exactly_the_rates(self, driver, sc):
-        # both splittings, p = 1 in every p_list; the w run of the
-        # derivative system has no rates to drop, so its keys are all kept
+        # both splittings, p = 1 in every p_list; the w = z_t keys of the
+        # derivative system are no rates, so they are all kept
         with_rates = RATE_DRIVERS[driver](sc, True)
         without = RATE_DRIVERS[driver](sc, False)
         rate_keys = {f"dEdt_p{p:g}" for p in sc.p_list}
         assert len(with_rates) == len(without)
-        for j, (full, lean) in enumerate(zip(with_rates, without)):
+        for full, lean in zip(with_rates, without):
             _assert_bitwise(lean.times, full.times)
             kept = [k for k in full.diagnostics if k not in rate_keys]
             assert list(lean.diagnostics) == kept
-            dropped = set(full.diagnostics) - set(kept)
-            w_run = driver == "derivative_system" and j == 1
-            assert dropped == (set() if w_run else rate_keys)
+            assert set(full.diagnostics) - set(kept) == rate_keys
             for key in kept:
                 _assert_bitwise(lean.diagnostics[key], full.diagnostics[key])
 
@@ -2042,16 +2064,18 @@ class TestTrackRecentering:
         aux_states = _auxiliary_ref(sc, theta)
         aux_rho = np.array([s.rho for s in aux_states])
         aux_xi = np.array([s.xi for s in aux_states])
-        nl, aux = run_auxiliary_rerun(sc)
-        _assert_records(nl.diagnostics, [_base_diag_ref(s, sc, sc.a_nodes) for s in states])
-        # the rerun records no dissipation rates: every other key is the loop's
-        aux_records = [{k: v for k, v in _aux_diag_ref(s, sc, theta).items()
-                        if not k.startswith("dEdt_p")} for s in aux_states]
-        assert not [k for k in aux.diagnostics if k.startswith("dEdt_p")]
-        assert list(aux.diagnostics) == [*aux_records[0], "discrepancy",
-                                         "theta_min", "theta_max"]
-        _assert_records({k: aux.diagnostics[k] for k in aux_records[0]}, aux_records)
-        _assert_bitwise(aux.diagnostics["discrepancy"],
+        traj = run_auxiliary_rerun(sc)
+        diag = traj.diagnostics
+        base_records = [_base_diag_ref(s, sc, sc.a_nodes) for s in states]
+        # the rerun's energies E_py are the loop's E_p; it records no
+        # dissipation rates
+        aux_records = [{f"E_py{p:g}": _aux_diag_ref(s, sc, theta)[f"E_p{p:g}"]
+                        for p in sc.p_list} for s in aux_states]
+        assert list(diag) == [*base_records[0], *aux_records[0], "discrepancy",
+                              "theta_min", "theta_max"]
+        _assert_records({k: diag[k] for k in base_records[0]}, base_records)
+        _assert_records({k: diag[k] for k in aux_records[0]}, aux_records)
+        _assert_bitwise(diag["discrepancy"],
                         np.maximum(np.max(np.abs(rho - aux_rho), axis=1),
                                    np.max(np.abs(xi - aux_xi), axis=1)))
 
